@@ -20,12 +20,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, ModelFile, load_model_file
-from .contracts import displacement_deterrent_margin, optimal_contract, surpluses
+from .contracts import incentive_wage, information_rent, retention_margin, surpluses
 from .continuous import validate_continuous
 from .dynamics import AgentKind, sample_outcomes, simulate_cycles, simulate_two_period
-from .investment import deterrent_sign_change_roots, optimal_investment
-from .model import ModelPrimitives, validate
+from .investment import optimal_investment
+from .model import ModelPrimitives, evaluate_grid, validate
 from .oracle import run_certification
 from .report import format_bool, format_number, format_optional
 from .sweep import SweepAxis, regime_sweep
@@ -159,18 +161,24 @@ def cmd_validate(args) -> int:
 
 
 def _solve_grid_csv(model: ModelPrimitives, grid_points: int) -> str:
+    """Per-grid-point table from one grid evaluation, same values as the
+    scalar ``surpluses``, ``optimal_contract`` and retention margin."""
+    g = evaluate_grid(model, model.grid(grid_points))
+    u_gap = information_rent(g)
+    q = g.pi1 / g.pi0
+    u_sep = g.cost / (q - 1.0)
+    bad = np.abs(u_gap - u_sep) > 1e-10 * np.maximum(1.0, np.abs(u_gap))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"agent-surplus identity violated at v={g.v[i]}: "
+            f"{float(u_gap[i])!r} vs {float(u_sep[i])!r}"
+        )
+    columns = (g.v, u_gap, incentive_wage(g), q, retention_margin(model, g))
     out = io.StringIO()
     out.write("v,agent_surplus,t_bar,outcome_separability,deterrent_margin\n")
-    for v in model.grid(grid_points):
-        s = surpluses(model, v)
-        row = (
-            format_number(v),
-            format_number(s.agent_surplus),
-            format_number(optimal_contract(model, v).t_high),
-            format_number(s.outcome_separability),
-            format_number(displacement_deterrent_margin(model, v)),
-        )
-        out.write(",".join(row) + "\n")
+    for row in zip(*(c.tolist() for c in columns)):
+        out.write(",".join(format_number(x) for x in row) + "\n")
     return out.getvalue()
 
 
@@ -190,10 +198,10 @@ def cmd_solve(args) -> int:
         print("no-twin outcome: retention fails at every investment level")
         return EXIT_OK
     breakdown = surpluses(model, sol.v_opt)
-    roots = deterrent_sign_change_roots(model, grid)
+    roots = ";".join(format_number(r) for r in sol.deterrent_roots)
     print(f"v_opt={format_number(sol.v_opt)}")
     print(f"v_star={format_optional(sol.displacement_threshold) or 'none'}")
-    print(f"deterrent_roots={';'.join(format_number(r) for r in roots) or 'none'}")
+    print(f"deterrent_roots={roots or 'none'}")
     print(f"v_star_unconstrained={format_number(sol.v_star_unconstrained)}")
     print(f"u_opt={format_number(sol.u_at_opt)}")
     print(f"principal_surplus={format_number(sol.principal_surplus_at_opt)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DEFAULT_TOL, ModelPrimitives, evaluate
+from .model import DEFAULT_TOL, ModelPrimitives, evaluate, evaluate_values
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,42 @@ def outcome_separability(model: ModelPrimitives, v: float) -> float:
     return p.pi1 / p.pi0
 
 
+# The three formulas below take any evaluated primitives with ``pi0``,
+# ``pi1`` and ``cost`` fields: one point (``evaluate``/``evaluate_values``)
+# or a whole grid (``evaluate_grid``).  Scalar and grid paths share them, so
+# both round identically.
+
+
+def incentive_wage(p):
+    """Success payment ``cost/(pi1-pi0)`` of evaluated primitives, a point or a grid."""
+    return p.cost / (p.pi1 - p.pi0)
+
+
+def information_rent(p):
+    """``pi0*cost/(pi1-pi0)`` of evaluated primitives, a point or a grid."""
+    return p.pi0 * p.cost / (p.pi1 - p.pi0)
+
+
+def retention_margin(model: ModelPrimitives, p):
+    """``(s_high - s_low)*(1 - 1/Q) - t_high`` of evaluated primitives, a point or a grid."""
+    q = p.pi1 / p.pi0
+    return model.quality_importance * (1.0 - 1.0 / q) - incentive_wage(p)
+
+
 def optimal_contract(model: ModelPrimitives, v: float) -> Contract:
     """Cheapest effort-inducing contract: wage ``cost/(pi1-pi0)`` on success only."""
-    p = evaluate(model, v)
-    return Contract(p.cost / (p.pi1 - p.pi0), 0.0)
+    return Contract(incentive_wage(evaluate(model, v)), 0.0)
 
 
 def agent_surplus(model: ModelPrimitives, v: float) -> float:
     """Information rent ``U(v) = pi0*cost/(pi1-pi0)`` under the optimal contract."""
-    p = evaluate(model, v)
-    return p.pi0 * p.cost / (p.pi1 - p.pi0)
+    return information_rent(evaluate_values(model, v))
 
 
 def principal_surplus(model: ModelPrimitives, v: float) -> float:
     """Expected principal payoff under the optimal effort-inducing contract."""
     p = evaluate(model, v)
-    wage = p.cost / (p.pi1 - p.pi0)
+    wage = incentive_wage(p)
     return p.pi1 * model.s_high + (1.0 - p.pi1) * model.s_low - p.pi1 * wage
 
 
@@ -97,7 +117,7 @@ def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
     p = evaluate(model, v)
     gap = p.pi1 - p.pi0
     q = p.pi1 / p.pi0
-    u_gap = p.pi0 * p.cost / gap
+    u_gap = information_rent(p)
     u_sep = p.cost / (q - 1.0)
     if abs(u_gap - u_sep) > 1e-10 * max(1.0, abs(u_gap)):
         raise ArithmeticError(
@@ -138,10 +158,7 @@ def displacement_deterrent_margin(model: ModelPrimitives, v: float) -> float:
     investment level at which running the twin alone starts to beat
     contracting with its trainer.
     """
-    p = evaluate(model, v)
-    q = p.pi1 / p.pi0
-    wage = p.cost / (p.pi1 - p.pi0)
-    return model.quality_importance * (1.0 - 1.0 / q) - wage
+    return retention_margin(model, evaluate_values(model, v))
 
 
 def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float:
@@ -152,7 +169,7 @@ def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float
     oracle compare the two principal options directly.
     """
     p = evaluate(model, v)
-    wage = p.cost / (p.pi1 - p.pi0)
+    wage = incentive_wage(p)
     with_human = p.pi1 * (model.s_high - wage) + (1.0 - p.pi1) * model.s_low
     twin_alone = p.pi0 * model.s_high + (1.0 - p.pi0) * model.s_low
     return with_human - twin_alone

@@ -161,13 +161,12 @@ def _twin_record(
 # ---------------------------------------------------------------------------
 
 
-def myopic_investment(model: ModelPrimitives, offered_contract: Contract) -> float:
+def myopic_investment(model: ModelPrimitives) -> float:
     """The myopic agent's period-1 training choice: always ``v_max``.
 
     Whatever effort the agent plans, the period-1 payoff is nondecreasing
     in the investment, so the offer (fixed before training) cannot steer it.
     """
-    del offered_contract
     return model.v_max
 
 
@@ -210,7 +209,7 @@ def simulate_two_period(
     """
     if agent is AgentKind.MYOPIC:
         offer = principal_period1_contract(model, tol)
-        v = myopic_investment(model, offer)
+        v = myopic_investment(model)
         effort1 = EffortLevel.LOW if shirk_check(model, offer, tol) else EffortLevel.HIGH
         records = [_employed_record(model, 1, offer, v, effort1)]
         if displacement_deterrent_check(model, v, tol):

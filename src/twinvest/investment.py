@@ -26,11 +26,15 @@ import numpy as np
 from .contracts import (
     agent_surplus,
     displacement_deterrent_margin,
+    incentive_wage,
+    information_rent,
     principal_surplus,
+    retention_margin,
 )
 from .model import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
+    GridEval,
     ModelPrimitives,
     evaluate,
     evaluate_grid,
@@ -45,9 +49,13 @@ class RegimeLabel(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-def _rate_arrays(model: ModelPrimitives, grid_points: int):
+def _model_grid(model: ModelPrimitives, grid_points: int, grid: GridEval | None) -> GridEval:
+    """``grid`` when the caller already evaluated it, else a fresh evaluation."""
+    return evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
+
+
+def _rate_arrays(g: GridEval):
     """Grid values of cost'/cost, Q'/(Q-1) and Q' used by the regime tests."""
-    g = evaluate_grid(model, model.grid(grid_points))
     q = g.pi1 / g.pi0
     dq = (g.dpi1 * g.pi0 - g.pi1 * g.dpi0) / (g.pi0 * g.pi0)
     rate_cost = g.dcost / g.cost
@@ -59,14 +67,17 @@ def classify_regime(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
     tie_tol: float = DEFAULT_TOL,
+    grid: GridEval | None = None,
 ) -> RegimeLabel:
     """Classify the unconstrained-optimum regime via the sufficient conditions.
 
     Exact ties between the two rates make neither strict condition hold and
     resolve toward :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising
     separability everywhere forces the no-investment label on its own.
+    ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
+    result when the caller already holds it.
     """
-    rate_cost, rate_sep, dq = _rate_arrays(model, grid_points)
+    rate_cost, rate_sep, dq = _rate_arrays(_model_grid(model, grid_points, grid))
     diff = rate_cost - rate_sep  # sign of U'
 
     if np.all(dq > tie_tol):
@@ -89,24 +100,29 @@ def deterrent_sign_change_roots(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
     width_tol: float = 1e-12,
+    grid: GridEval | None = None,
 ) -> list[float]:
     """All sign-change roots of the retention margin on ``(0, v_max)``.
 
     Diagnostic companion to :func:`displacement_threshold`, which returns
     only the smallest one; with arbitrary families the feasible set can be
     a union of intervals and every boundary is of interest.
+
+    The margin on the grid comes from one :func:`evaluate_grid` pass (or
+    ``grid``, when the caller already holds it) through the same formula
+    as :func:`displacement_deterrent_margin`, so it equals the scalar
+    margin bit for bit.  Each bracket where the sign flips is then
+    bisected on the scalar margin.
     """
-    vs = model.grid(grid_points)
-    margin = np.array([displacement_deterrent_margin(model, v) for v in vs])
+    g = _model_grid(model, grid_points, grid)
+    vs = g.v
+    margin = retention_margin(model, g)
     f = lambda v: displacement_deterrent_margin(model, v)
-    roots: list[float] = []
     nonneg = margin >= 0.0
-    for i in range(len(vs) - 1):
-        if nonneg[i] != nonneg[i + 1]:
-            roots.append(
-                bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1], width_tol)
-            )
-    return roots
+    return [
+        bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1], width_tol)
+        for i in np.flatnonzero(nonneg[:-1] != nonneg[1:])
+    ]
 
 
 def displacement_threshold(
@@ -140,7 +156,9 @@ class InvestmentSolution:
     point including zero investment; then there is no contracting outcome
     (the principal runs the twin alone) and the optional fields are None.
     Validated models always retain the agent at ``v = 0``, so this only
-    arises for deliberately broken instances.
+    arises for deliberately broken instances.  ``deterrent_roots`` lists
+    every sign-change root of the retention margin, as
+    :func:`deterrent_sign_change_roots` returns them.
     """
 
     regime: RegimeLabel
@@ -151,6 +169,7 @@ class InvestmentSolution:
     u_at_opt: float | None
     principal_surplus_at_opt: float | None
     feasible: bool = True
+    deterrent_roots: tuple[float, ...] = ()
 
 
 def _refine_max(model: ModelPrimitives, vs, us, i: int, xtol: float):
@@ -178,13 +197,16 @@ def optimal_investment(
     is refined inside its containing feasible interval, and the interval
     endpoints are located by bisection on the margin so the returned point
     is feasible by construction.  Ties break toward smaller ``v``.
+
+    The grid is evaluated once.  The rent, the feasibility margins, the
+    displacement threshold with every sign-change root of the margin, and
+    the regime rates all come from that one :func:`evaluate_grid` result;
+    only the refinement steps evaluate single points.
     """
     vs = model.grid(grid_points)
     g = evaluate_grid(model, vs)
-    gap = g.pi1 - g.pi0
-    us = g.pi0 * g.cost / gap
-    wage = g.cost / gap
-    margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - wage
+    us = information_rent(g)
+    margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
     feasible = margins >= -tol
 
     u = lambda v: agent_surplus(model, v)
@@ -193,8 +215,13 @@ def optimal_investment(
     i_star = int(np.argmax(us))
     v_unc, u_unc = _refine_max(model, vs, us, i_star, xtol)
 
-    threshold = displacement_threshold(model, grid_points)
-    regime = classify_regime(model, grid_points)
+    roots = tuple(deterrent_sign_change_roots(model, grid_points, grid=g))
+    # same test as displacement_threshold, on the grid's v = 0 point
+    if retention_margin(model, g)[0] < 0.0:
+        threshold = 0.0
+    else:
+        threshold = roots[0] if roots else None
+    regime = classify_regime(model, grid_points, grid=g)
 
     if not feasible.any():
         return InvestmentSolution(
@@ -206,6 +233,7 @@ def optimal_investment(
             u_at_opt=None,
             principal_surplus_at_opt=None,
             feasible=False,
+            deterrent_roots=roots,
         )
 
     us_feas = np.where(feasible, us, -np.inf)
@@ -246,6 +274,7 @@ def optimal_investment(
         u_at_opt=u_opt,
         principal_surplus_at_opt=principal_surplus(model, v_opt),
         feasible=True,
+        deterrent_roots=roots,
     )
 
 

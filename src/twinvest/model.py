@@ -107,6 +107,28 @@ class GridEval(NamedTuple):
     dcost: np.ndarray
 
 
+class PrimitiveValues(NamedTuple):
+    """Primitive values at one ``v`` without derivatives, for value-only objectives."""
+
+    pi0: float
+    pi1: float
+    cost: float
+
+
+def evaluate_values(model: ModelPrimitives, v: float) -> PrimitiveValues:
+    """Evaluate the primitives (not their derivatives) at ``v``.
+
+    Same values and same :class:`DomainError` as :func:`evaluate`; the
+    refinement objectives call it hundreds of times per solve.
+    """
+    v = model.check_domain(v)
+    return PrimitiveValues(
+        pi0=float(model.pi0.value(v)),
+        pi1=float(model.pi1.value(v)),
+        cost=float(model.cost.value(v)),
+    )
+
+
 def evaluate(model: ModelPrimitives, v: float) -> EvaluatedPoint:
     """Evaluate all primitives and their analytic derivatives at ``v``.
 

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from twinvest.contracts import Contract, optimal_contract
@@ -18,7 +19,7 @@ from twinvest.dynamics import (
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import optimal_investment
-from twinvest.model import DomainError, ModelPrimitives
+from twinvest.model import DomainError, ModelPrimitives, evaluate_grid
 from twinvest.optimize import bisect_root
 from twinvest.sampling import random_models
 
@@ -32,8 +33,14 @@ def displaced_constant_pi0_model() -> ModelPrimitives:
 class TestMyopicChoices:
     @pytest.mark.parametrize("offer", [Contract(1.0 / 3.0, 0.0), Contract(0.0, 0.0)])
     def test_investment_is_contract_independent(self, offer):
-        assert myopic_investment(f1(), offer) == 1.0
-        assert myopic_investment(f2(), offer) == 1.0
+        # under either offer, both effort plans pay more the more the agent
+        # trains, so the myopic choice is v_max whatever was offered
+        for model in (f1(), f2()):
+            g = evaluate_grid(model, model.grid())
+            shirk = g.pi0 * offer.t_high + (1.0 - g.pi0) * offer.t_low
+            work = g.pi1 * offer.t_high + (1.0 - g.pi1) * offer.t_low - g.cost
+            assert (np.diff(shirk) >= 0.0).all() and (np.diff(work) >= 0.0).all()
+            assert myopic_investment(model) == model.v_max == 1.0
 
     def test_shirks_below_full_training_wage(self):
         # 0 < 1/3

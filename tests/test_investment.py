@@ -3,9 +3,15 @@ import math
 
 import pytest
 
-from twinvest.contracts import displacement_deterrent_check, displacement_deterrent_margin
+from twinvest.contracts import (
+    agent_surplus,
+    displacement_deterrent_check,
+    displacement_deterrent_margin,
+    retention_margin,
+    surpluses,
+)
 from twinvest.families import ParametricFamily as F
-from twinvest.fixtures import f1, f2, f3, f4
+from twinvest.fixtures import DISCRETE_FIXTURES, f1, f2, f3, f4
 from twinvest.investment import (
     RegimeLabel,
     classify_regime,
@@ -14,7 +20,13 @@ from twinvest.investment import (
     optimal_investment,
     wage_slope_diagnostics,
 )
-from twinvest.model import ModelPrimitives
+from twinvest.model import DomainError, ModelPrimitives, evaluate_grid
+from twinvest.sampling import random_models
+
+
+def exactness_models() -> list[ModelPrimitives]:
+    """The discrete fixtures plus seeded random models of every family kind."""
+    return [make() for make in DISCRETE_FIXTURES.values()] + random_models(50, seed=12345)
 
 
 def f2_threshold_closed_form() -> float:
@@ -132,6 +144,30 @@ class TestDisplacementThreshold:
         assert len(roots) == 1
         assert roots[0] == pytest.approx(f2_threshold_closed_form(), abs=1e-8)
 
+    def test_grid_margin_equals_scalar_margin_exactly(self):
+        # the sign-change scan reads the margin off one grid evaluation; it
+        # must be the scalar margin bit for bit, or a near-zero grid value
+        # could flip sign and move a root
+        for model in exactness_models():
+            vs = model.grid()
+            grid_margin = retention_margin(model, evaluate_grid(model, vs))
+            assert grid_margin.tolist() == [displacement_deterrent_margin(model, v) for v in vs]
+
+    def test_double_crossing_lists_both_roots(self):
+        # cost falls then flattens while the gap narrows: the margin is
+        # negative at 0, turns positive, and turns negative again
+        model = ModelPrimitives(F.affine(0.1, 0.68), F.affine(0.7, 0.1),
+                                F.exponential_decay(0.6, 5.0), 1.0, 1.0, 0.0)
+        vs = model.grid()
+        margins = [displacement_deterrent_margin(model, v) for v in vs]
+        assert margins[0] < 0.0 and max(margins) > 0.0 and margins[-1] < 0.0
+        roots = deterrent_sign_change_roots(model)
+        assert len(roots) == 2
+        for root in roots:
+            assert abs(displacement_deterrent_margin(model, root)) < 1e-10
+        assert displacement_threshold(model) == 0.0
+        assert optimal_investment(model).deterrent_roots == tuple(roots)
+
     def test_threshold_bracketed_by_dense_margin_scan(self):
         # enumeration oracle: the root must sit inside the first sign-change
         # interval of a fine margin grid
@@ -199,3 +235,15 @@ class TestWageSlopeDiagnostics:
             assert d.t_bar_slope > 0.0
             assert d.q_slope < 0.0
             assert d.rising_wage_implies_falling_separability
+
+
+class TestRefinementObjectives:
+    def test_agent_surplus_matches_breakdown_exactly(self):
+        for model in exactness_models():
+            for v in model.grid(101):
+                assert agent_surplus(model, v) == surpluses(model, v).agent_surplus
+
+    @pytest.mark.parametrize("v", [-1e-9, 1.0 + 1e-9, math.nan])
+    def test_agent_surplus_rejects_outside_domain(self, v):
+        with pytest.raises(DomainError):
+            agent_surplus(f1(), v)
