@@ -27,7 +27,7 @@ from .contracts import incentive_wage, information_rent, retention_margin, surpl
 from .continuous import validate_continuous
 from .dynamics import AgentKind, sample_outcomes, simulate_cycles, simulate_two_period
 from .investment import optimal_investment
-from .model import ModelPrimitives, evaluate_grid, validate
+from .model import GridEval, ModelPrimitives, evaluate_model_grid, validate
 from .oracle import run_certification
 from .report import format_bool, format_number, format_optional
 from .sweep import SweepAxis, regime_sweep
@@ -160,10 +160,9 @@ def cmd_validate(args) -> int:
     return status
 
 
-def _solve_grid_csv(model: ModelPrimitives, grid_points: int) -> str:
-    """Per-grid-point table from one grid evaluation, same values as the
-    scalar ``surpluses``, ``optimal_contract`` and retention margin."""
-    g = evaluate_grid(model, model.grid(grid_points))
+def _solve_grid_csv(model: ModelPrimitives, g: GridEval) -> str:
+    """Per-grid-point table from the solve's grid evaluation, same values as
+    the scalar ``surpluses``, ``optimal_contract`` and retention margin."""
     u_gap = information_rent(g)
     q = g.pi1 / g.pi0
     u_sep = g.cost / (q - 1.0)
@@ -185,13 +184,14 @@ def _solve_grid_csv(model: ModelPrimitives, grid_points: int) -> str:
 def cmd_solve(args) -> int:
     mf = _load(args)
     model = _discrete(mf)
-    grid = _grid_size(args)
-    report = validate(model, grid)
+    grid_points = _grid_size(args)
+    grid = evaluate_model_grid(model, grid_points)
+    report = validate(model, grid_points, grid=grid)
     if not report.passed:
         print(f"model: {report.describe()}")
         return EXIT_INVALID_MODEL
 
-    sol = optimal_investment(model, grid)
+    sol = optimal_investment(model, grid_points, grid=grid)
     print(f"regime={sol.regime.value}")
     print(f"feasible={format_bool(sol.feasible)}")
     if not sol.feasible:

@@ -100,11 +100,44 @@ def validate_continuous(
 # ---------------------------------------------------------------------------
 
 
-def _slope(cmodel: ContinuousEffortModel, e: float) -> float:
-    slope = float(cmodel.p.derivative(e))
-    if not slope > 0.0:
-        raise ValueError(f"p'({e}) = {slope} must be strictly positive")
-    return slope
+def _slope(cmodel: ContinuousEffortModel, e):
+    """``p'(e)`` at a point or over an array; ``ValueError`` at the first
+    effort where it is not strictly positive."""
+    slope = np.asarray(cmodel.p.derivative(e), dtype=float)
+    bad = ~(slope > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"p'({np.ravel(e)[i]}) = {slope.flat[i]} must be strictly positive")
+    return slope if slope.ndim else float(slope)
+
+
+def _point(cmodel: ContinuousEffortModel, e: float) -> tuple[float, float, float]:
+    """``(e, p(e), p'(e))`` after the domain and positive-slope checks."""
+    e = cmodel.check_domain(e)
+    slope = _slope(cmodel, e)
+    return e, float(cmodel.p.value(e)), slope
+
+
+# The three formulas below take ``e``, ``p(e)`` and ``p'(e)`` as one point
+# or as arrays over a grid.  The scalar functions and the grid scan of
+# :func:`principal_optimal_effort` share them, so both round identically.
+
+
+def _participation_low_payment(cmodel: ContinuousEffortModel, e, p, slope):
+    """``c0*e - (p/p')*c0``: the low payment participation asks for; the
+    liability floor binds where it is ``<= 0``."""
+    return cmodel.c0 * e - (p / slope) * cmodel.c0
+
+
+def _induced_payments(cmodel: ContinuousEffortModel, e, p, slope):
+    """``(t_high, t_low)`` of the cheapest contract inducing effort ``e``."""
+    t_low = np.maximum(0.0, _participation_low_payment(cmodel, e, p, slope))
+    return t_low + cmodel.c0 / slope, t_low
+
+
+def _principal_payoff(cmodel: ContinuousEffortModel, p, t_high, t_low):
+    """``p*(s_high - t_high) + (1-p)*(s_low - t_low)``."""
+    return p * (cmodel.s_high - t_high) + (1.0 - p) * (cmodel.s_low - t_low)
 
 
 def contract_for_effort(cmodel: ContinuousEffortModel, e: float) -> Contract:
@@ -113,19 +146,12 @@ def contract_for_effort(cmodel: ContinuousEffortModel, e: float) -> Contract:
     Implements the general participation-constrained form; whether the
     liability floor binds is reported by :func:`limited_liability_binding`.
     """
-    e = cmodel.check_domain(e)
-    slope = _slope(cmodel, e)
-    p = float(cmodel.p.value(e))
-    t_low = max(0.0, cmodel.c0 * e - (p / slope) * cmodel.c0)
-    return Contract(t_low + cmodel.c0 / slope, t_low)
+    return Contract(*_induced_payments(cmodel, *_point(cmodel, e)))
 
 
 def limited_liability_binding(cmodel: ContinuousEffortModel, e: float) -> bool:
     """True when the zero floor (not participation) pins the low payment."""
-    e = cmodel.check_domain(e)
-    slope = _slope(cmodel, e)
-    p = float(cmodel.p.value(e))
-    return cmodel.c0 * e - (p / slope) * cmodel.c0 <= 0.0
+    return bool(_participation_low_payment(cmodel, *_point(cmodel, e)) <= 0.0)
 
 
 def foc_residual(cmodel: ContinuousEffortModel, e: float, contract: Contract) -> float:
@@ -144,11 +170,20 @@ def agent_expected_utility(
 
 def principal_surplus_at(cmodel: ContinuousEffortModel, e: float) -> float:
     """Principal's expected payoff from inducing effort ``e`` at its contract."""
-    contract = contract_for_effort(cmodel, e)
-    p = float(cmodel.p.value(e))
-    return p * (cmodel.s_high - contract.t_high) + (1.0 - p) * (
-        cmodel.s_low - contract.t_low
-    )
+    e, p, slope = _point(cmodel, e)
+    return float(_principal_payoff(cmodel, p, *_induced_payments(cmodel, e, p, slope)))
+
+
+def principal_surplus_grid(cmodel: ContinuousEffortModel, es: np.ndarray) -> np.ndarray:
+    """:func:`principal_surplus_at` over an array of efforts in one pass.
+
+    Same formulas, so every element equals the scalar value bit for bit.
+    Raises ``ValueError`` at the first effort whose slope is not positive.
+    """
+    es = np.asarray(es, dtype=float)
+    slope = _slope(cmodel, es)
+    p = np.asarray(cmodel.p.value(es), dtype=float)
+    return _principal_payoff(cmodel, p, *_induced_payments(cmodel, es, p, slope))
 
 
 @dataclass(frozen=True)
@@ -166,11 +201,13 @@ def principal_optimal_effort(
 ) -> EffortSolution:
     """Maximize the principal's surplus over the effort interval.
 
-    Grid scan plus golden-section refinement in the best bracket; a
-    boundary optimum is returned as the boundary point.
+    The grid is scanned in one array pass (:func:`principal_surplus_grid`,
+    equal to :func:`principal_surplus_at` at every point); golden-section
+    then refines the best bracket on the scalar surplus.  A boundary
+    optimum is returned as the boundary point.
     """
     es = cmodel.grid(grid_points)
-    surplus = np.array([principal_surplus_at(cmodel, e) for e in es])
+    surplus = principal_surplus_grid(cmodel, es)
     i = int(np.argmax(surplus))
     lo = es[max(i - 1, 0)]
     hi = es[min(i + 1, len(es) - 1)]

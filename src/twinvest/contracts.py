@@ -55,7 +55,7 @@ def outcome_separability(model: ModelPrimitives, v: float) -> float:
     return p.pi1 / p.pi0
 
 
-# The three formulas below take any evaluated primitives with ``pi0``,
+# The four formulas below take any evaluated primitives with ``pi0``,
 # ``pi1`` and ``cost`` fields: one point (``evaluate``/``evaluate_values``)
 # or a whole grid (``evaluate_grid``).  Scalar and grid paths share them, so
 # both round identically.
@@ -77,6 +77,13 @@ def retention_margin(model: ModelPrimitives, p):
     return model.quality_importance * (1.0 - 1.0 / q) - incentive_wage(p)
 
 
+def principal_payoff(model: ModelPrimitives, p):
+    """``pi1*s_high + (1-pi1)*s_low - pi1*cost/(pi1-pi0)``: the principal's
+    expected payoff under the optimal contract, of evaluated primitives, a
+    point or a grid."""
+    return p.pi1 * model.s_high + (1.0 - p.pi1) * model.s_low - p.pi1 * p.cost / (p.pi1 - p.pi0)
+
+
 def optimal_contract(model: ModelPrimitives, v: float) -> Contract:
     """Cheapest effort-inducing contract: wage ``cost/(pi1-pi0)`` on success only."""
     return Contract(incentive_wage(evaluate(model, v)), 0.0)
@@ -89,9 +96,7 @@ def agent_surplus(model: ModelPrimitives, v: float) -> float:
 
 def principal_surplus(model: ModelPrimitives, v: float) -> float:
     """Expected principal payoff under the optimal effort-inducing contract."""
-    p = evaluate(model, v)
-    wage = incentive_wage(p)
-    return p.pi1 * model.s_high + (1.0 - p.pi1) * model.s_low - p.pi1 * wage
+    return principal_payoff(model, evaluate_values(model, v))
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
         raise ArithmeticError(
             f"agent-surplus identity violated at v={v}: {u_gap!r} vs {u_sep!r}"
         )
-    principal = p.pi1 * model.s_high + (1.0 - p.pi1) * model.s_low - p.pi1 * p.cost / gap
+    principal = principal_payoff(model, p)
     return SurplusBreakdown(
         agent_surplus=u_gap,
         principal_surplus=principal,

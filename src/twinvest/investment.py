@@ -37,7 +37,7 @@ from .model import (
     GridEval,
     ModelPrimitives,
     evaluate,
-    evaluate_grid,
+    evaluate_model_grid,
 )
 from .optimize import bisect_bracket, bisect_root, golden_section_max, max_candidate
 
@@ -47,11 +47,6 @@ class RegimeLabel(enum.Enum):
     MAX_INVESTMENT = "MaxInvestment"
     INTERIOR = "Interior"
     INDETERMINATE = "Indeterminate"
-
-
-def _model_grid(model: ModelPrimitives, grid_points: int, grid: GridEval | None) -> GridEval:
-    """``grid`` when the caller already evaluated it, else a fresh evaluation."""
-    return evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
 
 
 def _rate_arrays(g: GridEval):
@@ -77,7 +72,7 @@ def classify_regime(
     ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
     result when the caller already holds it.
     """
-    rate_cost, rate_sep, dq = _rate_arrays(_model_grid(model, grid_points, grid))
+    rate_cost, rate_sep, dq = _rate_arrays(evaluate_model_grid(model, grid_points, grid))
     diff = rate_cost - rate_sep  # sign of U'
 
     if np.all(dq > tie_tol):
@@ -114,7 +109,7 @@ def deterrent_sign_change_roots(
     margin bit for bit.  Each bracket where the sign flips is then
     bisected on the scalar margin.
     """
-    g = _model_grid(model, grid_points, grid)
+    g = evaluate_model_grid(model, grid_points, grid)
     vs = g.v
     margin = retention_margin(model, g)
     f = lambda v: displacement_deterrent_margin(model, v)
@@ -188,6 +183,7 @@ def optimal_investment(
     grid_points: int = DEFAULT_GRID_POINTS,
     xtol: float = 1e-10,
     tol: float = DEFAULT_TOL,
+    grid: GridEval | None = None,
 ) -> InvestmentSolution:
     """Maximize the agent's rent over ``[0, v_max]``, respecting the deterrent.
 
@@ -198,13 +194,14 @@ def optimal_investment(
     endpoints are located by bisection on the margin so the returned point
     is feasible by construction.  Ties break toward smaller ``v``.
 
-    The grid is evaluated once.  The rent, the feasibility margins, the
-    displacement threshold with every sign-change root of the margin, and
-    the regime rates all come from that one :func:`evaluate_grid` result;
-    only the refinement steps evaluate single points.
+    The grid is evaluated once, or not at all when the caller passes its
+    ``grid_points``-point :func:`evaluate_grid` result as ``grid``.  The
+    rent, the feasibility margins, the displacement threshold with every
+    sign-change root of the margin, and the regime rates all come from that
+    one result; only the refinement steps evaluate single points.
     """
-    vs = model.grid(grid_points)
-    g = evaluate_grid(model, vs)
+    g = evaluate_model_grid(model, grid_points, grid)
+    vs = g.v
     us = information_rent(g)
     margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
     feasible = margins >= -tol

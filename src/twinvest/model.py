@@ -160,6 +160,16 @@ def evaluate_grid(model: ModelPrimitives, vs: np.ndarray) -> GridEval:
     )
 
 
+def evaluate_model_grid(
+    model: ModelPrimitives,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    grid: GridEval | None = None,
+) -> GridEval:
+    """The model's ``grid_points``-point :func:`evaluate_grid` result:
+    ``grid`` when the caller already holds it, else a fresh evaluation."""
+    return evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -199,8 +209,12 @@ def validate(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float = DEFAULT_TOL,
+    grid: GridEval | None = None,
 ) -> ValidationReport:
     """Check every model assumption on a dense grid; report, never raise.
+
+    ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
+    result when the caller already holds it.
 
     Checked in order, stopping at the first violation:
 
@@ -236,8 +250,8 @@ def validate(
             f"s_high={model.s_high:.6g} must exceed s_low={model.s_low:.6g}",
         )
 
-    vs = model.grid(grid_points)
-    g = evaluate_grid(model, vs)
+    g = evaluate_model_grid(model, grid_points, grid)
+    vs = g.v
 
     for name, vals, derivs in (
         ("pi0", g.pi0, g.dpi0),

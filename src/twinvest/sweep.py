@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .investment import optimal_investment
-from .model import DEFAULT_GRID_POINTS, ModelPrimitives, validate
+from .model import DEFAULT_GRID_POINTS, ModelPrimitives, evaluate_model_grid, validate
 from .report import format_number
 
 INVALID_LABEL = "Invalid"
@@ -109,10 +109,11 @@ def regime_sweep(
 def _solve_cell(
     model: ModelPrimitives, x1: float, x2: float, grid_points: int
 ) -> RegimeCell:
-    report = validate(model, grid_points)
+    grid = evaluate_model_grid(model, grid_points)
+    report = validate(model, grid_points, grid=grid)
     if not report.passed:
         return RegimeCell(x1, x2, INVALID_LABEL, None, None, None, None)
-    sol = optimal_investment(model, grid_points)
+    sol = optimal_investment(model, grid_points, grid=grid)
     return RegimeCell(
         param1=x1,
         param2=x2,

@@ -92,6 +92,20 @@ class TestSolve:
         first_data = lines[1].split(",")
         assert abs(float(first_data[1]) - agent_surplus(f2(), float(first_data[0]))) < 1e-9
 
+    def test_one_grid_evaluation(self, model_file, tmp_path, monkeypatch, capsys):
+        # validate, optimal_investment and the --out table share one grid
+        import twinvest.model
+
+        calls = []
+        real = twinvest.model.evaluate_grid
+        monkeypatch.setattr(
+            twinvest.model, "evaluate_grid", lambda *a: calls.append(1) or real(*a)
+        )
+        out_path = tmp_path / "grid.csv"
+        assert main(["solve", "--model", model_file(f2()), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_invalid_model_exit_code(self, model_file, capsys):
         import dataclasses
 

@@ -11,6 +11,8 @@ from twinvest.continuous import (
     foc_residual,
     limited_liability_binding,
     principal_optimal_effort,
+    principal_surplus_at,
+    principal_surplus_grid,
     two_outcome_wage_comparison,
     validate_continuous,
 )
@@ -122,6 +124,25 @@ class TestPrincipalOptimalEffort:
     def test_worthless_outcomes_pin_minimum_effort(self):
         sol = principal_optimal_effort(dataclasses.replace(f5(), s_high=0.0, s_low=0.0))
         assert sol.e_opt == f5().e_min
+
+    def test_grid_scan_equals_scalar_surplus_exactly(self):
+        # the scan's argmax picks the refinement bracket; a grid value one
+        # ulp off the scalar one could move it
+        for model in [f5()] + random_continuous_models(50, seed=12345):
+            es = model.grid()
+            assert principal_surplus_grid(model, es).tolist() == [
+                principal_surplus_at(model, e) for e in es
+            ]
+
+    @pytest.mark.parametrize(
+        "p", [F.constant(0.5), F.affine(0.9, -0.1), F.exponential_decay(0.9, 0.5)]
+    )
+    def test_nonpositive_slope_rejected(self, p):
+        model = dataclasses.replace(f5(), p=p)
+        with pytest.raises(ValueError, match="must be strictly positive"):
+            principal_optimal_effort(model)
+        with pytest.raises(ValueError, match="must be strictly positive"):
+            principal_surplus_at(model, model.e_min)
 
 
 class TestValidateContinuous:

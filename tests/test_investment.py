@@ -7,6 +7,8 @@ from twinvest.contracts import (
     agent_surplus,
     displacement_deterrent_check,
     displacement_deterrent_margin,
+    principal_payoff,
+    principal_surplus,
     retention_margin,
     surpluses,
 )
@@ -20,7 +22,7 @@ from twinvest.investment import (
     optimal_investment,
     wage_slope_diagnostics,
 )
-from twinvest.model import DomainError, ModelPrimitives, evaluate_grid
+from twinvest.model import DomainError, ModelPrimitives, evaluate_grid, evaluate_model_grid
 from twinvest.sampling import random_models
 
 
@@ -103,6 +105,11 @@ class TestOptimalInvestment:
         assert not sol.feasible
         assert sol.v_opt is None and sol.u_at_opt is None
         assert not sol.deterrent_binding
+
+    def test_caller_grid_gives_the_same_solution(self):
+        for model in exactness_models()[:20]:
+            grid = evaluate_model_grid(model, 301)
+            assert optimal_investment(model, 301, grid=grid) == optimal_investment(model, 301)
 
     def test_binding_solution_respects_constraint_and_order(self):
         from twinvest.model import evaluate
@@ -242,6 +249,13 @@ class TestRefinementObjectives:
         for model in exactness_models():
             for v in model.grid(101):
                 assert agent_surplus(model, v) == surpluses(model, v).agent_surplus
+
+    def test_principal_surplus_matches_breakdown_exactly(self):
+        for model in exactness_models():
+            vs = model.grid(101)
+            scalar = [principal_surplus(model, v) for v in vs]
+            assert scalar == [surpluses(model, v).principal_surplus for v in vs]
+            assert principal_payoff(model, evaluate_grid(model, vs)).tolist() == scalar
 
     @pytest.mark.parametrize("v", [-1e-9, 1.0 + 1e-9, math.nan])
     def test_agent_surplus_rejects_outside_domain(self, v):

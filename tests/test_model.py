@@ -4,7 +4,13 @@ import pytest
 
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
-from twinvest.model import DomainError, ModelPrimitives, evaluate, validate
+from twinvest.model import (
+    DomainError,
+    ModelPrimitives,
+    evaluate,
+    evaluate_model_grid,
+    validate,
+)
 
 
 class TestEvaluate:
@@ -80,6 +86,15 @@ class TestValidate:
         report = validate(broken)
         assert not report.passed
         assert report.violation.condition == condition
+
+    @pytest.mark.parametrize(
+        "model",
+        [f1(), f3(), dataclasses.replace(f1(), s_high=0.5),
+         dataclasses.replace(f1(), cost=F.affine(0.2, 0.1))],
+    )
+    def test_caller_grid_gives_the_same_report(self, model):
+        grid = evaluate_model_grid(model, 301)
+        assert validate(model, 301, grid=grid) == validate(model, 301)
 
     def test_stakes_ordering(self):
         broken = dataclasses.replace(f1(), s_high=0.0, s_low=0.0)

@@ -1,7 +1,11 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
+import twinvest.oracle as oracle_module
+from twinvest.contracts import Contract
 from twinvest.dynamics import AgentKind, EffortLevel
 from twinvest.fixtures import f1, f2, f3, f4, f5
 from twinvest.oracle import (
@@ -16,7 +20,37 @@ from twinvest.oracle import (
     certify_two_period,
     run_certification,
 )
+from twinvest.model import evaluate
 from twinvest.sampling import random_continuous_models, random_models
+
+
+def one_shot_contract(model, v, payment_step=1e-3):
+    """The payment enumeration as one broadcast over the whole grid.
+
+    Reference for the streamed :func:`brute_force_contract`: same raw
+    expressions and the same first-maximum rule of ``argmax``, with every
+    pair materialized at once.
+    """
+    p = evaluate(model, v)
+    top = max(model.s_high, 0.0)
+    num = max(int(math.ceil(top / payment_step)), 1) + 1
+    payments = np.linspace(0.0, top, num)
+    t_high = payments[np.newaxis, :]
+    t_low = payments[:, np.newaxis]
+    agent_high = p.pi1 * t_high + (1.0 - p.pi1) * t_low - p.cost
+    agent_low = p.pi0 * t_high + (1.0 - p.pi0) * t_low
+    feasible = (agent_high >= -1e-12) & (agent_high - agent_low >= -1e-12)
+    surplus = p.pi1 * (model.s_high - t_high) + (1.0 - p.pi1) * (model.s_low - t_low)
+    surplus = np.where(feasible, surplus, -np.inf)
+    k = int(np.argmax(surplus))
+    if surplus.flat[k] == -np.inf:
+        return None
+    i, j = divmod(k, num)
+    return Contract(float(payments[j]), float(payments[i]))
+
+
+def payment_count(model, payment_step):
+    return max(int(math.ceil(max(model.s_high, 0.0) / payment_step)), 1) + 1
 
 
 class TestBruteForceInvestment:
@@ -76,6 +110,50 @@ class TestBruteForceContract:
         model = dataclasses.replace(f1(), s_high=0.3)
         # wage at v=0 is 0.4 > 0.3, so no effort-inducing pair on [0, 0.3]^2
         assert brute_force_contract(model, 0.0) is None
+
+
+class TestStreamedContractEnumeration:
+    """The block-streamed enumeration returns exactly the one-shot result."""
+
+    @pytest.mark.parametrize("make", [f1, f2, f3, f4])
+    def test_fixtures_at_certified_investments(self, make):
+        model = make()
+        for v in (0.0, model.v_max / 2.0, model.v_max):
+            assert brute_force_contract(model, v) == one_shot_contract(model, v)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(7)
+        for model in random_models(20, seed=12345):
+            v = float(rng.uniform(0.0, model.v_max))
+            found = brute_force_contract(model, v, payment_step=2e-3)
+            assert found == one_shot_contract(model, v, payment_step=2e-3)
+
+    def test_partial_last_block(self):
+        num = payment_count(f1(), 0.0125)
+        assert num > oracle_module._CHUNK_ROWS and num % oracle_module._CHUNK_ROWS != 0
+        found = brute_force_contract(f1(), 0.5, payment_step=0.0125)
+        assert found is not None
+        assert found == one_shot_contract(f1(), 0.5, payment_step=0.0125)
+
+    def test_fewer_payments_than_one_block(self):
+        assert payment_count(f1(), 0.25) < oracle_module._CHUNK_ROWS
+        found = brute_force_contract(f1(), 0.0, payment_step=0.25)
+        assert found == Contract(0.5, 0.0)
+        assert found == one_shot_contract(f1(), 0.0, payment_step=0.25)
+
+    def test_infeasible_grid(self):
+        model = dataclasses.replace(f1(), s_high=0.3)
+        assert brute_force_contract(model, 0.0) is None
+        assert one_shot_contract(model, 0.0) is None
+
+    @pytest.mark.parametrize("rows", [1, 3, 16, 200, 10_000])
+    def test_block_size_changes_no_result(self, rows, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_CHUNK_ROWS", rows)
+        for make in (f1, f2, f3, f4):
+            model = make()
+            for v in (0.0, model.v_max):
+                found = brute_force_contract(model, v, payment_step=1e-2)
+                assert found == one_shot_contract(model, v, payment_step=1e-2)
 
 
 class TestBruteForceEffort:

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import twinvest.model
 from twinvest.fixtures import f1, f3
 from twinvest.oracle import brute_force_investment
 from twinvest.sweep import INVALID_LABEL, SweepAxis, regime_sweep
@@ -30,6 +31,17 @@ class TestRegimeSweep:
         assert len(regime_map.cells) == 100
         present = regime_map.regimes_present()
         assert {"NoInvestment", "MaxInvestment", "Interior"} <= present
+
+    def test_one_grid_evaluation_per_cell(self, monkeypatch):
+        # validate and optimal_investment share the cell's grid
+        calls = []
+        real = twinvest.model.evaluate_grid
+        monkeypatch.setattr(
+            twinvest.model, "evaluate_grid", lambda *a: calls.append(1) or real(*a)
+        )
+        axis1, axis2 = f3_axes(3)
+        regime_map = regime_sweep(f3(), axis1, axis2, grid_points=101)
+        assert len(calls) == len(regime_map.cells) == 9
 
     def test_cells_agree_with_grid_oracle(self):
         # spot-check the per-cell solver against enumeration
