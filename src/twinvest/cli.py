@@ -20,14 +20,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, ModelFile, load_model_file
-from .contracts import incentive_wage, information_rent, retention_margin, surpluses
+from .contracts import checked_information_rent, incentive_wage, retention_margin, surpluses
 from .continuous import validate_continuous
 from .dynamics import AgentKind, sample_outcomes, simulate_cycles, simulate_two_period
 from .investment import optimal_investment
-from .model import GridEval, ModelPrimitives, evaluate_model_grid, validate
+from .model import (
+    DEFAULT_GRID_POINTS,
+    GridEval,
+    ModelPrimitives,
+    evaluate_model_grid,
+    validate,
+)
 from .oracle import run_certification
 from .report import format_bool, format_number, format_optional
 from .sweep import SweepAxis, regime_sweep
@@ -117,19 +121,24 @@ def _check_positive(name, value, allow_none=True):
 
 def _grid_size(args) -> int:
     if args.grid is None:
-        return 1001
+        return DEFAULT_GRID_POINTS
     if args.grid < 2:
         raise _InputError(f"--grid must be at least 2, got {args.grid}")
     return args.grid
 
 
+def _write(out: str, text: str):
+    """Write ``text`` to the --out path; failing to is an input error."""
+    try:
+        Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc}")
+
+
 def _emit(table: str, out: str | None, summary: str | None = None):
     """CSV to --out (summary to stdout) or to stdout (summary to stderr)."""
     if out:
-        try:
-            Path(out).write_text(table, encoding="utf-8", newline="")
-        except OSError as exc:
-            raise _InputError(f"cannot write {out}: {exc}")
+        _write(out, table)
         if summary:
             print(summary)
     else:
@@ -163,17 +172,8 @@ def cmd_validate(args) -> int:
 def _solve_grid_csv(model: ModelPrimitives, g: GridEval) -> str:
     """Per-grid-point table from the solve's grid evaluation, same values as
     the scalar ``surpluses``, ``optimal_contract`` and retention margin."""
-    u_gap = information_rent(g)
-    q = g.pi1 / g.pi0
-    u_sep = g.cost / (q - 1.0)
-    bad = np.abs(u_gap - u_sep) > 1e-10 * np.maximum(1.0, np.abs(u_gap))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ArithmeticError(
-            f"agent-surplus identity violated at v={g.v[i]}: "
-            f"{float(u_gap[i])!r} vs {float(u_sep[i])!r}"
-        )
-    columns = (g.v, u_gap, incentive_wage(g), q, retention_margin(model, g))
+    u_gap = checked_information_rent(g)
+    columns = (g.v, u_gap, incentive_wage(g), g.pi1 / g.pi0, retention_margin(model, g))
     out = io.StringIO()
     out.write("v,agent_surplus,t_bar,outcome_separability,deterrent_margin\n")
     for row in zip(*(c.tolist() for c in columns)):
@@ -208,12 +208,7 @@ def cmd_solve(args) -> int:
     print(f"total_surplus={format_number(breakdown.total_surplus)}")
     print(f"deterrent_binding={format_bool(sol.deterrent_binding)}")
     if args.out:
-        try:
-            Path(args.out).write_text(
-                _solve_grid_csv(model, grid), encoding="utf-8", newline=""
-            )
-        except OSError as exc:
-            raise _InputError(f"cannot write {args.out}: {exc}")
+        _write(args.out, _solve_grid_csv(model, grid))
     return EXIT_OK
 
 
@@ -281,14 +276,7 @@ def cmd_verify(args) -> int:
             "models": args.models,
             "reports": [r.to_dict() for r in reports],
         }
-        try:
-            Path(args.out).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-                newline="",
-            )
-        except OSError as exc:
-            raise _InputError(f"cannot write {args.out}: {exc}")
+        _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_ORACLE if failed else EXIT_OK
 
 

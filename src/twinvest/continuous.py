@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import Contract
+from .contracts import Contract, employed_agent_payoff, employed_principal_payoff
 from .families import ParametricFamily
 from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, Violation
-from .optimize import golden_section_max, max_candidate
+from .optimize import refine_grid_max
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,10 @@ class ContinuousEffortModel:
 
 
 def validate_continuous(
-    cmodel: ContinuousEffortModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_TOL,
+    cmodel: ContinuousEffortModel, grid_points: int = DEFAULT_GRID_POINTS
 ) -> ValidationReport:
-    """Grid-check the success family: strictly inside (0,1), increasing, concave."""
+    """Grid-check the success family: strictly inside (0,1), increasing,
+    concave (curvature at most ``DEFAULT_TOL``)."""
 
     def report(condition, e, detail):
         return ValidationReport(False, Violation(condition, e, detail), (), grid_points)
@@ -87,7 +86,7 @@ def validate_continuous(
     for condition, mask, detail in (
         ("p-in-unit-interval", (vals <= 0.0) | (vals > 1.0), "p must stay within (0, 1]"),
         ("p-increasing", slopes <= 0.0, "p slope must be strictly positive"),
-        ("p-concave", curv > tol, "p must be concave"),
+        ("p-concave", curv > DEFAULT_TOL, "p must be concave"),
     ):
         if mask.any():
             i = int(np.argmax(mask))
@@ -118,9 +117,11 @@ def _point(cmodel: ContinuousEffortModel, e: float) -> tuple[float, float, float
     return e, float(cmodel.p.value(e)), slope
 
 
-# The three formulas below take ``e``, ``p(e)`` and ``p'(e)`` as one point
-# or as arrays over a grid.  The scalar functions and the grid scan of
-# :func:`principal_optimal_effort` share them, so both round identically.
+# The two payment formulas below take ``e``, ``p(e)`` and ``p'(e)`` as one
+# point or as arrays over a grid, as does the principal's payoff
+# (:func:`~twinvest.contracts.employed_principal_payoff`).  The scalar
+# functions and the grid scan of :func:`principal_optimal_effort` share
+# them, so both round identically.
 
 
 def _participation_low_payment(cmodel: ContinuousEffortModel, e, p, slope):
@@ -133,11 +134,6 @@ def _induced_payments(cmodel: ContinuousEffortModel, e, p, slope):
     """``(t_high, t_low)`` of the cheapest contract inducing effort ``e``."""
     t_low = np.maximum(0.0, _participation_low_payment(cmodel, e, p, slope))
     return t_low + cmodel.c0 / slope, t_low
-
-
-def _principal_payoff(cmodel: ContinuousEffortModel, p, t_high, t_low):
-    """``p*(s_high - t_high) + (1-p)*(s_low - t_low)``."""
-    return p * (cmodel.s_high - t_high) + (1.0 - p) * (cmodel.s_low - t_low)
 
 
 def contract_for_effort(cmodel: ContinuousEffortModel, e: float) -> Contract:
@@ -165,13 +161,13 @@ def agent_expected_utility(
 ) -> float:
     e = cmodel.check_domain(e)
     p = float(cmodel.p.value(e))
-    return p * contract.t_high + (1.0 - p) * contract.t_low - cmodel.c0 * e
+    return employed_agent_payoff(p, contract.t_high, contract.t_low, cmodel.c0 * e)
 
 
 def principal_surplus_at(cmodel: ContinuousEffortModel, e: float) -> float:
     """Principal's expected payoff from inducing effort ``e`` at its contract."""
     e, p, slope = _point(cmodel, e)
-    return float(_principal_payoff(cmodel, p, *_induced_payments(cmodel, e, p, slope)))
+    return float(employed_principal_payoff(cmodel, p, *_induced_payments(cmodel, e, p, slope)))
 
 
 def principal_surplus_grid(cmodel: ContinuousEffortModel, es: np.ndarray) -> np.ndarray:
@@ -183,7 +179,7 @@ def principal_surplus_grid(cmodel: ContinuousEffortModel, es: np.ndarray) -> np.
     es = np.asarray(es, dtype=float)
     slope = _slope(cmodel, es)
     p = np.asarray(cmodel.p.value(es), dtype=float)
-    return _principal_payoff(cmodel, p, *_induced_payments(cmodel, es, p, slope))
+    return employed_principal_payoff(cmodel, p, *_induced_payments(cmodel, es, p, slope))
 
 
 @dataclass(frozen=True)
@@ -195,28 +191,20 @@ class EffortSolution:
 
 
 def principal_optimal_effort(
-    cmodel: ContinuousEffortModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    xtol: float = 1e-10,
+    cmodel: ContinuousEffortModel, grid_points: int = DEFAULT_GRID_POINTS
 ) -> EffortSolution:
     """Maximize the principal's surplus over the effort interval.
 
     The grid is scanned in one array pass (:func:`principal_surplus_grid`,
-    equal to :func:`principal_surplus_at` at every point); golden-section
-    then refines the best bracket on the scalar surplus.  A boundary
-    optimum is returned as the boundary point.
+    equal to :func:`principal_surplus_at` at every point);
+    :func:`~twinvest.optimize.refine_grid_max` then refines the best
+    bracket on the scalar surplus.  A boundary optimum is returned as the
+    boundary point.
     """
     es = cmodel.grid(grid_points)
     surplus = principal_surplus_grid(cmodel, es)
-    i = int(np.argmax(surplus))
-    lo = es[max(i - 1, 0)]
-    hi = es[min(i + 1, len(es) - 1)]
-    candidates = [(float(es[i]), float(surplus[i]))]
-    if hi > lo:
-        candidates.append(
-            golden_section_max(lambda e: principal_surplus_at(cmodel, e), lo, hi, xtol=xtol)
-        )
-    e_opt, value = max_candidate(candidates)
+    f = lambda e: principal_surplus_at(cmodel, e)
+    e_opt, value = refine_grid_max(f, es, surplus, int(np.argmax(surplus)))
     return EffortSolution(
         e_opt=e_opt,
         contract=contract_for_effort(cmodel, e_opt),

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import DEFAULT_TOL, ModelPrimitives, evaluate, evaluate_values
 
 
@@ -77,11 +79,55 @@ def retention_margin(model: ModelPrimitives, p):
     return model.quality_importance * (1.0 - 1.0 / q) - incentive_wage(p)
 
 
+def checked_information_rent(p):
+    """:func:`information_rent` of evaluated primitives, a point or a grid,
+    checked against its second algebraic route ``cost/(Q-1)``.
+
+    The two routes are the same quantity, so a mismatch beyond 1e-10
+    (relative, floored at 1) signals corrupted primitives rather than a
+    model property: it raises ``ArithmeticError`` naming the first failing
+    ``v``.
+    """
+    u_gap = information_rent(p)
+    u_sep = p.cost / (p.pi1 / p.pi0 - 1.0)
+    bad = np.abs(u_gap - u_sep) > 1e-10 * np.maximum(1.0, np.abs(u_gap))
+    if bad.any():
+        i = int(np.argmax(bad))
+        v, a, b = (np.ravel(x)[i] for x in (p.v, u_gap, u_sep))
+        raise ArithmeticError(
+            f"agent-surplus identity violated at v={v}: {float(a)!r} vs {float(b)!r}"
+        )
+    return u_gap
+
+
 def principal_payoff(model: ModelPrimitives, p):
     """``pi1*s_high + (1-pi1)*s_low - pi1*cost/(pi1-pi0)``: the principal's
     expected payoff under the optimal contract, of evaluated primitives, a
     point or a grid."""
     return p.pi1 * model.s_high + (1.0 - p.pi1) * model.s_low - p.pi1 * p.cost / (p.pi1 - p.pi0)
+
+
+# The three per-period payoffs below take numbers (or arrays), not a
+# ``Contract``, so they also evaluate wages a ``Contract`` would reject.
+# ``model`` only supplies the stakes ``s_high`` and ``s_low``.
+
+
+def employed_agent_payoff(prob, t_high, t_low, cost):
+    """``prob*t_high + (1-prob)*t_low - cost``: the employed agent's expected
+    payoff when the better outcome arrives with probability ``prob``."""
+    return prob * t_high + (1.0 - prob) * t_low - cost
+
+
+def employed_principal_payoff(model, prob, t_high, t_low):
+    """``prob*(s_high - t_high) + (1-prob)*(s_low - t_low)``: the principal's
+    expected payoff from employing the agent at payments ``(t_high, t_low)``."""
+    return prob * (model.s_high - t_high) + (1.0 - prob) * (model.s_low - t_low)
+
+
+def twin_alone_payoff(model, pi0):
+    """``pi0*s_high + (1-pi0)*s_low``: the principal's expected payoff from
+    running the twin alone."""
+    return pi0 * model.s_high + (1.0 - pi0) * model.s_low
 
 
 def optimal_contract(model: ModelPrimitives, v: float) -> Contract:
@@ -112,42 +158,29 @@ class SurplusBreakdown:
 
 
 def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
-    """Full surplus breakdown at ``v``.
-
-    The agent's rent is computed through both algebraic routes
-    (``pi0*cost/gap`` and ``cost/(Q-1)``); they are the same quantity, and a
-    mismatch beyond 1e-10 signals corrupted primitives rather than a model
-    property, so it raises.
-    """
+    """Full surplus breakdown at ``v``; the agent's rent is
+    :func:`checked_information_rent`, so it raises ``ArithmeticError`` on
+    corrupted primitives."""
     p = evaluate(model, v)
-    gap = p.pi1 - p.pi0
-    q = p.pi1 / p.pi0
-    u_gap = information_rent(p)
-    u_sep = p.cost / (q - 1.0)
-    if abs(u_gap - u_sep) > 1e-10 * max(1.0, abs(u_gap)):
-        raise ArithmeticError(
-            f"agent-surplus identity violated at v={v}: {u_gap!r} vs {u_sep!r}"
-        )
+    u_gap = checked_information_rent(p)
     principal = principal_payoff(model, p)
     return SurplusBreakdown(
         agent_surplus=u_gap,
         principal_surplus=principal,
         total_surplus=u_gap + principal,
-        outcome_separability=q,
-        delta_pi=gap,
+        outcome_separability=p.pi1 / p.pi0,
+        delta_pi=p.pi1 - p.pi0,
         quality_importance=model.quality_importance,
     )
 
 
-def effort_inducement_check(
-    model: ModelPrimitives, v: float, tol: float = DEFAULT_TOL
-) -> bool:
+def effort_inducement_check(model: ModelPrimitives, v: float) -> bool:
     """True when inducing high effort pays: incremental outcome gain covers the wage."""
     p = evaluate(model, v)
     gap = p.pi1 - p.pi0
     lhs = gap * model.quality_importance
     rhs = p.pi1 * p.cost / gap
-    return lhs - rhs >= -tol
+    return lhs - rhs >= -DEFAULT_TOL
 
 
 def social_total_surplus(model: ModelPrimitives, v: float) -> float:
@@ -174,22 +207,16 @@ def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float
     oracle compare the two principal options directly.
     """
     p = evaluate(model, v)
-    wage = incentive_wage(p)
-    with_human = p.pi1 * (model.s_high - wage) + (1.0 - p.pi1) * model.s_low
-    twin_alone = p.pi0 * model.s_high + (1.0 - p.pi0) * model.s_low
-    return with_human - twin_alone
+    with_human = employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)
+    return with_human - twin_alone_payoff(model, p.pi0)
 
 
-def displacement_deterrent_check(
-    model: ModelPrimitives, v: float, tol: float = DEFAULT_TOL
-) -> bool:
+def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:
     """True when the principal (weakly) prefers employing the human at ``v``."""
-    return displacement_deterrent_margin(model, v) >= -tol
+    return displacement_deterrent_margin(model, v) >= -DEFAULT_TOL
 
 
-def should_offer_twin(
-    model: ModelPrimitives, anticipated_v: float, tol: float = DEFAULT_TOL
-) -> bool:
+def should_offer_twin(model: ModelPrimitives, anticipated_v: float) -> bool:
     """True when offering the twin (anticipating investment ``anticipated_v``)
     leaves the principal at least as well off as the no-twin baseline."""
-    return principal_surplus(model, anticipated_v) - principal_surplus(model, 0.0) >= -tol
+    return principal_surplus(model, anticipated_v) - principal_surplus(model, 0.0) >= -DEFAULT_TOL

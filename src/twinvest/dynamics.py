@@ -35,7 +35,10 @@ from .contracts import (
     Contract,
     ZERO_CONTRACT,
     displacement_deterrent_check,
+    employed_agent_payoff,
+    employed_principal_payoff,
     optimal_contract,
+    twin_alone_payoff,
 )
 from .model import DEFAULT_TOL, DomainError, ModelPrimitives, evaluate
 from .investment import optimal_investment
@@ -139,21 +142,21 @@ def _employed_record(
         prob, cost = p.pi1, p.cost
     else:
         prob, cost = p.pi0, 0.0
-    agent = prob * contract.t_high + (1.0 - prob) * contract.t_low - cost
-    principal = prob * (model.s_high - contract.t_high) + (1.0 - prob) * (
-        model.s_low - contract.t_low
-    )
+    agent = employed_agent_payoff(prob, contract.t_high, contract.t_low, cost)
+    principal = employed_principal_payoff(model, prob, contract.t_high, contract.t_low)
     return PeriodRecord(period, contract, v, v, effort, True, agent, principal)
+
+
+def _twin_surplus(model: ModelPrimitives, ability: float) -> float:
+    """Principal's expected payoff from the twin alone at training ``ability``."""
+    return twin_alone_payoff(model, float(model.pi0.value(ability)))
 
 
 def _twin_record(
     model: ModelPrimitives, period: int, v: float, ability: float
 ) -> PeriodRecord:
-    prob = float(model.pi0.value(ability))
-    principal = prob * model.s_high + (1.0 - prob) * model.s_low
-    return PeriodRecord(
-        period, ZERO_CONTRACT, v, ability, EffortLevel.LOW, False, 0.0, principal
-    )
+    principal = _twin_surplus(model, ability)
+    return PeriodRecord(period, ZERO_CONTRACT, v, ability, EffortLevel.LOW, False, 0.0, principal)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +173,14 @@ def myopic_investment(model: ModelPrimitives) -> float:
     return model.v_max
 
 
-def shirk_check(
-    model: ModelPrimitives, offered_contract: Contract, tol: float = DEFAULT_TOL
-) -> bool:
+def shirk_check(model: ModelPrimitives, offered_contract: Contract) -> bool:
     """True when the offered spread falls strictly below the incentive wage
     at ``v_max``, making low effort the myopic best response."""
     wage = optimal_contract(model, model.v_max).t_high
-    return offered_contract.spread < wage - tol
+    return offered_contract.spread < wage - DEFAULT_TOL
 
 
-def principal_period1_contract(model: ModelPrimitives, tol: float = DEFAULT_TOL) -> Contract:
+def principal_period1_contract(model: ModelPrimitives) -> Contract:
     """The principal's committed period-1 offer.
 
     When the agent would be displaced at ``v_max`` (retention fails there),
@@ -189,7 +190,7 @@ def principal_period1_contract(model: ModelPrimitives, tol: float = DEFAULT_TOL)
     threshold exists below ``v_max``" whenever the retention margin crosses
     zero only once.
     """
-    if displacement_deterrent_check(model, model.v_max, tol):
+    if displacement_deterrent_check(model, model.v_max):
         return optimal_contract(model, model.v_max)
     return ZERO_CONTRACT
 
@@ -198,7 +199,6 @@ def simulate_two_period(
     model: ModelPrimitives,
     agent: AgentKind,
     discount: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> TimelineTrace:
     """Play the two-period game to completion and record both periods.
 
@@ -208,11 +208,11 @@ def simulate_two_period(
     and repeats it; that agent is never displaced.
     """
     if agent is AgentKind.MYOPIC:
-        offer = principal_period1_contract(model, tol)
+        offer = principal_period1_contract(model)
         v = myopic_investment(model)
-        effort1 = EffortLevel.LOW if shirk_check(model, offer, tol) else EffortLevel.HIGH
+        effort1 = EffortLevel.LOW if shirk_check(model, offer) else EffortLevel.HIGH
         records = [_employed_record(model, 1, offer, v, effort1)]
-        if displacement_deterrent_check(model, v, tol):
+        if displacement_deterrent_check(model, v):
             records.append(_employed_record(model, 2, optimal_contract(model, v), v, EffortLevel.HIGH))
             displaced = None
         else:
@@ -247,30 +247,20 @@ def _rehire_surplus(model: ModelPrimitives) -> float:
     """Principal surplus from employing the agent at full training."""
     p = evaluate(model, model.v_max)
     contract = optimal_contract(model, model.v_max)
-    return p.pi1 * (model.s_high - contract.t_high) + (1.0 - p.pi1) * (
-        model.s_low - contract.t_low
-    )
+    return employed_principal_payoff(model, p.pi1, contract.t_high, contract.t_low)
 
 
-def _twin_surplus(model: ModelPrimitives, ability: float) -> float:
-    prob = float(model.pi0.value(ability))
-    return prob * model.s_high + (1.0 - prob) * model.s_low
-
-
-def degradation_deterrent_check(
-    model: ModelPrimitives, alpha: float, tol: float = DEFAULT_TOL
-) -> bool:
+def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     """Retention test when one untrained period degrades the twin to
     ``alpha * v_max``; ties retain the agent."""
     alpha = _check_alpha(alpha)
-    return _rehire_surplus(model) - _twin_surplus(model, alpha * model.v_max) >= -tol
+    return _rehire_surplus(model) - _twin_surplus(model, alpha * model.v_max) >= -DEFAULT_TOL
 
 
 def rehire_cycle_length(
     model: ModelPrimitives,
     alpha: float,
     horizon: int = 10_000,
-    tol: float = DEFAULT_TOL,
 ) -> int | None:
     """Number of twin-only periods until rehiring beats the degraded twin.
 
@@ -281,13 +271,13 @@ def rehire_cycle_length(
     (a twin that never degrades enough, e.g. constant ``pi0``).
     """
     alpha = _check_alpha(alpha)
-    if displacement_deterrent_check(model, model.v_max, tol):
+    if displacement_deterrent_check(model, model.v_max):
         return None
     rehire = _rehire_surplus(model)
     ability = model.v_max
     for n in range(1, int(horizon) + 1):
         ability *= alpha
-        if _twin_surplus(model, ability) - rehire < tol:
+        if _twin_surplus(model, ability) - rehire < DEFAULT_TOL:
             return n
     return None
 
@@ -297,7 +287,6 @@ def simulate_cycles(
     alpha: float,
     horizon: int,
     discount: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> TimelineTrace:
     """Trace ``horizon`` periods of the retrain/twin-run alternation.
 
@@ -312,8 +301,8 @@ def simulate_cycles(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    retained = displacement_deterrent_check(model, model.v_max, tol)
-    offer = principal_period1_contract(model, tol)
+    retained = displacement_deterrent_check(model, model.v_max)
+    offer = principal_period1_contract(model)
     v = model.v_max
 
     if retained:
@@ -323,8 +312,8 @@ def simulate_cycles(
         )
         return TimelineTrace(records, None, None, discount)
 
-    n = rehire_cycle_length(model, alpha, tol=tol)
-    effort_retrain = EffortLevel.LOW if shirk_check(model, offer, tol) else EffortLevel.HIGH
+    n = rehire_cycle_length(model, alpha)
+    effort_retrain = EffortLevel.LOW if shirk_check(model, offer) else EffortLevel.HIGH
     records: list[PeriodRecord] = []
     period = 1
     displaced_at: int | None = None

@@ -39,7 +39,7 @@ from .model import (
     evaluate,
     evaluate_model_grid,
 )
-from .optimize import bisect_bracket, bisect_root, golden_section_max, max_candidate
+from .optimize import bisect_bracket, bisect_root, refine_grid_max, refine_max
 
 
 class RegimeLabel(enum.Enum):
@@ -49,11 +49,11 @@ class RegimeLabel(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-def _rate_arrays(g: GridEval):
-    """Grid values of cost'/cost, Q'/(Q-1) and Q' used by the regime tests."""
-    q = g.pi1 / g.pi0
-    dq = (g.dpi1 * g.pi0 - g.pi1 * g.dpi0) / (g.pi0 * g.pi0)
-    rate_cost = g.dcost / g.cost
+def _rates(p):
+    """cost'/cost, Q'/(Q-1) and Q' of evaluated primitives, a point or a grid."""
+    q = p.pi1 / p.pi0
+    dq = (p.dpi1 * p.pi0 - p.pi1 * p.dpi0) / (p.pi0 * p.pi0)
+    rate_cost = p.dcost / p.cost
     rate_sep = dq / (q - 1.0)
     return rate_cost, rate_sep, dq
 
@@ -61,27 +61,27 @@ def _rate_arrays(g: GridEval):
 def classify_regime(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tie_tol: float = DEFAULT_TOL,
     grid: GridEval | None = None,
 ) -> RegimeLabel:
     """Classify the unconstrained-optimum regime via the sufficient conditions.
 
-    Exact ties between the two rates make neither strict condition hold and
-    resolve toward :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising
-    separability everywhere forces the no-investment label on its own.
+    Ties between the two rates (within ``DEFAULT_TOL``) make neither
+    strict condition hold and resolve toward
+    :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising separability
+    everywhere forces the no-investment label on its own.
     ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
     result when the caller already holds it.
     """
-    rate_cost, rate_sep, dq = _rate_arrays(evaluate_model_grid(model, grid_points, grid))
+    rate_cost, rate_sep, dq = _rates(evaluate_model_grid(model, grid_points, grid))
     diff = rate_cost - rate_sep  # sign of U'
 
-    if np.all(dq > tie_tol):
+    if np.all(dq > DEFAULT_TOL):
         return RegimeLabel.NO_INVESTMENT
-    if np.all(diff < -tie_tol):
+    if np.all(diff < -DEFAULT_TOL):
         return RegimeLabel.NO_INVESTMENT
-    if np.all(dq <= tie_tol) and np.all(diff > tie_tol):
+    if np.all(dq <= DEFAULT_TOL) and np.all(diff > DEFAULT_TOL):
         return RegimeLabel.MAX_INVESTMENT
-    if diff[0] > tie_tol and diff[-1] < -tie_tol:
+    if diff[0] > DEFAULT_TOL and diff[-1] < -DEFAULT_TOL:
         return RegimeLabel.INTERIOR
     return RegimeLabel.INDETERMINATE
 
@@ -94,7 +94,6 @@ def classify_regime(
 def deterrent_sign_change_roots(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
-    width_tol: float = 1e-12,
     grid: GridEval | None = None,
 ) -> list[float]:
     """All sign-change roots of the retention margin on ``(0, v_max)``.
@@ -115,15 +114,13 @@ def deterrent_sign_change_roots(
     f = lambda v: displacement_deterrent_margin(model, v)
     nonneg = margin >= 0.0
     return [
-        bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1], width_tol)
+        bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1])
         for i in np.flatnonzero(nonneg[:-1] != nonneg[1:])
     ]
 
 
 def displacement_threshold(
-    model: ModelPrimitives,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    width_tol: float = 1e-12,
+    model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS
 ) -> float | None:
     """Smallest investment at which the retention margin crosses zero.
 
@@ -134,7 +131,7 @@ def displacement_threshold(
     """
     if displacement_deterrent_margin(model, 0.0) < 0.0:
         return 0.0
-    roots = deterrent_sign_change_roots(model, grid_points, width_tol)
+    roots = deterrent_sign_change_roots(model, grid_points)
     return roots[0] if roots else None
 
 
@@ -167,22 +164,9 @@ class InvestmentSolution:
     deterrent_roots: tuple[float, ...] = ()
 
 
-def _refine_max(model: ModelPrimitives, vs, us, i: int, xtol: float):
-    """Golden-section refinement of a grid argmax inside its neighbor bracket."""
-    lo = vs[max(i - 1, 0)]
-    hi = vs[min(i + 1, len(vs) - 1)]
-    u = lambda v: agent_surplus(model, v)
-    if hi > lo:
-        x, fx = golden_section_max(u, lo, hi, xtol=xtol)
-        return max_candidate([(vs[i], us[i]), (x, fx)])
-    return vs[i], us[i]
-
-
 def optimal_investment(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
-    xtol: float = 1e-10,
-    tol: float = DEFAULT_TOL,
     grid: GridEval | None = None,
 ) -> InvestmentSolution:
     """Maximize the agent's rent over ``[0, v_max]``, respecting the deterrent.
@@ -192,7 +176,9 @@ def optimal_investment(
     feasible grid points are filtered by the retention margin, the best one
     is refined inside its containing feasible interval, and the interval
     endpoints are located by bisection on the margin so the returned point
-    is feasible by construction.  Ties break toward smaller ``v``.
+    is feasible by construction.  Both refinements are
+    :func:`~twinvest.optimize.refine_max`.  Ties break toward smaller ``v``,
+    and feasibility allows a margin down to ``-DEFAULT_TOL``.
 
     The grid is evaluated once, or not at all when the caller passes its
     ``grid_points``-point :func:`evaluate_grid` result as ``grid``.  The
@@ -204,13 +190,13 @@ def optimal_investment(
     vs = g.v
     us = information_rent(g)
     margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
-    feasible = margins >= -tol
+    feasible = margins >= -DEFAULT_TOL
 
     u = lambda v: agent_surplus(model, v)
     m = lambda v: displacement_deterrent_margin(model, v)
 
     i_star = int(np.argmax(us))
-    v_unc, u_unc = _refine_max(model, vs, us, i_star, xtol)
+    v_unc, _ = refine_grid_max(u, vs, us, i_star)
 
     roots = tuple(deterrent_sign_change_roots(model, grid_points, grid=g))
     # same test as displacement_threshold, on the grid's v = 0 point
@@ -253,15 +239,12 @@ def optimal_investment(
     else:
         b, _ = bisect_bracket(m, vs[jr], vs[jr + 1], margins[jr], margins[jr + 1])
 
-    candidates = [(vs[j], us[j]), (a, u(a)), (b, u(b))]
-    if b > a:
-        candidates.append(golden_section_max(u, a, b, xtol=xtol))
-    v_opt, u_opt = max_candidate(candidates)
-    if m(v_opt) < -tol:
+    v_opt, u_opt = refine_max(u, [(vs[j], us[j]), (a, u(a)), (b, u(b))], a, b)
+    if m(v_opt) < -DEFAULT_TOL:
         # refinement strayed into an infeasible dip between grid points
         v_opt, u_opt = vs[j], us[j]
 
-    binding = m(v_unc) < -tol
+    binding = m(v_unc) < -DEFAULT_TOL
     return InvestmentSolution(
         regime=regime,
         v_star_unconstrained=v_unc,
@@ -302,10 +285,7 @@ def wage_slope_diagnostics(model: ModelPrimitives, v: float) -> WageSlopeDiagnos
     gap = p.pi1 - p.pi0
     dgap = p.dpi1 - p.dpi0
     t_slope = (p.dcost * gap - p.cost * dgap) / (gap * gap)
-    q = p.pi1 / p.pi0
-    dq = (p.dpi1 * p.pi0 - p.pi1 * p.dpi0) / (p.pi0 * p.pi0)
-    rate_cost = p.dcost / p.cost
-    rate_sep = dq / (q - 1.0)
+    rate_cost, rate_sep, dq = _rates(p)
     return WageSlopeDiagnostics(
         t_bar_slope=t_slope,
         delta_pi_slope=dgap,

@@ -208,7 +208,6 @@ def _first_index(mask: np.ndarray) -> int:
 def validate(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_TOL,
     grid: GridEval | None = None,
 ) -> ValidationReport:
     """Check every model assumption on a dense grid; report, never raise.
@@ -216,7 +215,8 @@ def validate(
     ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
     result when the caller already holds it.
 
-    Checked in order, stopping at the first violation:
+    Checked in order, stopping at the first violation (weak inequalities
+    allow a slack of ``DEFAULT_TOL``):
 
     * ``s_high > s_low`` (quality importance positive);
     * finite values and derivatives of all primitives on the grid
@@ -270,10 +270,10 @@ def validate(
         ("pi0-positive", g.pi0 <= 0.0, "pi0 must stay strictly positive"),
         ("pi1-below-one", g.pi1 >= 1.0, "pi1 must stay strictly below 1"),
         ("pi-ordering", g.pi1 - g.pi0 <= 0.0, "pi1 must exceed pi0 strictly"),
-        ("pi0-nondecreasing", g.dpi0 < -tol, "pi0 slope must be >= 0"),
-        ("pi1-nondecreasing", g.dpi1 < -tol, "pi1 slope must be >= 0"),
+        ("pi0-nondecreasing", g.dpi0 < -DEFAULT_TOL, "pi0 slope must be >= 0"),
+        ("pi1-nondecreasing", g.dpi1 < -DEFAULT_TOL, "pi1 slope must be >= 0"),
         ("cost-positive", g.cost <= 0.0, "effort cost must stay strictly positive"),
-        ("cost-nonincreasing", g.dcost > tol, "cost slope must be <= 0"),
+        ("cost-nonincreasing", g.dcost > DEFAULT_TOL, "cost slope must be <= 0"),
     )
     for condition, bad, detail in checks:
         if bad.any():
@@ -283,13 +283,13 @@ def validate(
     gap0 = g.pi1[0] - g.pi0[0]
     lhs = gap0 * model.quality_importance
     rhs = g.pi1[0] * g.cost[0] / gap0
-    if lhs - rhs < -tol:
+    if lhs - rhs < -DEFAULT_TOL:
         return report(
             "baseline-contracting-viability", 0.0,
             f"effort gain {lhs:.6g} below expected wage {rhs:.6g} at zero investment",
         )
 
-    if np.any(np.abs(g.dpi1) <= tol):
+    if np.any(np.abs(g.dpi1) <= DEFAULT_TOL):
         warnings.append(
             "pi1 slope vanishes on part of the range; slope-based results "
             "that assume a strictly increasing pi1 degenerate there"

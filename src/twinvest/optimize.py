@@ -1,9 +1,11 @@
 """Bounded scalar optimization helpers: golden-section search and bisection.
 
-The investment objective is not necessarily quasiconcave, so the solvers
-never trust a single local search: they scan a dense grid first, then
-refine the best bracket with golden-section.  These helpers implement the
-refinement pieces.
+The investment and effort objectives are not necessarily quasiconcave, so
+the solvers never trust a single local search: they scan a dense grid
+first, then refine the best bracket with golden-section.  This module owns
+that refinement step (:func:`refine_max` and its grid-argmax form
+:func:`refine_grid_max`), which both solvers use, and the bisection that
+locates sign changes.
 """
 
 from __future__ import annotations
@@ -55,6 +57,25 @@ def max_candidate(candidates: list[tuple[float, float]]) -> tuple[float, float]:
         if fx > best_f or (fx == best_f and x < best_x):
             best_x, best_f = x, fx
     return best_x, best_f
+
+
+def refine_max(
+    f: Callable[[float], float],
+    candidates: list[tuple[float, float]],
+    lo: float,
+    hi: float,
+) -> tuple[float, float]:
+    """Best of ``candidates`` and, when ``hi > lo``, of a golden-section
+    search of ``f`` on ``[lo, hi]``; ties go to the smaller ``x``."""
+    if hi > lo:
+        candidates = candidates + [golden_section_max(f, lo, hi)]
+    return max_candidate(candidates)
+
+
+def refine_grid_max(f: Callable[[float], float], xs, fs, i: int) -> tuple[float, float]:
+    """:func:`refine_max` of the grid point ``(xs[i], fs[i])`` inside its
+    neighbour bracket ``[xs[i-1], xs[i+1]]``, clipped to the grid."""
+    return refine_max(f, [(xs[i], fs[i])], xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
 
 
 def bisect_bracket(

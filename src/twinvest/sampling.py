@@ -22,9 +22,12 @@ import numpy as np
 from .contracts import displacement_deterrent_margin_raw
 from .continuous import ContinuousEffortModel, validate_continuous
 from .families import ParametricFamily as F
-from .model import ModelPrimitives, evaluate_grid, validate
+from .model import GridEval, ModelPrimitives, evaluate_model_grid, validate
 
 _GENERATION_LIMIT = 10_000
+
+#: Points of the grid each candidate is validated and filtered on.
+_GRID_POINTS = 201
 
 
 def _pi_pair(rng: np.random.Generator) -> tuple[F, F]:
@@ -57,16 +60,13 @@ def _cost_family(rng: np.random.Generator) -> F:
     return F.power(c0, -drop, rng.uniform(1.0, 3.0))
 
 
-def _inducement_everywhere(model: ModelPrimitives, grid_points: int = 201) -> bool:
-    g = evaluate_grid(model, model.grid(grid_points))
+def _inducement_everywhere(model: ModelPrimitives, g: GridEval) -> bool:
     gap = g.pi1 - g.pi0
     return bool(np.all(gap * model.quality_importance >= g.pi1 * g.cost / gap))
 
 
 def random_model(
-    rng: np.random.Generator,
-    require_inducement: bool = True,
-    min_retention_margin: float = 0.0,
+    rng: np.random.Generator, min_retention_margin: float = 0.0
 ) -> ModelPrimitives:
     """One validated random instance (v_max fixed at 1 for grid comparability)."""
     for _ in range(_GENERATION_LIMIT):
@@ -80,9 +80,10 @@ def random_model(
             s_high=s_low + rng.uniform(0.2, 3.0),
             s_low=s_low,
         )
-        if not validate(candidate, grid_points=201).passed:
+        grid = evaluate_model_grid(candidate, _GRID_POINTS)
+        if not validate(candidate, _GRID_POINTS, grid=grid).passed:
             continue
-        if require_inducement and not _inducement_everywhere(candidate):
+        if not _inducement_everywhere(candidate, grid):
             continue
         if min_retention_margin > 0.0:
             margin = displacement_deterrent_margin_raw(candidate, candidate.v_max)
@@ -93,15 +94,10 @@ def random_model(
 
 
 def random_models(
-    n: int,
-    seed: int,
-    require_inducement: bool = True,
-    min_retention_margin: float = 0.0,
+    n: int, seed: int, min_retention_margin: float = 0.0
 ) -> list[ModelPrimitives]:
     rng = np.random.default_rng(seed)
-    return [
-        random_model(rng, require_inducement, min_retention_margin) for _ in range(n)
-    ]
+    return [random_model(rng, min_retention_margin) for _ in range(n)]
 
 
 def random_continuous_model(rng: np.random.Generator) -> ContinuousEffortModel:
@@ -126,7 +122,7 @@ def random_continuous_model(rng: np.random.Generator) -> ContinuousEffortModel:
             s_high=s_low + rng.uniform(0.2, 3.0),
             s_low=s_low,
         )
-        if validate_continuous(candidate, grid_points=201).passed:
+        if validate_continuous(candidate, _GRID_POINTS).passed:
             return candidate
     raise RuntimeError("random continuous model generation failed")
 

@@ -243,6 +243,17 @@ class TestVerify:
         assert len(payload["reports"]) == 5
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "verify"])
+    def test_out_is_a_directory(self, command, model_file, tmp_path, capsys):
+        if command == "verify":
+            argv = ["verify", "--models", "0"]
+        else:
+            argv = [command, "--model", model_file(f3(), sweep=sweep_section())]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
+
 class TestArgumentErrors:
     def test_unknown_flag_is_input_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -124,6 +124,16 @@ class TestDisplacementDeterrent:
         # 0.85 * (2.5/3.5) ~ 0.60714 >= 0.4
         assert displacement_deterrent_check(f2(), 0.0)
 
+    def test_raw_form_takes_a_negative_wage(self):
+        # pi1 < pi0 makes the wage -0.5, which no Contract can hold
+        model = ModelPrimitives(
+            pi0=F.constant(0.6), pi1=F.constant(0.4), cost=F.constant(0.1),
+            v_max=1.0, s_high=2.0, s_low=0.0,
+        )
+        with pytest.raises(ValueError):
+            optimal_contract(model, 0.5)
+        assert displacement_deterrent_margin_raw(model, 0.5) == pytest.approx(0.4 * 2.5 - 1.2)
+
     @given(model=affine_models(), v=investments())
     @settings(max_examples=100, deadline=None)
     def test_reduced_and_raw_forms_agree(self, model, v):
