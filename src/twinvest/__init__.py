@@ -72,7 +72,7 @@ from .oracle import (
     brute_force_two_period,
     run_certification,
 )
-from .sweep import RegimeMap, SweepAxis, regime_sweep
+from .sweep import RegimeMap, SweepAxis, SweepAxisError, regime_sweep
 
 __version__ = "0.1.0"
 
@@ -92,6 +92,7 @@ __all__ = [
     "RegimeMap",
     "SurplusBreakdown",
     "SweepAxis",
+    "SweepAxisError",
     "TimelineTrace",
     "ValidationReport",
     "WageSlopeDiagnostics",

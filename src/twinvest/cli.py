@@ -34,7 +34,7 @@ from .model import (
 )
 from .oracle import run_certification
 from .report import format_bool, format_number, format_optional
-from .sweep import SweepAxis, regime_sweep
+from .sweep import SweepAxis, SweepAxisError, regime_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -253,7 +253,10 @@ def cmd_sweep(args) -> int:
         axis2 = SweepAxis.linspace(
             axis2.target, axis2.coefficient, axis2.values[0], axis2.values[-1], args.grid
         )
-    regime_map = regime_sweep(model, axis1, axis2)
+    try:
+        regime_map = regime_sweep(model, axis1, axis2)
+    except SweepAxisError as exc:
+        raise _InputError(str(exc)) from None
     rows = len(regime_map.cells)
     regimes = ",".join(sorted(regime_map.regimes_present()))
     _emit(regime_map.to_csv(), args.out, f"cells={rows} regimes={regimes}")

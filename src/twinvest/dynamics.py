@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -305,20 +305,20 @@ def simulate_cycles(
     offer = principal_period1_contract(model)
     v = model.v_max
 
+    # every employed period of a trace is the same record but for its period
     if retained:
-        records = tuple(
-            _employed_record(model, t, offer, v, EffortLevel.HIGH)
-            for t in range(1, horizon + 1)
-        )
+        employed = _employed_record(model, 1, offer, v, EffortLevel.HIGH)
+        records = tuple(replace(employed, period=t) for t in range(1, horizon + 1))
         return TimelineTrace(records, None, None, discount)
 
     n = rehire_cycle_length(model, alpha)
     effort_retrain = EffortLevel.LOW if shirk_check(model, offer) else EffortLevel.HIGH
+    retrain = _employed_record(model, 1, offer, v, effort_retrain)
     records: list[PeriodRecord] = []
     period = 1
     displaced_at: int | None = None
     while period <= horizon:
-        records.append(_employed_record(model, period, offer, v, effort_retrain))
+        records.append(replace(retrain, period=period))
         period += 1
         k = 0
         while period <= horizon and (n is None or k < n):

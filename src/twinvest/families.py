@@ -13,7 +13,8 @@ second derivatives:
 Closed-form derivatives keep differentiation error out of every downstream
 slope comparison, so the only tolerances in the solvers are optimization
 tolerances.  ``value``/``derivative``/``second_derivative`` accept floats or
-numpy arrays and broadcast like ufuncs.
+numpy arrays and broadcast like ufuncs; ``value`` and ``derivative`` are
+:func:`family_formula`, which also takes per-cell coefficient columns.
 
 A power family with ``gamma < 1`` has an unbounded derivative at 0; it is
 legal here (the continuous-effort model evaluates it only on an interval
@@ -40,9 +41,33 @@ _COEFF_COUNT = {AFFINE: 2, EXPONENTIAL_DECAY: 2, POWER: 3, CONSTANT: 1}
 
 def _const_like(v, c: float):
     """Broadcast the constant ``c`` against a scalar or array argument."""
-    if np.isscalar(v):
-        return float(c)
-    return np.full(np.shape(v), float(c))
+    if isinstance(v, np.ndarray):
+        return np.full(v.shape, float(c))
+    return float(c)
+
+
+def family_formula(kind: str, c, v, derivative: bool = False):
+    """Value (or first derivative) of the ``kind`` family at ``v``.
+
+    ``c`` holds the coefficients, each a float or an array that broadcasts
+    against ``v``; a batch of models passes per-cell columns here.  A
+    point, a grid and a block of cells therefore all round through the
+    same arithmetic, element for element.  A result that does not depend
+    on ``v`` (a constant family, an affine slope) is returned as the
+    coefficient itself, for the caller to broadcast.
+    """
+    if kind == AFFINE:
+        return c[1] if derivative else c[0] + c[1] * v
+    if kind == EXPONENTIAL_DECAY:
+        if derivative:
+            return -c[1] * c[0] * np.exp(-c[1] * v)
+        return c[0] * np.exp(-c[1] * v)
+    if kind == POWER:
+        if derivative:
+            with np.errstate(divide="ignore"):
+                return c[1] * c[2] * np.power(v, c[2] - 1.0)
+        return c[0] + c[1] * np.power(v, c[2])
+    return 0.0 if derivative else c[0]
 
 
 @dataclass(frozen=True)
@@ -96,25 +121,12 @@ class ParametricFamily:
     # -- evaluation ----------------------------------------------------------------
 
     def value(self, v):
-        c = self.coefficients
-        if self.kind == AFFINE:
-            return c[0] + c[1] * v
-        if self.kind == EXPONENTIAL_DECAY:
-            return c[0] * np.exp(-c[1] * v)
-        if self.kind == POWER:
-            return c[0] + c[1] * np.power(v, c[2])
-        return _const_like(v, c[0])
+        value = family_formula(self.kind, self.coefficients, v)
+        return _const_like(v, value) if self.kind == CONSTANT else value
 
     def derivative(self, v):
-        c = self.coefficients
-        if self.kind == AFFINE:
-            return _const_like(v, c[1])
-        if self.kind == EXPONENTIAL_DECAY:
-            return -c[1] * c[0] * np.exp(-c[1] * v)
-        if self.kind == POWER:
-            with np.errstate(divide="ignore"):
-                return c[1] * c[2] * np.power(v, c[2] - 1.0)
-        return _const_like(v, 0.0)
+        slope = family_formula(self.kind, self.coefficients, v, derivative=True)
+        return _const_like(v, slope) if self.kind in (AFFINE, CONSTANT) else slope
 
     def second_derivative(self, v):
         c = self.coefficients

@@ -20,26 +20,30 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .contracts import (
-    agent_surplus,
     displacement_deterrent_margin,
     incentive_wage,
     information_rent,
-    principal_surplus,
+    principal_payoff,
     retention_margin,
 )
 from .model import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
     GridEval,
+    ModelBatch,
     ModelPrimitives,
+    batch_validity,
     evaluate,
+    evaluate_batch_grid,
+    evaluate_batch_values,
     evaluate_model_grid,
 )
-from .optimize import bisect_bracket, bisect_root, refine_grid_max, refine_max
+from .optimize import bisect_bracket, bisect_root, refine_max
 
 
 class RegimeLabel(enum.Enum):
@@ -58,6 +62,25 @@ def _rates(p):
     return rate_cost, rate_sep, dq
 
 
+_REGIMES = tuple(RegimeLabel)
+
+#: Cells per block of a batch's grid pass.  Each (cells x grid) float array
+#: of a 1001-point block is then 128 KB; a whole 50x50 map at once would
+#: take 20 MB per array.
+_BLOCK_CELLS = 16
+
+
+def _regime_codes(g: GridEval):
+    """Index into :data:`_REGIMES` of the regime of one model's grid, or of
+    each cell of a block (rows are cells)."""
+    rate_cost, rate_sep, dq = _rates(g)
+    diff = rate_cost - rate_sep  # sign of U'
+    no_investment = np.all(dq > DEFAULT_TOL, axis=-1) | np.all(diff < -DEFAULT_TOL, axis=-1)
+    max_investment = np.all(dq <= DEFAULT_TOL, axis=-1) & np.all(diff > DEFAULT_TOL, axis=-1)
+    interior = (diff[..., 0] > DEFAULT_TOL) & (diff[..., -1] < -DEFAULT_TOL)
+    return np.where(no_investment, 0, np.where(max_investment, 1, np.where(interior, 2, 3)))
+
+
 def classify_regime(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -72,23 +95,42 @@ def classify_regime(
     ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
     result when the caller already holds it.
     """
-    rate_cost, rate_sep, dq = _rates(evaluate_model_grid(model, grid_points, grid))
-    diff = rate_cost - rate_sep  # sign of U'
-
-    if np.all(dq > DEFAULT_TOL):
-        return RegimeLabel.NO_INVESTMENT
-    if np.all(diff < -DEFAULT_TOL):
-        return RegimeLabel.NO_INVESTMENT
-    if np.all(dq <= DEFAULT_TOL) and np.all(diff > DEFAULT_TOL):
-        return RegimeLabel.MAX_INVESTMENT
-    if diff[0] > DEFAULT_TOL and diff[-1] < -DEFAULT_TOL:
-        return RegimeLabel.INTERIOR
-    return RegimeLabel.INDETERMINATE
+    return _REGIMES[int(_regime_codes(evaluate_model_grid(model, grid_points, grid)))]
 
 
 # ---------------------------------------------------------------------------
 # Displacement threshold
 # ---------------------------------------------------------------------------
+
+
+def _objective(batch: ModelBatch, cells, formula):
+    """``formula(model, values)`` at one investment per listed cell, as an
+    objective for the lockstep refinements of :mod:`twinvest.optimize`.
+
+    When every cell of ``batch`` is the same model (:attr:`ModelBatch.shared`)
+    the objective also takes single floats, and the refinements call it
+    point by point.
+    """
+    sub = batch if batch.shared else batch.take(cells)
+
+    def f(v):
+        out = formula(sub.base, evaluate_batch_values(sub, v))
+        if isinstance(v, np.ndarray) and not isinstance(out, np.ndarray):
+            return np.full(v.shape, out)  # every primitive constant
+        return out
+
+    return f
+
+
+def _rent(model, p):
+    return information_rent(p)
+
+
+def _sign_flips(margin):
+    """Indices ``i`` (with the cell row first on a block) where the
+    retention margin changes sign between grid points ``i`` and ``i+1``."""
+    nonneg = margin >= 0.0
+    return np.nonzero(nonneg[..., :-1] != nonneg[..., 1:])
 
 
 def deterrent_sign_change_roots(
@@ -105,18 +147,14 @@ def deterrent_sign_change_roots(
     The margin on the grid comes from one :func:`evaluate_grid` pass (or
     ``grid``, when the caller already holds it) through the same formula
     as :func:`displacement_deterrent_margin`, so it equals the scalar
-    margin bit for bit.  Each bracket where the sign flips is then
-    bisected on the scalar margin.
+    margin bit for bit.  The brackets where the sign flips are then
+    bisected on the same margin.
     """
     g = evaluate_model_grid(model, grid_points, grid)
-    vs = g.v
     margin = retention_margin(model, g)
+    (i,) = _sign_flips(margin)
     f = lambda v: displacement_deterrent_margin(model, v)
-    nonneg = margin >= 0.0
-    return [
-        bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1])
-        for i in np.flatnonzero(nonneg[:-1] != nonneg[1:])
-    ]
+    return bisect_root(f, g.v[i], g.v[i + 1], margin[i], margin[i + 1], pointwise=True).tolist()
 
 
 def displacement_threshold(
@@ -171,6 +209,103 @@ def optimal_investment(
 ) -> InvestmentSolution:
     """Maximize the agent's rent over ``[0, v_max]``, respecting the deterrent.
 
+    The solve of :func:`solve_batch` on a batch of one; ``grid`` is the
+    model's ``grid_points``-point :func:`evaluate_grid` result when the
+    caller already holds it.
+    """
+    if grid is not None:
+        grid = GridEval(grid.v, *(x[None, :] for x in grid[1:]))
+    return solve_batch(ModelBatch.single(model), grid_points, grid)[0]
+
+
+class _GridPass(NamedTuple):
+    """What the grid pass keeps of each solved cell, O(cells) in all.
+
+    ``i_star`` is the rent argmax and ``j`` the feasible one, inside the
+    feasible run ``[jl, jr]`` of grid points; the ``margin_*`` fields are
+    the feasibility margins at ``jl - 1``, ``jl``, ``jr`` and ``jr + 1``
+    (clipped to the grid).
+    """
+
+    regime: np.ndarray
+    u_star: np.ndarray
+    i_star: np.ndarray
+    displaced_at_zero: np.ndarray
+    feasible: np.ndarray
+    j: np.ndarray
+    u_j: np.ndarray
+    jl: np.ndarray
+    jr: np.ndarray
+    margin_jl_out: np.ndarray
+    margin_jl: np.ndarray
+    margin_jr: np.ndarray
+    margin_jr_out: np.ndarray
+
+
+class _Flips(NamedTuple):
+    """Sign flips of the retention margin between grid points ``i`` and
+    ``i + 1`` of a solved cell, with the margin's values ``lo``/``hi`` there."""
+
+    cell: np.ndarray
+    i: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _feasible_run(batch: ModelBatch, g: GridEval, us: np.ndarray):
+    """Per cell of a block: whether any grid point is feasible, the best
+    feasible point ``j`` and its rent, the feasible run ``[jl, jr]`` around
+    it and the margins at its ends (see :class:`_GridPass`)."""
+    n, size = us.shape
+    rows = np.arange(n)
+    margins = batch.base.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
+    feasible = margins >= -DEFAULT_TOL
+    infeasible = ~feasible
+    j = np.argmax(np.where(feasible, us, -np.inf), axis=1)
+    # the run ends next to the nearest infeasible points on either side
+    cols = np.arange(size)
+    gap_left = infeasible & (cols < j[:, None])
+    gap_right = infeasible & (cols > j[:, None])
+    jl = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
+    jr = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
+    return (
+        feasible.any(axis=1), j, us[rows, j], jl, jr,
+        margins[rows, np.maximum(jl - 1, 0)], margins[rows, jl],
+        margins[rows, jr], margins[rows, np.minimum(jr + 1, size - 1)],
+    )
+
+
+def _retention_flips(batch: ModelBatch, g: GridEval) -> tuple[np.ndarray, _Flips]:
+    """Per cell of a block, whether the retention margin is negative at
+    ``v = 0``; and the block's sign flips of the margin."""
+    retention = retention_margin(batch.base, g)
+    cell, i = _sign_flips(retention)
+    return retention[:, 0] < 0.0, _Flips(cell, i, retention[cell, i], retention[cell, i + 1])
+
+
+def _grid_pass(batch: ModelBatch, g: GridEval) -> tuple[_GridPass, _Flips]:
+    """Everything the solve needs from one block's grid (rows are cells).
+
+    The helpers return only per-cell results, so each one's (cells x grid)
+    temporaries are freed before the next starts.
+    """
+    us = information_rent(g)
+    i_star = np.argmax(us, axis=1)
+    u_star = us[np.arange(len(us)), i_star]
+    displaced_at_zero, flips = _retention_flips(batch, g)
+    return _GridPass(
+        _regime_codes(g), u_star, i_star, displaced_at_zero, *_feasible_run(batch, g, us)
+    ), flips
+
+
+def solve_batch(
+    batch: ModelBatch,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    grid: GridEval | None = None,
+    skip_invalid: bool = False,
+) -> list[InvestmentSolution | None]:
+    """:func:`optimal_investment` of every cell of ``batch``, solved together.
+
     Grid-first bracketing handles non-quasiconcave objectives; the best
     bracket is then refined by golden-section.  For the constrained part the
     feasible grid points are filtered by the retention margin, the best one
@@ -180,82 +315,133 @@ def optimal_investment(
     :func:`~twinvest.optimize.refine_max`.  Ties break toward smaller ``v``,
     and feasibility allows a margin down to ``-DEFAULT_TOL``.
 
-    The grid is evaluated once, or not at all when the caller passes its
-    ``grid_points``-point :func:`evaluate_grid` result as ``grid``.  The
-    rent, the feasibility margins, the displacement threshold with every
-    sign-change root of the margin, and the regime rates all come from that
-    one result; only the refinement steps evaluate single points.
+    The grid pass runs over blocks of :data:`_BLOCK_CELLS` cells, each
+    evaluated once (``grid``, a one-row block, stands in for a batch of
+    one).  The rent, the feasibility margins, the displacement threshold
+    with every sign-change root of the margin, and the regime rates come
+    from it.  Then every bisection, and after it every golden-section
+    search, of all cells runs in lockstep; each cell's result is exactly
+    the one it gets alone.  With ``skip_invalid`` each block's cells are
+    first validated on the same grid (:func:`~twinvest.model.batch_validity`)
+    and an invalid cell is returned as None without entering the solve.
     """
-    g = evaluate_model_grid(model, grid_points, grid)
-    vs = g.v
-    us = information_rent(g)
-    margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
-    feasible = margins >= -DEFAULT_TOL
+    vs = batch.base.grid(grid_points)
+    out: list[InvestmentSolution | None] = [None] * batch.size
+    solved = _grid_passes(batch, vs, grid, skip_invalid)
+    if solved is not None:
+        cells, p, flips = solved
+        for cell, sol in zip(cells.tolist(), _refine(batch.take(cells), vs, p, flips)):
+            out[cell] = sol
+    return out
 
-    u = lambda v: agent_surplus(model, v)
-    m = lambda v: displacement_deterrent_margin(model, v)
 
-    i_star = int(np.argmax(us))
-    v_unc, _ = refine_grid_max(u, vs, us, i_star)
+def _joined(parts: list):
+    """One tuple of arrays from per-block tuples of the same type."""
+    return parts[0] if len(parts) == 1 else type(parts[0])(*map(np.concatenate, zip(*parts)))
 
-    roots = tuple(deterrent_sign_change_roots(model, grid_points, grid=g))
-    # same test as displacement_threshold, on the grid's v = 0 point
-    if retention_margin(model, g)[0] < 0.0:
-        threshold = 0.0
-    else:
-        threshold = roots[0] if roots else None
-    regime = classify_regime(model, grid_points, grid=g)
 
-    if not feasible.any():
-        return InvestmentSolution(
-            regime=regime,
-            v_star_unconstrained=v_unc,
-            v_opt=None,
-            displacement_threshold=threshold,
-            deterrent_binding=False,
-            u_at_opt=None,
-            principal_surplus_at_opt=None,
-            feasible=False,
-            deterrent_roots=roots,
+def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None, skip_invalid: bool):
+    """The grid pass of :func:`solve_batch`, block by block: the solved
+    cells, their :class:`_GridPass` and their sign flips (indexing the
+    solved cells), or None when no cell is solved."""
+    solved, passes, flips, count = [], [], [], 0
+    for start in range(0, batch.size, _BLOCK_CELLS):
+        block = batch.take(np.arange(start, min(start + _BLOCK_CELLS, batch.size)))
+        g = evaluate_batch_grid(block, vs) if grid is None else grid
+        rows = np.arange(block.size)
+        if skip_invalid:
+            rows = np.flatnonzero(batch_validity(block, g))
+            g = GridEval(vs, *(x[rows] for x in g[1:]))
+        if len(rows):
+            grid_pass, block_flips = _grid_pass(block.take(rows), g)
+            passes.append(grid_pass)
+            flips.append(block_flips._replace(cell=block_flips.cell + count))
+            solved.append(start + rows)
+            count += len(rows)
+    if not passes:
+        return None
+    return np.concatenate(solved), _joined(passes), _joined(flips)
+
+
+def _refine(
+    batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
+) -> list[InvestmentSolution]:
+    """Refine every cell of ``batch`` from its grid pass ``p`` and sign
+    flips ``flips``, in lockstep."""
+    n, last = batch.size, len(vs) - 1
+    pointwise = batch.shared
+    feas = np.flatnonzero(p.feasible)
+    left = feas[p.jl[feas] > 0]
+    right = feas[p.jr[feas] < last]
+
+    # One bisection on the retention margin: every sign flip, then the
+    # inner ends of the feasible runs.
+    a, b, roots = vs[p.jl], vs[p.jr], np.empty(0)
+    owner = np.concatenate([flips.cell, left, right])
+    if len(owner):
+        lo, hi = bisect_bracket(
+            _objective(batch, owner, retention_margin),
+            np.concatenate([vs[flips.i], vs[p.jl[left] - 1], vs[p.jr[right]]]),
+            np.concatenate([vs[flips.i + 1], vs[p.jl[left]], vs[p.jr[right] + 1]]),
+            np.concatenate([flips.lo, p.margin_jl_out[left], p.margin_jr[right]]),
+            np.concatenate([flips.hi, p.margin_jl[left], p.margin_jr_out[right]]),
+            pointwise=pointwise,
         )
+        k, ends = len(flips.i), len(flips.i) + len(left)
+        roots = 0.5 * (lo[:k] + hi[:k])
+        a[left] = hi[k:ends]
+        b[right] = lo[ends:]
 
-    us_feas = np.where(feasible, us, -np.inf)
-    j = int(np.argmax(us_feas))
-
-    # Containing feasible run of grid points, then its exact endpoints.
-    jl = j
-    while jl > 0 and feasible[jl - 1]:
-        jl -= 1
-    jr = j
-    while jr < len(vs) - 1 and feasible[jr + 1]:
-        jr += 1
-
-    if jl == 0:
-        a = vs[0]
-    else:
-        _, a = bisect_bracket(m, vs[jl - 1], vs[jl], margins[jl - 1], margins[jl])
-    if jr == len(vs) - 1:
-        b = vs[-1]
-    else:
-        b, _ = bisect_bracket(m, vs[jr], vs[jr + 1], margins[jr], margins[jr + 1])
-
-    v_opt, u_opt = refine_max(u, [(vs[j], us[j]), (a, u(a)), (b, u(b))], a, b)
-    if m(v_opt) < -DEFAULT_TOL:
-        # refinement strayed into an infeasible dip between grid points
-        v_opt, u_opt = vs[j], us[j]
-
-    binding = m(v_unc) < -DEFAULT_TOL
-    return InvestmentSolution(
-        regime=regime,
-        v_star_unconstrained=v_unc,
-        v_opt=v_opt,
-        displacement_threshold=threshold,
-        deterrent_binding=binding,
-        u_at_opt=u_opt,
-        principal_surplus_at_opt=principal_surplus(model, v_opt),
-        feasible=True,
-        deterrent_roots=roots,
+    # Golden-section refinements: the unconstrained argmax of every cell in
+    # its neighbour bracket, then the feasible argmax of every feasible cell
+    # in its feasible interval [a, b].
+    v_unc, _ = refine_max(
+        _objective(batch, np.arange(n), _rent),
+        [(vs[p.i_star], p.u_star)],
+        vs[np.maximum(p.i_star - 1, 0)],
+        vs[np.minimum(p.i_star + 1, last)],
+        pointwise=pointwise,
     )
+    m = len(feas)
+    twice = np.concatenate([feas, feas])
+    a, b = a[feas], b[feas]
+    u_ab = _objective(batch, twice, _rent)(np.concatenate([a, b]))
+    x_j, u_j = vs[p.j[feas]], p.u_j[feas]
+    v_opt, u_opt = refine_max(
+        _objective(batch, feas, _rent),
+        [(x_j, u_j), (a, u_ab[:m]), (b, u_ab[m:])],
+        a,
+        b,
+        pointwise=pointwise,
+    )
+    margins = _objective(batch, twice, retention_margin)(np.concatenate([v_opt, v_unc[feas]]))
+    # refinement strayed into an infeasible dip between grid points
+    strayed = margins[:m] < -DEFAULT_TOL
+    v_opt, u_opt = np.where(strayed, x_j, v_opt), np.where(strayed, u_j, u_opt)
+    binding = margins[m:] < -DEFAULT_TOL
+    principal = _objective(batch, feas, principal_payoff)(v_opt)
+
+    optimum = dict(zip(feas.tolist(), zip(v_opt.tolist(), u_opt.tolist(), binding.tolist(), principal.tolist())))
+    bounds = np.searchsorted(flips.cell, np.arange(n + 1)).tolist()  # each cell's roots
+    roots = roots.tolist()
+    out = []
+    for c, (code, v_star, at_zero) in enumerate(
+        zip(p.regime.tolist(), v_unc.tolist(), p.displaced_at_zero.tolist())
+    ):
+        cell_roots = tuple(roots[bounds[c]:bounds[c + 1]])
+        v, u, bound, principal_at_opt = optimum.get(c, (None, None, False, None))
+        out.append(InvestmentSolution(
+            regime=_REGIMES[code],
+            v_star_unconstrained=v_star,
+            v_opt=v,
+            displacement_threshold=0.0 if at_zero else (cell_roots[0] if cell_roots else None),
+            deterrent_binding=bound,
+            u_at_opt=u,
+            principal_surplus_at_opt=principal_at_opt,
+            feasible=c in optimum,
+            deterrent_roots=cell_roots,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ and by the regime-sweep machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .families import ParametricFamily
+from .families import ParametricFamily, family_formula
 
 
 class DomainError(ValueError):
@@ -70,16 +70,81 @@ class ModelPrimitives:
         """Return a copy with one coefficient of one primitive replaced."""
         return replace(self, **{name: self.family(name).with_coefficient(index, value)})
 
-    def check_domain(self, v: float) -> float:
-        v = float(v)
-        if not np.isfinite(v) or v < 0.0 or v > self.v_max:
-            raise DomainError(f"investment {v} outside [0, {self.v_max}]")
+    def check_domain(self, v):
+        """``v`` as a float, or as a float array when it is an array, after
+        checking that it lies in ``[0, v_max]``; the :class:`DomainError`
+        names the first value that does not."""
+        if not isinstance(v, np.ndarray):
+            v = float(v)
+            if not 0.0 <= v <= self.v_max:
+                raise DomainError(f"investment {v} outside [0, {self.v_max}]")
+            return v
+        # min and max are NaN when any element is
+        if v.size and not (v.min() >= 0.0 and v.max() <= self.v_max):
+            outside = ~((v >= 0.0) & (v <= self.v_max))
+            raise DomainError(f"investment {v[outside][0]} outside [0, {self.v_max}]")
         return v
 
     def grid(self, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
         if grid_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {grid_points}")
         return np.linspace(0.0, self.v_max, int(grid_points))
+
+
+@dataclass(frozen=True)
+class ModelBatch:
+    """Models solved together: the cells of a sweep.
+
+    The cells share ``base``'s family kinds, ``v_max`` and stakes and
+    differ only in some coefficients.  ``families`` holds ``(kind,
+    coefficients)`` for pi0, pi1 and cost; each coefficient is a float
+    shared by every cell or a 1-D array with one entry per cell.  A single
+    model is a batch of one (:meth:`single`).
+    """
+
+    base: ModelPrimitives
+    size: int
+    families: tuple[tuple[str, tuple], ...]
+
+    @classmethod
+    def single(cls, model: ModelPrimitives) -> "ModelBatch":
+        return cls(model, 1, tuple((f.kind, f.coefficients) for f in (model.pi0, model.pi1, model.cost)))
+
+    @classmethod
+    def sweep(
+        cls, base: ModelPrimitives, columns: Mapping[tuple[str, int], np.ndarray]
+    ) -> "ModelBatch":
+        """``base`` with each coefficient ``(primitive, index)`` of ``columns``
+        replaced by its per-cell column; all columns have the batch's length.
+
+        The columns bypass :class:`ParametricFamily`'s coefficient checks,
+        so callers check the values first.
+        """
+        sizes = {len(col) for col in columns.values()}
+        if len(sizes) != 1:
+            raise ValueError(f"sweep columns need one common length, got {sorted(sizes)}")
+        families = []
+        for name in PRIMITIVE_NAMES:
+            family = base.family(name)
+            coeffs = list(family.coefficients)
+            for (target, index), col in columns.items():
+                if target == name:
+                    coeffs[index] = np.asarray(col, dtype=float)
+            families.append((family.kind, tuple(coeffs)))
+        return cls(base, sizes.pop(), tuple(families))
+
+    def take(self, cells: np.ndarray) -> "ModelBatch":
+        """The batch of the given cells, in that order (repeats allowed)."""
+        families = tuple(
+            (kind, tuple(c[cells] if isinstance(c, np.ndarray) else c for c in coeffs))
+            for kind, coeffs in self.families
+        )
+        return ModelBatch(self.base, len(cells), families)
+
+    @property
+    def shared(self) -> bool:
+        """True when no coefficient varies across cells (a single model)."""
+        return not any(isinstance(c, np.ndarray) for _, coeffs in self.families for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -170,6 +235,40 @@ def evaluate_model_grid(
     return evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
 
 
+def _block(x, shape: tuple[int, int]) -> np.ndarray:
+    """A primitive's values (or slopes) as a (cells x grid) array."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(shape) if x.size == shape[0] * shape[1] else np.broadcast_to(x, shape)
+
+
+def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray) -> GridEval:
+    """All primitives of every cell of ``batch`` on the shared grid ``vs``:
+    ``v`` is ``vs``, every other field a (cells x grid) array."""
+    vs = np.asarray(vs, dtype=float)
+    shape = (batch.size, len(vs))
+    # per-cell coefficients as columns of the block
+    columns = [
+        (kind, tuple(c[:, None] if isinstance(c, np.ndarray) else c for c in coeffs))
+        for kind, coeffs in batch.families
+    ]
+    values = [
+        family_formula(kind, c, vs, derivative)
+        for derivative in (False, True)
+        for kind, c in columns
+    ]
+    return GridEval(vs, *(_block(x, shape) for x in values))
+
+
+def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> PrimitiveValues:
+    """Primitive values at one investment per cell (``v`` has one entry per
+    cell; when no coefficient varies it may also be a float), with the
+    array domain check of :meth:`ModelPrimitives.check_domain`; element
+    for element the values of :func:`evaluate_values`."""
+    v = batch.base.check_domain(v)
+    (k0, c0), (k1, c1), (k2, c2) = batch.families
+    return PrimitiveValues(family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -203,6 +302,54 @@ class ValidationReport:
 
 def _first_index(mask: np.ndarray) -> int:
     return int(np.argmax(mask))
+
+
+def _assumption_checks(g: GridEval):
+    """``(condition, bad-point mask, detail)`` for each grid check of
+    :func:`validate`, in the order it checks them.  On a block of cells
+    each mask has one row per cell."""
+    for name, vals, derivs in (
+        ("pi0", g.pi0, g.dpi0),
+        ("pi1", g.pi1, g.dpi1),
+        ("cost", g.cost, g.dcost),
+    ):
+        yield (
+            "finite-evaluation",
+            ~np.isfinite(vals) | ~np.isfinite(derivs),
+            f"{name} value/derivative not finite (family not differentiable here)",
+        )
+    yield "pi0-positive", g.pi0 <= 0.0, "pi0 must stay strictly positive"
+    yield "pi1-below-one", g.pi1 >= 1.0, "pi1 must stay strictly below 1"
+    # pi1 - pi0 <= 0 exactly when pi1 <= pi0, without subtracting non-finite values
+    yield "pi-ordering", g.pi1 <= g.pi0, "pi1 must exceed pi0 strictly"
+    yield "pi0-nondecreasing", g.dpi0 < -DEFAULT_TOL, "pi0 slope must be >= 0"
+    yield "pi1-nondecreasing", g.dpi1 < -DEFAULT_TOL, "pi1 slope must be >= 0"
+    yield "cost-positive", g.cost <= 0.0, "effort cost must stay strictly positive"
+    yield "cost-nonincreasing", g.dcost > DEFAULT_TOL, "cost slope must be <= 0"
+
+
+def _baseline_viability(model, pi0, pi1, cost):
+    """Effort gain ``(pi1-pi0)*(s_high-s_low)`` and expected wage
+    ``pi1*cost/(pi1-pi0)`` at zero investment, a point or per cell."""
+    gap0 = pi1 - pi0
+    return gap0 * model.quality_importance, pi1 * cost / gap0
+
+
+def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
+    """Per-cell pass flags of :func:`validate` for a block of cells.
+
+    ``g`` is :func:`evaluate_batch_grid` of ``batch``.  The masks are those
+    of :func:`validate`, so a cell passes exactly when its own report does.
+    The viability test divides by the probability gap, so it only runs on
+    cells that passed every grid check.
+    """
+    ok = np.full(batch.size, batch.base.s_high > batch.base.s_low)
+    for _, bad, _ in _assumption_checks(g):
+        ok &= ~bad.any(axis=-1)
+    rows = np.flatnonzero(ok)
+    lhs, rhs = _baseline_viability(batch.base, g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0])
+    ok[rows] = ~(lhs - rhs < -DEFAULT_TOL)
+    return ok
 
 
 def validate(
@@ -251,38 +398,11 @@ def validate(
         )
 
     g = evaluate_model_grid(model, grid_points, grid)
-    vs = g.v
-
-    for name, vals, derivs in (
-        ("pi0", g.pi0, g.dpi0),
-        ("pi1", g.pi1, g.dpi1),
-        ("cost", g.cost, g.dcost),
-    ):
-        bad = ~np.isfinite(vals) | ~np.isfinite(derivs)
+    for condition, bad, detail in _assumption_checks(g):
         if bad.any():
-            i = _first_index(bad)
-            return report(
-                "finite-evaluation", float(vs[i]),
-                f"{name} value/derivative not finite (family not differentiable here)",
-            )
+            return report(condition, float(g.v[_first_index(bad)]), detail)
 
-    checks = (
-        ("pi0-positive", g.pi0 <= 0.0, "pi0 must stay strictly positive"),
-        ("pi1-below-one", g.pi1 >= 1.0, "pi1 must stay strictly below 1"),
-        ("pi-ordering", g.pi1 - g.pi0 <= 0.0, "pi1 must exceed pi0 strictly"),
-        ("pi0-nondecreasing", g.dpi0 < -DEFAULT_TOL, "pi0 slope must be >= 0"),
-        ("pi1-nondecreasing", g.dpi1 < -DEFAULT_TOL, "pi1 slope must be >= 0"),
-        ("cost-positive", g.cost <= 0.0, "effort cost must stay strictly positive"),
-        ("cost-nonincreasing", g.dcost > DEFAULT_TOL, "cost slope must be <= 0"),
-    )
-    for condition, bad, detail in checks:
-        if bad.any():
-            i = _first_index(bad)
-            return report(condition, float(vs[i]), detail)
-
-    gap0 = g.pi1[0] - g.pi0[0]
-    lhs = gap0 * model.quality_importance
-    rhs = g.pi1[0] * g.cost[0] / gap0
+    lhs, rhs = _baseline_viability(model, g.pi0[0], g.pi1[0], g.cost[0])
     if lhs - rhs < -DEFAULT_TOL:
         return report(
             "baseline-contracting-viability", 0.0,

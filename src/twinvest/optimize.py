@@ -6,48 +6,161 @@ first, then refine the best bracket with golden-section.  This module owns
 that refinement step (:func:`refine_max` and its grid-argmax form
 :func:`refine_grid_max`), which both solvers use, and the bisection that
 locates sign changes.
+
+Every helper also takes arrays of brackets (and of candidates) and then
+runs all of them in lockstep: at each step every bracket that still
+searches asks for one point, and the objective is evaluated at all of
+them at once.  Each search is written once, as a generator that yields the
+points it needs and receives their values, so an element stops exactly
+when its own bracket is narrow enough, at its own exact zero or after its
+own ``max_iter`` steps, keeps its own candidates and tie rule, and ends
+bit for bit where the one-bracket call ends.  A regime sweep refines all
+its cells this way.
+
+The objective is called with an array holding one point per bracket;
+brackets that have stopped keep their last point there and their values
+are dropped.  With ``pointwise`` (implied for scalar brackets) the
+brackets are instead searched one after another, the objective called
+with one float at a time.  That gives the same results and is cheaper for
+a few brackets whose objective does not depend on the bracket, such as the
+refinements of a single model, because numpy's cost per call then
+outweighs its cost per element.  Given scalars, the helpers return what
+the scalar search returns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Generator
+
+import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618034
 
+# A search: yields the next point to evaluate, receives its value there,
+# and returns its result, a pair of numbers.
+Search = Generator[float, float, tuple]
 
-def golden_section_max(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on ``[a, b]``; returns ``(x, f(x))``.
 
-    Endpoints are evaluated too, so a boundary maximum is returned exactly.
+def _drive(f: Callable, search: Search) -> tuple:
+    """Run one search on a scalar objective; its result as is."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(f: Callable, searches: list[Search], starts: list[float], pointwise: bool):
+    """Run ``searches`` together; the pairs they return, as two arrays.
+
+    Each step evaluates ``f`` once at the points all live searches ask
+    for, as described in the module docstring.  ``starts`` gives each
+    search's point before its first request (a point of its bracket, so
+    in the objective's domain).  With ``pointwise`` the searches run one
+    after another on floats instead.
     """
+    found = np.empty((2, len(searches)))
+    if pointwise:
+        for k, search in enumerate(searches):
+            found[:, k] = _drive(f, search)
+        return found[0], found[1]
+    xs = list(starts)
+    live = []
+    for k, search in enumerate(searches):
+        try:
+            xs[k] = next(search)
+            live.append(k)
+        except StopIteration as stop:
+            found[:, k] = stop.value
+    while live:
+        fx = np.asarray(f(np.array(xs)), dtype=float)
+        if fx.shape != (len(xs),):  # an objective may return one number for all
+            fx = np.broadcast_to(fx, (len(xs),))
+        fx = fx.tolist()
+        still = []
+        for k in live:
+            try:
+                xs[k] = searches[k].send(fx[k])
+                still.append(k)
+            except StopIteration as stop:
+                found[:, k] = stop.value
+        live = still
+    return found[0], found[1]
+
+
+def _is_scalar(a) -> bool:
+    return a.ndim == 0 if isinstance(a, np.ndarray) else np.ndim(a) == 0
+
+
+def _lanes(*args):
+    """Each argument as a list of its elements after broadcasting them all
+    to one shape, and that shape; ``None`` for the shape when every
+    argument was a scalar (then each list holds the argument itself)."""
+    scalar = [_is_scalar(a) for a in args]
+    if all(scalar):
+        return [[a] for a in args], None
+    arrays = [np.asarray(a) for a, s in zip(args, scalar) if not s]
+    if len({a.shape for a in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    shape = arrays[0].shape
+    lanes = iter(a.ravel().tolist() for a in arrays)
+    return [[a] * math.prod(shape) if s else next(lanes) for a, s in zip(args, scalar)], shape
+
+
+def _run(f: Callable, searches: list[Search], starts: list[float], shape, pointwise: bool):
+    """The searches' results: the one search's as is when ``shape`` is
+    None, else two arrays of ``shape``."""
+    if shape is None:
+        return _drive(f, searches[0])
+    x, y = _lockstep(f, searches, starts, pointwise)
+    return x.reshape(shape), y.reshape(shape)
+
+
+def _golden_search(a: float, b: float, xtol: float, max_iter: int) -> Search:
+    """Golden-section search of ``[a, b]`` for :func:`golden_section_max`."""
     if b < a:
         raise ValueError(f"empty bracket [{a}, {b}]")
     lo, hi = a, b
     x1 = hi - INV_PHI * (hi - lo)
     x2 = lo + INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1 = yield x1
+    f2 = yield x2
     it = 0
     while hi - lo > xtol and it < max_iter:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - INV_PHI * (hi - lo)
-            f1 = f(x1)
+            f1 = yield x1
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + INV_PHI * (hi - lo)
-            f2 = f(x2)
+            f2 = yield x2
         it += 1
-    candidates = [(a, f(a)), (b, f(b)), (x1, f1), (x2, f2)]
+    fa = yield a
+    fb = yield b
     mid = 0.5 * (lo + hi)
-    candidates.append((mid, f(mid)))
-    return max_candidate(candidates)
+    f_mid = yield mid
+    return max_candidate([(a, fa), (b, fb), (x1, f1), (x2, f2), (mid, f_mid)])
+
+
+def golden_section_max(
+    f: Callable,
+    a,
+    b,
+    xtol: float = 1e-10,
+    max_iter=200,
+    pointwise: bool = False,
+) -> tuple:
+    """Maximize a unimodal ``f`` on ``[a, b]``; returns ``(x, f(x))``.
+
+    Endpoints are evaluated too, so a boundary maximum is returned exactly.
+    Given arrays of bracket ends (and of ``max_iter``), returns arrays.
+    """
+    (a, b, cap), shape = _lanes(a, b, max_iter)
+    searches = [_golden_search(lo, hi, xtol, n) for lo, hi, n in zip(a, b, cap)]
+    return _run(f, searches, a, shape, pointwise)
 
 
 def max_candidate(candidates: list[tuple[float, float]]) -> tuple[float, float]:
@@ -59,43 +172,46 @@ def max_candidate(candidates: list[tuple[float, float]]) -> tuple[float, float]:
     return best_x, best_f
 
 
-def refine_max(
-    f: Callable[[float], float],
-    candidates: list[tuple[float, float]],
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
+def _pick(best: tuple, candidate: tuple, where=True) -> tuple:
+    """:func:`max_candidate` of ``[best, candidate]`` over arrays, element
+    by element, kept to ``best`` where ``where`` is false."""
+    (best_x, best_f), (x, fx) = best, candidate
+    better = ((fx > best_f) | ((fx == best_f) & (x < best_x))) & where
+    return np.where(better, x, best_x), np.where(better, fx, best_f)
+
+
+def refine_max(f: Callable, candidates: list[tuple], lo, hi, pointwise: bool = False) -> tuple:
     """Best of ``candidates`` and, when ``hi > lo``, of a golden-section
-    search of ``f`` on ``[lo, hi]``; ties go to the smaller ``x``."""
-    if hi > lo:
-        candidates = candidates + [golden_section_max(f, lo, hi)]
-    return max_candidate(candidates)
+    search of ``f`` on ``[lo, hi]``; ties go to the smaller ``x``.
+
+    Given arrays (each candidate a pair of arrays), every element is
+    refined on its own bracket, and the searches run in lockstep.
+    """
+    if _is_scalar(lo) and _is_scalar(hi):
+        if hi > lo:
+            candidates = candidates + [golden_section_max(f, lo, hi)]
+        return max_candidate(candidates)
+    best = candidates[0]
+    for candidate in candidates[1:]:
+        best = _pick(best, candidate)
+    search = np.asarray(hi > lo)
+    if not search.any():
+        return best
+    # an element without a bracket searches the point lo; its result is dropped
+    found = golden_section_max(f, lo, np.where(search, hi, lo), pointwise=pointwise)
+    return _pick(best, found, search)
 
 
-def refine_grid_max(f: Callable[[float], float], xs, fs, i: int) -> tuple[float, float]:
+def refine_grid_max(f: Callable, xs, fs, i) -> tuple:
     """:func:`refine_max` of the grid point ``(xs[i], fs[i])`` inside its
     neighbour bracket ``[xs[i-1], xs[i+1]]``, clipped to the grid."""
     return refine_max(f, [(xs[i], fs[i])], xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
 
 
-def bisect_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-    width_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Shrink a sign-change bracket of ``f`` to ``width_tol``.
-
-    Returns the final ``(lo, hi)`` with ``f(lo)`` and ``f(hi)`` of opposite
-    (weak) sign, preserving the original orientation: the endpoint that
-    started nonnegative stays nonnegative.  Callers pick whichever endpoint
-    their feasibility convention needs.
-    """
-    f_lo = f(lo) if f_lo is None else f_lo
-    f_hi = f(hi) if f_hi is None else f_hi
+def _bisection(lo, hi, f_lo, f_hi, width_tol: float, max_iter: int) -> Search:
+    """Bisection of one sign-change bracket for :func:`bisect_bracket`."""
+    f_lo = (yield lo) if f_lo is None else f_lo
+    f_hi = (yield hi) if f_hi is None else f_hi
     if f_lo == 0.0:
         return lo, lo
     if f_hi == 0.0:
@@ -105,7 +221,7 @@ def bisect_bracket(
     it = 0
     while hi - lo > width_tol and it < max_iter:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
+        f_mid = yield mid
         if f_mid == 0.0:
             return mid, mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -116,14 +232,42 @@ def bisect_bracket(
     return lo, hi
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
+def bisect_bracket(
+    f: Callable,
+    lo,
+    hi,
+    f_lo=None,
+    f_hi=None,
     width_tol: float = 1e-12,
-) -> float:
+    max_iter=200,
+    pointwise: bool = False,
+) -> tuple:
+    """Shrink a sign-change bracket of ``f`` to ``width_tol``.
+
+    Returns the final ``(lo, hi)`` with ``f(lo)`` and ``f(hi)`` of opposite
+    (weak) sign, preserving the original orientation: the endpoint that
+    started nonnegative stays nonnegative.  Callers pick whichever endpoint
+    their feasibility convention needs.  Given arrays of brackets (and of
+    their end values and ``max_iter``), returns arrays.
+    """
+    given = [x for x in (f_lo, f_hi) if x is not None]
+    (lo, hi, cap, *ends), shape = _lanes(lo, hi, max_iter, *given)
+    ends = iter(ends)
+    f_lo = [None] * len(lo) if f_lo is None else next(ends)
+    f_hi = [None] * len(lo) if f_hi is None else next(ends)
+    searches = [_bisection(*lane, width_tol, n) for *lane, n in zip(lo, hi, f_lo, f_hi, cap)]
+    return _run(f, searches, lo, shape, pointwise)
+
+
+def bisect_root(
+    f: Callable,
+    lo,
+    hi,
+    f_lo=None,
+    f_hi=None,
+    width_tol: float = 1e-12,
+    pointwise: bool = False,
+):
     """Midpoint of the shrunken sign-change bracket."""
-    a, b = bisect_bracket(f, lo, hi, f_lo, f_hi, width_tol)
+    a, b = bisect_bracket(f, lo, hi, f_lo, f_hi, width_tol, pointwise=pointwise)
     return 0.5 * (a + b)

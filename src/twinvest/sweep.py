@@ -1,8 +1,10 @@
 """Two-parameter regime sweeps producing plot-ready CSV maps.
 
 A sweep template designates two coefficients of the base model's families
-and a grid of values for each.  Every grid cell is solved independently;
-cells whose model violates the base assumptions are recorded as
+and a grid of values for each.  All grid cells are solved in one batch
+(:func:`~twinvest.investment.solve_batch`), and each cell's result is
+exactly what solving that cell alone gives: it does not depend on the
+batch.  Cells whose model violates the base assumptions are recorded as
 ``Invalid`` rather than skipped, so the output is always a full rectangle.
 Cell order is deterministic: axis 1 outer, axis 2 inner.
 """
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .investment import optimal_investment
-from .model import DEFAULT_GRID_POINTS, ModelPrimitives, evaluate_model_grid, validate
+from .investment import solve_batch
+from .model import DEFAULT_GRID_POINTS, ModelBatch, ModelPrimitives
 from .report import format_number
 
 INVALID_LABEL = "Invalid"
@@ -90,36 +92,54 @@ class RegimeMap:
         return out.getvalue()
 
 
+class SweepAxisError(ValueError):
+    """A sweep axis value does not make a legal family of the base model."""
+
+
+def _check_axis(base: ModelPrimitives, axis: SweepAxis) -> None:
+    """Raise :class:`SweepAxisError` naming the axis unless every one of
+    its values makes a legal family out of the base model's."""
+    try:
+        family = base.family(axis.target)
+        for x in axis.values:
+            family.with_coefficient(axis.coefficient, x)
+    except ValueError as exc:
+        raise SweepAxisError(f"sweep axis {axis.label()}: {exc}") from None
+
+
 def regime_sweep(
     base: ModelPrimitives,
     axis1: SweepAxis,
     axis2: SweepAxis,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> RegimeMap:
-    """Solve every cell of the two-axis template over the base model."""
-    cells: list[RegimeCell] = []
-    for x1 in axis1.values:
-        model_1 = base.with_coefficient(axis1.target, axis1.coefficient, x1)
-        for x2 in axis2.values:
-            cell_model = model_1.with_coefficient(axis2.target, axis2.coefficient, x2)
-            cells.append(_solve_cell(cell_model, x1, x2, grid_points))
-    return RegimeMap(axis1, axis2, tuple(cells))
+    """Solve every cell of the two-axis template over the base model.
 
-
-def _solve_cell(
-    model: ModelPrimitives, x1: float, x2: float, grid_points: int
-) -> RegimeCell:
-    grid = evaluate_model_grid(model, grid_points)
-    report = validate(model, grid_points, grid=grid)
-    if not report.passed:
-        return RegimeCell(x1, x2, INVALID_LABEL, None, None, None, None)
-    sol = optimal_investment(model, grid_points, grid=grid)
-    return RegimeCell(
-        param1=x1,
-        param2=x2,
-        regime=sol.regime.value,
-        v_opt=sol.v_opt,
-        u_opt=sol.u_at_opt,
-        deterrent_binding=sol.deterrent_binding,
-        v_star=sol.displacement_threshold,
+    Raises :class:`SweepAxisError` (a ``ValueError``) naming the axis when
+    a value does not make a legal family (say a negative exponential-decay
+    rate, or a coefficient index the family does not have).  The check
+    runs before any cell is solved, since the batch stacks the values as
+    coefficient columns without building a family per cell.
+    """
+    _check_axis(base, axis1)
+    _check_axis(base, axis2)
+    x1 = np.repeat(axis1.values, len(axis2.values))
+    x2 = np.tile(axis2.values, len(axis1.values))
+    columns = {(axis1.target, axis1.coefficient): x1}
+    columns[(axis2.target, axis2.coefficient)] = x2  # axis 2 wins on a shared coefficient
+    solutions = solve_batch(ModelBatch.sweep(base, columns), grid_points, skip_invalid=True)
+    cells = tuple(
+        RegimeCell(p1, p2, INVALID_LABEL, None, None, None, None)
+        if sol is None
+        else RegimeCell(
+            param1=p1,
+            param2=p2,
+            regime=sol.regime.value,
+            v_opt=sol.v_opt,
+            u_opt=sol.u_at_opt,
+            deterrent_binding=sol.deterrent_binding,
+            v_star=sol.displacement_threshold,
+        )
+        for p1, p2, sol in zip(x1.tolist(), x2.tolist(), solutions)
     )
+    return RegimeMap(axis1, axis2, cells)

@@ -205,6 +205,22 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "Invalid" in out
 
+    @pytest.mark.parametrize(
+        "axis, named",
+        [
+            ({"target": "cost", "coefficient": 5, "start": 0.5, "stop": 3.0, "count": 3}, "cost[5]"),
+            ({"target": "cost", "coefficient": 1, "start": -1.0, "stop": 3.0, "count": 3}, "cost[1]"),
+        ],
+    )
+    def test_malformed_axis_is_a_named_error(self, model_file, capsys, axis, named):
+        # a coefficient the exponential-decay cost lacks, and a negative decay rate
+        other = {"target": "pi0", "coefficient": 1, "start": 0.1, "stop": 0.4, "count": 3}
+        path = model_file(f3(), sweep={"axes": [axis, other]})
+        assert main(["sweep", "--model", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep axis {named}: ")
+        assert "Traceback" not in err
+
     def test_missing_sweep_section(self, model_file, capsys):
         assert main(["sweep", "--model", model_file(f3())]) == 1
 

@@ -1,8 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+import twinvest.model
 from twinvest.contracts import Contract, optimal_contract
 from twinvest.dynamics import (
     AgentKind,
@@ -213,6 +215,29 @@ class TestRehireCycles:
         trace = simulate_cycles(f2(), 0.9, 1)
         assert len(trace.records) == 1
         assert trace.records[0].employed
+
+    @pytest.mark.parametrize("model, alpha", [(f1, 0.8), (f2, 0.99)])
+    def test_primitives_evaluated_once_per_trace(self, monkeypatch, model, alpha):
+        # every employed period repeats one record; only twin periods differ
+        real = twinvest.model.evaluate
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twinvest"):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counting)
+        counts = []
+        for horizon in (3, 12):
+            calls.clear()
+            trace = simulate_cycles(model(), alpha, horizon)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert [r.period for r in trace.records] == list(range(1, 13))
 
     def test_unemployed_records_are_zeroed(self):
         trace = simulate_cycles(f2(), 0.9, 8)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twinvest.optimize import (
@@ -105,3 +106,152 @@ class TestRefinement:
         # the search on a flat objective returns its left end, 0.2
         assert refine_max(flat, [(0.5, 1.0)], 0.2, 0.8) == (0.2, 1.0)
         assert refine_max(flat, [(0.1, 1.0)], 0.2, 0.8) == (0.1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep: arrays of brackets against one-bracket calls
+# ---------------------------------------------------------------------------
+
+
+def _parabola(c):
+    """``-(x - c)^2`` for a number or an array of centres (only + - * so
+    numpy and float arithmetic round alike)."""
+    def f(x):
+        d = x - c
+        return -(d * d)
+
+    return f
+
+
+def _two_peaks(c, tilt):
+    """``-((x - c)(x - c - 0.5))^2 + tilt*x``: two maxima near ``c`` and
+    ``c + 0.5``, the taller one set by the sign of ``tilt``."""
+    def f(x):
+        p = (x - c) * (x - c - 0.5)
+        return tilt * x - p * p
+
+    return f
+
+
+@pytest.fixture
+def brackets():
+    """Bracket ends with unimodal and two-peak centres, empty brackets
+    (``hi == lo``) among them, and per-bracket step caps."""
+    rng = np.random.default_rng(20260)
+    n = 240
+    lo = rng.uniform(-1.0, 1.0, n)
+    width = rng.choice([0.0, 1e-11, 1e-3, 0.3, 2.0], n)
+    hi = lo + width
+    c = lo + rng.uniform(-0.2, 1.2, n) * np.maximum(width, 0.1)
+    tilt = rng.choice([-0.05, 0.0, 0.05], n)
+    cap = rng.choice([0, 1, 3, 17, 200], n)
+    return lo, hi, c, tilt, cap
+
+
+class TestLockstep:
+    """Each element of an array call equals the one-bracket call, x and f."""
+
+    @pytest.mark.parametrize("shape", ["parabola", "two_peaks"])
+    def test_golden_elements_equal_scalar_calls(self, brackets, shape):
+        lo, hi, c, tilt, _ = brackets
+        objective = (lambda c, t: _parabola(c)) if shape == "parabola" else _two_peaks
+        xs, fs = golden_section_max(objective(c, tilt), lo, hi)
+        for k in range(len(lo)):
+            expected = golden_section_max(objective(c[k], tilt[k]), lo[k], hi[k])
+            assert (xs[k], fs[k]) == expected, k
+
+    def test_per_element_step_cap(self, brackets):
+        lo, hi, c, tilt, cap = brackets
+        xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi, max_iter=cap)
+        for k in range(len(lo)):
+            expected = golden_section_max(_two_peaks(c[k], tilt[k]), lo[k], hi[k], max_iter=int(cap[k]))
+            assert (xs[k], fs[k]) == expected, k
+        # a cap of 0 stops every search at once, so it only sees its first points
+        capped = cap == 0
+        assert not np.array_equal(xs[capped], golden_section_max(_two_peaks(c, tilt), lo, hi)[0][capped])
+
+    def test_pointwise_equals_array_calls(self, brackets):
+        lo, hi, *_ = brackets
+        flat = lambda x: np.cos(0.0 * x)  # noqa: E731 - one objective for every bracket
+        shared = _parabola(0.25)
+        assert np.array_equal(
+            np.array(golden_section_max(shared, lo, hi)),
+            np.array(golden_section_max(shared, lo, hi, pointwise=True)),
+        )
+        assert np.array_equal(
+            np.array(golden_section_max(flat, lo, hi)),
+            np.array(golden_section_max(flat, lo, hi, pointwise=True)),
+        )
+
+    def test_exact_ties_go_to_the_smaller_x(self):
+        # a flat objective ties every candidate; a symmetric one ties the two ends
+        lo = np.array([0.2, -1.0, 3.0])
+        hi = np.array([0.8, 1.0, 3.0])
+        xs, fs = golden_section_max(lambda x: 1.0, lo, hi)
+        assert xs.tolist() == lo.tolist() and fs.tolist() == [1.0] * 3
+        xs, _ = golden_section_max(lambda x: x * x, lo, hi)
+        assert xs.tolist() == [0.8, -1.0, 3.0]
+        for k in range(3):
+            assert xs[k] == golden_section_max(lambda x: x * x, lo[k], hi[k])[0]
+
+    def test_refine_max_elements_equal_scalar_calls(self, brackets):
+        lo, hi, c, tilt, _ = brackets
+        f = _two_peaks(c, tilt)
+        # candidates at both ends and one outside the bracket
+        cand = [(lo, f(lo)), (hi, f(hi)), (lo - 0.5, f(lo - 0.5))]
+        xs, fs = refine_max(f, cand, lo, hi)
+        for k in range(len(lo)):
+            g = _two_peaks(c[k], tilt[k])
+            expected = refine_max(g, [(float(x[k]), float(y[k])) for x, y in cand], lo[k], hi[k])
+            assert (xs[k], fs[k]) == expected, k
+
+    def test_refine_max_skips_empty_brackets(self):
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return -x
+
+        xs, fs = refine_max(f, [(np.array([0.5, 0.1]), np.array([2.0, 3.0]))], np.array([0.3, 0.3]), np.array([0.3, 0.3]))
+        assert (xs.tolist(), fs.tolist(), seen) == ([0.5, 0.1], [2.0, 3.0], [])
+
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    def test_bisection_elements_equal_scalar_calls(self, orientation):
+        rng = np.random.default_rng(7)
+        n = 200
+        lo = rng.uniform(-1.0, 0.0, n)
+        hi = lo + rng.choice([1e-13, 1e-6, 0.5, 1.5], n)
+        hi[:20] = lo[:20] + 0.5
+        root = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
+        root[:20] = 0.5 * (lo[:20] + hi[:20])  # the first midpoint is exactly a root
+        root[20:25] = lo[20:25]  # f is exactly 0 at lo
+        root[25:30] = hi[25:30]  # f is exactly 0 at hi
+        cap = rng.choice([0, 2, 200], n)
+        cap[:20] = 200
+
+        def f(x):
+            return orientation * (root - x)
+
+        out = bisect_bracket(f, lo, hi, max_iter=cap)
+        given = bisect_bracket(f, lo, hi, f(lo), f(hi), max_iter=cap)
+        for k in range(n):
+            g = lambda x, r=root[k]: orientation * (r - x)  # noqa: E731
+            expected = bisect_bracket(g, lo[k], hi[k], max_iter=int(cap[k]))
+            assert (out[0][k], out[1][k]) == expected, k
+            assert (given[0][k], given[1][k]) == expected, k
+        # an exact zero at the first midpoint ends the search there
+        assert np.array_equal(out[0][:20], out[1][:20])
+        assert np.array_equal(out[0][:20], root[:20])
+
+    def test_bisection_orientation_kept_per_element(self):
+        lo, hi = np.zeros(2), np.ones(2)
+        sign = np.array([1.0, -1.0])
+        f = lambda x: sign * (0.3 - x)  # noqa: E731
+        a, b = bisect_bracket(f, lo, hi)
+        assert f(a)[0] >= 0.0 >= f(b)[0]
+        assert f(a)[1] <= 0.0 <= f(b)[1]
+        assert np.all(b - a <= 1e-12)
+
+    def test_bisection_rejects_any_bracket_without_sign_change(self):
+        with pytest.raises(ValueError, match="no sign change"):
+            bisect_bracket(lambda x: x + 0.5, np.array([-1.0, 0.0]), np.array([0.0, 1.0]))

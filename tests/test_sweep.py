@@ -2,10 +2,14 @@ import io
 
 import pytest
 
+import twinvest.investment
 import twinvest.model
-from twinvest.fixtures import f1, f3
+from twinvest.families import ParametricFamily as F
+from twinvest.fixtures import f1, f2, f3
+from twinvest.investment import optimal_investment, solve_batch
+from twinvest.model import ModelBatch, ModelPrimitives, validate
 from twinvest.oracle import brute_force_investment
-from twinvest.sweep import INVALID_LABEL, SweepAxis, regime_sweep
+from twinvest.sweep import INVALID_LABEL, SweepAxis, SweepAxisError, regime_sweep
 
 
 def f3_axes(count=10):
@@ -33,15 +37,19 @@ class TestRegimeSweep:
         assert {"NoInvestment", "MaxInvestment", "Interior"} <= present
 
     def test_one_grid_evaluation_per_cell(self, monkeypatch):
-        # validate and optimal_investment share the cell's grid
-        calls = []
-        real = twinvest.model.evaluate_grid
-        monkeypatch.setattr(
-            twinvest.model, "evaluate_grid", lambda *a: calls.append(1) or real(*a)
-        )
+        # the batch evaluates each cell's grid once, for validate and the solve
+        points = []
+        real = twinvest.investment.evaluate_batch_grid
+
+        def counting(batch, vs):
+            points.append(batch.size * len(vs))
+            return real(batch, vs)
+
+        monkeypatch.setattr(twinvest.investment, "evaluate_batch_grid", counting)
+        monkeypatch.setattr(twinvest.model, "evaluate_grid", None)  # not called at all
         axis1, axis2 = f3_axes(3)
         regime_map = regime_sweep(f3(), axis1, axis2, grid_points=101)
-        assert len(calls) == len(regime_map.cells) == 9
+        assert sum(points) == len(regime_map.cells) * 101 == 9 * 101
 
     def test_cells_agree_with_grid_oracle(self):
         # spot-check the per-cell solver against enumeration
@@ -69,6 +77,95 @@ class TestRegimeSweep:
         assert regimes[1] != INVALID_LABEL
         invalid = regime_map.cells[0]
         assert invalid.v_opt is None and invalid.u_opt is None
+
+
+def power_model() -> ModelPrimitives:
+    """f3 with a convex power curve for pi1, so sweeps over its exponent
+    take the ``np.power`` path (and exponents below 1 make invalid cells)."""
+    return ModelPrimitives(
+        pi0=F.affine(0.2, 0.3),
+        pi1=F.power(0.7, 0.25, 2.0),
+        cost=F.exponential_decay(0.2, 1.8),
+        v_max=1.0,
+        s_high=2.0,
+        s_low=0.0,
+    )
+
+
+TEMPLATES = {
+    "f3-10x10": (f3, SweepAxis.linspace("cost", 1, 0.5, 3.0, 10), SweepAxis.linspace("pi0", 1, 0.1, 0.4, 10)),
+    "power-gamma": (
+        power_model,
+        SweepAxis.linspace("pi1", 2, 0.5, 3.0, 6),
+        SweepAxis.linspace("cost", 1, 0.0, 3.0, 5),
+    ),
+    # one block of 16 cells, the low pi1 levels below pi0 and so invalid
+    "invalid-in-block": (f3, SweepAxis.linspace("pi1", 0, 0.1, 0.9, 4), SweepAxis.linspace("cost", 0, 0.1, 0.4, 4)),
+    # low stakes: the retention margin changes sign inside most cells' range
+    "margin-flips": (
+        f2,
+        SweepAxis.linspace("cost", 0, 0.12, 0.3, 6),
+        SweepAxis.linspace("pi0", 1, 0.0, 0.45, 6),
+    ),
+}
+
+
+def cell_model(base, axis1, axis2, x1, x2):
+    return base.with_coefficient(axis1.target, axis1.coefficient, x1).with_coefficient(
+        axis2.target, axis2.coefficient, x2
+    )
+
+
+class TestBatchIndependence:
+    """A cell's result is the one its model gets alone, whatever the batch."""
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_cells_equal_single_model_solves(self, name):
+        make, axis1, axis2 = TEMPLATES[name]
+        base = make()
+        regime_map = regime_sweep(base, axis1, axis2)
+        columns = {(axis1.target, axis1.coefficient): [c.param1 for c in regime_map.cells]}
+        columns[(axis2.target, axis2.coefficient)] = [c.param2 for c in regime_map.cells]
+        batch = solve_batch(ModelBatch.sweep(base, columns), skip_invalid=True)
+        for cell, sol in zip(regime_map.cells, batch):
+            model = cell_model(base, axis1, axis2, cell.param1, cell.param2)
+            if not validate(model).passed:
+                assert (cell.regime, sol) == (INVALID_LABEL, None)
+                continue
+            alone = optimal_investment(model)
+            assert sol == alone  # every field, roots included
+            assert (cell.regime, cell.v_opt, cell.u_opt, cell.deterrent_binding, cell.v_star) == (
+                alone.regime.value, alone.v_opt, alone.u_at_opt, alone.deterrent_binding,
+                alone.displacement_threshold,
+            )
+
+    def test_templates_cover_their_cases(self):
+        # each template exercises what its name says
+        def cells(name):
+            make, axis1, axis2 = TEMPLATES[name]
+            return regime_sweep(make(), axis1, axis2).cells
+
+        power = [c.regime for c in cells("power-gamma")]
+        assert INVALID_LABEL in power and set(power) - {INVALID_LABEL}
+        mixed = [c.regime for c in cells("invalid-in-block")]
+        assert len(mixed) <= twinvest.investment._BLOCK_CELLS
+        assert INVALID_LABEL in mixed and set(mixed) - {INVALID_LABEL}
+        flips = [c.v_star for c in cells("margin-flips")]
+        assert sum(v is not None and 0.0 < v < 1.0 for v in flips) >= 5
+
+
+class TestAxisChecks:
+    def test_negative_decay_rate_names_the_axis(self):
+        axis1 = SweepAxis.linspace("cost", 1, -1.0, 3.0, 5)
+        axis2 = SweepAxis.linspace("pi0", 1, 0.1, 0.4, 5)
+        with pytest.raises(SweepAxisError, match=r"cost\[1\].*rate must be >= 0"):
+            regime_sweep(f3(), axis1, axis2)
+
+    def test_missing_coefficient_names_the_axis(self):
+        axis1 = SweepAxis.linspace("pi0", 1, 0.1, 0.4, 3)
+        axis2 = SweepAxis.linspace("cost", 5, 0.5, 3.0, 3)
+        with pytest.raises(ValueError, match=r"cost\[5\].*out of range"):
+            regime_sweep(f3(), axis1, axis2)
 
 
 class TestCsv:
