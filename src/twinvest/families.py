@@ -39,11 +39,12 @@ FAMILY_KINDS = (AFFINE, EXPONENTIAL_DECAY, POWER, CONSTANT)
 _COEFF_COUNT = {AFFINE: 2, EXPONENTIAL_DECAY: 2, POWER: 3, CONSTANT: 1}
 
 
-def _const_like(v, c: float):
-    """Broadcast the constant ``c`` against a scalar or array argument."""
-    if isinstance(v, np.ndarray):
-        return np.full(v.shape, float(c))
-    return float(c)
+def _const_like(v, c):
+    """``c``, broadcast to the shape of ``v`` when ``v`` is an array and
+    ``c`` a number that does not depend on it."""
+    if isinstance(v, np.ndarray) and not isinstance(c, np.ndarray):
+        return np.full(v.shape, c)
+    return c
 
 
 def family_formula(kind: str, c, v, derivative: bool = False):
@@ -53,11 +54,12 @@ def family_formula(kind: str, c, v, derivative: bool = False):
     against ``v``; a batch of models passes per-cell columns here.  A
     point, a grid and a block of cells therefore all round through the
     same arithmetic, element for element.  A result that does not depend
-    on ``v`` (a constant family, an affine slope) is returned as the
-    coefficient itself, for the caller to broadcast.
+    on ``v`` (a constant family, an affine slope) is the coefficient
+    itself, filled to the shape of ``v`` when ``v`` is an array and the
+    coefficient a number.
     """
     if kind == AFFINE:
-        return c[1] if derivative else c[0] + c[1] * v
+        return _const_like(v, c[1]) if derivative else c[0] + c[1] * v
     if kind == EXPONENTIAL_DECAY:
         if derivative:
             return -c[1] * c[0] * np.exp(-c[1] * v)
@@ -67,7 +69,7 @@ def family_formula(kind: str, c, v, derivative: bool = False):
             with np.errstate(divide="ignore"):
                 return c[1] * c[2] * np.power(v, c[2] - 1.0)
         return c[0] + c[1] * np.power(v, c[2])
-    return 0.0 if derivative else c[0]
+    return _const_like(v, 0.0 if derivative else c[0])
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,10 @@ class ParametricFamily:
     # -- evaluation ----------------------------------------------------------------
 
     def value(self, v):
-        value = family_formula(self.kind, self.coefficients, v)
-        return _const_like(v, value) if self.kind == CONSTANT else value
+        return family_formula(self.kind, self.coefficients, v)
 
     def derivative(self, v):
-        slope = family_formula(self.kind, self.coefficients, v, derivative=True)
-        return _const_like(v, slope) if self.kind in (AFFINE, CONSTANT) else slope
+        return family_formula(self.kind, self.coefficients, v, True)
 
     def second_derivative(self, v):
         c = self.coefficients

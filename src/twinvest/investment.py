@@ -105,21 +105,22 @@ def classify_regime(
 
 def _objective(batch: ModelBatch, cells, formula):
     """``formula(model, values)`` at one investment per listed cell, as an
-    objective for the lockstep refinements of :mod:`twinvest.optimize`.
+    objective for the refinements of :mod:`twinvest.optimize`.
 
     When every cell of ``batch`` is the same model (:attr:`ModelBatch.shared`)
-    the objective also takes single floats, and the refinements call it
-    point by point.
+    the objective also takes single floats, and it evaluates an array
+    point by point on floats: at the few points one model refines, numpy's
+    cost per call outweighs its cost per element.  Both round alike.
     """
-    sub = batch if batch.shared else batch.take(cells)
+    if batch.shared:
+        def f(v):
+            if isinstance(v, np.ndarray):
+                return np.array([f(x) for x in v.tolist()])
+            return formula(batch.base, evaluate_batch_values(batch, v))
 
-    def f(v):
-        out = formula(sub.base, evaluate_batch_values(sub, v))
-        if isinstance(v, np.ndarray) and not isinstance(out, np.ndarray):
-            return np.full(v.shape, out)  # every primitive constant
-        return out
-
-    return f
+        return f
+    sub = batch.take(cells)
+    return lambda v: formula(sub.base, evaluate_batch_values(sub, v))
 
 
 def _rent(model, p):
@@ -147,14 +148,15 @@ def deterrent_sign_change_roots(
     The margin on the grid comes from one :func:`evaluate_grid` pass (or
     ``grid``, when the caller already holds it) through the same formula
     as :func:`displacement_deterrent_margin`, so it equals the scalar
-    margin bit for bit.  The brackets where the sign flips are then
-    bisected on the same margin.
+    margin bit for bit.  Each bracket where the sign flips is then
+    bisected on the scalar margin.
     """
     g = evaluate_model_grid(model, grid_points, grid)
+    vs = g.v
     margin = retention_margin(model, g)
-    (i,) = _sign_flips(margin)
     f = lambda v: displacement_deterrent_margin(model, v)
-    return bisect_root(f, g.v[i], g.v[i + 1], margin[i], margin[i + 1], pointwise=True).tolist()
+    (flips,) = _sign_flips(margin)
+    return [bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1]) for i in flips]
 
 
 def displacement_threshold(
@@ -320,12 +322,15 @@ def solve_batch(
     one).  The rent, the feasibility margins, the displacement threshold
     with every sign-change root of the margin, and the regime rates come
     from it.  Then every bisection, and after it every golden-section
-    search, of all cells runs in lockstep; each cell's result is exactly
-    the one it gets alone.  With ``skip_invalid`` each block's cells are
-    first validated on the same grid (:func:`~twinvest.model.batch_validity`)
-    and an invalid cell is returned as None without entering the solve.
+    search, of all cells runs in lockstep (a single model's run one by one,
+    on floats); each cell's result is exactly the one it gets alone.  With
+    ``skip_invalid`` each block's cells are first validated on the same
+    grid (:func:`~twinvest.model.batch_validity`) and an invalid cell is
+    returned as None without entering the solve.
     """
-    vs = batch.base.grid(grid_points)
+    if grid is not None and batch.size != 1:
+        raise ValueError(f"grid stands in for a batch of one, got {batch.size} cells")
+    vs = batch.base.grid(grid_points) if grid is None else grid.v
     out: list[InvestmentSolution | None] = [None] * batch.size
     solved = _grid_passes(batch, vs, grid, skip_invalid)
     if solved is not None:
@@ -363,13 +368,36 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None, skip_
     return np.concatenate(solved), _joined(passes), _joined(flips)
 
 
+def _bisect(f, shared: bool, lo, hi, f_lo, f_hi):
+    """:func:`~twinvest.optimize.bisect_bracket` of arrays of brackets.
+
+    The brackets of a shared batch (a single model) are bisected one by
+    one with float calls instead, which for its few brackets is cheaper
+    than numpy; both give the same bits.
+    """
+    if not shared:
+        return bisect_bracket(f, lo, hi, f_lo, f_hi)
+    ends = [bisect_bracket(f, *bracket) for bracket in zip(*(x.tolist() for x in (lo, hi, f_lo, f_hi)))]
+    return np.array(ends).reshape(-1, 2).T
+
+
+def _refine_max(f, shared: bool, candidates, lo, hi):
+    """:func:`~twinvest.optimize.refine_max` of arrays of brackets; for a
+    shared batch one float call per bracket, as in :func:`_bisect`."""
+    if not shared:
+        return refine_max(f, candidates, lo, hi)
+    columns = [list(zip(x.tolist(), y.tolist())) for x, y in candidates]
+    best = [refine_max(f, c, a, b) for *c, a, b in zip(*columns, lo.tolist(), hi.tolist())]
+    return np.array(best).reshape(-1, 2).T
+
+
 def _refine(
     batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
 ) -> list[InvestmentSolution]:
     """Refine every cell of ``batch`` from its grid pass ``p`` and sign
     flips ``flips``, in lockstep."""
     n, last = batch.size, len(vs) - 1
-    pointwise = batch.shared
+    shared = batch.shared
     feas = np.flatnonzero(p.feasible)
     left = feas[p.jl[feas] > 0]
     right = feas[p.jr[feas] < last]
@@ -379,13 +407,13 @@ def _refine(
     a, b, roots = vs[p.jl], vs[p.jr], np.empty(0)
     owner = np.concatenate([flips.cell, left, right])
     if len(owner):
-        lo, hi = bisect_bracket(
+        lo, hi = _bisect(
             _objective(batch, owner, retention_margin),
+            shared,
             np.concatenate([vs[flips.i], vs[p.jl[left] - 1], vs[p.jr[right]]]),
             np.concatenate([vs[flips.i + 1], vs[p.jl[left]], vs[p.jr[right] + 1]]),
             np.concatenate([flips.lo, p.margin_jl_out[left], p.margin_jr[right]]),
             np.concatenate([flips.hi, p.margin_jl[left], p.margin_jr_out[right]]),
-            pointwise=pointwise,
         )
         k, ends = len(flips.i), len(flips.i) + len(left)
         roots = 0.5 * (lo[:k] + hi[:k])
@@ -395,24 +423,24 @@ def _refine(
     # Golden-section refinements: the unconstrained argmax of every cell in
     # its neighbour bracket, then the feasible argmax of every feasible cell
     # in its feasible interval [a, b].
-    v_unc, _ = refine_max(
+    v_unc, _ = _refine_max(
         _objective(batch, np.arange(n), _rent),
+        shared,
         [(vs[p.i_star], p.u_star)],
         vs[np.maximum(p.i_star - 1, 0)],
         vs[np.minimum(p.i_star + 1, last)],
-        pointwise=pointwise,
     )
     m = len(feas)
     twice = np.concatenate([feas, feas])
     a, b = a[feas], b[feas]
     u_ab = _objective(batch, twice, _rent)(np.concatenate([a, b]))
     x_j, u_j = vs[p.j[feas]], p.u_j[feas]
-    v_opt, u_opt = refine_max(
+    v_opt, u_opt = _refine_max(
         _objective(batch, feas, _rent),
+        shared,
         [(x_j, u_j), (a, u_ab[:m]), (b, u_ab[m:])],
         a,
         b,
-        pointwise=pointwise,
     )
     margins = _objective(batch, twice, retention_margin)(np.concatenate([v_opt, v_unc[feas]]))
     # refinement strayed into an infeasible dip between grid points

@@ -19,13 +19,8 @@ its cells this way.
 
 The objective is called with an array holding one point per bracket;
 brackets that have stopped keep their last point there and their values
-are dropped.  With ``pointwise`` (implied for scalar brackets) the
-brackets are instead searched one after another, the objective called
-with one float at a time.  That gives the same results and is cheaper for
-a few brackets whose objective does not depend on the bracket, such as the
-refinements of a single model, because numpy's cost per call then
-outweighs its cost per element.  Given scalars, the helpers return what
-the scalar search returns.
+are dropped.  Given scalars, the helpers call the objective with one
+float at a time and return what the scalar search returns.
 """
 
 from __future__ import annotations
@@ -52,20 +47,15 @@ def _drive(f: Callable, search: Search) -> tuple:
         return stop.value
 
 
-def _lockstep(f: Callable, searches: list[Search], starts: list[float], pointwise: bool):
+def _lockstep(f: Callable, searches: list[Search], starts: list[float]):
     """Run ``searches`` together; the pairs they return, as two arrays.
 
     Each step evaluates ``f`` once at the points all live searches ask
     for, as described in the module docstring.  ``starts`` gives each
     search's point before its first request (a point of its bracket, so
-    in the objective's domain).  With ``pointwise`` the searches run one
-    after another on floats instead.
+    in the objective's domain).
     """
     found = np.empty((2, len(searches)))
-    if pointwise:
-        for k, search in enumerate(searches):
-            found[:, k] = _drive(f, search)
-        return found[0], found[1]
     xs = list(starts)
     live = []
     for k, search in enumerate(searches):
@@ -91,6 +81,8 @@ def _lockstep(f: Callable, searches: list[Search], starts: list[float], pointwis
 
 
 def _is_scalar(a) -> bool:
+    if isinstance(a, (float, int)):  # np.ndim is slow on these, the scalar path's usual types
+        return True
     return a.ndim == 0 if isinstance(a, np.ndarray) else np.ndim(a) == 0
 
 
@@ -109,12 +101,12 @@ def _lanes(*args):
     return [[a] * math.prod(shape) if s else next(lanes) for a, s in zip(args, scalar)], shape
 
 
-def _run(f: Callable, searches: list[Search], starts: list[float], shape, pointwise: bool):
+def _run(f: Callable, searches: list[Search], starts: list[float], shape):
     """The searches' results: the one search's as is when ``shape`` is
     None, else two arrays of ``shape``."""
     if shape is None:
         return _drive(f, searches[0])
-    x, y = _lockstep(f, searches, starts, pointwise)
+    x, y = _lockstep(f, searches, starts)
     return x.reshape(shape), y.reshape(shape)
 
 
@@ -151,7 +143,6 @@ def golden_section_max(
     b,
     xtol: float = 1e-10,
     max_iter=200,
-    pointwise: bool = False,
 ) -> tuple:
     """Maximize a unimodal ``f`` on ``[a, b]``; returns ``(x, f(x))``.
 
@@ -160,14 +151,20 @@ def golden_section_max(
     """
     (a, b, cap), shape = _lanes(a, b, max_iter)
     searches = [_golden_search(lo, hi, xtol, n) for lo, hi, n in zip(a, b, cap)]
-    return _run(f, searches, a, shape, pointwise)
+    return _run(f, searches, a, shape)
+
+
+def _better(x, fx, best_x, best_f):
+    """Whether ``(x, fx)`` beats ``(best_x, best_f)``: a larger value, ties
+    toward the smaller ``x``; element by element on arrays."""
+    return (fx > best_f) | ((fx == best_f) & (x < best_x))
 
 
 def max_candidate(candidates: list[tuple[float, float]]) -> tuple[float, float]:
     """Pick the candidate with the largest value, ties toward smaller x."""
     best_x, best_f = candidates[0]
     for x, fx in candidates[1:]:
-        if fx > best_f or (fx == best_f and x < best_x):
+        if _better(x, fx, best_x, best_f):
             best_x, best_f = x, fx
     return best_x, best_f
 
@@ -175,12 +172,11 @@ def max_candidate(candidates: list[tuple[float, float]]) -> tuple[float, float]:
 def _pick(best: tuple, candidate: tuple, where=True) -> tuple:
     """:func:`max_candidate` of ``[best, candidate]`` over arrays, element
     by element, kept to ``best`` where ``where`` is false."""
-    (best_x, best_f), (x, fx) = best, candidate
-    better = ((fx > best_f) | ((fx == best_f) & (x < best_x))) & where
-    return np.where(better, x, best_x), np.where(better, fx, best_f)
+    better = _better(*candidate, *best) & where
+    return np.where(better, candidate[0], best[0]), np.where(better, candidate[1], best[1])
 
 
-def refine_max(f: Callable, candidates: list[tuple], lo, hi, pointwise: bool = False) -> tuple:
+def refine_max(f: Callable, candidates: list[tuple], lo, hi) -> tuple:
     """Best of ``candidates`` and, when ``hi > lo``, of a golden-section
     search of ``f`` on ``[lo, hi]``; ties go to the smaller ``x``.
 
@@ -198,8 +194,7 @@ def refine_max(f: Callable, candidates: list[tuple], lo, hi, pointwise: bool = F
     if not search.any():
         return best
     # an element without a bracket searches the point lo; its result is dropped
-    found = golden_section_max(f, lo, np.where(search, hi, lo), pointwise=pointwise)
-    return _pick(best, found, search)
+    return _pick(best, golden_section_max(f, lo, np.where(search, hi, lo)), search)
 
 
 def refine_grid_max(f: Callable, xs, fs, i) -> tuple:
@@ -240,7 +235,6 @@ def bisect_bracket(
     f_hi=None,
     width_tol: float = 1e-12,
     max_iter=200,
-    pointwise: bool = False,
 ) -> tuple:
     """Shrink a sign-change bracket of ``f`` to ``width_tol``.
 
@@ -256,7 +250,7 @@ def bisect_bracket(
     f_lo = [None] * len(lo) if f_lo is None else next(ends)
     f_hi = [None] * len(lo) if f_hi is None else next(ends)
     searches = [_bisection(*lane, width_tol, n) for *lane, n in zip(lo, hi, f_lo, f_hi, cap)]
-    return _run(f, searches, lo, shape, pointwise)
+    return _run(f, searches, lo, shape)
 
 
 def bisect_root(
@@ -266,8 +260,7 @@ def bisect_root(
     f_lo=None,
     f_hi=None,
     width_tol: float = 1e-12,
-    pointwise: bool = False,
 ):
     """Midpoint of the shrunken sign-change bracket."""
-    a, b = bisect_bracket(f, lo, hi, f_lo, f_hi, width_tol, pointwise=pointwise)
+    a, b = bisect_bracket(f, lo, hi, f_lo, f_hi, width_tol)
     return 0.5 * (a + b)

@@ -170,18 +170,12 @@ class TestLockstep:
         capped = cap == 0
         assert not np.array_equal(xs[capped], golden_section_max(_two_peaks(c, tilt), lo, hi)[0][capped])
 
-    def test_pointwise_equals_array_calls(self, brackets):
+    def test_objective_may_return_one_number_for_all(self, brackets):
         lo, hi, *_ = brackets
-        flat = lambda x: np.cos(0.0 * x)  # noqa: E731 - one objective for every bracket
-        shared = _parabola(0.25)
-        assert np.array_equal(
-            np.array(golden_section_max(shared, lo, hi)),
-            np.array(golden_section_max(shared, lo, hi, pointwise=True)),
-        )
-        assert np.array_equal(
-            np.array(golden_section_max(flat, lo, hi)),
-            np.array(golden_section_max(flat, lo, hi, pointwise=True)),
-        )
+        flat = lambda x: 0.5  # noqa: E731 - the same value at every bracket's point
+        xs, fs = golden_section_max(flat, lo, hi)
+        for k in range(len(lo)):
+            assert (xs[k], fs[k]) == golden_section_max(flat, lo[k], hi[k]), k
 
     def test_exact_ties_go_to_the_smaller_x(self):
         # a flat objective ties every candidate; a symmetric one ties the two ends

@@ -153,6 +153,14 @@ class TestBatchIndependence:
         flips = [c.v_star for c in cells("margin-flips")]
         assert sum(v is not None and 0.0 < v < 1.0 for v in flips) >= 5
 
+    def test_given_grid_only_stands_in_for_a_batch_of_one(self):
+        base = f3()
+        grid = twinvest.model.evaluate_batch_grid(ModelBatch.single(base), base.grid(101))
+        assert solve_batch(ModelBatch.single(base), 101, grid) == [optimal_investment(base, 101)]
+        batch = ModelBatch.sweep(base, {("cost", 1): [0.5, 1.0]})
+        with pytest.raises(ValueError, match="batch of one"):
+            solve_batch(batch, 101, grid)
+
 
 class TestAxisChecks:
     def test_negative_decay_rate_names_the_axis(self):
