@@ -113,12 +113,10 @@ def _objective(batch: ModelBatch, cells, formula):
     cost per call outweighs its cost per element.  Both round alike.
     """
     if batch.shared:
-        def f(v):
-            if isinstance(v, np.ndarray):
-                return np.array([f(x) for x in v.tolist()])
+        def point(v):
             return formula(batch.base, evaluate_batch_values(batch, v))
 
-        return f
+        return lambda v: np.array([point(x) for x in v.tolist()]) if isinstance(v, np.ndarray) else point(v)
     sub = batch.take(cells)
     return lambda v: formula(sub.base, evaluate_batch_values(sub, v))
 
