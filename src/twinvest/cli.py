@@ -15,7 +15,7 @@ stdout.  Identical inputs and seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import sys
 from pathlib import Path
@@ -33,7 +33,7 @@ from .model import (
     validate,
 )
 from .oracle import run_certification
-from .report import format_bool, format_number, format_optional
+from .report import format_bool, format_number, format_optional, format_rows
 from .sweep import SweepAxis, SweepAxisError, regime_sweep
 
 EXIT_OK = 0
@@ -53,7 +53,10 @@ class _InputError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; ``parse_args`` keeps no
+    state between calls."""
     parser = _Parser(prog="twinvest", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -174,11 +177,7 @@ def _solve_grid_csv(model: ModelPrimitives, g: GridEval) -> str:
     the scalar ``surpluses``, ``optimal_contract`` and retention margin."""
     u_gap = checked_information_rent(g)
     columns = (g.v, u_gap, incentive_wage(g), g.pi1 / g.pi0, retention_margin(model, g))
-    out = io.StringIO()
-    out.write("v,agent_surplus,t_bar,outcome_separability,deterrent_margin\n")
-    for row in zip(*(c.tolist() for c in columns)):
-        out.write(",".join(format_number(x) for x in row) + "\n")
-    return out.getvalue()
+    return "v,agent_surplus,t_bar,outcome_separability,deterrent_margin\n" + format_rows(columns)
 
 
 def cmd_solve(args) -> int:

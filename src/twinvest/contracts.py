@@ -211,9 +211,15 @@ def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float
     return with_human - twin_alone_payoff(model, p.pi0)
 
 
+def retention_holds(model: ModelPrimitives, p):
+    """True where the principal (weakly) prefers employing the human, of
+    evaluated primitives, a point or a grid."""
+    return retention_margin(model, p) >= -DEFAULT_TOL
+
+
 def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:
     """True when the principal (weakly) prefers employing the human at ``v``."""
-    return displacement_deterrent_margin(model, v) >= -DEFAULT_TOL
+    return retention_holds(model, evaluate_values(model, v))
 
 
 def should_offer_twin(model: ModelPrimitives, anticipated_v: float) -> bool:

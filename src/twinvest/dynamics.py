@@ -28,19 +28,21 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .contracts import (
     Contract,
     ZERO_CONTRACT,
-    displacement_deterrent_check,
     employed_agent_payoff,
     employed_principal_payoff,
+    incentive_wage,
     optimal_contract,
+    retention_holds,
     twin_alone_payoff,
 )
-from .model import DEFAULT_TOL, DomainError, ModelPrimitives, evaluate
+from .model import DEFAULT_TOL, DomainError, EvaluatedPoint, ModelPrimitives, evaluate
 from .investment import optimal_investment
 from .report import format_bool, format_number
 
@@ -134,28 +136,29 @@ def _employed_record(
     model: ModelPrimitives,
     period: int,
     contract: Contract,
-    v: float,
+    p: EvaluatedPoint,
     effort: EffortLevel,
 ) -> PeriodRecord:
-    p = evaluate(model, v)
+    """An employed period at the investment ``p.v``, whose primitives ``p`` holds."""
     if effort is EffortLevel.HIGH:
         prob, cost = p.pi1, p.cost
     else:
         prob, cost = p.pi0, 0.0
     agent = employed_agent_payoff(prob, contract.t_high, contract.t_low, cost)
     principal = employed_principal_payoff(model, prob, contract.t_high, contract.t_low)
-    return PeriodRecord(period, contract, v, v, effort, True, agent, principal)
+    return PeriodRecord(period, contract, p.v, p.v, effort, True, agent, principal)
 
 
-def _twin_surplus(model: ModelPrimitives, ability: float) -> float:
-    """Principal's expected payoff from the twin alone at training ``ability``."""
-    return twin_alone_payoff(model, float(model.pi0.value(ability)))
+def _twin_surplus(model: ModelPrimitives, ability):
+    """Principal's expected payoff from the twin alone at training ``ability``,
+    a number or an array of them."""
+    return twin_alone_payoff(model, model.pi0.value(ability))
 
 
 def _twin_record(
     model: ModelPrimitives, period: int, v: float, ability: float
 ) -> PeriodRecord:
-    principal = _twin_surplus(model, ability)
+    principal = float(_twin_surplus(model, ability))
     return PeriodRecord(period, ZERO_CONTRACT, v, ability, EffortLevel.LOW, False, 0.0, principal)
 
 
@@ -173,11 +176,34 @@ def myopic_investment(model: ModelPrimitives) -> float:
     return model.v_max
 
 
+def _shirks(offered_contract: Contract, wage: float) -> bool:
+    return offered_contract.spread < wage - DEFAULT_TOL
+
+
 def shirk_check(model: ModelPrimitives, offered_contract: Contract) -> bool:
     """True when the offered spread falls strictly below the incentive wage
     at ``v_max``, making low effort the myopic best response."""
-    wage = optimal_contract(model, model.v_max).t_high
-    return offered_contract.spread < wage - DEFAULT_TOL
+    return _shirks(offered_contract, optimal_contract(model, model.v_max).t_high)
+
+
+class _FullTraining(NamedTuple):
+    """The primitives at ``v_max`` and the play they decide."""
+
+    point: EvaluatedPoint
+    retained: bool
+    offer: Contract
+    effort: EffortLevel  # the myopic agent's period-1 effort against ``offer``
+
+
+def _full_training(model: ModelPrimitives) -> _FullTraining:
+    """Evaluate the primitives at ``v_max`` once and decide retention, the
+    committed offer and the myopic effort from that one evaluation."""
+    p = evaluate(model, model.v_max)
+    wage = incentive_wage(p)
+    retained = retention_holds(model, p)
+    offer = Contract(wage, 0.0) if retained else ZERO_CONTRACT
+    effort = EffortLevel.LOW if _shirks(offer, wage) else EffortLevel.HIGH
+    return _FullTraining(p, retained, offer, effort)
 
 
 def principal_period1_contract(model: ModelPrimitives) -> Contract:
@@ -190,9 +216,7 @@ def principal_period1_contract(model: ModelPrimitives) -> Contract:
     threshold exists below ``v_max``" whenever the retention margin crosses
     zero only once.
     """
-    if displacement_deterrent_check(model, model.v_max):
-        return optimal_contract(model, model.v_max)
-    return ZERO_CONTRACT
+    return _full_training(model).offer
 
 
 def simulate_two_period(
@@ -208,26 +232,19 @@ def simulate_two_period(
     and repeats it; that agent is never displaced.
     """
     if agent is AgentKind.MYOPIC:
-        offer = principal_period1_contract(model)
+        play = _full_training(model)
+        first = _employed_record(model, 1, play.offer, play.point, play.effort)
+        if play.retained:  # the full-training wage again, earned by high effort
+            return TimelineTrace((first, replace(first, period=2)), None, None, discount)
         v = myopic_investment(model)
-        effort1 = EffortLevel.LOW if shirk_check(model, offer) else EffortLevel.HIGH
-        records = [_employed_record(model, 1, offer, v, effort1)]
-        if displacement_deterrent_check(model, v):
-            records.append(_employed_record(model, 2, optimal_contract(model, v), v, EffortLevel.HIGH))
-            displaced = None
-        else:
-            records.append(_twin_record(model, 2, v, v))
-            displaced = 2
-        return TimelineTrace(tuple(records), displaced, None, discount)
+        return TimelineTrace((first, _twin_record(model, 2, v, v)), 2, None, discount)
 
     sol = optimal_investment(model)
     if not sol.feasible:
         raise ValueError("no deterrent-feasible investment; model fails validation")
-    v = sol.v_opt
-    contract = optimal_contract(model, v)
-    records = tuple(
-        _employed_record(model, t, contract, v, EffortLevel.HIGH) for t in (1, 2)
-    )
+    p = evaluate(model, sol.v_opt)
+    contract = Contract(incentive_wage(p), 0.0)
+    records = tuple(_employed_record(model, t, contract, p, EffortLevel.HIGH) for t in (1, 2))
     return TimelineTrace(records, None, None, discount)
 
 
@@ -243,18 +260,18 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _rehire_surplus(model: ModelPrimitives) -> float:
-    """Principal surplus from employing the agent at full training."""
-    p = evaluate(model, model.v_max)
-    contract = optimal_contract(model, model.v_max)
-    return employed_principal_payoff(model, p.pi1, contract.t_high, contract.t_low)
+def _rehire_surplus(model: ModelPrimitives, p: EvaluatedPoint) -> float:
+    """Principal surplus from employing the agent at full training, whose
+    primitives ``p`` holds, under the optimal contract."""
+    return employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)
 
 
 def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     """Retention test when one untrained period degrades the twin to
     ``alpha * v_max``; ties retain the agent."""
     alpha = _check_alpha(alpha)
-    return _rehire_surplus(model) - _twin_surplus(model, alpha * model.v_max) >= -DEFAULT_TOL
+    rehire = _rehire_surplus(model, evaluate(model, model.v_max))
+    return bool(rehire - _twin_surplus(model, alpha * model.v_max) >= -DEFAULT_TOL)
 
 
 def rehire_cycle_length(
@@ -269,16 +286,28 @@ def rehire_cycle_length(
     or ``None`` when displacement never happens in the first place (the
     cycle question is moot) or no such ``n`` exists within ``horizon``
     (a twin that never degrades enough, e.g. constant ``pi0``).
+
+    The abilities are scanned in chunks of 16, 64, 256, 1024 and then 4096
+    periods (the last one cut at ``horizon``), each evaluated in one array
+    call; the cap keeps the memory of a chunk bounded whatever the
+    horizon.  A chunk's abilities come from ``np.multiply.accumulate``, a
+    left fold with the bits of ``ability *= alpha`` repeated, so the result
+    is the same as testing each ``n`` in turn with scalar arithmetic.
     """
     alpha = _check_alpha(alpha)
-    if displacement_deterrent_check(model, model.v_max):
+    play = _full_training(model)
+    if play.retained:
         return None
-    rehire = _rehire_surplus(model)
-    ability = model.v_max
-    for n in range(1, int(horizon) + 1):
-        ability *= alpha
-        if _twin_surplus(model, ability) - rehire < DEFAULT_TOL:
-            return n
+    rehire = _rehire_surplus(model, play.point)
+    horizon = int(horizon)
+    ability, done, size = model.v_max, 0, 16
+    while done < horizon:
+        size = min(size, horizon - done)
+        abilities = np.multiply.accumulate(np.r_[ability, np.full(size, alpha)])[1:]
+        hits = np.flatnonzero(_twin_surplus(model, abilities) - rehire < DEFAULT_TOL)
+        if hits.size:
+            return done + int(hits[0]) + 1
+        ability, done, size = abilities[-1], done + size, min(4 * size, 4096)
     return None
 
 
@@ -301,24 +330,21 @@ def simulate_cycles(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    retained = displacement_deterrent_check(model, model.v_max)
-    offer = principal_period1_contract(model)
+    play = _full_training(model)
     v = model.v_max
 
     # every employed period of a trace is the same record but for its period
-    if retained:
-        employed = _employed_record(model, 1, offer, v, EffortLevel.HIGH)
+    employed = _employed_record(model, 1, play.offer, play.point, play.effort)
+    if play.retained:
         records = tuple(replace(employed, period=t) for t in range(1, horizon + 1))
         return TimelineTrace(records, None, None, discount)
 
     n = rehire_cycle_length(model, alpha)
-    effort_retrain = EffortLevel.LOW if shirk_check(model, offer) else EffortLevel.HIGH
-    retrain = _employed_record(model, 1, offer, v, effort_retrain)
     records: list[PeriodRecord] = []
     period = 1
     displaced_at: int | None = None
     while period <= horizon:
-        records.append(replace(retrain, period=period))
+        records.append(replace(employed, period=period))
         period += 1
         k = 0
         while period <= horizon and (n is None or k < n):

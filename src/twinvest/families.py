@@ -25,7 +25,6 @@ includes 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -149,8 +148,3 @@ class ParametricFamily:
         coeffs = list(self.coefficients)
         coeffs[index] = float(value)
         return ParametricFamily(self.kind, tuple(coeffs))
-
-
-def family_from_fields(kind: str, coefficients: Iterable[float]) -> ParametricFamily:
-    """Build a family from loosely typed config fields."""
-    return ParametricFamily(str(kind), tuple(float(c) for c in coefficients))

@@ -67,10 +67,3 @@ def f5() -> ContinuousEffortModel:
 
 
 DISCRETE_FIXTURES = {"f1": f1, "f2": f2, "f3": f3, "f4": f4}
-
-
-def fixture_model(name: str) -> ModelPrimitives:
-    try:
-        return DISCRETE_FIXTURES[name.lower()]()
-    except KeyError:
-        raise ValueError(f"unknown fixture {name!r}; expected one of {sorted(DISCRETE_FIXTURES)}")

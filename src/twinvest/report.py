@@ -7,9 +7,19 @@ byte-identical files.
 
 from __future__ import annotations
 
+# The one number format; ``"%.12g" % x`` and ``f"{x:.12g}"`` give the same text.
+NUMBER_FORMAT = "%.12g"
+
 
 def format_number(x: float) -> str:
-    return f"{float(x):.12g}"
+    return NUMBER_FORMAT % float(x)
+
+
+def format_rows(columns) -> str:
+    """CSV lines, one per row of equal-length numeric ``columns`` (arrays),
+    each value written as :func:`format_number` writes it."""
+    line = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
+    return "".join([line % row for row in zip(*(c.tolist() for c in columns))])
 
 
 def format_optional(x: float | None) -> str:

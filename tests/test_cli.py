@@ -283,3 +283,23 @@ class TestArgumentErrors:
 
     def test_unreadable_model_path(self, capsys):
         assert main(["solve", "--model", "/nonexistent/nowhere.json"]) == 1
+
+
+class TestParserReuse:
+    def test_cached_parser_keeps_no_state_between_calls(self, model_file, capsys):
+        from twinvest.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        path = model_file(f2())
+        assert main(["simulate", "--model", path, "--alpha", "0.5", "--horizon", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert main(["simulate", "--model", path]) == 0
+        captured = capsys.readouterr()
+        assert "cycle_length=none" in captured.err
+        rows = captured.out.splitlines()
+        assert len(rows) == 3 and rows[2].startswith("2,false,low")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", path, "--alpha"])
+        assert exc.value.code == 1
+        assert main(["simulate", "--model", path, "--agent", "strategic"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3

@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 import twinvest.model
-from twinvest.contracts import Contract, optimal_contract
+from twinvest.contracts import (
+    Contract,
+    displacement_deterrent_check,
+    incentive_wage,
+    optimal_contract,
+)
 from twinvest.dynamics import (
     AgentKind,
     EffortLevel,
+    _rehire_surplus,
+    _twin_surplus,
     degradation_deterrent_check,
     myopic_investment,
     principal_period1_contract,
@@ -21,7 +28,7 @@ from twinvest.dynamics import (
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import optimal_investment
-from twinvest.model import DomainError, ModelPrimitives, evaluate_grid
+from twinvest.model import DEFAULT_TOL, DomainError, ModelPrimitives, evaluate, evaluate_grid
 from twinvest.optimize import bisect_root
 from twinvest.sampling import random_models
 
@@ -30,6 +37,28 @@ def displaced_constant_pi0_model() -> ModelPrimitives:
     # high constant standalone performance: displacement without degradation relief
     return ModelPrimitives(F.constant(0.55), F.affine(0.7, 0.1),
                            F.affine(0.2, -0.1), 1.0, 0.85, 0.0)
+
+
+def count_calls(monkeypatch, *functions):
+    """Rebind every twinvest binding of ``functions`` to a counting wrapper;
+    returns the list that collects one entry per call."""
+    calls = []
+
+    def counting(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapper
+
+    for real in functions:
+        wrapper = counting(real)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twinvest"):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return calls
 
 
 class TestMyopicChoices:
@@ -126,6 +155,14 @@ class TestTwoPeriod:
         trace = simulate_two_period(f1(), AgentKind.MYOPIC, discount=0.95)
         assert trace.discount == 0.95
 
+    @pytest.mark.parametrize("model", [f1, f2])
+    def test_myopic_evaluates_primitives_once(self, monkeypatch, model):
+        # retained (f1) or displaced (f2): one evaluation at v_max serves
+        # the offer, the shirk check, retention and both records
+        calls = count_calls(monkeypatch, twinvest.model.evaluate, twinvest.model.evaluate_values)
+        simulate_two_period(model(), AgentKind.MYOPIC)
+        assert calls == ["evaluate"]
+
 
 class TestDegradation:
     def test_f2_half_persistence_retains_agent(self):
@@ -219,18 +256,7 @@ class TestRehireCycles:
     @pytest.mark.parametrize("model, alpha", [(f1, 0.8), (f2, 0.99)])
     def test_primitives_evaluated_once_per_trace(self, monkeypatch, model, alpha):
         # every employed period repeats one record; only twin periods differ
-        real = twinvest.model.evaluate
-        calls = []
-
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("twinvest"):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, counting)
+        calls = count_calls(monkeypatch, twinvest.model.evaluate)
         counts = []
         for horizon in (3, 12):
             calls.clear()
@@ -246,6 +272,77 @@ class TestRehireCycles:
                 assert r.contract == Contract(0.0, 0.0)
                 assert r.effort is EffortLevel.LOW
                 assert r.agent_expected_payoff == 0.0
+
+
+def scalar_cycle_length(model, alpha, horizon=10_000):
+    """Reference for the chunked scan: one scalar ``_twin_surplus`` call per
+    period, the ability decayed by ``ability *= alpha``."""
+    if displacement_deterrent_check(model, model.v_max):
+        return None
+    rehire = _rehire_surplus(model, evaluate(model, model.v_max))
+    ability = model.v_max
+    for n in range(1, horizon + 1):
+        ability *= alpha
+        if _twin_surplus(model, ability) - rehire < DEFAULT_TOL:
+            return n
+    return None
+
+
+def restaked_models(count, seed):
+    """Random models with the stake drawn between the retention thresholds of
+    a fully trained and a fully degraded twin: displaced at ``v_max``, and
+    rehired once the twin has decayed far enough (unless ``pi0`` is flat)."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for model in random_models(count, seed):
+        p = evaluate(model, model.v_max)
+        wage = incentive_wage(p)
+        low = p.pi1 * wage / (p.pi1 - float(model.pi0.value(0.0)))
+        high = p.pi1 * wage / (p.pi1 - p.pi0)
+        stake = low + (high - low) * rng.uniform()
+        models.append(dataclasses.replace(model, s_high=model.s_low + stake))
+    return models
+
+
+class TestChunkedRehireScan:
+    # chunks of 16, 64, 256, 1024, 4096, 4096 periods end after period 16,
+    # 80, 336, 1360, 5456 and 9552
+    ALPHAS = (0.3, 0.9, 0.99, 0.999, 0.9999)
+
+    def test_drawn_models_match_scalar_loop(self):
+        lengths = []
+        for model in restaked_models(40, 5):
+            for alpha in self.ALPHAS:
+                expected = scalar_cycle_length(model, alpha)
+                assert rehire_cycle_length(model, alpha) == expected, (model, alpha)
+                lengths.append(expected)
+        found = [n for n in lengths if n is not None]
+        # cycles end in every chunk, and some draws never rehire
+        assert None in lengths and min(found) == 1 and max(found) > 9552
+
+    def test_cycle_at_the_horizon_edge(self):
+        # the cycle ends one period before, at, and one period after the horizon
+        for model in restaked_models(40, 5)[:15]:
+            for alpha in self.ALPHAS:
+                n = scalar_cycle_length(model, alpha)
+                if n is None:
+                    continue
+                assert rehire_cycle_length(model, alpha, n - 1) is None
+                for horizon in (n, n + 1):
+                    assert rehire_cycle_length(model, alpha, horizon) == n
+
+    @pytest.mark.parametrize("horizon", [0, 1, 15, 17, 79, 81, 100, 337, 2000, 9553])
+    def test_horizons_that_are_not_chunk_sizes(self, horizon):
+        for model in restaked_models(40, 5)[:10]:
+            for alpha in self.ALPHAS:
+                expected = scalar_cycle_length(model, alpha, horizon)
+                assert rehire_cycle_length(model, alpha, horizon) == expected
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.9, 0.9999])
+    def test_constant_pi0_scans_the_whole_horizon(self, alpha):
+        model = displaced_constant_pi0_model()
+        assert scalar_cycle_length(model, alpha) is None
+        assert rehire_cycle_length(model, alpha) is None
 
 
 class TestSampling:
