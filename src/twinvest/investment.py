@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .contracts import (
-    displacement_deterrent_margin,
     incentive_wage,
     information_rent,
     principal_payoff,
@@ -43,7 +42,7 @@ from .model import (
     evaluate_batch_values,
     evaluate_model_grid,
 )
-from .optimize import bisect_bracket, bisect_root, refine_max
+from .optimize import bisect_bracket, refine_max
 
 
 class RegimeLabel(enum.Enum):
@@ -116,20 +115,13 @@ def _objective(batch: ModelBatch, cells, formula):
         def point(v):
             return formula(batch.base, evaluate_batch_values(batch, v))
 
-        return lambda v: np.array([point(x) for x in v.tolist()]) if isinstance(v, np.ndarray) else point(v)
+        return lambda v: np.array([point(x) for x in v.tolist()]) if type(v) is np.ndarray else point(v)
     sub = batch.take(cells)
     return lambda v: formula(sub.base, evaluate_batch_values(sub, v))
 
 
 def _rent(model, p):
     return information_rent(p)
-
-
-def _sign_flips(margin):
-    """Indices ``i`` (with the cell row first on a block) where the
-    retention margin changes sign between grid points ``i`` and ``i+1``."""
-    nonneg = margin >= 0.0
-    return np.nonzero(nonneg[..., :-1] != nonneg[..., 1:])
 
 
 def deterrent_sign_change_roots(
@@ -143,18 +135,11 @@ def deterrent_sign_change_roots(
     only the smallest one; with arbitrary families the feasible set can be
     a union of intervals and every boundary is of interest.
 
-    The margin on the grid comes from one :func:`evaluate_grid` pass (or
-    ``grid``, when the caller already holds it) through the same formula
-    as :func:`displacement_deterrent_margin`, so it equals the scalar
-    margin bit for bit.  Each bracket where the sign flips is then
-    bisected on the scalar margin.
+    The roots of :func:`optimal_investment` (``grid``, when the caller
+    already holds the model's grid): each grid bracket where the margin's
+    sign flips, bisected to the midpoint of its shrunken bracket.
     """
-    g = evaluate_model_grid(model, grid_points, grid)
-    vs = g.v
-    margin = retention_margin(model, g)
-    f = lambda v: displacement_deterrent_margin(model, v)
-    (flips,) = _sign_flips(margin)
-    return [bisect_root(f, vs[i], vs[i + 1], margin[i], margin[i + 1]) for i in flips]
+    return list(optimal_investment(model, grid_points, grid).deterrent_roots)
 
 
 def displacement_threshold(
@@ -164,13 +149,11 @@ def displacement_threshold(
 
     Returns ``None`` when the margin stays nonnegative on the whole range
     (no displacement risk) and ``0.0`` when it is already negative at zero
-    investment (the twin dominates immediately).  Roots are found by
-    bisection; the bracket is shrunk until the residual is far below 1e-10.
+    investment (the twin dominates immediately).  This is the threshold of
+    :func:`optimal_investment`: its roots are found by bisection, which
+    shrinks each bracket until the residual is far below 1e-10.
     """
-    if displacement_deterrent_margin(model, 0.0) < 0.0:
-        return 0.0
-    roots = deterrent_sign_change_roots(model, grid_points)
-    return roots[0] if roots else None
+    return optimal_investment(model, grid_points).displacement_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +262,8 @@ def _retention_flips(batch: ModelBatch, g: GridEval) -> tuple[np.ndarray, _Flips
     """Per cell of a block, whether the retention margin is negative at
     ``v = 0``; and the block's sign flips of the margin."""
     retention = retention_margin(batch.base, g)
-    cell, i = _sign_flips(retention)
+    nonneg = retention >= 0.0
+    cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
     return retention[:, 0] < 0.0, _Flips(cell, i, retention[cell, i], retention[cell, i + 1])
 
 
@@ -320,8 +304,11 @@ def solve_batch(
     one).  The rent, the feasibility margins, the displacement threshold
     with every sign-change root of the margin, and the regime rates come
     from it.  Then every bisection, and after it every golden-section
-    search, of all cells runs in lockstep (a single model's run one by one,
-    on floats); each cell's result is exactly the one it gets alone.  With
+    search, of all cells runs as one array search of
+    :mod:`~twinvest.optimize`, which evaluates the objective once per step
+    for all of them.  A single model's few brackets run one by one instead,
+    through the same searches on floats.  Each cell's result is exactly the
+    one it gets alone.  With
     ``skip_invalid`` each block's cells are first validated on the same
     grid (:func:`~twinvest.model.batch_validity`) and an invalid cell is
     returned as None without entering the solve.
@@ -366,36 +353,34 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None, skip_
     return np.concatenate(solved), _joined(passes), _joined(flips)
 
 
-def _bisect(f, shared: bool, lo, hi, f_lo, f_hi):
-    """:func:`~twinvest.optimize.bisect_bracket` of arrays of brackets.
+def _search(search, batch: ModelBatch, cells, formula, *columns):
+    """``search`` (a search of :mod:`twinvest.optimize`) of one bracket per
+    listed cell on the objective of ``formula`` there; ``columns`` are its
+    arguments after the objective, an array each.
 
-    The brackets of a shared batch (a single model) are bisected one by
-    one with float calls instead, which for its few brackets is cheaper
-    than numpy; both give the same bits.
+    The brackets of a shared batch (a single model) are searched one by one
+    with float calls instead, which for its few brackets is cheaper than
+    numpy; both give the same bits.
     """
-    if not shared:
-        return bisect_bracket(f, lo, hi, f_lo, f_hi)
-    ends = [bisect_bracket(f, *bracket) for bracket in zip(*(x.tolist() for x in (lo, hi, f_lo, f_hi)))]
-    return np.array(ends).reshape(-1, 2).T
+    f = _objective(batch, cells, formula)
+    if not batch.shared:
+        return search(f, *columns)
+    found = [search(f, *row) for row in zip(*(c.tolist() for c in columns))]
+    return np.array(found).reshape(-1, 2).T
 
 
-def _refine_max(f, shared: bool, candidates, lo, hi):
-    """:func:`~twinvest.optimize.refine_max` of arrays of brackets; for a
-    shared batch one float call per bracket, as in :func:`_bisect`."""
-    if not shared:
-        return refine_max(f, candidates, lo, hi)
-    columns = [list(zip(x.tolist(), y.tolist())) for x, y in candidates]
-    best = [refine_max(f, c, a, b) for *c, a, b in zip(*columns, lo.tolist(), hi.tolist())]
-    return np.array(best).reshape(-1, 2).T
+def _refine_columns(f, lo, hi, *candidates):
+    """:func:`~twinvest.optimize.refine_max` with the candidates given as
+    columns ``x, f(x), x, f(x), ...``."""
+    return refine_max(f, list(zip(candidates[::2], candidates[1::2])), lo, hi)
 
 
 def _refine(
     batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
 ) -> list[InvestmentSolution]:
     """Refine every cell of ``batch`` from its grid pass ``p`` and sign
-    flips ``flips``, in lockstep."""
+    flips ``flips``, all cells in each search together."""
     n, last = batch.size, len(vs) - 1
-    shared = batch.shared
     feas = np.flatnonzero(p.feasible)
     left = feas[p.jl[feas] > 0]
     right = feas[p.jr[feas] < last]
@@ -405,9 +390,11 @@ def _refine(
     a, b, roots = vs[p.jl], vs[p.jr], np.empty(0)
     owner = np.concatenate([flips.cell, left, right])
     if len(owner):
-        lo, hi = _bisect(
-            _objective(batch, owner, retention_margin),
-            shared,
+        lo, hi = _search(
+            bisect_bracket,
+            batch,
+            owner,
+            retention_margin,
             np.concatenate([vs[flips.i], vs[p.jl[left] - 1], vs[p.jr[right]]]),
             np.concatenate([vs[flips.i + 1], vs[p.jl[left]], vs[p.jr[right] + 1]]),
             np.concatenate([flips.lo, p.margin_jl_out[left], p.margin_jr[right]]),
@@ -421,25 +408,14 @@ def _refine(
     # Golden-section refinements: the unconstrained argmax of every cell in
     # its neighbour bracket, then the feasible argmax of every feasible cell
     # in its feasible interval [a, b].
-    v_unc, _ = _refine_max(
-        _objective(batch, np.arange(n), _rent),
-        shared,
-        [(vs[p.i_star], p.u_star)],
-        vs[np.maximum(p.i_star - 1, 0)],
-        vs[np.minimum(p.i_star + 1, last)],
-    )
+    bracket = vs[np.maximum(p.i_star - 1, 0)], vs[np.minimum(p.i_star + 1, last)]
+    v_unc, _ = _search(_refine_columns, batch, np.arange(n), _rent, *bracket, vs[p.i_star], p.u_star)
     m = len(feas)
     twice = np.concatenate([feas, feas])
     a, b = a[feas], b[feas]
     u_ab = _objective(batch, twice, _rent)(np.concatenate([a, b]))
     x_j, u_j = vs[p.j[feas]], p.u_j[feas]
-    v_opt, u_opt = _refine_max(
-        _objective(batch, feas, _rent),
-        shared,
-        [(x_j, u_j), (a, u_ab[:m]), (b, u_ab[m:])],
-        a,
-        b,
-    )
+    v_opt, u_opt = _search(_refine_columns, batch, feas, _rent, a, b, x_j, u_j, a, u_ab[:m], b, u_ab[m:])
     margins = _objective(batch, twice, retention_margin)(np.concatenate([v_opt, v_unc[feas]]))
     # refinement strayed into an infeasible dip between grid points
     strayed = margins[:m] < -DEFAULT_TOL

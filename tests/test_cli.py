@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +305,26 @@ class TestParserReuse:
         assert exc.value.code == 1
         assert main(["simulate", "--model", path, "--agent", "strategic"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedOutputBytes:
+    """The shipped configs' outputs, byte for byte, pinned by digest."""
+
+    def test_f3_sweep_csv(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        assert main(["sweep", "--model", str(CONFIGS / "f3.json"), "--out", str(out)]) == 0
+        assert sha256(out.read_bytes()) == "d115970a3870af58776ef4cf0f2c8ef161c64f471667e8fbe8f814dbe1c821e6"
+
+    def test_f2_solve_summary_and_grid_csv(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert main(["solve", "--model", str(CONFIGS / "f2.json"), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert sha256(stdout.encode("utf-8")) == "69de078607d25c47d6313fe0064bd973ecba70a73e305197060c69ce3a29bf60"
+        assert sha256(out.read_bytes()) == "78e56fbcf71b1d61198655c24a0d516f0a4c6b175b0ba5831ca8d0d00dcea9d2"

@@ -29,7 +29,7 @@ from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import optimal_investment
 from twinvest.model import DEFAULT_TOL, DomainError, ModelPrimitives, evaluate, evaluate_grid
-from twinvest.optimize import bisect_root
+from twinvest.optimize import bisect_bracket
 from twinvest.sampling import random_models
 
 
@@ -189,17 +189,21 @@ class TestDegradation:
         # the degraded retention margin crosses zero later than the plain
         # one; with strong enough degradation it never crosses at all
         model = f2()
-        plain = bisect_root(
-            lambda v: _retention_margin(model, v, v), 0.0, 1.0, width_tol=1e-12
-        )
+        plain = _midpoint_root(lambda v: _retention_margin(model, v, v))
         for alpha in (0.6, 0.9, 0.99, 0.999):
             degraded_margin = lambda v: _retention_margin(model, v, alpha * v)
             if degraded_margin(1.0) >= 0.0:
                 continue  # retained on the whole range: threshold beyond v_max
-            degraded = bisect_root(degraded_margin, 0.0, 1.0, width_tol=1e-12)
+            degraded = _midpoint_root(degraded_margin)
             assert degraded > plain
         # alpha close to 1 must leave a genuine root in range
         assert _retention_margin(model, 1.0, 0.999) < 0.0
+
+
+def _midpoint_root(f):
+    """Midpoint of the sign-change bracket ``[0, 1]`` of ``f`` shrunk to 1e-12."""
+    lo, hi = bisect_bracket(f, 0.0, 1.0, width_tol=1e-12)
+    return 0.5 * (lo + hi)
 
 
 def _retention_margin(model, v, twin_ability):

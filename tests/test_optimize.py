@@ -5,7 +5,6 @@ import pytest
 
 from twinvest.optimize import (
     bisect_bracket,
-    bisect_root,
     golden_section_max,
     max_candidate,
     refine_grid_max,
@@ -36,13 +35,12 @@ class TestGoldenSection:
     def test_empty_bracket_rejected(self):
         with pytest.raises(ValueError, match="empty bracket"):
             golden_section_max(math.sin, 1.0, 0.0)
+        # an array call names the first empty bracket, by its own ends
+        with pytest.raises(ValueError, match=r"^empty bracket \[1\.0, 0\.0\]$"):
+            golden_section_max(np.sin, np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.0, 1.0]))
 
 
 class TestBisection:
-    def test_finds_root(self):
-        root = bisect_root(lambda x: x - 0.25, 0.0, 1.0)
-        assert root == pytest.approx(0.25, abs=1e-12)
-
     def test_orientation_preserved(self):
         f = lambda x: 0.5 - x  # positive at lo, negative at hi
         lo, hi = bisect_bracket(f, 0.0, 1.0, width_tol=1e-12)
@@ -56,6 +54,12 @@ class TestBisection:
     def test_no_sign_change_rejected(self):
         with pytest.raises(ValueError, match="no sign change"):
             bisect_bracket(lambda x: 1.0 + x, 0.0, 1.0)
+        # an array call names the first bracket without one, by its own ends and values
+        lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match=r"^no sign change on \[0\.0, 1\.0\]: f=0\.5, 1\.5$"):
+            bisect_bracket(lambda x: x + 0.5, lo, hi)
+        with pytest.raises(ValueError, match=r"^no sign change on \[0\.0, 1\.0\]: f=0\.5, 1\.5$"):
+            bisect_bracket(lambda x: x + 0.5, lo, hi, lo + 0.5, hi + 0.5)
 
 
 def test_max_candidate_ties_toward_smaller_x():
@@ -249,3 +253,95 @@ class TestLockstep:
     def test_bisection_rejects_any_bracket_without_sign_change(self):
         with pytest.raises(ValueError, match="no sign change"):
             bisect_bracket(lambda x: x + 0.5, np.array([-1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the plain one-bracket algorithms, written as while loops
+# ---------------------------------------------------------------------------
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_golden(f, a, b, xtol=1e-10, max_iter=200):
+    """Golden-section search of one bracket; the best of the ends, the
+    last interior points and the final midpoint, ties to the smaller x."""
+    lo, hi = a, b
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1 = f(x1)
+    f2 = f(x2)
+    it = 0
+    while hi - lo > xtol and it < max_iter:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+        it += 1
+    fa = f(a)
+    fb = f(b)
+    mid = 0.5 * (lo + hi)
+    best_x, best_f = a, fa
+    for x, fx in [(b, fb), (x1, f1), (x2, f2), (mid, f(mid))]:
+        if fx > best_f or (fx == best_f and x < best_x):
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def reference_bisection(f, lo, hi, width_tol=1e-12, max_iter=200):
+    """Bisection of one sign-change bracket, keeping each end's sign."""
+    f_lo = f(lo)
+    f_hi = f(hi)
+    if f_lo == 0.0:
+        return lo, lo
+    if f_hi == 0.0:
+        return hi, hi
+    assert (f_lo > 0.0) != (f_hi > 0.0)
+    it = 0
+    while hi - lo > width_tol and it < max_iter:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid, mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        it += 1
+    return lo, hi
+
+
+class TestAgainstReference:
+    """Scalar and array calls both equal the plain while loops, x and f."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_golden(self, brackets, capped):
+        lo, hi, c, tilt, cap = brackets
+        caps = cap if capped else np.full(len(lo), 200)
+        xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi, max_iter=caps)
+        for k in range(len(lo)):
+            f = _two_peaks(float(c[k]), float(tilt[k]))
+            expected = reference_golden(f, float(lo[k]), float(hi[k]), max_iter=int(caps[k]))
+            assert golden_section_max(f, lo[k], hi[k], max_iter=int(caps[k])) == expected, k
+            assert (xs[k], fs[k]) == expected, k
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    def test_bisection(self, brackets, capped, orientation):
+        lo, hi, c, _, cap = brackets
+        caps = cap if capped else np.full(len(lo), 200)
+        # roots clipped into each bracket, so some sit exactly on an end
+        root = np.clip(c, lo, hi)
+
+        def margin(r):
+            return lambda x: orientation * (r - x) * (2.0 + x)
+
+        out = bisect_bracket(margin(root), lo, hi, max_iter=caps)
+        for k in range(len(lo)):
+            f = margin(float(root[k]))
+            expected = reference_bisection(f, float(lo[k]), float(hi[k]), max_iter=int(caps[k]))
+            assert bisect_bracket(f, lo[k], hi[k], max_iter=int(caps[k])) == expected, k
+            assert (out[0][k], out[1][k]) == expected, k
