@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_TOL, ModelPrimitives, evaluate, evaluate_values
+from .model import DEFAULT_TOL, ModelPrimitives, evaluate, inducement_terms
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def outcome_separability(model: ModelPrimitives, v: float) -> float:
 
 
 # The four formulas below take any evaluated primitives with ``pi0``,
-# ``pi1`` and ``cost`` fields: one point (``evaluate``/``evaluate_values``)
-# or a whole grid (``evaluate_grid``).  Scalar and grid paths share them, so
-# both round identically.
+# ``pi1`` and ``cost`` fields: one point (``evaluate``) or a whole grid
+# (``evaluate_grid``).  Scalar and grid paths share them, so both round
+# identically.
 
 
 def incentive_wage(p):
@@ -137,12 +137,12 @@ def optimal_contract(model: ModelPrimitives, v: float) -> Contract:
 
 def agent_surplus(model: ModelPrimitives, v: float) -> float:
     """Information rent ``U(v) = pi0*cost/(pi1-pi0)`` under the optimal contract."""
-    return information_rent(evaluate_values(model, v))
+    return information_rent(evaluate(model, v))
 
 
 def principal_surplus(model: ModelPrimitives, v: float) -> float:
     """Expected principal payoff under the optimal effort-inducing contract."""
-    return principal_payoff(model, evaluate_values(model, v))
+    return principal_payoff(model, evaluate(model, v))
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,8 @@ def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
 def effort_inducement_check(model: ModelPrimitives, v: float) -> bool:
     """True when inducing high effort pays: incremental outcome gain covers the wage."""
     p = evaluate(model, v)
-    gap = p.pi1 - p.pi0
-    lhs = gap * model.quality_importance
-    rhs = p.pi1 * p.cost / gap
-    return lhs - rhs >= -DEFAULT_TOL
+    gain, wage = inducement_terms(model, p.pi0, p.pi1, p.cost)
+    return gain - wage >= -DEFAULT_TOL
 
 
 def social_total_surplus(model: ModelPrimitives, v: float) -> float:
@@ -196,7 +194,7 @@ def displacement_deterrent_margin(model: ModelPrimitives, v: float) -> float:
     investment level at which running the twin alone starts to beat
     contracting with its trainer.
     """
-    return retention_margin(model, evaluate_values(model, v))
+    return retention_margin(model, evaluate(model, v))
 
 
 def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float:
@@ -219,7 +217,7 @@ def retention_holds(model: ModelPrimitives, p):
 
 def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:
     """True when the principal (weakly) prefers employing the human at ``v``."""
-    return retention_holds(model, evaluate_values(model, v))
+    return retention_holds(model, evaluate(model, v))
 
 
 def should_offer_twin(model: ModelPrimitives, anticipated_v: float) -> bool:

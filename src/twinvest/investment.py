@@ -81,9 +81,7 @@ def _regime_codes(g: GridEval):
 
 
 def classify_regime(
-    model: ModelPrimitives,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid: GridEval | None = None,
+    model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS
 ) -> RegimeLabel:
     """Classify the unconstrained-optimum regime via the sufficient conditions.
 
@@ -91,10 +89,8 @@ def classify_regime(
     strict condition hold and resolve toward
     :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising separability
     everywhere forces the no-investment label on its own.
-    ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
-    result when the caller already holds it.
     """
-    return _REGIMES[int(_regime_codes(evaluate_model_grid(model, grid_points, grid)))]
+    return _REGIMES[int(_regime_codes(evaluate_model_grid(model, grid_points)))]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +121,7 @@ def _rent(model, p):
 
 
 def deterrent_sign_change_roots(
-    model: ModelPrimitives,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid: GridEval | None = None,
+    model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[float]:
     """All sign-change roots of the retention margin on ``(0, v_max)``.
 
@@ -135,11 +129,10 @@ def deterrent_sign_change_roots(
     only the smallest one; with arbitrary families the feasible set can be
     a union of intervals and every boundary is of interest.
 
-    The roots of :func:`optimal_investment` (``grid``, when the caller
-    already holds the model's grid): each grid bracket where the margin's
-    sign flips, bisected to the midpoint of its shrunken bracket.
+    The roots of :func:`optimal_investment`: each grid bracket where the
+    margin's sign flips, bisected to the midpoint of its shrunken bracket.
     """
-    return list(optimal_investment(model, grid_points, grid).deterrent_roots)
+    return list(optimal_investment(model, grid_points).deterrent_roots)
 
 
 def displacement_threshold(
@@ -205,9 +198,8 @@ class _GridPass(NamedTuple):
     """What the grid pass keeps of each solved cell, O(cells) in all.
 
     ``i_star`` is the rent argmax and ``j`` the feasible one, inside the
-    feasible run ``[jl, jr]`` of grid points; the ``margin_*`` fields are
-    the feasibility margins at ``jl - 1``, ``jl``, ``jr`` and ``jr + 1``
-    (clipped to the grid).
+    feasible run ``[jl, jr]`` of grid points.  The run's ends are refined
+    from the margin's sign flips next to them (:class:`_Flips`).
     """
 
     regime: np.ndarray
@@ -219,10 +211,6 @@ class _GridPass(NamedTuple):
     u_j: np.ndarray
     jl: np.ndarray
     jr: np.ndarray
-    margin_jl_out: np.ndarray
-    margin_jl: np.ndarray
-    margin_jr: np.ndarray
-    margin_jr_out: np.ndarray
 
 
 class _Flips(NamedTuple):
@@ -237,10 +225,9 @@ class _Flips(NamedTuple):
 
 def _feasible_run(batch: ModelBatch, g: GridEval, us: np.ndarray):
     """Per cell of a block: whether any grid point is feasible, the best
-    feasible point ``j`` and its rent, the feasible run ``[jl, jr]`` around
-    it and the margins at its ends (see :class:`_GridPass`)."""
+    feasible point ``j`` and its rent, and the feasible run ``[jl, jr]``
+    around it (see :class:`_GridPass`)."""
     n, size = us.shape
-    rows = np.arange(n)
     margins = batch.base.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
     feasible = margins >= -DEFAULT_TOL
     infeasible = ~feasible
@@ -251,11 +238,7 @@ def _feasible_run(batch: ModelBatch, g: GridEval, us: np.ndarray):
     gap_right = infeasible & (cols > j[:, None])
     jl = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
     jr = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
-    return (
-        feasible.any(axis=1), j, us[rows, j], jl, jr,
-        margins[rows, np.maximum(jl - 1, 0)], margins[rows, jl],
-        margins[rows, jr], margins[rows, np.minimum(jr + 1, size - 1)],
-    )
+    return feasible.any(axis=1), j, us[np.arange(n), j], jl, jr
 
 
 def _retention_flips(batch: ModelBatch, g: GridEval) -> tuple[np.ndarray, _Flips]:
@@ -292,10 +275,13 @@ def solve_batch(
 
     Grid-first bracketing handles non-quasiconcave objectives; the best
     bracket is then refined by golden-section.  For the constrained part the
-    feasible grid points are filtered by the retention margin, the best one
-    is refined inside its containing feasible interval, and the interval
-    endpoints are located by bisection on the margin so the returned point
-    is feasible by construction.  Both refinements are
+    feasible grid points are filtered by the retention margin and the best
+    one is refined inside its containing feasible interval.  Each sign flip
+    of the margin is bisected once, for the roots; an interval end next to
+    a flip is that bisection's end on the feasible side, so the returned
+    point is feasible by construction, and an end with no flip beside it
+    (its margin within ``DEFAULT_TOL`` below zero) stays at its grid point.
+    Both refinements are
     :func:`~twinvest.optimize.refine_max`.  Ties break toward smaller ``v``,
     and feasibility allows a margin down to ``-DEFAULT_TOL``.
 
@@ -380,36 +366,32 @@ def _refine(
 ) -> list[InvestmentSolution]:
     """Refine every cell of ``batch`` from its grid pass ``p`` and sign
     flips ``flips``, all cells in each search together."""
-    n, last = batch.size, len(vs) - 1
-    feas = np.flatnonzero(p.feasible)
-    left = feas[p.jl[feas] > 0]
-    right = feas[p.jr[feas] < last]
+    n, size = batch.size, len(vs)
 
-    # One bisection on the retention margin: every sign flip, then the
-    # inner ends of the feasible runs.
+    # One bisection on the retention margin, of every sign flip.  An end of
+    # a feasible run [jl, jr] next to a flip moves to that flip's bisected
+    # end on the run's side, which keeps the margin nonnegative; an end
+    # with no flip beside it (its margin within DEFAULT_TOL below zero)
+    # stays at its grid point.
     a, b, roots = vs[p.jl], vs[p.jr], np.empty(0)
-    owner = np.concatenate([flips.cell, left, right])
-    if len(owner):
+    if len(flips.cell):
         lo, hi = _search(
-            bisect_bracket,
-            batch,
-            owner,
-            retention_margin,
-            np.concatenate([vs[flips.i], vs[p.jl[left] - 1], vs[p.jr[right]]]),
-            np.concatenate([vs[flips.i + 1], vs[p.jl[left]], vs[p.jr[right] + 1]]),
-            np.concatenate([flips.lo, p.margin_jl_out[left], p.margin_jr[right]]),
-            np.concatenate([flips.hi, p.margin_jl[left], p.margin_jr_out[right]]),
+            bisect_bracket, batch, flips.cell, retention_margin, vs[flips.i], vs[flips.i + 1], flips.lo, flips.hi
         )
-        k, ends = len(flips.i), len(flips.i) + len(left)
-        roots = 0.5 * (lo[:k] + hi[:k])
-        a[left] = hi[k:ends]
-        b[right] = lo[ends:]
+        roots = 0.5 * (lo + hi)
+        keys = flips.cell * size + flips.i  # ascending: np.nonzero is row-major
+        for ends, i, bisected in ((a, p.jl - 1, hi), (b, p.jr, lo)):
+            key = np.arange(n) * size + i  # i = -1 or size - 1, a grid end, matches no flip
+            k = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            beside = keys[k] == key
+            ends[beside] = bisected[k[beside]]
 
     # Golden-section refinements: the unconstrained argmax of every cell in
     # its neighbour bracket, then the feasible argmax of every feasible cell
     # in its feasible interval [a, b].
-    bracket = vs[np.maximum(p.i_star - 1, 0)], vs[np.minimum(p.i_star + 1, last)]
+    bracket = vs[np.maximum(p.i_star - 1, 0)], vs[np.minimum(p.i_star + 1, size - 1)]
     v_unc, _ = _search(_refine_columns, batch, np.arange(n), _rent, *bracket, vs[p.i_star], p.u_star)
+    feas = np.flatnonzero(p.feasible)
     m = len(feas)
     twice = np.concatenate([feas, feas])
     a, b = a[feas], b[feas]

@@ -173,25 +173,11 @@ class GridEval(NamedTuple):
 
 
 class PrimitiveValues(NamedTuple):
-    """Primitive values at one ``v`` without derivatives, for value-only objectives."""
+    """Primitive values without derivatives, for value-only objectives."""
 
     pi0: float
     pi1: float
     cost: float
-
-
-def evaluate_values(model: ModelPrimitives, v: float) -> PrimitiveValues:
-    """Evaluate the primitives (not their derivatives) at ``v``.
-
-    Same values and same :class:`DomainError` as :func:`evaluate`; the
-    refinement objectives call it hundreds of times per solve.
-    """
-    v = model.check_domain(v)
-    return PrimitiveValues(
-        pi0=float(model.pi0.value(v)),
-        pi1=float(model.pi1.value(v)),
-        cost=float(model.cost.value(v)),
-    )
 
 
 def evaluate(model: ModelPrimitives, v: float) -> EvaluatedPoint:
@@ -263,7 +249,7 @@ def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> PrimitiveValues:
     """Primitive values at one investment per cell (``v`` has one entry per
     cell; when no coefficient varies it may also be a float), with the
     array domain check of :meth:`ModelPrimitives.check_domain`; element
-    for element the values of :func:`evaluate_values`."""
+    for element the values of :func:`evaluate`."""
     v = batch.base.check_domain(v)
     (k0, c0), (k1, c1), (k2, c2) = batch.families
     return PrimitiveValues(family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
@@ -328,11 +314,13 @@ def _assumption_checks(g: GridEval):
     yield "cost-nonincreasing", g.dcost > DEFAULT_TOL, "cost slope must be <= 0"
 
 
-def _baseline_viability(model, pi0, pi1, cost):
+def inducement_terms(model, pi0, pi1, cost):
     """Effort gain ``(pi1-pi0)*(s_high-s_low)`` and expected wage
-    ``pi1*cost/(pi1-pi0)`` at zero investment, a point or per cell."""
-    gap0 = pi1 - pi0
-    return gap0 * model.quality_importance, pi1 * cost / gap0
+    ``pi1*cost/(pi1-pi0)`` of inducing high effort, of primitive values at
+    a point or in arrays.  Inducing effort pays when the gain covers the
+    wage; each caller compares them under its own tie rule."""
+    gap = pi1 - pi0
+    return gap * model.quality_importance, pi1 * cost / gap
 
 
 def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
@@ -347,7 +335,7 @@ def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
     for _, bad, _ in _assumption_checks(g):
         ok &= ~bad.any(axis=-1)
     rows = np.flatnonzero(ok)
-    lhs, rhs = _baseline_viability(batch.base, g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0])
+    lhs, rhs = inducement_terms(batch.base, g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0])
     ok[rows] = ~(lhs - rhs < -DEFAULT_TOL)
     return ok
 
@@ -402,7 +390,7 @@ def validate(
         if bad.any():
             return report(condition, float(g.v[_first_index(bad)]), detail)
 
-    lhs, rhs = _baseline_viability(model, g.pi0[0], g.pi1[0], g.cost[0])
+    lhs, rhs = inducement_terms(model, g.pi0[0], g.pi1[0], g.cost[0])
     if lhs - rhs < -DEFAULT_TOL:
         return report(
             "baseline-contracting-viability", 0.0,

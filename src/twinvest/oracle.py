@@ -367,14 +367,12 @@ class _Certifier:
         )
 
 
-def certify_contract(
-    cases: list[tuple[str, ModelPrimitives, float]], payment_step: float = 1e-3
-) -> OracleReport:
+def certify_contract(cases: list[tuple[str, ModelPrimitives, float]]) -> OracleReport:
     """Analytic wage vs. exhaustive payment enumeration, per (model, v)."""
-    cert = _Certifier("optimal_contract", 0.0, payment_step + 1e-9)
+    cert = _Certifier("optimal_contract", 0.0, 1e-3 + 1e-9)
     for name, model, v in cases:
         analytic = optimal_contract(model, v)
-        enumerated = brute_force_contract(model, v, payment_step)
+        enumerated = brute_force_contract(model, v, 1e-3)
         if enumerated is None:
             cert.mismatch(f"{name} v={v:g}", str(analytic), "no feasible pair")
             continue
@@ -391,10 +389,7 @@ def certify_contract(
 
 
 def certify_investment(
-    cases: list[tuple[str, ModelPrimitives]],
-    step: float = 1e-4,
-    v_tol: float = 1e-3,
-    value_tol: float = 1e-9,
+    cases: list[tuple[str, ModelPrimitives]], step: float = 1e-4
 ) -> OracleReport:
     """Constrained solver optimum vs. deterrent-filtered grid argmax.
 
@@ -404,7 +399,7 @@ def certify_investment(
     refined solver legitimately beats the grid by a first-order margin and
     a symmetric tolerance would be meaningless.
     """
-    cert = _Certifier("optimal_investment", v_tol, value_tol)
+    cert = _Certifier("optimal_investment", 1e-3, 1e-9)
     for name, model in cases:
         sol = optimal_investment(model)
         found = brute_force_investment(model, step, enforce_deterrent=True)
@@ -498,20 +493,14 @@ def _traces_agree(analytic: TimelineTrace, oracle: TimelineTrace, v_tol, pay_tol
     return True, ""
 
 
-def certify_two_period(
-    cases: list[tuple[str, ModelPrimitives]],
-    v_step: float = 1e-3,
-    payment_step: float = 1e-3,
-    v_tol: float = 2e-3,
-    pay_tol: float = 5e-3,
-) -> OracleReport:
+def certify_two_period(cases: list[tuple[str, ModelPrimitives]]) -> OracleReport:
     """Game simulation vs. backward-induction enumeration, both agent kinds."""
-    cert = _Certifier("simulate_two_period", v_tol, pay_tol)
+    cert = _Certifier("simulate_two_period", 2e-3, 5e-3)
     for name, model in cases:
         for kind in (AgentKind.MYOPIC, AgentKind.STRATEGIC):
             analytic = simulate_two_period(model, kind)
-            oracle = brute_force_two_period(model, kind, v_step, payment_step)
-            ok, why = _traces_agree(analytic, oracle, v_tol, pay_tol)
+            oracle = brute_force_two_period(model, kind, 1e-3, 1e-3)
+            ok, why = _traces_agree(analytic, oracle, cert.v_tol, cert.value_tol)
             if ok:
                 cert.match()
             else:
@@ -534,17 +523,15 @@ def _trace_brief(trace: TimelineTrace) -> str:
 def certify_continuous(
     cases: list[tuple[str, ContinuousEffortModel]],
     step: float = 1e-4,
-    e_tol: float = 1e-4,
-    foc_tol: float = 1e-10,
     seed: int = 0,
 ) -> OracleReport:
     """Stationarity of induced contracts plus optimizer-vs-grid agreement."""
-    cert = _Certifier("principal_optimal_effort", e_tol, 1e-6)
+    cert = _Certifier("principal_optimal_effort", 1e-4, 1e-6)
     rng = np.random.default_rng(seed)
     for name, cmodel in cases:
         for e in rng.uniform(cmodel.e_min, cmodel.e_max, size=3):
             residual = foc_residual(cmodel, float(e), contract_for_effort(cmodel, float(e)))
-            if abs(residual) > foc_tol:
+            if abs(residual) > 1e-10:
                 cert.mismatch(f"{name} e={e:.6g}", f"residual={residual:.3e}", "0")
             else:
                 cert.match()

@@ -22,7 +22,7 @@ import numpy as np
 from .contracts import displacement_deterrent_margin_raw
 from .continuous import ContinuousEffortModel, validate_continuous
 from .families import ParametricFamily as F
-from .model import GridEval, ModelPrimitives, evaluate_model_grid, validate
+from .model import GridEval, ModelPrimitives, evaluate_model_grid, inducement_terms, validate
 
 _GENERATION_LIMIT = 10_000
 
@@ -61,8 +61,8 @@ def _cost_family(rng: np.random.Generator) -> F:
 
 
 def _inducement_everywhere(model: ModelPrimitives, g: GridEval) -> bool:
-    gap = g.pi1 - g.pi0
-    return bool(np.all(gap * model.quality_importance >= g.pi1 * g.cost / gap))
+    gain, wage = inducement_terms(model, g.pi0, g.pi1, g.cost)
+    return bool(np.all(gain >= wage))
 
 
 def random_model(

@@ -49,7 +49,7 @@ def test_criterion_01_contract_certification():
         for name, model in [("f1", f1()), ("f2", f2()), ("f3", f3()), ("f4", f4())]
         for v in (0.0, model.v_max / 2.0, model.v_max)
     ]
-    cert = certify_contract(cases, payment_step=1e-3)
+    cert = certify_contract(cases)
     elapsed = time.perf_counter() - start
     report(
         1,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -108,9 +109,12 @@ class TestSolve:
         capsys.readouterr()
         assert len(calls) == 1
 
-    def test_invalid_model_exit_code(self, model_file, capsys):
-        import dataclasses
+    def test_near_tie_run_end_solves(self, model_file, capsys):
+        # a feasible run ending within DEFAULT_TOL below a zero margin
+        assert main(["solve", "--model", model_file(dataclasses.replace(f2(), s_high=0.736842105262958))]) == 0
+        assert "v_opt=0.6\n" in capsys.readouterr().out
 
+    def test_invalid_model_exit_code(self, model_file, capsys):
         path = model_file(dataclasses.replace(f1(), s_high=0.5))
         assert main(["solve", "--model", path]) == 2
 
@@ -328,3 +332,12 @@ class TestPinnedOutputBytes:
         stdout = capsys.readouterr().out
         assert sha256(stdout.encode("utf-8")) == "69de078607d25c47d6313fe0064bd973ecba70a73e305197060c69ce3a29bf60"
         assert sha256(out.read_bytes()) == "78e56fbcf71b1d61198655c24a0d516f0a4c6b175b0ba5831ca8d0d00dcea9d2"
+
+    def test_fixture_verify_report_and_json(self, tmp_path, capsys):
+        # pins the solvers' bits as the oracles print them, and the
+        # certification tolerances written into the JSON
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--models", "0", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert sha256(stdout.encode("utf-8")) == "aba19116d84b3ecd2624018804bf14a620e71e42f07640cc3245740eeb37e727"
+        assert sha256(out.read_bytes()) == "9ac9522846b34c81806a8d5106affc40beb07a0d57198ed6f661f72db88f96fc"

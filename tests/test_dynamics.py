@@ -159,7 +159,7 @@ class TestTwoPeriod:
     def test_myopic_evaluates_primitives_once(self, monkeypatch, model):
         # retained (f1) or displaced (f2): one evaluation at v_max serves
         # the offer, the shirk check, retention and both records
-        calls = count_calls(monkeypatch, twinvest.model.evaluate, twinvest.model.evaluate_values)
+        calls = count_calls(monkeypatch, twinvest.model.evaluate)
         simulate_two_period(model(), AgentKind.MYOPIC)
         assert calls == ["evaluate"]
 

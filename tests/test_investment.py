@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import twinvest.investment
 from twinvest.contracts import (
     agent_surplus,
     displacement_deterrent_check,
@@ -23,6 +24,8 @@ from twinvest.investment import (
     wage_slope_diagnostics,
 )
 from twinvest.model import DomainError, ModelPrimitives, evaluate_grid, evaluate_model_grid
+from twinvest.optimize import bisect_bracket
+from twinvest.oracle import brute_force_investment
 from twinvest.sampling import random_models
 
 
@@ -38,6 +41,13 @@ def f2_threshold_closed_form() -> float:
     # the bisection path).
     disc = math.sqrt(0.12**2 - 4.0 * 0.044 * 0.0725)
     return (0.12 - disc) / (2.0 * 0.044)
+
+
+def near_tie_f2() -> ModelPrimitives:
+    # f2 with the stake at which the feasibility margin at v = 0.6 lies
+    # within DEFAULT_TOL below zero: 0.6 ends the feasible run, and no sign
+    # flip of the retention margin sits beside it
+    return dataclasses.replace(f2(), s_high=0.736842105262958)
 
 
 def f3_interior_closed_form() -> tuple[float, float]:
@@ -105,6 +115,26 @@ class TestOptimalInvestment:
         assert not sol.feasible
         assert sol.v_opt is None and sol.u_at_opt is None
         assert not sol.deterrent_binding
+
+    def test_near_tie_run_end_stays_at_its_grid_point(self):
+        model = near_tie_f2()
+        sol = optimal_investment(model)
+        assert (sol.v_opt, sol.u_at_opt) == brute_force_investment(model, 1e-4, enforce_deterrent=True)
+        assert sol.deterrent_binding
+
+    def test_one_bisection_per_root(self, monkeypatch):
+        # the feasible run's ends reuse the roots' bisections
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return bisect_bracket(*args, **kwargs)
+
+        monkeypatch.setattr(twinvest.investment, "bisect_bracket", counting)
+        for model in exactness_models():
+            calls.clear()
+            sol = optimal_investment(model)
+            assert len(calls) == len(sol.deterrent_roots)
 
     def test_caller_grid_gives_the_same_solution(self):
         for model in exactness_models()[:20]:

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 import twinvest.investment
@@ -152,6 +153,14 @@ class TestBatchIndependence:
         assert INVALID_LABEL in mixed and set(mixed) - {INVALID_LABEL}
         flips = [c.v_star for c in cells("margin-flips")]
         assert sum(v is not None and 0.0 < v < 1.0 for v in flips) >= 5
+
+    def test_near_tie_cell_solves_with_its_neighbours(self):
+        # the middle cell's feasible run ends at a grid point whose margin
+        # lies within DEFAULT_TOL below zero, with no sign flip beside it
+        costs = np.array([0.2, 0.22150000000001, 0.19])
+        batch = solve_batch(ModelBatch.sweep(f2(), {("cost", 0): costs}))
+        for cost, sol in zip(costs.tolist(), batch):
+            assert sol == optimal_investment(f2().with_coefficient("cost", 0, cost))
 
     def test_given_grid_only_stands_in_for_a_batch_of_one(self):
         base = f3()
