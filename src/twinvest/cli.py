@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,8 +119,8 @@ def _check_positive(name, value, allow_none=True):
         if allow_none:
             return
         raise _InputError(f"--{name} is required")
-    if value <= 0:
-        raise _InputError(f"--{name} must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise _InputError(f"--{name} must be a positive finite number, got {value}")
 
 
 def _grid_size(args) -> int:

@@ -120,6 +120,20 @@ def _rent(model, p):
     return information_rent(p)
 
 
+def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[float]]:
+    """Whether the retention margin is negative at ``v = 0``, and its roots:
+    the solve's grid pass and bisection of the margin alone, without the
+    rent refinements."""
+    batch = ModelBatch.single(model)
+    vs = batch.base.grid(grid_points)
+    displaced_at_zero, flips = _retention_flips(batch, evaluate_batch_grid(batch, vs))
+    return bool(displaced_at_zero[0]), _bisect_flips(batch, vs, flips)[2].tolist()
+
+
+def _threshold(displaced_at_zero: bool, roots) -> float | None:
+    return 0.0 if displaced_at_zero else (roots[0] if len(roots) else None)
+
+
 def deterrent_sign_change_roots(
     model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[float]:
@@ -132,7 +146,7 @@ def deterrent_sign_change_roots(
     The roots of :func:`optimal_investment`: each grid bracket where the
     margin's sign flips, bisected to the midpoint of its shrunken bracket.
     """
-    return list(optimal_investment(model, grid_points).deterrent_roots)
+    return _margin_roots(model, grid_points)[1]
 
 
 def displacement_threshold(
@@ -146,7 +160,7 @@ def displacement_threshold(
     :func:`optimal_investment`: its roots are found by bisection, which
     shrinks each bracket until the residual is far below 1e-10.
     """
-    return optimal_investment(model, grid_points).displacement_threshold
+    return _threshold(*_margin_roots(model, grid_points))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +369,18 @@ def _search(search, batch: ModelBatch, cells, formula, *columns):
     return np.array(found).reshape(-1, 2).T
 
 
+def _bisect_flips(batch: ModelBatch, vs: np.ndarray, flips: _Flips):
+    """One bisection on the retention margin of every sign flip: the
+    shrunken brackets' ends ``lo`` and ``hi``, and the roots, their
+    midpoints."""
+    if not len(flips.cell):
+        return np.empty(0), np.empty(0), np.empty(0)
+    lo, hi = _search(
+        bisect_bracket, batch, flips.cell, retention_margin, vs[flips.i], vs[flips.i + 1], flips.lo, flips.hi
+    )
+    return lo, hi, 0.5 * (lo + hi)
+
+
 def _refine_columns(f, lo, hi, *candidates):
     """:func:`~twinvest.optimize.refine_max` with the candidates given as
     columns ``x, f(x), x, f(x), ...``."""
@@ -368,17 +394,13 @@ def _refine(
     flips ``flips``, all cells in each search together."""
     n, size = batch.size, len(vs)
 
-    # One bisection on the retention margin, of every sign flip.  An end of
-    # a feasible run [jl, jr] next to a flip moves to that flip's bisected
-    # end on the run's side, which keeps the margin nonnegative; an end
-    # with no flip beside it (its margin within DEFAULT_TOL below zero)
-    # stays at its grid point.
-    a, b, roots = vs[p.jl], vs[p.jr], np.empty(0)
+    # An end of a feasible run [jl, jr] next to a sign flip moves to that
+    # flip's bisected end on the run's side, which keeps the margin
+    # nonnegative; an end with no flip beside it (its margin within
+    # DEFAULT_TOL below zero) stays at its grid point.
+    a, b = vs[p.jl], vs[p.jr]
+    lo, hi, roots = _bisect_flips(batch, vs, flips)
     if len(flips.cell):
-        lo, hi = _search(
-            bisect_bracket, batch, flips.cell, retention_margin, vs[flips.i], vs[flips.i + 1], flips.lo, flips.hi
-        )
-        roots = 0.5 * (lo + hi)
         keys = flips.cell * size + flips.i  # ascending: np.nonzero is row-major
         for ends, i, bisected in ((a, p.jl - 1, hi), (b, p.jr, lo)):
             key = np.arange(n) * size + i  # i = -1 or size - 1, a grid end, matches no flip
@@ -418,7 +440,7 @@ def _refine(
             regime=_REGIMES[code],
             v_star_unconstrained=v_star,
             v_opt=v,
-            displacement_threshold=0.0 if at_zero else (cell_roots[0] if cell_roots else None),
+            displacement_threshold=_threshold(at_zero, cell_roots),
             deterrent_binding=bound,
             u_at_opt=u,
             principal_surplus_at_opt=principal_at_opt,

@@ -10,9 +10,15 @@ The payment enumeration is still exhaustive: every pair on the grid is
 evaluated with the raw two-sided expressions.  It is streamed through
 small row blocks, with the one-dimensional factors computed once per call
 and every two-dimensional step written in place, so that the temporaries
-stay in cache.  Each pair gets the same element-wise arithmetic as one
-broadcast over the whole grid, so values, the feasibility mask and the
-tie rule are unchanged.
+stay in cache.  Each row-plus-column sum ``high[j] + low[i]`` of a block
+is one matrix product of ``[1, low]`` and ``[high; 1]``
+(:func:`_outer_sum_factors`), which BLAS writes faster than numpy's
+broadcast add.  Both of its products are exact and the sum starts from an
+exact zero, so it is rounded once, to the broadcast add's value, however
+BLAS orders or fuses the terms; only the sign of an exact-zero sum may
+differ, and no comparison or ``argmax`` tells ``+0.0`` from ``-0.0``.  So
+each pair's values, the feasibility mask and the tie rule are those of
+one broadcast over the whole grid.
 
 Ties break deterministically: smaller investment, smaller payments, and
 the effort-inducing/human-retaining option on exact payoff ties.
@@ -47,9 +53,22 @@ from .sampling import random_continuous_models, random_models
 
 _TIE_TOL = 1e-12
 # Rows of t_low per block of the payment enumeration.  16 rows of a
-# 1e-3 grid on [0, 2] keep each float temporary near 256 KB, inside a 2 MB
-# per-core L2 cache; the block size changes speed only, never a result.
+# 1e-3 grid on [0, 2] keep each float temporary near 256 KB; with the six
+# rank-2 factors (32 KB each) the working set stays near 1 MB, inside a
+# 2 MB per-core L2 cache.  The block size changes speed only, never a result.
 _CHUNK_ROWS = 16
+
+
+def _outer_sum_factors(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``left = [1, low]`` (``n x 2``) and ``right = [high; 1]`` (``2 x n``),
+    whose product is the sum ``high[None, :] + low[:, None]``, rounded as
+    that broadcast add rounds it (see the module docstring).
+
+    A row slice ``left[a:b] @ right`` gives rows ``a:b`` of the sum, and
+    writing it with ``np.matmul(..., out=block)`` never reads ``block``.
+    """
+    ones = np.ones_like(high)
+    return np.column_stack((ones, low)), np.stack((high, ones))
 
 
 def _investment_grid(v_max: float, step: float) -> np.ndarray:
@@ -97,6 +116,14 @@ def brute_force_contract(
     principal-surplus maximizer among those satisfying participation and
     incentive compatibility in their raw two-sided form.
 
+    The enumeration is exhaustive: every pair on the grid is evaluated.
+    Each of the three sums below, a term in ``t_high`` plus a term in
+    ``t_low``, is formed per block of rows as a rank-2 matrix product
+    (:func:`_outer_sum_factors`); its two products are exact, so the sum is
+    rounded once and equals the broadcast add ``high[None, :] +
+    low[:, None]`` up to the sign of an exact zero, which no comparison
+    sees.
+
     ``None`` when no pair on the grid induces effort (wage above the grid).
     """
     p = evaluate(model, v)
@@ -104,14 +131,13 @@ def brute_force_contract(
     num = max(int(math.ceil(top / payment_step)), 1) + 1
     payments = np.linspace(0.0, top, num)
 
-    # One-dimensional factors of the raw expressions; pair (i, j) has
+    # Factors of the raw expressions' sums; pair (i, j) has
     # t_low = payments[i] and t_high = payments[j].
-    high_pay1 = p.pi1 * payments
-    low_pay1 = (1.0 - p.pi1) * payments
-    high_pay0 = p.pi0 * payments
-    low_pay0 = (1.0 - p.pi0) * payments
-    high_keep = p.pi1 * (model.s_high - payments)
-    low_keep = (1.0 - p.pi1) * (model.s_low - payments)
+    left1, right1 = _outer_sum_factors(p.pi1 * payments, (1.0 - p.pi1) * payments)
+    left0, right0 = _outer_sum_factors(p.pi0 * payments, (1.0 - p.pi0) * payments)
+    left_keep, right_keep = _outer_sum_factors(
+        p.pi1 * (model.s_high - payments), (1.0 - p.pi1) * (model.s_low - payments)
+    )
 
     rows = min(_CHUNK_ROWS, num)
     agent_high = np.empty((rows, num))
@@ -127,17 +153,17 @@ def brute_force_contract(
         ah, al, s = agent_high[:n], agent_low[:n], surplus[:n]
         ok, ic = feasible[:n], incentive_ok[:n]
         # agent_high = pi1*t_high + (1-pi1)*t_low - cost
-        np.add(high_pay1, low_pay1[start:stop, np.newaxis], out=ah)
+        np.matmul(left1[start:stop], right1, out=ah)
         np.subtract(ah, p.cost, out=ah)
         # agent_low = pi0*t_high + (1-pi0)*t_low
-        np.add(high_pay0, low_pay0[start:stop, np.newaxis], out=al)
+        np.matmul(left0[start:stop], right0, out=al)
         # participation and incentive compatibility, both two-sided
         np.subtract(ah, al, out=al)
         np.greater_equal(ah, -_TIE_TOL, out=ok)
         np.greater_equal(al, -_TIE_TOL, out=ic)
         np.logical_and(ok, ic, out=ok)
         # surplus = pi1*(s_high - t_high) + (1-pi1)*(s_low - t_low), -inf if infeasible
-        np.add(high_keep, low_keep[start:stop, np.newaxis], out=s)
+        np.matmul(left_keep[start:stop], right_keep, out=s)
         np.logical_not(ok, out=ok)
         np.copyto(s, -np.inf, where=ok)
         k = int(np.argmax(s))

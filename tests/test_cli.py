@@ -256,6 +256,11 @@ class TestVerify:
         assert main(["verify", "--models", "0"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
+    def test_non_finite_step_rejected(self, step, capsys):
+        assert main(["verify", "--models", "0", f"--step={step}"]) == 1
+        assert f"error: --step must be a positive finite number, got {step}" in capsys.readouterr().err
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify", "--models", "0", "--seed", "3", "--out", str(out)]) == 0

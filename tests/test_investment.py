@@ -4,6 +4,7 @@ import math
 import pytest
 
 import twinvest.investment
+import twinvest.optimize
 from twinvest.contracts import (
     agent_surplus,
     displacement_deterrent_check,
@@ -180,6 +181,20 @@ class TestDisplacementThreshold:
         roots = deterrent_sign_change_roots(f2())
         assert len(roots) == 1
         assert roots[0] == pytest.approx(f2_threshold_closed_form(), abs=1e-8)
+
+    def test_roots_only_run_no_rent_refinement(self, monkeypatch):
+        # the threshold and the roots need the margin's grid pass and its
+        # bisections, not the golden-section searches of the rent
+        expected = [optimal_investment(model) for model in exactness_models()]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("rent refinement called")
+
+        monkeypatch.setattr(twinvest.investment, "refine_max", refused)
+        monkeypatch.setattr(twinvest.optimize, "golden_section_max", refused)
+        for model, sol in zip(exactness_models(), expected):
+            assert deterrent_sign_change_roots(model) == list(sol.deterrent_roots)
+            assert displacement_threshold(model) == sol.displacement_threshold
 
     def test_grid_margin_equals_scalar_margin_exactly(self):
         # the sign-change scan reads the margin off one grid evaluation; it

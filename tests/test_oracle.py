@@ -1,8 +1,10 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import twinvest.oracle as oracle_module
 from twinvest.contracts import Contract
@@ -154,6 +156,49 @@ class TestStreamedContractEnumeration:
             for v in (0.0, model.v_max):
                 found = brute_force_contract(model, v, payment_step=1e-2)
                 assert found == one_shot_contract(model, v, payment_step=1e-2)
+
+
+# Finite floats from 1e-300 to 1e300 in magnitude, with zeros, negatives and
+# subnormals; a sum of two stays below the overflow threshold.
+finite_floats = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300]),
+)
+
+
+@st.composite
+def outer_sum_operands(draw):
+    n = draw(st.integers(1, 40))
+    vector = st.lists(finite_floats, min_size=n, max_size=n)
+    return np.array(draw(vector)), np.array(draw(vector))
+
+
+class TestRankTwoOuterSum:
+    """The enumeration's row-plus-column sums, formed as rank-2 products,
+    equal the broadcast add (``==`` does not see the sign of a zero)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(outer_sum_operands())
+    def test_product_equals_broadcast_add(self, operands):
+        high, low = operands
+        left, right = oracle_module._outer_sum_factors(high, low)
+        assert np.array_equal(left @ right, high[None, :] + low[:, None])
+
+    @settings(max_examples=200, deadline=None)
+    @given(outer_sum_operands(), st.data())
+    def test_row_slice_ignores_what_the_buffer_held(self, operands, data):
+        # the oracle writes each block into a reused buffer, which must not
+        # leak into the product
+        high, low = operands
+        n = len(high)
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        left, right = oracle_module._outer_sum_factors(high, low)
+        buffer = np.full((n, n), np.nan)
+        buffer[::2] = -np.inf
+        block = buffer[: b - a]
+        np.matmul(left[a:b], right, out=block)
+        assert np.array_equal(block, high[None, :] + low[a:b, None])
 
 
 class TestBruteForceEffort:
