@@ -14,7 +14,8 @@ Closed-form derivatives keep differentiation error out of every downstream
 slope comparison, so the only tolerances in the solvers are optimization
 tolerances.  ``value``/``derivative``/``second_derivative`` accept floats or
 numpy arrays and broadcast like ufuncs; ``value`` and ``derivative`` are
-:func:`family_formula`, which also takes per-cell coefficient columns.
+:func:`family_formula`, which also takes per-cell coefficient columns.  A
+grid evaluation takes both at once from :func:`family_value_slope`.
 
 A power family with ``gamma < 1`` has an unbounded derivative at 0; it is
 legal here (the continuous-effort model evaluates it only on an interval
@@ -69,6 +70,22 @@ def family_formula(kind: str, c, v, derivative: bool = False):
                 return c[1] * c[2] * np.power(v, c[2] - 1.0)
         return c[0] + c[1] * np.power(v, c[2])
     return _const_like(v, 0.0 if derivative else c[0])
+
+
+def family_value_slope(kind: str, c, v: np.ndarray):
+    """:func:`family_formula` of the ``kind`` family on the grid ``v``,
+    value and slope.
+
+    An exponential decay's value ``a*exp(-kappa*v)`` and slope
+    ``-kappa*a*exp(-kappa*v)`` are each a scale times ``exp(-kappa*v)``.
+    The scale is the formula at ``v = 0`` (times ``exp(-0.0)``, exactly 1)
+    and the exponential is the unit-scale decay (times exactly 1), so the
+    two share one ``np.exp`` and keep the bits of two calls.
+    """
+    if kind != EXPONENTIAL_DECAY:
+        return family_formula(kind, c, v), family_formula(kind, c, v, True)
+    decay = family_formula(kind, (1.0, c[1]), v)
+    return tuple(family_formula(kind, c, 0.0, derivative) * decay for derivative in (False, True))
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,17 @@ _BLOCK_CELLS = 16
 
 def _regime_codes(g: GridEval):
     """Index into :data:`_REGIMES` of the regime of one model's grid, or of
-    each cell of a block (rows are cells)."""
+    each cell of a block (rows are cells).
+
+    Each "everywhere" condition is decided at the grid's extremum on its
+    side, which fails it exactly when some point does, NaN included (an
+    extremum is NaN when a value is, and NaN fails every comparison)."""
     rate_cost, rate_sep, dq = _rates(g)
     diff = rate_cost - rate_sep  # sign of U'
-    no_investment = np.all(dq > DEFAULT_TOL, axis=-1) | np.all(diff < -DEFAULT_TOL, axis=-1)
-    max_investment = np.all(dq <= DEFAULT_TOL, axis=-1) & np.all(diff > DEFAULT_TOL, axis=-1)
+    dq_low, dq_high = dq.min(axis=-1), dq.max(axis=-1)
+    diff_low, diff_high = diff.min(axis=-1), diff.max(axis=-1)
+    no_investment = (dq_low > DEFAULT_TOL) | (diff_high < -DEFAULT_TOL)
+    max_investment = (dq_high <= DEFAULT_TOL) & (diff_low > DEFAULT_TOL)
     interior = (diff[..., 0] > DEFAULT_TOL) & (diff[..., -1] < -DEFAULT_TOL)
     return np.where(no_investment, 0, np.where(max_investment, 1, np.where(interior, 2, 3)))
 
@@ -126,7 +132,7 @@ def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[
     rent refinements."""
     batch = ModelBatch.single(model)
     vs = batch.base.grid(grid_points)
-    displaced_at_zero, flips = _retention_flips(batch, evaluate_batch_grid(batch, vs))
+    displaced_at_zero, flips = _retention_flips(model, evaluate_batch_grid(batch, vs))
     return bool(displaced_at_zero[0]), _bisect_flips(batch, vs, flips)[2].tolist()
 
 
@@ -237,45 +243,58 @@ class _Flips(NamedTuple):
     hi: np.ndarray
 
 
-def _feasible_run(batch: ModelBatch, g: GridEval, us: np.ndarray):
+def _feasible_run(model: ModelPrimitives, g: GridEval, us: np.ndarray, i_star: np.ndarray):
     """Per cell of a block: whether any grid point is feasible, the best
     feasible point ``j`` and its rent, and the feasible run ``[jl, jr]``
-    around it (see :class:`_GridPass`)."""
+    around it (see :class:`_GridPass`).
+
+    A cell feasible at every point has its rent argmax ``i_star`` for ``j``
+    and the whole grid for its run; only the other cells are searched.
+    """
     n, size = us.shape
-    margins = batch.base.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
-    feasible = margins >= -DEFAULT_TOL
-    infeasible = ~feasible
-    j = np.argmax(np.where(feasible, us, -np.inf), axis=1)
-    # the run ends next to the nearest infeasible points on either side
-    cols = np.arange(size)
-    gap_left = infeasible & (cols < j[:, None])
-    gap_right = infeasible & (cols > j[:, None])
-    jl = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
-    jr = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
-    return feasible.any(axis=1), j, us[np.arange(n), j], jl, jr
+    margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
+    j, jl, jr = i_star.copy(), np.zeros(n, dtype=int), np.full(n, size - 1)
+    any_feasible = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(~(margins.min(axis=1) >= -DEFAULT_TOL))  # NaN is infeasible
+    if len(rows):
+        feasible = margins[rows] >= -DEFAULT_TOL
+        infeasible = ~feasible
+        j[rows] = k = np.argmax(np.where(feasible, us[rows], -np.inf), axis=1)
+        # the run ends next to the nearest infeasible points on either side
+        cols = np.arange(size)
+        gap_left = infeasible & (cols < k[:, None])
+        gap_right = infeasible & (cols > k[:, None])
+        jl[rows] = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
+        jr[rows] = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
+        any_feasible[rows] = feasible.any(axis=1)
+    return any_feasible, j, us[np.arange(n), j], jl, jr
 
 
-def _retention_flips(batch: ModelBatch, g: GridEval) -> tuple[np.ndarray, _Flips]:
-    """Per cell of a block, whether the retention margin is negative at
-    ``v = 0``; and the block's sign flips of the margin."""
-    retention = retention_margin(batch.base, g)
+def _retention_flips(model: ModelPrimitives, g: GridEval) -> tuple[np.ndarray, _Flips]:
+    """Per cell of a block of ``model``'s cells, whether the retention margin
+    is negative at ``v = 0``; and the block's sign flips of the margin."""
+    retention = retention_margin(model, g)
     nonneg = retention >= 0.0
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
     return retention[:, 0] < 0.0, _Flips(cell, i, retention[cell, i], retention[cell, i + 1])
 
 
-def _grid_pass(batch: ModelBatch, g: GridEval) -> tuple[_GridPass, _Flips]:
+def _grid_pass(model: ModelPrimitives, g: GridEval) -> tuple[_GridPass, _Flips]:
     """Everything the solve needs from one block's grid (rows are cells).
 
-    The helpers return only per-cell results, so each one's (cells x grid)
-    temporaries are freed before the next starts.
+    ``model`` is the batch's base; only its stakes are read, since the
+    cells' own coefficients are in ``g`` already.  The helpers return only
+    per-cell results, so each one's (cells x grid) temporaries are freed
+    before the next starts.  Each "everywhere" test (regimes, and
+    feasibility of a whole row) is decided from a row's min or max, and
+    the feasible run is searched for only in rows with an infeasible point.
     """
     us = information_rent(g)
     i_star = np.argmax(us, axis=1)
     u_star = us[np.arange(len(us)), i_star]
-    displaced_at_zero, flips = _retention_flips(batch, g)
+    displaced_at_zero, flips = _retention_flips(model, g)
     return _GridPass(
-        _regime_codes(g), u_star, i_star, displaced_at_zero, *_feasible_run(batch, g, us)
+        _regime_codes(g), u_star, i_star, displaced_at_zero, *_feasible_run(model, g, us, i_star)
     ), flips
 
 
@@ -311,7 +330,9 @@ def solve_batch(
     one it gets alone.  With
     ``skip_invalid`` each block's cells are first validated on the same
     grid (:func:`~twinvest.model.batch_validity`) and an invalid cell is
-    returned as None without entering the solve.
+    returned as None without entering the solve.  A block whose cells all
+    pass is solved on its grid as evaluated; only a block with an invalid
+    cell has its valid rows copied out.
     """
     if grid is not None and batch.size != 1:
         raise ValueError(f"grid stands in for a batch of one, got {batch.size} cells")
@@ -340,10 +361,12 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None, skip_
         g = evaluate_batch_grid(block, vs) if grid is None else grid
         rows = np.arange(block.size)
         if skip_invalid:
-            rows = np.flatnonzero(batch_validity(block, g))
-            g = GridEval(vs, *(x[rows] for x in g[1:]))
+            valid = batch_validity(block, g)
+            if not valid.all():  # an all-valid block is solved as it is
+                rows = np.flatnonzero(valid)
+                g = GridEval(vs, *(x[rows] for x in g[1:]))
         if len(rows):
-            grid_pass, block_flips = _grid_pass(block.take(rows), g)
+            grid_pass, block_flips = _grid_pass(batch.base, g)
             passes.append(grid_pass)
             flips.append(block_flips._replace(cell=block_flips.cell + count))
             solved.append(start + rows)

@@ -15,12 +15,13 @@ and by the regime-sweep machinery.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .families import ParametricFamily, family_formula
+from .families import ParametricFamily, family_formula, family_value_slope
 
 
 class DomainError(ValueError):
@@ -222,9 +223,17 @@ def evaluate_model_grid(
 
 
 def _block(x, shape: tuple[int, int]) -> np.ndarray:
-    """A primitive's values (or slopes) as a (cells x grid) array."""
+    """A primitive's values (or slopes) as a (cells x grid) array.
+
+    A row shared by every cell stays a view.  A column, one value per cell,
+    is copied out along the grid: numpy reduces and combines a contiguous
+    block several times faster than one with a zero stride along its rows.
+    """
     x = np.asarray(x, dtype=float)
-    return x.reshape(shape) if x.size == shape[0] * shape[1] else np.broadcast_to(x, shape)
+    if x.size == shape[0] * shape[1]:
+        return x.reshape(shape)
+    block = np.broadcast_to(x, shape)
+    return block.copy() if x.shape[-1] == 1 else block
 
 
 def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray) -> GridEval:
@@ -237,12 +246,8 @@ def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray) -> GridEval:
         (kind, tuple(c[:, None] if isinstance(c, np.ndarray) else c for c in coeffs))
         for kind, coeffs in batch.families
     ]
-    values = [
-        family_formula(kind, c, vs, derivative)
-        for derivative in (False, True)
-        for kind, c in columns
-    ]
-    return GridEval(vs, *(_block(x, shape) for x in values))
+    values, slopes = zip(*(family_value_slope(kind, c, vs) for kind, c in columns))
+    return GridEval(vs, *(_block(x, shape) for x in values + slopes))
 
 
 def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> PrimitiveValues:
@@ -286,32 +291,47 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _first_index(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
-
-
 def _assumption_checks(g: GridEval):
-    """``(condition, bad-point mask, detail)`` for each grid check of
-    :func:`validate`, in the order it checks them.  On a block of cells
-    each mask has one row per cell."""
-    for name, vals, derivs in (
-        ("pi0", g.pi0, g.dpi0),
-        ("pi1", g.pi1, g.dpi1),
-        ("cost", g.cost, g.dcost),
-    ):
+    """``(condition, failed, bad, detail)`` for each grid check of
+    :func:`validate`, in the order it checks them.  ``failed`` says whether
+    the check fails, per cell on a block of cells; ``bad()`` is its mask of
+    bad points, for naming the first one.
+
+    ``failed`` comes from each array's min and max over the grid.  Both are
+    finite exactly when every value is, since either is NaN when a value
+    is.  On finite values a one-sided bound fails somewhere exactly when it
+    fails at the extremum on its side.  The finiteness checks come first,
+    so the bounds only decide finite grids.  ``pi-ordering`` compares two
+    arrays and stays element-wise.
+    """
+    lows = np.array([x.min(axis=-1) for x in g[1:]])
+    highs = np.array([x.max(axis=-1) for x in g[1:]])
+    low, high = GridEval(g.v, *lows), GridEval(g.v, *highs)
+    finite = GridEval(g.v, *(np.isfinite(lows) & np.isfinite(highs)))
+
+    def non_finite(name):
+        d = "d" + name
+        failed = ~(getattr(finite, name) & getattr(finite, d))
+        return failed, lambda: ~np.isfinite(getattr(g, name)) | ~np.isfinite(getattr(g, d))
+
+    def bound(extremum, field, test, limit):
+        return test(getattr(extremum, field), limit), lambda: test(getattr(g, field), limit)
+
+    for name in PRIMITIVE_NAMES:
         yield (
             "finite-evaluation",
-            ~np.isfinite(vals) | ~np.isfinite(derivs),
+            *non_finite(name),
             f"{name} value/derivative not finite (family not differentiable here)",
         )
-    yield "pi0-positive", g.pi0 <= 0.0, "pi0 must stay strictly positive"
-    yield "pi1-below-one", g.pi1 >= 1.0, "pi1 must stay strictly below 1"
+    yield "pi0-positive", *bound(low, "pi0", operator.le, 0.0), "pi0 must stay strictly positive"
+    yield "pi1-below-one", *bound(high, "pi1", operator.ge, 1.0), "pi1 must stay strictly below 1"
     # pi1 - pi0 <= 0 exactly when pi1 <= pi0, without subtracting non-finite values
-    yield "pi-ordering", g.pi1 <= g.pi0, "pi1 must exceed pi0 strictly"
-    yield "pi0-nondecreasing", g.dpi0 < -DEFAULT_TOL, "pi0 slope must be >= 0"
-    yield "pi1-nondecreasing", g.dpi1 < -DEFAULT_TOL, "pi1 slope must be >= 0"
-    yield "cost-positive", g.cost <= 0.0, "effort cost must stay strictly positive"
-    yield "cost-nonincreasing", g.dcost > DEFAULT_TOL, "cost slope must be <= 0"
+    ordering = g.pi1 <= g.pi0
+    yield "pi-ordering", ordering.any(axis=-1), lambda: ordering, "pi1 must exceed pi0 strictly"
+    yield "pi0-nondecreasing", *bound(low, "dpi0", operator.lt, -DEFAULT_TOL), "pi0 slope must be >= 0"
+    yield "pi1-nondecreasing", *bound(low, "dpi1", operator.lt, -DEFAULT_TOL), "pi1 slope must be >= 0"
+    yield "cost-positive", *bound(low, "cost", operator.le, 0.0), "effort cost must stay strictly positive"
+    yield "cost-nonincreasing", *bound(high, "dcost", operator.gt, DEFAULT_TOL), "cost slope must be <= 0"
 
 
 def inducement_terms(model, pi0, pi1, cost):
@@ -326,14 +346,15 @@ def inducement_terms(model, pi0, pi1, cost):
 def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
     """Per-cell pass flags of :func:`validate` for a block of cells.
 
-    ``g`` is :func:`evaluate_batch_grid` of ``batch``.  The masks are those
-    of :func:`validate`, so a cell passes exactly when its own report does.
-    The viability test divides by the probability gap, so it only runs on
-    cells that passed every grid check.
+    ``g`` is :func:`evaluate_batch_grid` of ``batch``.  The checks are
+    those of :func:`validate`, decided from each row's min and max (and
+    ``pi-ordering`` element-wise) as there, so a cell passes exactly when
+    its own report does.  No bad-point mask is built.  The viability test
+    divides by the probability gap, so it only runs on cells that passed
+    every grid check.
     """
-    ok = np.full(batch.size, batch.base.s_high > batch.base.s_low)
-    for _, bad, _ in _assumption_checks(g):
-        ok &= ~bad.any(axis=-1)
+    failed = np.any([fails for _, fails, _, _ in _assumption_checks(g)], axis=0)
+    ok = ~failed & (batch.base.s_high > batch.base.s_low)
     rows = np.flatnonzero(ok)
     lhs, rhs = inducement_terms(batch.base, g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0])
     ok[rows] = ~(lhs - rhs < -DEFAULT_TOL)
@@ -365,6 +386,10 @@ def validate(
       This same comparison is the zero-investment retention condition, so a
       model that passes validation always has a feasible contracting outcome.
 
+    Each grid check is decided from the grid's min and max of the arrays it
+    bounds (``pi-ordering`` element-wise), and only a failed check builds
+    its element-wise mask, to report the first bad ``v``.
+
     A vanishing ``pi1`` slope anywhere is flagged as a warning, not a
     failure: several downstream slope results assume a strictly positive
     slope while the base assumptions only require a weak one.
@@ -386,9 +411,9 @@ def validate(
         )
 
     g = evaluate_model_grid(model, grid_points, grid)
-    for condition, bad, detail in _assumption_checks(g):
-        if bad.any():
-            return report(condition, float(g.v[_first_index(bad)]), detail)
+    for condition, failed, bad, detail in _assumption_checks(g):
+        if failed:
+            return report(condition, float(g.v[np.argmax(bad())]), detail)
 
     lhs, rhs = inducement_terms(model, g.pi0[0], g.pi1[0], g.cost[0])
     if lhs - rhs < -DEFAULT_TOL:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twinvest.families import ParametricFamily as F
+from twinvest.families import family_formula, family_value_slope
 
 
 def central_difference(family, v, h=1e-6):
@@ -49,6 +50,25 @@ class TestEvaluation:
         vs = np.linspace(0.0, 1.0, 7)
         arr = fam.value(vs)
         assert arr == pytest.approx([fam.value(float(v)) for v in vs])
+
+    @pytest.mark.parametrize(
+        "kind,coeffs",
+        [
+            ("exponential-decay", (0.2, 1.8)),
+            ("exponential-decay", (0.2, 0.0)),  # a slope of -0.0
+            ("exponential-decay", (0.2, np.array([[0.0], [0.5], [3.0], [800.0]]))),  # to subnormal and 0
+            ("exponential-decay", (np.array([[1e-300], [0.7], [1e300]]), 1.8)),
+            ("exponential-decay", (np.array([[0.3], [2.0]]), np.array([[1.1], [4.0]]))),
+            ("affine", (0.2, np.array([[0.3], [-0.1]]))),
+            ("power", (0.7, 0.25, np.array([[0.5], [2.0]]))),
+            ("constant", (np.array([[0.1], [0.9]]),)),
+        ],
+    )
+    def test_value_slope_pair_keeps_the_bits_of_two_calls(self, kind, coeffs):
+        vs = np.linspace(0.0, 1.0, 101)
+        for got, derivative in zip(family_value_slope(kind, coeffs, vs), (False, True)):
+            want = np.asarray(family_formula(kind, coeffs, vs, derivative))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestConstruction:

@@ -1,9 +1,13 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import twinvest.investment
+import twinvest.model
 import twinvest.optimize
 from twinvest.contracts import (
     agent_surplus,
@@ -24,7 +28,7 @@ from twinvest.investment import (
     optimal_investment,
     wage_slope_diagnostics,
 )
-from twinvest.model import DomainError, ModelPrimitives, evaluate_grid, evaluate_model_grid
+from twinvest.model import DomainError, GridEval, ModelPrimitives, evaluate_grid, evaluate_model_grid
 from twinvest.optimize import bisect_bracket
 from twinvest.oracle import brute_force_investment
 from twinvest.sampling import random_models
@@ -75,6 +79,78 @@ class TestClassifyRegime:
         model = ModelPrimitives(F.constant(0.2), F.constant(0.7), F.constant(0.1),
                                 1.0, 2.0, 0.0)
         assert classify_regime(model) is RegimeLabel.INDETERMINATE
+
+
+#: Slopes on and around the regime tests' edges, NaN and infinities.
+SLOPES = (-1.0, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 1.0, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def slope_grids(draw):
+    """A grid (or a block of grids) of primitives whose ``Q'`` is ``dpi1``
+    and whose ``U'`` sign is ``dcost - dpi1``: pi0 = 1, pi1 = 2, cost = 1."""
+    shape = draw(st.sampled_from([(3,), (1, 2), (4, 3), (6, 2)]))
+    dpi1, dcost = (
+        np.array(draw(st.lists(st.sampled_from(SLOPES), min_size=math.prod(shape), max_size=math.prod(shape))))
+        .reshape(shape)
+        for _ in range(2)
+    )
+    ones = np.ones(shape)
+    return GridEval(np.linspace(0.0, 1.0, shape[-1]), ones, 2.0 * ones, ones, 0.0 * ones, dpi1, dcost)
+
+
+class TestClassifyRegimeCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(slope_grids())
+    def test_extrema_decide_like_every_point(self, g):
+        # the all-points reading of the sufficient conditions, NaN and
+        # infinities included
+        with np.errstate(all="ignore"):
+            rate_cost, rate_sep, dq = twinvest.investment._rates(g)
+            diff = rate_cost - rate_sep
+            codes = twinvest.investment._regime_codes(g)
+        tol = twinvest.model.DEFAULT_TOL
+        no_investment = np.all(dq > tol, axis=-1) | np.all(diff < -tol, axis=-1)
+        max_investment = np.all(dq <= tol, axis=-1) & np.all(diff > tol, axis=-1)
+        interior = (diff[..., 0] > tol) & (diff[..., -1] < -tol)
+        expected = np.where(no_investment, 0, np.where(max_investment, 1, np.where(interior, 2, 3)))
+        assert np.array_equal(codes, expected)
+
+
+@st.composite
+def margin_blocks(draw):
+    """A block whose feasibility margins are ``0.5 - cost`` (pi0 = 1,
+    pi1 = 2, unit stakes) and an arbitrary rent per point."""
+    n, size = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    costs = (0.1, 0.5, 0.5 + 1e-12, 0.5 + 2e-12, 0.6, math.nan, math.inf)
+    rents = (0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf)
+    cost, us = (
+        np.array(draw(st.lists(st.sampled_from(pool), min_size=n * size, max_size=n * size))).reshape(n, size)
+        for pool in (costs, rents)
+    )
+    ones = np.ones((n, size))
+    return GridEval(np.linspace(0.0, 1.0, size), ones, 2.0 * ones, cost, 0.0 * ones, 0.0 * ones, 0.0 * ones), us
+
+
+class TestFeasibleRun:
+    @settings(max_examples=200, deadline=None)
+    @given(margin_blocks())
+    def test_matches_a_search_of_every_row(self, block):
+        g, us = block
+        model = ModelPrimitives(F.constant(0.5), F.constant(0.6), F.constant(0.1), 1.0, 1.0, 0.0)
+        found = twinvest.investment._feasible_run(model, g, us, np.argmax(us, axis=1))
+        # every row searched: the best feasible point and the run of
+        # feasible points around it
+        n, size = us.shape
+        feasible = 0.5 - g.cost >= -twinvest.model.DEFAULT_TOL
+        j = np.argmax(np.where(feasible, us, -np.inf), axis=1)
+        cols = np.arange(size)
+        gap_left, gap_right = ~feasible & (cols < j[:, None]), ~feasible & (cols > j[:, None])
+        jl = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
+        jr = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
+        expected = (feasible.any(axis=1), j, us[np.arange(n), j], jl, jr)
+        for got, want in zip(found, expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOptimalInvestment:

@@ -8,7 +8,8 @@ import twinvest.model
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3
 from twinvest.investment import optimal_investment, solve_batch
-from twinvest.model import ModelBatch, ModelPrimitives, validate
+from twinvest.contracts import retention_holds
+from twinvest.model import ModelBatch, ModelPrimitives, evaluate_grid, validate
 from twinvest.oracle import brute_force_investment
 from twinvest.sweep import INVALID_LABEL, SweepAxis, SweepAxisError, regime_sweep
 
@@ -108,6 +109,13 @@ TEMPLATES = {
         SweepAxis.linspace("cost", 0, 0.12, 0.3, 6),
         SweepAxis.linspace("pi0", 1, 0.0, 0.45, 6),
     ),
+    # two blocks of 16 cells, each mixing invalid cells (falling pi0), cells
+    # feasible at every grid point and cells displaced inside the range
+    "mixed-blocks": (
+        f2,
+        SweepAxis.linspace("cost", 0, 0.12, 0.3, 4),
+        SweepAxis.linspace("pi0", 1, -0.1, 0.45, 8),
+    ),
 }
 
 
@@ -153,6 +161,20 @@ class TestBatchIndependence:
         assert INVALID_LABEL in mixed and set(mixed) - {INVALID_LABEL}
         flips = [c.v_star for c in cells("margin-flips")]
         assert sum(v is not None and 0.0 < v < 1.0 for v in flips) >= 5
+
+        make, axis1, axis2 = TEMPLATES["mixed-blocks"]
+        kinds = []
+        for cell in cells("mixed-blocks"):
+            model = cell_model(make(), axis1, axis2, cell.param1, cell.param2)
+            if cell.regime == INVALID_LABEL:
+                kinds.append("invalid")
+            else:
+                feasible = retention_holds(model, evaluate_grid(model, model.grid()))
+                kinds.append("feasible" if feasible.all() else "partly infeasible")
+        block = twinvest.investment._BLOCK_CELLS
+        assert len(kinds) == 2 * block
+        for start in range(0, len(kinds), block):
+            assert set(kinds[start:start + block]) == {"invalid", "feasible", "partly infeasible"}
 
     def test_near_tie_cell_solves_with_its_neighbours(self):
         # the middle cell's feasible run ends at a grid point whose margin
