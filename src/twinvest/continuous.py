@@ -211,40 +211,3 @@ def principal_optimal_effort(
         principal_surplus=value,
         liability_binding=limited_liability_binding(cmodel, e_opt),
     )
-
-
-# ---------------------------------------------------------------------------
-# Two-outcome correspondence report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WageComparison:
-    """Continuous wage vs. the two-outcome wage built from two effort points.
-
-    Sampling ``p`` at two efforts turns the instance into a two-outcome
-    model (``pi0 = p(e_low)``, ``pi1 = p(e_high)``, cost ``c0*(e_high -
-    e_low)``); its incentive wage and the continuous ``c0/p'`` agree in
-    order of magnitude and converge as the points approach each other.
-    This is a documented comparison, not an equality.
-    """
-
-    e_low: float
-    e_high: float
-    continuous_t_high: float
-    two_outcome_t_high: float
-    ratio: float
-
-
-def two_outcome_wage_comparison(
-    cmodel: ContinuousEffortModel, e_low: float, e_high: float
-) -> WageComparison:
-    e_low = cmodel.check_domain(e_low)
-    e_high = cmodel.check_domain(e_high)
-    if not e_low < e_high:
-        raise ValueError(f"need e_low < e_high, got {e_low} >= {e_high}")
-    continuous = contract_for_effort(cmodel, e_high).t_high
-    p_low = float(cmodel.p.value(e_low))
-    p_high = float(cmodel.p.value(e_high))
-    discrete = cmodel.c0 * (e_high - e_low) / (p_high - p_low)
-    return WageComparison(e_low, e_high, continuous, discrete, continuous / discrete)

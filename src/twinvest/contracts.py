@@ -8,8 +8,9 @@ profit-maximizing effort-inducing contract pays
 leaving the agent an information rent of
 ``U(v) = pi0*cost/(pi1-pi0) = cost/(Q-1)`` where ``Q = pi1/pi0`` is the
 outcome separability of the task.  Everything here is a pure function of
-``(model, v)``; all comparisons resolve ties in favor of employing the
-human / inducing effort, using an absolute tolerance on payoff units.
+``(model, v)``.  Retention and effort inducement are one test,
+:func:`~twinvest.model.retention_holds` (``retention_margin >= 0``), so an
+exact tie employs the human and induces effort.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_TOL, ModelPrimitives, evaluate, inducement_terms
+from .model import DEFAULT_TOL, ModelPrimitives, evaluate, incentive_wage, retention_holds, retention_margin
 
 
 @dataclass(frozen=True)
@@ -57,26 +58,16 @@ def outcome_separability(model: ModelPrimitives, v: float) -> float:
     return p.pi1 / p.pi0
 
 
-# The four formulas below take any evaluated primitives with ``pi0``,
+# The formulas below, like ``incentive_wage`` and ``retention_margin`` of
+# :mod:`twinvest.model`, take any evaluated primitives with ``pi0``,
 # ``pi1`` and ``cost`` fields: one point (``evaluate``) or a whole grid
 # (``evaluate_grid``).  Scalar and grid paths share them, so both round
 # identically.
 
 
-def incentive_wage(p):
-    """Success payment ``cost/(pi1-pi0)`` of evaluated primitives, a point or a grid."""
-    return p.cost / (p.pi1 - p.pi0)
-
-
 def information_rent(p):
     """``pi0*cost/(pi1-pi0)`` of evaluated primitives, a point or a grid."""
     return p.pi0 * p.cost / (p.pi1 - p.pi0)
-
-
-def retention_margin(model: ModelPrimitives, p):
-    """``(s_high - s_low)*(1 - 1/Q) - t_high`` of evaluated primitives, a point or a grid."""
-    q = p.pi1 / p.pi0
-    return model.quality_importance * (1.0 - 1.0 / q) - incentive_wage(p)
 
 
 def checked_information_rent(p):
@@ -175,10 +166,11 @@ def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
 
 
 def effort_inducement_check(model: ModelPrimitives, v: float) -> bool:
-    """True when inducing high effort pays: incremental outcome gain covers the wage."""
-    p = evaluate(model, v)
-    gain, wage = inducement_terms(model, p.pi0, p.pi1, p.cost)
-    return gain - wage >= -DEFAULT_TOL
+    """True when inducing high effort pays at ``v``: the effort gain
+    ``(pi1-pi0)*(s_high-s_low)`` covers the expected wage.  That is
+    :func:`~twinvest.model.retention_holds`, the test of
+    :func:`displacement_deterrent_check`; a tie induces effort."""
+    return retention_holds(model, evaluate(model, v))
 
 
 def social_total_surplus(model: ModelPrimitives, v: float) -> float:
@@ -209,14 +201,9 @@ def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float
     return with_human - twin_alone_payoff(model, p.pi0)
 
 
-def retention_holds(model: ModelPrimitives, p):
-    """True where the principal (weakly) prefers employing the human, of
-    evaluated primitives, a point or a grid."""
-    return retention_margin(model, p) >= -DEFAULT_TOL
-
-
 def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:
-    """True when the principal (weakly) prefers employing the human at ``v``."""
+    """True when the principal weakly prefers employing the human at ``v``
+    (:func:`~twinvest.model.retention_holds`; a tie retains the human)."""
     return retention_holds(model, evaluate(model, v))
 
 

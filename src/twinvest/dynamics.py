@@ -271,7 +271,7 @@ def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     ``alpha * v_max``; ties retain the agent."""
     alpha = _check_alpha(alpha)
     rehire = _rehire_surplus(model, evaluate(model, model.v_max))
-    return bool(rehire - _twin_surplus(model, alpha * model.v_max) >= -DEFAULT_TOL)
+    return bool(rehire - _twin_surplus(model, alpha * model.v_max) >= 0.0)
 
 
 def rehire_cycle_length(
@@ -282,7 +282,8 @@ def rehire_cycle_length(
     """Number of twin-only periods until rehiring beats the degraded twin.
 
     Returns the smallest ``n >= 1`` with the twin's surplus at ability
-    ``alpha**n * v_max`` below the contracted surplus at full training,
+    ``alpha**n * v_max`` at or below the contracted surplus at full
+    training (a tie rehires, as a tie retains),
     or ``None`` when displacement never happens in the first place (the
     cycle question is moot) or no such ``n`` exists within ``horizon``
     (a twin that never degrades enough, e.g. constant ``pi0``).
@@ -304,7 +305,7 @@ def rehire_cycle_length(
     while done < horizon:
         size = min(size, horizon - done)
         abilities = np.multiply.accumulate(np.r_[ability, np.full(size, alpha)])[1:]
-        hits = np.flatnonzero(_twin_surplus(model, abilities) - rehire < DEFAULT_TOL)
+        hits = np.flatnonzero(rehire - _twin_surplus(model, abilities) >= 0.0)
         if hits.size:
             return done + int(hits[0]) + 1
         ability, done, size = abilities[-1], done + size, min(4 * size, 4096)

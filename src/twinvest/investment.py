@@ -24,18 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contracts import (
-    incentive_wage,
-    information_rent,
-    principal_payoff,
-    retention_margin,
-)
+from .contracts import information_rent, principal_payoff, retention_holds, retention_margin
 from .model import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
     GridEval,
     ModelBatch,
     ModelPrimitives,
+    PrimitiveValues,
     batch_validity,
     evaluate,
     evaluate_batch_grid,
@@ -132,8 +128,8 @@ def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[
     rent refinements."""
     batch = ModelBatch.single(model)
     vs = batch.base.grid(grid_points)
-    displaced_at_zero, flips = _retention_flips(model, evaluate_batch_grid(batch, vs))
-    return bool(displaced_at_zero[0]), _bisect_flips(batch, vs, flips)[2].tolist()
+    nonneg, flips = _retention_flips(model, evaluate_batch_grid(batch, vs))
+    return not nonneg[0, 0], _bisect_flips(batch, vs, flips)[2].tolist()
 
 
 def _threshold(displaced_at_zero: bool, roots) -> float | None:
@@ -218,8 +214,10 @@ class _GridPass(NamedTuple):
     """What the grid pass keeps of each solved cell, O(cells) in all.
 
     ``i_star`` is the rent argmax and ``j`` the feasible one, inside the
-    feasible run ``[jl, jr]`` of grid points.  The run's ends are refined
-    from the margin's sign flips next to them (:class:`_Flips`).
+    feasible run ``[jl, jr]`` of grid points, those where
+    :func:`~twinvest.model.retention_holds`.  Each end of the run inside
+    the grid sits beside a sign flip of the margin (:class:`_Flips`), from
+    whose bisection it is refined.
     """
 
     regime: np.ndarray
@@ -243,21 +241,21 @@ class _Flips(NamedTuple):
     hi: np.ndarray
 
 
-def _feasible_run(model: ModelPrimitives, g: GridEval, us: np.ndarray, i_star: np.ndarray):
-    """Per cell of a block: whether any grid point is feasible, the best
-    feasible point ``j`` and its rent, and the feasible run ``[jl, jr]``
-    around it (see :class:`_GridPass`).
+def _feasible_run(us: np.ndarray, i_star: np.ndarray, nonneg: np.ndarray):
+    """Per cell of a block: whether any grid point is feasible (``nonneg``,
+    the retention mask of :func:`_retention_flips`), the best feasible
+    point ``j`` and its rent, and the feasible run ``[jl, jr]`` around it
+    (see :class:`_GridPass`).
 
     A cell feasible at every point has its rent argmax ``i_star`` for ``j``
     and the whole grid for its run; only the other cells are searched.
     """
     n, size = us.shape
-    margins = model.quality_importance * (1.0 - g.pi0 / g.pi1) - incentive_wage(g)
     j, jl, jr = i_star.copy(), np.zeros(n, dtype=int), np.full(n, size - 1)
     any_feasible = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(~(margins.min(axis=1) >= -DEFAULT_TOL))  # NaN is infeasible
+    rows = np.flatnonzero(~nonneg.all(axis=1))
     if len(rows):
-        feasible = margins[rows] >= -DEFAULT_TOL
+        feasible = nonneg[rows]
         infeasible = ~feasible
         j[rows] = k = np.argmax(np.where(feasible, us[rows], -np.inf), axis=1)
         # the run ends next to the nearest infeasible points on either side
@@ -271,31 +269,32 @@ def _feasible_run(model: ModelPrimitives, g: GridEval, us: np.ndarray, i_star: n
 
 
 def _retention_flips(model: ModelPrimitives, g: GridEval) -> tuple[np.ndarray, _Flips]:
-    """Per cell of a block of ``model``'s cells, whether the retention margin
-    is negative at ``v = 0``; and the block's sign flips of the margin."""
-    retention = retention_margin(model, g)
-    nonneg = retention >= 0.0
+    """The retention mask of a block of ``model``'s cells (where
+    :func:`~twinvest.model.retention_holds`), and the block's sign flips
+    of the margin: the points where the mask changes."""
+    nonneg = retention_holds(model, g)
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
-    return retention[:, 0] < 0.0, _Flips(cell, i, retention[cell, i], retention[cell, i + 1])
+
+    def margin(k):  # at the flips' points only, with the grid's bits
+        return retention_margin(model, PrimitiveValues(g.pi0[cell, k], g.pi1[cell, k], g.cost[cell, k]))
+
+    return nonneg, _Flips(cell, i, margin(i), margin(i + 1))
 
 
 def _grid_pass(model: ModelPrimitives, g: GridEval) -> tuple[_GridPass, _Flips]:
     """Everything the solve needs from one block's grid (rows are cells).
 
     ``model`` is the batch's base; only its stakes are read, since the
-    cells' own coefficients are in ``g`` already.  The helpers return only
-    per-cell results, so each one's (cells x grid) temporaries are freed
-    before the next starts.  Each "everywhere" test (regimes, and
-    feasibility of a whole row) is decided from a row's min or max, and
-    the feasible run is searched for only in rows with an infeasible point.
+    cells' own coefficients are in ``g`` already.  The regime tests are
+    decided from a row's min or max, and the feasible run is searched for
+    only in rows with an infeasible point; the retention mask is the one
+    (cells x grid) array kept from one helper to the next.
     """
     us = information_rent(g)
     i_star = np.argmax(us, axis=1)
     u_star = us[np.arange(len(us)), i_star]
-    displaced_at_zero, flips = _retention_flips(model, g)
-    return _GridPass(
-        _regime_codes(g), u_star, i_star, displaced_at_zero, *_feasible_run(model, g, us, i_star)
-    ), flips
+    nonneg, flips = _retention_flips(model, g)
+    return _GridPass(_regime_codes(g), u_star, i_star, ~nonneg[:, 0], *_feasible_run(us, i_star, nonneg)), flips
 
 
 def solve_batch(
@@ -308,19 +307,18 @@ def solve_batch(
 
     Grid-first bracketing handles non-quasiconcave objectives; the best
     bracket is then refined by golden-section.  For the constrained part the
-    feasible grid points are filtered by the retention margin and the best
-    one is refined inside its containing feasible interval.  Each sign flip
-    of the margin is bisected once, for the roots; an interval end next to
-    a flip is that bisection's end on the feasible side, so the returned
-    point is feasible by construction, and an end with no flip beside it
-    (its margin within ``DEFAULT_TOL`` below zero) stays at its grid point.
-    Both refinements are
-    :func:`~twinvest.optimize.refine_max`.  Ties break toward smaller ``v``,
-    and feasibility allows a margin down to ``-DEFAULT_TOL``.
+    feasible grid points are those where
+    :func:`~twinvest.model.retention_holds` (``retention_margin >= 0``), and
+    the best one is refined inside its containing feasible interval.  Each
+    sign flip of the margin is bisected once, for the roots; an interval end
+    inside the grid sits beside a flip and moves to that bisection's end on
+    the feasible side, so the returned point is feasible by construction and
+    never past the displacement threshold.  Both refinements are
+    :func:`~twinvest.optimize.refine_max`.  Ties break toward smaller ``v``.
 
     The grid pass runs over blocks of :data:`_BLOCK_CELLS` cells, each
     evaluated once (``grid``, a one-row block, stands in for a batch of
-    one).  The rent, the feasibility margins, the displacement threshold
+    one).  The rent, the retention mask, the displacement threshold
     with every sign-change root of the margin, and the regime rates come
     from it.  Then every bisection, and after it every golden-section
     search, of all cells runs as one array search of
@@ -414,40 +412,39 @@ def _refine(
     batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
 ) -> list[InvestmentSolution]:
     """Refine every cell of ``batch`` from its grid pass ``p`` and sign
-    flips ``flips``, all cells in each search together."""
+    flips ``flips``, all cells in each search together.  A refined point is
+    feasible, and a solution binding, by the grid's rule,
+    :func:`~twinvest.model.retention_holds`."""
     n, size = batch.size, len(vs)
 
-    # An end of a feasible run [jl, jr] next to a sign flip moves to that
-    # flip's bisected end on the run's side, which keeps the margin
-    # nonnegative; an end with no flip beside it (its margin within
-    # DEFAULT_TOL below zero) stays at its grid point.
-    a, b = vs[p.jl], vs[p.jr]
+    # Each end of a feasible run [jl, jr] inside the grid is beside a sign
+    # flip and moves to that flip's bisected end on the run's side, which
+    # keeps the margin nonnegative.
+    feas = np.flatnonzero(p.feasible)
+    jl, jr = p.jl[feas], p.jr[feas]
+    a, b = vs[jl], vs[jr]
     lo, hi, roots = _bisect_flips(batch, vs, flips)
-    if len(flips.cell):
-        keys = flips.cell * size + flips.i  # ascending: np.nonzero is row-major
-        for ends, i, bisected in ((a, p.jl - 1, hi), (b, p.jr, lo)):
-            key = np.arange(n) * size + i  # i = -1 or size - 1, a grid end, matches no flip
-            k = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            beside = keys[k] == key
-            ends[beside] = bisected[k[beside]]
+    keys = flips.cell * size + flips.i  # ascending: np.nonzero is row-major
+    left, right = jl > 0, jr < size - 1
+    a[left] = hi[np.searchsorted(keys, feas[left] * size + jl[left] - 1)]
+    b[right] = lo[np.searchsorted(keys, feas[right] * size + jr[right])]
 
     # Golden-section refinements: the unconstrained argmax of every cell in
     # its neighbour bracket, then the feasible argmax of every feasible cell
     # in its feasible interval [a, b].
     bracket = vs[np.maximum(p.i_star - 1, 0)], vs[np.minimum(p.i_star + 1, size - 1)]
     v_unc, _ = _search(_refine_columns, batch, np.arange(n), _rent, *bracket, vs[p.i_star], p.u_star)
-    feas = np.flatnonzero(p.feasible)
     m = len(feas)
     twice = np.concatenate([feas, feas])
-    a, b = a[feas], b[feas]
     u_ab = _objective(batch, twice, _rent)(np.concatenate([a, b]))
     x_j, u_j = vs[p.j[feas]], p.u_j[feas]
     v_opt, u_opt = _search(_refine_columns, batch, feas, _rent, a, b, x_j, u_j, a, u_ab[:m], b, u_ab[m:])
-    margins = _objective(batch, twice, retention_margin)(np.concatenate([v_opt, v_unc[feas]]))
+    # logical_not, not ~: with no feasible cell a shared objective returns an empty float array
+    failed = np.logical_not(_objective(batch, twice, retention_holds)(np.concatenate([v_opt, v_unc[feas]])))
     # refinement strayed into an infeasible dip between grid points
-    strayed = margins[:m] < -DEFAULT_TOL
+    strayed = failed[:m]
     v_opt, u_opt = np.where(strayed, x_j, v_opt), np.where(strayed, u_j, u_opt)
-    binding = margins[m:] < -DEFAULT_TOL
+    binding = failed[m:]
     principal = _objective(batch, feas, principal_payoff)(v_opt)
 
     optimum = dict(zip(feas.tolist(), zip(v_opt.tolist(), u_opt.tolist(), binding.tolist(), principal.tolist())))

@@ -260,6 +260,34 @@ def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> PrimitiveValues:
     return PrimitiveValues(family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
 
 
+# The three formulas below take any evaluated primitives with ``pi0``,
+# ``pi1`` and ``cost`` fields: one point (``evaluate``), a whole grid
+# (``evaluate_grid``) or one value per cell (``PrimitiveValues``).
+
+
+def incentive_wage(p):
+    """Success payment ``cost/(pi1-pi0)`` of evaluated primitives."""
+    return p.cost / (p.pi1 - p.pi0)
+
+
+def retention_margin(model: ModelPrimitives, p):
+    """``(s_high - s_low)*(1 - 1/Q) - t_high`` of evaluated primitives.
+
+    ``pi1`` times it is both the principal's gain from employing the human
+    over running the twin alone and the effort gain ``(pi1-pi0)*(s_high-s_low)``
+    less the expected wage, so retention and effort inducement are one
+    condition."""
+    q = p.pi1 / p.pi0
+    return model.quality_importance * (1.0 - 1.0 / q) - incentive_wage(p)
+
+
+def retention_holds(model: ModelPrimitives, p):
+    """True where ``retention_margin >= 0`` (NaN fails): the principal weakly
+    prefers the human, and inducing effort pays.  The one tie rule of the
+    solvers; the displacement thresholds are bisected roots of it."""
+    return retention_margin(model, p) >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -334,15 +362,6 @@ def _assumption_checks(g: GridEval):
     yield "cost-nonincreasing", *bound(high, "dcost", operator.gt, DEFAULT_TOL), "cost slope must be <= 0"
 
 
-def inducement_terms(model, pi0, pi1, cost):
-    """Effort gain ``(pi1-pi0)*(s_high-s_low)`` and expected wage
-    ``pi1*cost/(pi1-pi0)`` of inducing high effort, of primitive values at
-    a point or in arrays.  Inducing effort pays when the gain covers the
-    wage; each caller compares them under its own tie rule."""
-    gap = pi1 - pi0
-    return gap * model.quality_importance, pi1 * cost / gap
-
-
 def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
     """Per-cell pass flags of :func:`validate` for a block of cells.
 
@@ -356,8 +375,7 @@ def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
     failed = np.any([fails for _, fails, _, _ in _assumption_checks(g)], axis=0)
     ok = ~failed & (batch.base.s_high > batch.base.s_low)
     rows = np.flatnonzero(ok)
-    lhs, rhs = inducement_terms(batch.base, g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0])
-    ok[rows] = ~(lhs - rhs < -DEFAULT_TOL)
+    ok[rows] = retention_holds(batch.base, PrimitiveValues(g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0]))
     return ok
 
 
@@ -371,8 +389,8 @@ def validate(
     ``grid`` is the model's ``grid_points``-point :func:`evaluate_grid`
     result when the caller already holds it.
 
-    Checked in order, stopping at the first violation (weak inequalities
-    allow a slack of ``DEFAULT_TOL``):
+    Checked in order, stopping at the first violation (the weak slope
+    inequalities allow a slack of ``DEFAULT_TOL``):
 
     * ``s_high > s_low`` (quality importance positive);
     * finite values and derivatives of all primitives on the grid
@@ -381,10 +399,9 @@ def validate(
     * monotonicity: ``pi0' >= 0``, ``pi1' >= 0``, ``cost' <= 0``;
     * ``cost(v) > 0``;
     * baseline contracting viability at ``v = 0``: the gain from inducing
-      effort covers the expected wage,
-      ``(pi1-pi0)*(s_high-s_low) >= pi1*cost/(pi1-pi0)``.
-      This same comparison is the zero-investment retention condition, so a
-      model that passes validation always has a feasible contracting outcome.
+      effort covers the expected wage.  This is :func:`retention_holds` at
+      zero investment, with no slack, so a model that passes validation is
+      always feasible and retained at ``v = 0``.
 
     Each grid check is decided from the grid's min and max of the arrays it
     bounds (``pi-ordering`` element-wise), and only a failed check builds
@@ -415,8 +432,10 @@ def validate(
         if failed:
             return report(condition, float(g.v[np.argmax(bad())]), detail)
 
-    lhs, rhs = inducement_terms(model, g.pi0[0], g.pi1[0], g.cost[0])
-    if lhs - rhs < -DEFAULT_TOL:
+    p = PrimitiveValues(g.pi0[0], g.pi1[0], g.cost[0])
+    if not retention_holds(model, p):
+        gap = p.pi1 - p.pi0
+        lhs, rhs = gap * model.quality_importance, p.pi1 * p.cost / gap
         return report(
             "baseline-contracting-viability", 0.0,
             f"effort gain {lhs:.6g} below expected wage {rhs:.6g} at zero investment",

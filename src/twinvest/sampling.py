@@ -22,7 +22,7 @@ import numpy as np
 from .contracts import displacement_deterrent_margin_raw
 from .continuous import ContinuousEffortModel, validate_continuous
 from .families import ParametricFamily as F
-from .model import GridEval, ModelPrimitives, evaluate_model_grid, inducement_terms, validate
+from .model import GridEval, ModelPrimitives, evaluate_model_grid, retention_holds, validate
 
 _GENERATION_LIMIT = 10_000
 
@@ -61,8 +61,7 @@ def _cost_family(rng: np.random.Generator) -> F:
 
 
 def _inducement_everywhere(model: ModelPrimitives, g: GridEval) -> bool:
-    gain, wage = inducement_terms(model, g.pi0, g.pi1, g.cost)
-    return bool(np.all(gain >= wage))
+    return bool(retention_holds(model, g).all())
 
 
 def random_model(

@@ -13,7 +13,6 @@ from twinvest.continuous import (
     principal_optimal_effort,
     principal_surplus_at,
     principal_surplus_grid,
-    two_outcome_wage_comparison,
     validate_continuous,
 )
 from twinvest.contracts import Contract
@@ -170,25 +169,3 @@ class TestValidateContinuous:
     def test_effort_bounds(self):
         with pytest.raises(ValueError, match="e_min"):
             ContinuousEffortModel(F.power(0.0, 1.0, 0.5), 0.25, 0.0, 1.0, 2.0, 0.0)
-
-
-class TestTwoOutcomeComparison:
-    def test_same_order_of_magnitude(self):
-        for model in random_continuous_models(20, 5):
-            span = model.e_max - model.e_min
-            cmp = two_outcome_wage_comparison(
-                model, model.e_min + 0.25 * span, model.e_min + 0.75 * span
-            )
-            assert 0.1 < cmp.ratio < 10.0
-
-    def test_converges_as_points_merge(self):
-        ratios = []
-        for delta in (0.5, 0.1, 0.01, 0.001):
-            cmp = two_outcome_wage_comparison(f5(), 1.0 - delta, 1.0)
-            ratios.append(abs(cmp.ratio - 1.0))
-        assert ratios == sorted(ratios, reverse=True)
-        assert ratios[-1] < 1e-3
-
-    def test_requires_ordered_points(self):
-        with pytest.raises(ValueError, match="e_low < e_high"):
-            two_outcome_wage_comparison(f5(), 0.5, 0.5)

@@ -28,7 +28,7 @@ from twinvest.dynamics import (
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import optimal_investment
-from twinvest.model import DEFAULT_TOL, DomainError, ModelPrimitives, evaluate, evaluate_grid
+from twinvest.model import DomainError, ModelPrimitives, evaluate, evaluate_grid
 from twinvest.optimize import bisect_bracket
 from twinvest.sampling import random_models
 
@@ -287,7 +287,7 @@ def scalar_cycle_length(model, alpha, horizon=10_000):
     ability = model.v_max
     for n in range(1, horizon + 1):
         ability *= alpha
-        if _twin_surplus(model, ability) - rehire < DEFAULT_TOL:
+        if rehire - _twin_surplus(model, ability) >= 0.0:
             return n
     return None
 

@@ -13,6 +13,7 @@ from twinvest.contracts import (
     agent_surplus,
     displacement_deterrent_check,
     displacement_deterrent_margin,
+    effort_inducement_check,
     principal_payoff,
     principal_surplus,
     retention_margin,
@@ -28,9 +29,17 @@ from twinvest.investment import (
     optimal_investment,
     wage_slope_diagnostics,
 )
-from twinvest.model import DomainError, GridEval, ModelPrimitives, evaluate_grid, evaluate_model_grid
+from twinvest.model import (
+    DomainError,
+    GridEval,
+    ModelPrimitives,
+    evaluate,
+    evaluate_grid,
+    evaluate_model_grid,
+    validate,
+)
 from twinvest.optimize import bisect_bracket
-from twinvest.oracle import brute_force_investment
+from twinvest.oracle import certify_investment
 from twinvest.sampling import random_models
 
 
@@ -49,9 +58,9 @@ def f2_threshold_closed_form() -> float:
 
 
 def near_tie_f2() -> ModelPrimitives:
-    # f2 with the stake at which the feasibility margin at v = 0.6 lies
-    # within DEFAULT_TOL below zero: 0.6 ends the feasible run, and no sign
-    # flip of the retention margin sits beside it
+    # f2 with the stake at which the retention margin at the grid point
+    # v = 0.6 is -1e-13: 0.6 is infeasible, the feasible run ends at 0.599
+    # and the displacement threshold sits just below 0.6
     return dataclasses.replace(f2(), s_high=0.736842105262958)
 
 
@@ -138,11 +147,12 @@ class TestFeasibleRun:
     def test_matches_a_search_of_every_row(self, block):
         g, us = block
         model = ModelPrimitives(F.constant(0.5), F.constant(0.6), F.constant(0.1), 1.0, 1.0, 0.0)
-        found = twinvest.investment._feasible_run(model, g, us, np.argmax(us, axis=1))
+        nonneg, _ = twinvest.investment._retention_flips(model, g)
+        found = twinvest.investment._feasible_run(us, np.argmax(us, axis=1), nonneg)
         # every row searched: the best feasible point and the run of
         # feasible points around it
         n, size = us.shape
-        feasible = 0.5 - g.cost >= -twinvest.model.DEFAULT_TOL
+        feasible = 0.5 - g.cost >= 0.0
         j = np.argmax(np.where(feasible, us, -np.inf), axis=1)
         cols = np.arange(size)
         gap_left, gap_right = ~feasible & (cols < j[:, None]), ~feasible & (cols > j[:, None])
@@ -193,11 +203,13 @@ class TestOptimalInvestment:
         assert sol.v_opt is None and sol.u_at_opt is None
         assert not sol.deterrent_binding
 
-    def test_near_tie_run_end_stays_at_its_grid_point(self):
+    def test_near_tie_run_end_stays_within_the_threshold(self):
         model = near_tie_f2()
         sol = optimal_investment(model)
-        assert (sol.v_opt, sol.u_at_opt) == brute_force_investment(model, 1e-4, enforce_deterrent=True)
+        assert sol.v_opt <= sol.displacement_threshold
+        assert displacement_deterrent_margin(model, sol.v_opt) >= 0.0
         assert sol.deterrent_binding
+        assert certify_investment([("near-tie", model)]).passed
 
     def test_one_bisection_per_root(self, monkeypatch):
         # the feasible run's ends reuse the roots' bisections
@@ -235,6 +247,49 @@ class TestOptimalInvestment:
             # capped the solution below the unconstrained optimum
             if sol.deterrent_binding and rent_slope(model, sol.v_opt) > 0.0:
                 assert sol.v_opt <= sol.v_star_unconstrained + 1e-9
+
+
+def retention_stake(model: ModelPrimitives, v: float) -> float:
+    # the stake s_high - s_low at which the retention margin is 0 at v
+    p = evaluate(model, v)
+    return p.pi1 * p.cost / (p.pi1 - p.pi0) ** 2
+
+
+@st.composite
+def retention_models(draw):
+    """A random model as drawn; or with its stake strictly between the
+    retention stakes at 0 and at ``v_max``, as solve-batch sets it; or with
+    the stake that zeroes the margin at one grid point, an exact tie like
+    :func:`near_tie_f2`."""
+    model = random_models(1, draw(st.integers(0, 2**32 - 1)))[0]
+    kind = draw(st.sampled_from(("drawn", "between", "tie")))
+    if kind == "drawn":
+        return model
+    if kind == "between":
+        low, high = sorted((retention_stake(model, 0.0), retention_stake(model, model.v_max)))
+        stake = low + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (high - low)
+    else:
+        stake = retention_stake(model, draw(st.sampled_from(model.grid().tolist())))
+    return dataclasses.replace(model, s_high=model.s_low + stake)
+
+
+class TestOneRetentionRule:
+    @settings(max_examples=80, deadline=None)
+    @given(retention_models())
+    def test_solve_threshold_validation_and_inducement_agree(self, model):
+        sol = optimal_investment(model)
+        retained_at_zero = displacement_deterrent_check(model, 0.0)
+        if validate(model).passed:
+            assert sol.feasible and retained_at_zero
+        if sol.feasible:
+            assert displacement_deterrent_margin(model, sol.v_opt) >= 0.0
+            # the roots split the line into runs where retention alternately
+            # holds and fails; v_opt lies in no open run where it fails.  With
+            # retention at 0 and one root that is v_opt <= displacement_threshold.
+            ends = [-math.inf] * (not retained_at_zero) + list(sol.deterrent_roots) + [math.inf]
+            assert not any(lo < sol.v_opt < hi for lo, hi in zip(ends[::2], ends[1::2]))
+        for v in model.grid():
+            assert effort_inducement_check(model, v) == displacement_deterrent_check(model, v)
 
 
 class TestDisplacementThreshold:

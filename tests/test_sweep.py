@@ -177,8 +177,7 @@ class TestBatchIndependence:
             assert set(kinds[start:start + block]) == {"invalid", "feasible", "partly infeasible"}
 
     def test_near_tie_cell_solves_with_its_neighbours(self):
-        # the middle cell's feasible run ends at a grid point whose margin
-        # lies within DEFAULT_TOL below zero, with no sign flip beside it
+        # the middle cell's retention margin is -2.6e-14 at the grid point 0.6
         costs = np.array([0.2, 0.22150000000001, 0.19])
         batch = solve_batch(ModelBatch.sweep(f2(), {("cost", 0): costs}))
         for cost, sol in zip(costs.tolist(), batch):
