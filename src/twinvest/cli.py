@@ -221,6 +221,8 @@ def cmd_simulate(args) -> int:
         return EXIT_INVALID_MODEL
     if args.delta is not None and not 0.0 < args.delta < 1.0:
         raise _InputError(f"--delta must lie in (0, 1), got {args.delta}")
+    if args.seed is not None and args.seed < 0:
+        raise _InputError(f"--seed must be >= 0, got {args.seed}")
 
     if args.alpha is not None:
         if not 0.0 < args.alpha < 1.0:
@@ -266,6 +268,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.models < 0:
         raise _InputError(f"--models must be >= 0, got {args.models}")
+    if args.seed is not None and args.seed < 0:
+        raise _InputError(f"--seed must be >= 0, got {args.seed}")
     _check_positive("step", args.step)
     seed = args.seed if args.seed is not None else 12345
     reports = run_certification(seed=seed, n_models=args.models, oracle_step=args.step)

@@ -139,7 +139,7 @@ def _threshold(displaced_at_zero: bool, roots) -> float | None:
 def deterrent_sign_change_roots(
     model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[float]:
-    """All sign-change roots of the retention margin on ``(0, v_max)``.
+    """All sign-change roots of the retention margin on ``[0, v_max]``.
 
     Diagnostic companion to :func:`displacement_threshold`, which returns
     only the smallest one; with arbitrary families the feasible set can be
@@ -147,6 +147,9 @@ def deterrent_sign_change_roots(
 
     The roots of :func:`optimal_investment`: each grid bracket where the
     margin's sign flips, bisected to the midpoint of its shrunken bracket.
+    A bracket with an exact zero of the margin at a grid point closes on
+    that point, so a root is a grid end (``0.0`` or ``v_max``) when the
+    margin is exactly zero there and negative at the neighbouring point.
     """
     return _margin_roots(model, grid_points)[1]
 
@@ -158,7 +161,10 @@ def displacement_threshold(
 
     Returns ``None`` when the margin stays nonnegative on the whole range
     (no displacement risk) and ``0.0`` when it is already negative at zero
-    investment (the twin dominates immediately).  This is the threshold of
+    investment (the twin dominates immediately).  It is ``0.0`` too when
+    the margin is exactly zero at ``v = 0`` and negative at the next grid
+    point: that root is the grid end, where the agent is still retained
+    (:func:`deterrent_sign_change_roots`).  This is the threshold of
     :func:`optimal_investment`: its roots are found by bisection, which
     shrinks each bracket until the residual is far below 1e-10.
     """
@@ -180,7 +186,9 @@ class InvestmentSolution:
     Validated models always retain the agent at ``v = 0``, so this only
     arises for deliberately broken instances.  ``deterrent_roots`` lists
     every sign-change root of the retention margin, as
-    :func:`deterrent_sign_change_roots` returns them.
+    :func:`deterrent_sign_change_roots` returns them, and
+    ``displacement_threshold`` is :func:`displacement_threshold`: a root is
+    a grid end, ``0.0`` included, when the margin is exactly zero there.
     """
 
     regime: RegimeLabel
@@ -213,11 +221,11 @@ def optimal_investment(
 class _GridPass(NamedTuple):
     """What the grid pass keeps of each solved cell, O(cells) in all.
 
-    ``i_star`` is the rent argmax and ``j`` the feasible one, inside the
-    feasible run ``[jl, jr]`` of grid points, those where
-    :func:`~twinvest.model.retention_holds`.  Each end of the run inside
-    the grid sits beside a sign flip of the margin (:class:`_Flips`), from
-    whose bisection it is refined.
+    ``i_star`` is the rent argmax and ``j`` the feasible one, the best grid
+    point where :func:`~twinvest.model.retention_holds`.  The run of
+    feasible points around ``j`` ends beside the sign flips of the margin
+    (:class:`_Flips`) nearest to it, from whose bisections its ends are
+    refined.
     """
 
     regime: np.ndarray
@@ -227,8 +235,6 @@ class _GridPass(NamedTuple):
     feasible: np.ndarray
     j: np.ndarray
     u_j: np.ndarray
-    jl: np.ndarray
-    jr: np.ndarray
 
 
 class _Flips(NamedTuple):
@@ -239,33 +245,6 @@ class _Flips(NamedTuple):
     i: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-
-def _feasible_run(us: np.ndarray, i_star: np.ndarray, nonneg: np.ndarray):
-    """Per cell of a block: whether any grid point is feasible (``nonneg``,
-    the retention mask of :func:`_retention_flips`), the best feasible
-    point ``j`` and its rent, and the feasible run ``[jl, jr]`` around it
-    (see :class:`_GridPass`).
-
-    A cell feasible at every point has its rent argmax ``i_star`` for ``j``
-    and the whole grid for its run; only the other cells are searched.
-    """
-    n, size = us.shape
-    j, jl, jr = i_star.copy(), np.zeros(n, dtype=int), np.full(n, size - 1)
-    any_feasible = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(~nonneg.all(axis=1))
-    if len(rows):
-        feasible = nonneg[rows]
-        infeasible = ~feasible
-        j[rows] = k = np.argmax(np.where(feasible, us[rows], -np.inf), axis=1)
-        # the run ends next to the nearest infeasible points on either side
-        cols = np.arange(size)
-        gap_left = infeasible & (cols < k[:, None])
-        gap_right = infeasible & (cols > k[:, None])
-        jl[rows] = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
-        jr[rows] = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
-        any_feasible[rows] = feasible.any(axis=1)
-    return any_feasible, j, us[np.arange(n), j], jl, jr
 
 
 def _retention_flips(model: ModelPrimitives, g: GridEval) -> tuple[np.ndarray, _Flips]:
@@ -286,15 +265,17 @@ def _grid_pass(model: ModelPrimitives, g: GridEval) -> tuple[_GridPass, _Flips]:
 
     ``model`` is the batch's base; only its stakes are read, since the
     cells' own coefficients are in ``g`` already.  The regime tests are
-    decided from a row's min or max, and the feasible run is searched for
-    only in rows with an infeasible point; the retention mask is the one
-    (cells x grid) array kept from one helper to the next.
+    decided from a row's min or max, and the best feasible point is
+    searched for only when the block has an infeasible point; the retention
+    mask is the one (cells x grid) array kept from one helper to the next.
     """
     us = information_rent(g)
+    rows = np.arange(len(us))
     i_star = np.argmax(us, axis=1)
-    u_star = us[np.arange(len(us)), i_star]
     nonneg, flips = _retention_flips(model, g)
-    return _GridPass(_regime_codes(g), u_star, i_star, ~nonneg[:, 0], *_feasible_run(us, i_star, nonneg)), flips
+    j = i_star if nonneg.all() else np.argmax(np.where(nonneg, us, -np.inf), axis=1)
+    grid_pass = _GridPass(_regime_codes(g), us[rows, i_star], i_star, ~nonneg[:, 0], nonneg.any(axis=1), j, us[rows, j])
+    return grid_pass, flips
 
 
 def solve_batch(
@@ -313,19 +294,22 @@ def solve_batch(
     sign flip of the margin is bisected once, for the roots; an interval end
     inside the grid sits beside a flip and moves to that bisection's end on
     the feasible side, so the returned point is feasible by construction and
-    never past the displacement threshold.  Both refinements are
-    :func:`~twinvest.optimize.refine_max`.  Ties break toward smaller ``v``.
+    never past the displacement threshold.  Both optima are refined by
+    :func:`~twinvest.optimize.refine_max`, each seeded with its grid point.
+    Ties break toward smaller ``v``.
 
-    The grid pass runs over blocks of :data:`_BLOCK_CELLS` cells, each
-    evaluated once (``grid``, a one-row block, stands in for a batch of
-    one).  The rent, the retention mask, the displacement threshold
-    with every sign-change root of the margin, and the regime rates come
-    from it.  Then every bisection, and after it every golden-section
-    search, of all cells runs as one array search of
-    :mod:`~twinvest.optimize`, which evaluates the objective once per step
-    for all of them.  A single model's few brackets run one by one instead,
-    through the same searches on floats.  Each cell's result is exactly the
-    one it gets alone.  With
+    Each solve does four things.  A grid pass, over blocks of
+    :data:`_BLOCK_CELLS` cells, each evaluated once (``grid``, a one-row
+    block, stands in for a batch of one), yields the rent, the retention
+    mask, the sign flips of the margin and the regime rates.  One bisection
+    array search then finds every root, from which the displacement
+    threshold and the feasible run's ends come.  One golden-section array
+    search refines both optima of every cell, and one evaluation of the
+    retention rule and the principal's payoff checks and prices them.  An
+    array search of :mod:`~twinvest.optimize` evaluates the objective once
+    per step for all its brackets.  A single model's few brackets run one
+    by one instead, through the same searches on floats.  Each cell's
+    result is exactly the one it gets alone.  With
     ``skip_invalid`` each block's cells are first validated on the same
     grid (:func:`~twinvest.model.batch_validity`) and an invalid cell is
     returned as None without entering the solve.  A block whose cells all
@@ -402,12 +386,6 @@ def _bisect_flips(batch: ModelBatch, vs: np.ndarray, flips: _Flips):
     return lo, hi, 0.5 * (lo + hi)
 
 
-def _refine_columns(f, lo, hi, *candidates):
-    """:func:`~twinvest.optimize.refine_max` with the candidates given as
-    columns ``x, f(x), x, f(x), ...``."""
-    return refine_max(f, list(zip(candidates[::2], candidates[1::2])), lo, hi)
-
-
 def _refine(
     batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
 ) -> list[InvestmentSolution]:
@@ -417,30 +395,38 @@ def _refine(
     :func:`~twinvest.model.retention_holds`."""
     n, size = batch.size, len(vs)
 
-    # Each end of a feasible run [jl, jr] inside the grid is beside a sign
-    # flip and moves to that flip's bisected end on the run's side, which
-    # keeps the margin nonnegative.
+    # The feasible run around j ends beside the nearest flips on either
+    # side: the last flip before j (its right point is the nearest
+    # infeasible one on the left) and the first at or after j (its left
+    # point is the run's last).  Each end moves to that flip's bisected end
+    # on the run's side, which keeps the margin nonnegative; a run without
+    # a flip on a side reaches the grid's end there.
     feas = np.flatnonzero(p.feasible)
-    jl, jr = p.jl[feas], p.jr[feas]
-    a, b = vs[jl], vs[jr]
     lo, hi, roots = _bisect_flips(batch, vs, flips)
     keys = flips.cell * size + flips.i  # ascending: np.nonzero is row-major
-    left, right = jl > 0, jr < size - 1
-    a[left] = hi[np.searchsorted(keys, feas[left] * size + jl[left] - 1)]
-    b[right] = lo[np.searchsorted(keys, feas[right] * size + jr[right])]
+    k = np.searchsorted(keys, feas * size + p.j[feas])
+    # a last flip of no cell, read at k - 1 == -1 and at k == len(keys)
+    cell, lo, hi = np.append(flips.cell, -1), np.append(lo, np.nan), np.append(hi, np.nan)
+    a = np.where(cell[k - 1] == feas, hi[k - 1], vs[0])
+    b = np.where(cell[k] == feas, lo[k], vs[-1])
 
-    # Golden-section refinements: the unconstrained argmax of every cell in
-    # its neighbour bracket, then the feasible argmax of every feasible cell
-    # in its feasible interval [a, b].
-    bracket = vs[np.maximum(p.i_star - 1, 0)], vs[np.minimum(p.i_star + 1, size - 1)]
-    v_unc, _ = _search(_refine_columns, batch, np.arange(n), _rent, *bracket, vs[p.i_star], p.u_star)
-    m = len(feas)
-    twice = np.concatenate([feas, feas])
-    u_ab = _objective(batch, twice, _rent)(np.concatenate([a, b]))
+    # One golden-section search of every cell's unconstrained argmax in its
+    # neighbour bracket and of every feasible cell's feasible argmax in its
+    # run [a, b], each seeded with its grid point.
     x_j, u_j = vs[p.j[feas]], p.u_j[feas]
-    v_opt, u_opt = _search(_refine_columns, batch, feas, _rent, a, b, x_j, u_j, a, u_ab[:m], b, u_ab[m:])
+    xs, us = _search(
+        refine_max, batch, np.concatenate([np.arange(n), feas]), _rent,
+        np.concatenate([vs[np.maximum(p.i_star - 1, 0)], a]),
+        np.concatenate([vs[np.minimum(p.i_star + 1, size - 1)], b]),
+        np.concatenate([vs[p.i_star], x_j]),
+        np.concatenate([p.u_star, u_j]),
+    )
+    v_unc, v_opt, u_opt = xs[:n], xs[n:], us[n:]
+    m = len(feas)
     # logical_not, not ~: with no feasible cell a shared objective returns an empty float array
-    failed = np.logical_not(_objective(batch, twice, retention_holds)(np.concatenate([v_opt, v_unc[feas]])))
+    failed = np.logical_not(
+        _objective(batch, np.concatenate([feas, feas]), retention_holds)(np.concatenate([v_opt, v_unc[feas]]))
+    )
     # refinement strayed into an infeasible dip between grid points
     strayed = failed[:m]
     v_opt, u_opt = np.where(strayed, x_j, v_opt), np.where(strayed, u_j, u_opt)

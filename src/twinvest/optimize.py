@@ -3,9 +3,10 @@
 The investment and effort objectives are not necessarily quasiconcave, so
 the solvers never trust a single local search: they scan a dense grid
 first, then refine the best bracket with golden-section.  This module owns
-that refinement step (:func:`refine_max` and its grid-argmax form
-:func:`refine_grid_max`), which both solvers use, and the bisection that
-locates sign changes.
+that refinement step, :func:`refine_max`: the better of a seed point (the
+grid argmax) and a golden-section search of its bracket.  Both solvers use
+it, the effort solver through its grid-argmax form :func:`refine_grid_max`.
+It also owns the bisection that locates sign changes.
 
 Each search is written once, as a loop over its state: the bracket, the
 interior points with their values, an iteration count and a live mask.
@@ -142,26 +143,21 @@ def max_candidate(candidates: list[tuple]) -> tuple:
     return best_x, best_f
 
 
-def refine_max(f: Callable, candidates: list[tuple], lo, hi) -> tuple:
-    """Best of ``candidates`` and, when ``hi > lo``, of a golden-section
-    search of ``f`` on ``[lo, hi]``; ties go to the smaller ``x``.
+def refine_max(f: Callable, lo, hi, x, fx) -> tuple:
+    """Best of the candidate ``(x, fx)`` and a golden-section search of
+    ``f`` on ``[lo, hi]``; ties go to the smaller ``x``.
 
-    Given arrays (each candidate a pair of arrays), every element is
-    refined on its own bracket, and the searches run together.
+    Given arrays, every element is refined on its own bracket, and the
+    searches run together.  An empty bracket (``lo == hi``) searches the
+    point ``lo`` alone.
     """
-    best = max_candidate(candidates)
-    search = hi > lo
-    if not _any(search):
-        return best
-    # an element without a bracket searches the point lo; its result is dropped
-    found = golden_section_max(f, lo, _select(search, hi, lo))
-    return _select(search & _better(*found, *best), found, best)
+    return max_candidate([(x, fx), golden_section_max(f, lo, hi)])
 
 
 def refine_grid_max(f: Callable, xs, fs, i) -> tuple:
     """:func:`refine_max` of the grid point ``(xs[i], fs[i])`` inside its
     neighbour bracket ``[xs[i-1], xs[i+1]]``, clipped to the grid."""
-    return refine_max(f, [(xs[i], fs[i])], xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
+    return refine_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], xs[i], fs[i])
 
 
 def bisect_bracket(

@@ -154,6 +154,11 @@ class TestSimulate:
     def test_bad_alpha_rejected(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--alpha", "1.5"]) == 1
 
+    def test_negative_seed_is_input_error(self, model_file, capsys):
+        assert main(["simulate", "--model", model_file(f2()), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0, got -1\n"
+
     def test_delta_recorded_in_summary(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--delta", "0.9"]) == 0
         assert "delta=0.9" in capsys.readouterr().err
@@ -256,6 +261,11 @@ class TestVerify:
         monkeypatch.setattr(oracle_module, "optimal_investment", corrupted)
         assert main(["verify", "--models", "0"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["verify", "--models", "0", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
     def test_non_finite_step_rejected(self, step, capsys):

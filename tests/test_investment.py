@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -147,19 +148,16 @@ class TestFeasibleRun:
     def test_matches_a_search_of_every_row(self, block):
         g, us = block
         model = ModelPrimitives(F.constant(0.5), F.constant(0.6), F.constant(0.1), 1.0, 1.0, 0.0)
-        nonneg, _ = twinvest.investment._retention_flips(model, g)
-        found = twinvest.investment._feasible_run(us, np.argmax(us, axis=1), nonneg)
-        # every row searched: the best feasible point and the run of
-        # feasible points around it
-        n, size = us.shape
+        # the block's rent is the drawn one, not the one its primitives give
+        with mock.patch.object(twinvest.investment, "information_rent", lambda g: us):
+            found, _ = twinvest.investment._grid_pass(model, g)
+        # every row searched: whether any point is feasible, and the best
+        # feasible point with its rent
+        n = len(us)
         feasible = 0.5 - g.cost >= 0.0
         j = np.argmax(np.where(feasible, us, -np.inf), axis=1)
-        cols = np.arange(size)
-        gap_left, gap_right = ~feasible & (cols < j[:, None]), ~feasible & (cols > j[:, None])
-        jl = np.where(gap_left.any(axis=1), size - np.argmax(gap_left[:, ::-1], axis=1), 0)
-        jr = np.where(gap_right.any(axis=1), np.argmax(gap_right, axis=1) - 1, size - 1)
-        expected = (feasible.any(axis=1), j, us[np.arange(n), j], jl, jr)
-        for got, want in zip(found, expected):
+        expected = (feasible.any(axis=1), j, us[np.arange(n), j])
+        for got, want in zip((found.feasible, found.j, found.u_j), expected):
             assert got.tobytes() == want.tobytes()
 
 
@@ -306,6 +304,21 @@ class TestDisplacementThreshold:
     def test_zero_quality_importance_displaces_immediately(self):
         flat = dataclasses.replace(f1(), s_high=1.0, s_low=1.0)
         assert displacement_threshold(flat) == 0.0
+
+    def test_exact_zero_margin_at_zero_is_a_root_at_zero(self):
+        # the margin is exactly 0 at v = 0 and negative just after, so the
+        # margin's root is the grid end 0.0, where the agent is still retained
+        model = ModelPrimitives(
+            F.affine(0.0677043630006203, 0.41070773464078636), F.constant(0.8920731302400443),
+            F.constant(0.11772128568588341), 1.0, 0.4438495880048995, 0.28931973331149824,
+        )
+        assert validate(model).passed
+        assert displacement_deterrent_margin(model, 0.0) == 0.0
+        assert displacement_deterrent_margin(model, 1e-3) < 0.0
+        sol = optimal_investment(model)
+        assert (sol.v_opt, sol.displacement_threshold, sol.deterrent_roots) == (0.0, 0.0, (0.0,))
+        assert displacement_threshold(model) == 0.0
+        assert displacement_deterrent_check(model, 0.0)
 
     def test_sign_change_roots_listed(self):
         assert deterrent_sign_change_roots(f1()) == []

@@ -98,18 +98,19 @@ class TestRefinement:
         assert x == pytest.approx(0.3, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
-    def test_empty_bracket_returns_best_candidate_without_calling_f(self):
-        f, seen = recording(math.sin)
-        candidates = [(0.4, 0.5), (0.7, 1.0), (0.2, 1.0)]
-        assert refine_max(f, candidates, 0.3, 0.3) == (0.2, 1.0)
-        assert refine_grid_max(f, [0.6], [2.0], 0) == (0.6, 2.0)
-        assert seen == []
+    def test_empty_bracket_returns_the_candidate(self):
+        # an empty bracket searches its one point, here the candidate's own
+        # x, and the candidate's value there is the larger
+        assert refine_max(math.sin, 0.3, 0.3, 0.3, 2.0) == (0.3, 2.0)
+        assert refine_grid_max(math.sin, [0.6], [2.0], 0) == (0.6, 2.0)
+        # a tie with the point searched keeps the candidate's value
+        assert refine_max(math.sin, 0.3, 0.3, 0.3, math.sin(0.3)) == (0.3, math.sin(0.3))
 
     def test_tie_with_search_result_goes_to_smaller_x(self):
         flat = lambda x: 1.0
         # the search on a flat objective returns its left end, 0.2
-        assert refine_max(flat, [(0.5, 1.0)], 0.2, 0.8) == (0.2, 1.0)
-        assert refine_max(flat, [(0.1, 1.0)], 0.2, 0.8) == (0.1, 1.0)
+        assert refine_max(flat, 0.2, 0.8, 0.5, 1.0) == (0.2, 1.0)
+        assert refine_max(flat, 0.2, 0.8, 0.1, 1.0) == (0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +196,13 @@ class TestLockstep:
     def test_refine_max_elements_equal_scalar_calls(self, brackets):
         lo, hi, c, tilt, _ = brackets
         f = _two_peaks(c, tilt)
-        # candidates at both ends and one outside the bracket
-        cand = [(lo, f(lo)), (hi, f(hi)), (lo - 0.5, f(lo - 0.5))]
-        xs, fs = refine_max(f, cand, lo, hi)
+        # candidates at the left end, the right end and outside the bracket
+        x = np.choose(np.arange(len(lo)) % 3, [lo, hi, lo - 0.5])
+        xs, fs = refine_max(f, lo, hi, x, f(x))
         for k in range(len(lo)):
             g = _two_peaks(c[k], tilt[k])
-            expected = refine_max(g, [(float(x[k]), float(y[k])) for x, y in cand], lo[k], hi[k])
+            expected = refine_max(g, lo[k], hi[k], float(x[k]), g(float(x[k])))
             assert (xs[k], fs[k]) == expected, k
-
-    def test_refine_max_skips_empty_brackets(self):
-        seen = []
-
-        def f(x):
-            seen.append(np.array(x))
-            return -x
-
-        xs, fs = refine_max(f, [(np.array([0.5, 0.1]), np.array([2.0, 3.0]))], np.array([0.3, 0.3]), np.array([0.3, 0.3]))
-        assert (xs.tolist(), fs.tolist(), seen) == ([0.5, 0.1], [2.0, 3.0], [])
 
     @pytest.mark.parametrize("orientation", [1.0, -1.0])
     def test_bisection_elements_equal_scalar_calls(self, orientation):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -52,6 +53,22 @@ class TestRegimeSweep:
         axis1, axis2 = f3_axes(3)
         regime_map = regime_sweep(f3(), axis1, axis2, grid_points=101)
         assert sum(points) == len(regime_map.cells) * 101 == 9 * 101
+
+    def test_one_golden_section_search_per_solve(self, monkeypatch):
+        # both optima of every cell are refined in one array search
+        calls = []
+        real = twinvest.investment.refine_max
+
+        def counting(f, lo, hi, x, fx):
+            calls.append(len(lo))
+            return real(f, lo, hi, x, fx)
+
+        monkeypatch.setattr(twinvest.investment, "refine_max", counting)
+        axis1, axis2 = f3_axes(4)
+        regime_map = regime_sweep(f3(), axis1, axis2, grid_points=101)
+        solved = sum(cell.regime != INVALID_LABEL for cell in regime_map.cells)
+        assert solved > 1
+        assert calls == [2 * solved]  # every solved cell is feasible here
 
     def test_cells_agree_with_grid_oracle(self):
         # spot-check the per-cell solver against enumeration
@@ -219,6 +236,18 @@ class TestCsv:
         a = regime_sweep(f3(), axis1, axis2, grid_points=201).to_csv()
         b = regime_sweep(f3(), axis1, axis2, grid_points=201).to_csv()
         assert a == b
+
+    def test_f2_binding_sweep_pinned(self):
+        # most cells have a displacement threshold inside the range and a
+        # binding optimum, so this pins the feasible run's refined ends
+        regime_map = regime_sweep(
+            f2(), SweepAxis.linspace("cost", 0, 0.12, 0.3, 30), SweepAxis.linspace("pi0", 1, -0.1, 0.45, 30)
+        )
+        inside = sum(c.v_star is not None and 0.0 < c.v_star < 1.0 for c in regime_map.cells)
+        binding = sum(c.deterrent_binding is True for c in regime_map.cells)
+        assert (inside, binding) == (269, 265)
+        digest = hashlib.sha256(regime_map.to_csv().encode("utf-8")).hexdigest()
+        assert digest == "bd9543b2ab8c0a5e6a3a1d736164aa9d9473beb7fe5e0a7002b9acbde963e43e"
 
     def test_numeric_fields_reparse(self):
         axis1, axis2 = f3_axes(3)
