@@ -60,6 +60,7 @@ from .investment import (
 )
 from .model import (
     EvaluatedPoint,
+    InvalidModelError,
     ModelPrimitives,
     ValidationReport,
     evaluate,
@@ -83,6 +84,7 @@ __all__ = [
     "EffortLevel",
     "EffortSolution",
     "EvaluatedPoint",
+    "InvalidModelError",
     "InvestmentSolution",
     "ModelPrimitives",
     "OracleReport",

@@ -29,6 +29,7 @@ from .investment import optimal_investment
 from .model import (
     DEFAULT_GRID_POINTS,
     GridEval,
+    InvalidModelError,
     ModelPrimitives,
     evaluate_model_grid,
     validate,
@@ -186,17 +187,9 @@ def cmd_solve(args) -> int:
     model = _discrete(mf)
     grid_points = _grid_size(args)
     grid = evaluate_model_grid(model, grid_points)
-    report = validate(model, grid_points, grid=grid)
-    if not report.passed:
-        print(f"model: {report.describe()}")
-        return EXIT_INVALID_MODEL
-
     sol = optimal_investment(model, grid_points, grid=grid)
     print(f"regime={sol.regime.value}")
-    print(f"feasible={format_bool(sol.feasible)}")
-    if not sol.feasible:
-        print("no-twin outcome: retention fails at every investment level")
-        return EXIT_OK
+    print("feasible=true")  # a valid model is retained at v = 0
     breakdown = surpluses(model, sol.v_opt)
     roots = ";".join(format_number(r) for r in sol.deterrent_roots)
     print(f"v_opt={format_number(sol.v_opt)}")
@@ -217,8 +210,7 @@ def cmd_simulate(args) -> int:
     model = _discrete(mf)
     report = validate(model)
     if not report.passed:
-        print(f"model: {report.describe()}")
-        return EXIT_INVALID_MODEL
+        raise InvalidModelError(report)
     if args.delta is not None and not 0.0 < args.delta < 1.0:
         raise _InputError(f"--delta must lie in (0, 1), got {args.delta}")
     if args.seed is not None and args.seed < 0:
@@ -303,6 +295,9 @@ def main(argv=None) -> int:
     except (_InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvalidModelError as exc:
+        print(f"model: {exc.report.describe()}")
+        return EXIT_INVALID_MODEL
 
 
 if __name__ == "__main__":

@@ -65,6 +65,13 @@ def _number(obj: dict, key: str, path: str) -> float:
     return float(value)
 
 
+def _family(obj: dict, key: str, path: str) -> ParametricFamily:
+    """The family under ``key``; a missing one is a missing field."""
+    if key not in obj:
+        raise ConfigError(path, "missing required field")
+    return parse_family(obj[key], path)
+
+
 def parse_family(obj, path: str) -> ParametricFamily:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, _FAMILY_KEYS, path)
@@ -90,9 +97,9 @@ def parse_family(obj, path: str) -> ParametricFamily:
 def parse_model(obj: dict, path: str = "") -> ModelPrimitives:
     try:
         return ModelPrimitives(
-            pi0=parse_family(obj.get("pi0"), f"{path}pi0"),
-            pi1=parse_family(obj.get("pi1"), f"{path}pi1"),
-            cost=parse_family(obj.get("cost"), f"{path}cost"),
+            pi0=_family(obj, "pi0", f"{path}pi0"),
+            pi1=_family(obj, "pi1", f"{path}pi1"),
+            cost=_family(obj, "cost", f"{path}cost"),
             v_max=_number(obj, "v_max", path.rstrip(".")),
             s_high=_number(obj, "s_high", path.rstrip(".")),
             s_low=_number(obj, "s_low", path.rstrip(".")),
@@ -108,7 +115,7 @@ def parse_continuous(obj, path: str = "continuous") -> ContinuousEffortModel:
     _reject_unknown(obj, _CONTINUOUS_KEYS, path)
     try:
         return ContinuousEffortModel(
-            p=parse_family(obj.get("p"), f"{path}.p"),
+            p=_family(obj, "p", f"{path}.p"),
             c0=_number(obj, "c0", path),
             e_min=_number(obj, "e_min", path),
             e_max=_number(obj, "e_max", path),

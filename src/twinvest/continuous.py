@@ -43,9 +43,11 @@ class ContinuousEffortModel:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not np.isfinite(self.c0) or self.c0 <= 0.0:
             raise ValueError(f"cost slope c0 must be > 0, got {self.c0}")
-        if not 0.0 < self.e_min < self.e_max:
+        if not (np.isfinite(self.s_high) and np.isfinite(self.s_low)):
+            raise ValueError("s_high and s_low must be finite")
+        if not (np.isfinite(self.e_max) and 0.0 < self.e_min < self.e_max):
             raise ValueError(
-                f"effort bounds must satisfy 0 < e_min < e_max, got "
+                f"effort bounds must be finite with 0 < e_min < e_max, got "
                 f"[{self.e_min}, {self.e_max}]"
             )
 

@@ -209,5 +209,6 @@ def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:
 
 def should_offer_twin(model: ModelPrimitives, anticipated_v: float) -> bool:
     """True when offering the twin (anticipating investment ``anticipated_v``)
-    leaves the principal at least as well off as the no-twin baseline."""
+    leaves the principal at least as well off as the baseline without a
+    twin, zero investment."""
     return principal_surplus(model, anticipated_v) - principal_surplus(model, 0.0) >= -DEFAULT_TOL

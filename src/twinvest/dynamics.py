@@ -229,7 +229,10 @@ def simulate_two_period(
     The myopic path composes the committed offer, maximum training, the
     shirk test, and the period-2 retention decision at ``v_max``.  The
     strategic path freezes the single-period deterrent-respecting optimum
-    and repeats it; that agent is never displaced.
+    and repeats it; that agent is never displaced.  Like
+    :func:`~twinvest.investment.optimal_investment`, it raises
+    :class:`~twinvest.model.InvalidModelError` on a model that fails
+    validation.
     """
     if agent is AgentKind.MYOPIC:
         play = _full_training(model)
@@ -240,8 +243,6 @@ def simulate_two_period(
         return TimelineTrace((first, _twin_record(model, 2, v, v)), 2, None, discount)
 
     sol = optimal_investment(model)
-    if not sol.feasible:
-        raise ValueError("no deterrent-feasible investment; model fails validation")
     p = evaluate(model, sol.v_opt)
     contract = Contract(incentive_wage(p), 0.0)
     records = tuple(_employed_record(model, t, contract, p, EffortLevel.HIGH) for t in (1, 2))

@@ -29,6 +29,7 @@ from .model import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
     GridEval,
+    InvalidModelError,
     ModelBatch,
     ModelPrimitives,
     PrimitiveValues,
@@ -37,6 +38,7 @@ from .model import (
     evaluate_batch_grid,
     evaluate_batch_values,
     evaluate_model_grid,
+    validate,
 )
 from .optimize import bisect_bracket, refine_max
 
@@ -132,10 +134,6 @@ def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[
     return not nonneg[0, 0], _bisect_flips(batch, vs, flips)[2].tolist()
 
 
-def _threshold(displaced_at_zero: bool, roots) -> float | None:
-    return 0.0 if displaced_at_zero else (roots[0] if len(roots) else None)
-
-
 def deterrent_sign_change_roots(
     model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[float]:
@@ -168,7 +166,8 @@ def displacement_threshold(
     :func:`optimal_investment`: its roots are found by bisection, which
     shrinks each bracket until the residual is far below 1e-10.
     """
-    return _threshold(*_margin_roots(model, grid_points))
+    displaced_at_zero, roots = _margin_roots(model, grid_points)
+    return 0.0 if displaced_at_zero else (roots[0] if roots else None)
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +177,25 @@ def displacement_threshold(
 
 @dataclass(frozen=True)
 class InvestmentSolution:
-    """Solution of the deterrent-constrained rent maximization.
+    """Solution of the deterrent-constrained rent maximization of a valid
+    model.
 
-    ``feasible`` is False when the retention condition fails at every grid
-    point including zero investment; then there is no contracting outcome
-    (the principal runs the twin alone) and the optional fields are None.
-    Validated models always retain the agent at ``v = 0``, so this only
-    arises for deliberately broken instances.  ``deterrent_roots`` lists
-    every sign-change root of the retention margin, as
+    A model that passes :func:`~twinvest.model.validate` retains the agent
+    at ``v = 0``, so every solution has an optimum.  ``deterrent_roots``
+    lists every sign-change root of the retention margin, as
     :func:`deterrent_sign_change_roots` returns them, and
-    ``displacement_threshold`` is :func:`displacement_threshold`: a root is
-    a grid end, ``0.0`` included, when the margin is exactly zero there.
+    ``displacement_threshold`` is the first of them, or None when there is
+    none: a root is a grid end, ``0.0`` included, when the margin is
+    exactly zero there.
     """
 
     regime: RegimeLabel
     v_star_unconstrained: float
-    v_opt: float | None
+    v_opt: float
     displacement_threshold: float | None
     deterrent_binding: bool
-    u_at_opt: float | None
-    principal_surplus_at_opt: float | None
-    feasible: bool = True
+    u_at_opt: float
+    principal_surplus_at_opt: float
     deterrent_roots: tuple[float, ...] = ()
 
 
@@ -211,11 +208,15 @@ def optimal_investment(
 
     The solve of :func:`solve_batch` on a batch of one; ``grid`` is the
     model's ``grid_points``-point :func:`evaluate_grid` result when the
-    caller already holds it.
+    caller already holds it.  A model that fails validation on that grid
+    raises :class:`~twinvest.model.InvalidModelError`, carrying the
+    model's :func:`~twinvest.model.validate` report.
     """
-    if grid is not None:
-        grid = GridEval(grid.v, *(x[None, :] for x in grid[1:]))
-    return solve_batch(ModelBatch.single(model), grid_points, grid)[0]
+    block = None if grid is None else GridEval(grid.v, *(x[None, :] for x in grid[1:]))
+    sol = solve_batch(ModelBatch.single(model), grid_points, block)[0]
+    if sol is None:
+        raise InvalidModelError(validate(model, grid_points, grid))
+    return sol
 
 
 class _GridPass(NamedTuple):
@@ -231,8 +232,6 @@ class _GridPass(NamedTuple):
     regime: np.ndarray
     u_star: np.ndarray
     i_star: np.ndarray
-    displaced_at_zero: np.ndarray
-    feasible: np.ndarray
     j: np.ndarray
     u_j: np.ndarray
 
@@ -261,7 +260,8 @@ def _retention_flips(model: ModelPrimitives, g: GridEval) -> tuple[np.ndarray, _
 
 
 def _grid_pass(model: ModelPrimitives, g: GridEval) -> tuple[_GridPass, _Flips]:
-    """Everything the solve needs from one block's grid (rows are cells).
+    """Everything the solve needs from one block's grid of valid cells
+    (rows are cells).
 
     ``model`` is the batch's base; only its stakes are read, since the
     cells' own coefficients are in ``g`` already.  The regime tests are
@@ -274,53 +274,42 @@ def _grid_pass(model: ModelPrimitives, g: GridEval) -> tuple[_GridPass, _Flips]:
     i_star = np.argmax(us, axis=1)
     nonneg, flips = _retention_flips(model, g)
     j = i_star if nonneg.all() else np.argmax(np.where(nonneg, us, -np.inf), axis=1)
-    grid_pass = _GridPass(_regime_codes(g), us[rows, i_star], i_star, ~nonneg[:, 0], nonneg.any(axis=1), j, us[rows, j])
-    return grid_pass, flips
+    return _GridPass(_regime_codes(g), us[rows, i_star], i_star, j, us[rows, j]), flips
 
 
 def solve_batch(
     batch: ModelBatch,
     grid_points: int = DEFAULT_GRID_POINTS,
     grid: GridEval | None = None,
-    skip_invalid: bool = False,
 ) -> list[InvestmentSolution | None]:
-    """:func:`optimal_investment` of every cell of ``batch``, solved together.
+    """:func:`optimal_investment` of every cell of ``batch``, solved
+    together; None for a cell that fails :func:`~twinvest.model.validate`.
 
-    Grid-first bracketing handles non-quasiconcave objectives; the best
-    bracket is then refined by golden-section.  For the constrained part the
-    feasible grid points are those where
-    :func:`~twinvest.model.retention_holds` (``retention_margin >= 0``), and
-    the best one is refined inside its containing feasible interval.  Each
-    sign flip of the margin is bisected once, for the roots; an interval end
-    inside the grid sits beside a flip and moves to that bisection's end on
-    the feasible side, so the returned point is feasible by construction and
-    never past the displacement threshold.  Both optima are refined by
-    :func:`~twinvest.optimize.refine_max`, each seeded with its grid point.
-    Ties break toward smaller ``v``.
+    Each block of :data:`_BLOCK_CELLS` cells is evaluated once on the grid
+    (``grid``, a one-row block, stands in for a batch of one) and validated
+    on it (:func:`~twinvest.model.batch_validity`); only a block with an
+    invalid cell has its valid rows copied out.  A valid cell is retained
+    at ``v = 0``, so it always has an optimum.
 
-    Each solve does four things.  A grid pass, over blocks of
-    :data:`_BLOCK_CELLS` cells, each evaluated once (``grid``, a one-row
-    block, stands in for a batch of one), yields the rent, the retention
-    mask, the sign flips of the margin and the regime rates.  One bisection
-    array search then finds every root, from which the displacement
-    threshold and the feasible run's ends come.  One golden-section array
-    search refines both optima of every cell, and one evaluation of the
-    retention rule and the principal's payoff checks and prices them.  An
-    array search of :mod:`~twinvest.optimize` evaluates the objective once
-    per step for all its brackets.  A single model's few brackets run one
-    by one instead, through the same searches on floats.  Each cell's
-    result is exactly the one it gets alone.  With
-    ``skip_invalid`` each block's cells are first validated on the same
-    grid (:func:`~twinvest.model.batch_validity`) and an invalid cell is
-    returned as None without entering the solve.  A block whose cells all
-    pass is solved on its grid as evaluated; only a block with an invalid
-    cell has its valid rows copied out.
+    The grid pass yields the rent, the retention mask
+    (:func:`~twinvest.model.retention_holds`), the margin's sign flips and
+    the regime rates.  One bisection array search finds every root, from
+    which the displacement threshold and the feasible run's ends come: an
+    end inside the grid moves to its flip's bisected end on the feasible
+    side, so the optimum is feasible and never past the threshold.  One
+    golden-section array search (:func:`~twinvest.optimize.refine_max`)
+    refines the unconstrained argmax in its neighbour bracket and the best
+    feasible grid point in its run, each seeded with its grid point; ties
+    break toward smaller ``v``.  One evaluation of the retention rule and
+    the principal's payoff then checks and prices both optima.  A single
+    model's few brackets run one by one, through the same searches on
+    floats.  Each cell's result is exactly the one it gets alone.
     """
     if grid is not None and batch.size != 1:
         raise ValueError(f"grid stands in for a batch of one, got {batch.size} cells")
     vs = batch.base.grid(grid_points) if grid is None else grid.v
     out: list[InvestmentSolution | None] = [None] * batch.size
-    solved = _grid_passes(batch, vs, grid, skip_invalid)
+    solved = _grid_passes(batch, vs, grid)
     if solved is not None:
         cells, p, flips = solved
         for cell, sol in zip(cells.tolist(), _refine(batch.take(cells), vs, p, flips)):
@@ -333,20 +322,19 @@ def _joined(parts: list):
     return parts[0] if len(parts) == 1 else type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
-def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None, skip_invalid: bool):
-    """The grid pass of :func:`solve_batch`, block by block: the solved
+def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
+    """The grid pass of :func:`solve_batch`, block by block: the valid
     cells, their :class:`_GridPass` and their sign flips (indexing the
-    solved cells), or None when no cell is solved."""
+    valid cells), or None when no cell is valid."""
     solved, passes, flips, count = [], [], [], 0
     for start in range(0, batch.size, _BLOCK_CELLS):
         block = batch.take(np.arange(start, min(start + _BLOCK_CELLS, batch.size)))
         g = evaluate_batch_grid(block, vs) if grid is None else grid
+        valid = batch_validity(block, g)
         rows = np.arange(block.size)
-        if skip_invalid:
-            valid = batch_validity(block, g)
-            if not valid.all():  # an all-valid block is solved as it is
-                rows = np.flatnonzero(valid)
-                g = GridEval(vs, *(x[rows] for x in g[1:]))
+        if not valid.all():  # an all-valid block is solved as it is
+            rows = np.flatnonzero(valid)
+            g = GridEval(vs, *(x[rows] for x in g[1:]))
         if len(rows):
             grid_pass, block_flips = _grid_pass(batch.base, g)
             passes.append(grid_pass)
@@ -389,11 +377,12 @@ def _bisect_flips(batch: ModelBatch, vs: np.ndarray, flips: _Flips):
 def _refine(
     batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
 ) -> list[InvestmentSolution]:
-    """Refine every cell of ``batch`` from its grid pass ``p`` and sign
-    flips ``flips``, all cells in each search together.  A refined point is
-    feasible, and a solution binding, by the grid's rule,
+    """Refine every valid cell of ``batch`` from its grid pass ``p`` and
+    sign flips ``flips``, all cells in each search together.  A refined
+    point is feasible, and a solution binding, by the grid's rule,
     :func:`~twinvest.model.retention_holds`."""
     n, size = batch.size, len(vs)
+    cells = np.arange(n)
 
     # The feasible run around j ends beside the nearest flips on either
     # side: the last flip before j (its right point is the nearest
@@ -401,56 +390,49 @@ def _refine(
     # point is the run's last).  Each end moves to that flip's bisected end
     # on the run's side, which keeps the margin nonnegative; a run without
     # a flip on a side reaches the grid's end there.
-    feas = np.flatnonzero(p.feasible)
     lo, hi, roots = _bisect_flips(batch, vs, flips)
     keys = flips.cell * size + flips.i  # ascending: np.nonzero is row-major
-    k = np.searchsorted(keys, feas * size + p.j[feas])
+    k = np.searchsorted(keys, cells * size + p.j)
     # a last flip of no cell, read at k - 1 == -1 and at k == len(keys)
     cell, lo, hi = np.append(flips.cell, -1), np.append(lo, np.nan), np.append(hi, np.nan)
-    a = np.where(cell[k - 1] == feas, hi[k - 1], vs[0])
-    b = np.where(cell[k] == feas, lo[k], vs[-1])
+    a = np.where(cell[k - 1] == cells, hi[k - 1], vs[0])
+    b = np.where(cell[k] == cells, lo[k], vs[-1])
 
     # One golden-section search of every cell's unconstrained argmax in its
-    # neighbour bracket and of every feasible cell's feasible argmax in its
-    # run [a, b], each seeded with its grid point.
-    x_j, u_j = vs[p.j[feas]], p.u_j[feas]
+    # neighbour bracket and of its feasible argmax in its run [a, b], each
+    # seeded with its grid point.
+    both = np.concatenate([cells, cells])
+    x_j = vs[p.j]
     xs, us = _search(
-        refine_max, batch, np.concatenate([np.arange(n), feas]), _rent,
+        refine_max, batch, both, _rent,
         np.concatenate([vs[np.maximum(p.i_star - 1, 0)], a]),
         np.concatenate([vs[np.minimum(p.i_star + 1, size - 1)], b]),
         np.concatenate([vs[p.i_star], x_j]),
-        np.concatenate([p.u_star, u_j]),
+        np.concatenate([p.u_star, p.u_j]),
     )
     v_unc, v_opt, u_opt = xs[:n], xs[n:], us[n:]
-    m = len(feas)
-    # logical_not, not ~: with no feasible cell a shared objective returns an empty float array
-    failed = np.logical_not(
-        _objective(batch, np.concatenate([feas, feas]), retention_holds)(np.concatenate([v_opt, v_unc[feas]]))
-    )
+    failed = ~_objective(batch, both, retention_holds)(np.concatenate([v_opt, v_unc]))
     # refinement strayed into an infeasible dip between grid points
-    strayed = failed[:m]
-    v_opt, u_opt = np.where(strayed, x_j, v_opt), np.where(strayed, u_j, u_opt)
-    binding = failed[m:]
-    principal = _objective(batch, feas, principal_payoff)(v_opt)
+    strayed = failed[:n]
+    v_opt, u_opt = np.where(strayed, x_j, v_opt), np.where(strayed, p.u_j, u_opt)
+    principal = _objective(batch, cells, principal_payoff)(v_opt)
 
-    optimum = dict(zip(feas.tolist(), zip(v_opt.tolist(), u_opt.tolist(), binding.tolist(), principal.tolist())))
     bounds = np.searchsorted(flips.cell, np.arange(n + 1)).tolist()  # each cell's roots
     roots = roots.tolist()
     out = []
-    for c, (code, v_star, at_zero) in enumerate(
-        zip(p.regime.tolist(), v_unc.tolist(), p.displaced_at_zero.tolist())
-    ):
+    for c, (code, v_star, v, u, bound, principal_at_opt) in enumerate(zip(
+        p.regime.tolist(), v_unc.tolist(), v_opt.tolist(), u_opt.tolist(),
+        failed[n:].tolist(), principal.tolist(),
+    )):
         cell_roots = tuple(roots[bounds[c]:bounds[c + 1]])
-        v, u, bound, principal_at_opt = optimum.get(c, (None, None, False, None))
         out.append(InvestmentSolution(
             regime=_REGIMES[code],
             v_star_unconstrained=v_star,
             v_opt=v,
-            displacement_threshold=_threshold(at_zero, cell_roots),
+            displacement_threshold=cell_roots[0] if cell_roots else None,
             deterrent_binding=bound,
             u_at_opt=u,
             principal_surplus_at_opt=principal_at_opt,
-            feasible=c in optimum,
             deterrent_roots=cell_roots,
         ))
     return out

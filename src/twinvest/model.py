@@ -10,7 +10,8 @@ investment ``v`` on ``[0, v_max]`` -- plus the principal's stakes
 Construction only checks structure (family shapes, positive ``v_max``).
 The economic assumptions live in :func:`validate`, which reports rather
 than raises, so that deliberately broken instances can be probed by tests
-and by the regime-sweep machinery.
+and labelled by the regime sweep; the solvers raise
+:class:`InvalidModelError` on them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ from .families import ParametricFamily, family_formula, family_value_slope
 
 class DomainError(ValueError):
     """An argument fell outside the model's declared domain."""
+
+
+class InvalidModelError(ValueError):
+    """A solver was given a model that :func:`validate` rejects; ``report``
+    is that :class:`ValidationReport`."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(report.describe())
+        self.report = report
 
 
 #: Absolute tolerance for weak inequality checks on payoff-scale quantities.

@@ -127,7 +127,7 @@ def regime_sweep(
     x2 = np.tile(axis2.values, len(axis1.values))
     columns = {(axis1.target, axis1.coefficient): x1}
     columns[(axis2.target, axis2.coefficient)] = x2  # axis 2 wins on a shared coefficient
-    solutions = solve_batch(ModelBatch.sweep(base, columns), grid_points, skip_invalid=True)
+    solutions = solve_batch(ModelBatch.sweep(base, columns), grid_points)
     cells = tuple(
         RegimeCell(p1, p2, INVALID_LABEL, None, None, None, None)
         if sol is None

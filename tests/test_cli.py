@@ -8,6 +8,7 @@ import pytest
 from twinvest.cli import main
 from twinvest.config import continuous_to_dict, model_to_dict
 from twinvest.fixtures import f1, f2, f3, f4, f5
+from twinvest.model import validate
 
 
 @pytest.fixture
@@ -121,6 +122,14 @@ class TestSolve:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("agent", ["myopic", "strategic"])
+    def test_invalid_model_reported(self, model_file, capsys, agent):
+        model = dataclasses.replace(f1(), s_high=0.2)
+        assert main(["simulate", "--model", model_file(model), "--agent", agent]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"model: {validate(model).describe()}\n"
+        assert captured.err == ""
+
     def test_f2_myopic_two_rows(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--agent", "myopic"]) == 0
         captured = capsys.readouterr()

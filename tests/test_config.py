@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,24 @@ class TestErrors:
         del obj["v_max"]
         with pytest.raises(ConfigError, match="v_max: missing"):
             parse_model_file(obj)
+
+    @pytest.mark.parametrize("section, key", [(None, "pi0"), (None, "cost"), ("continuous", "p")])
+    def test_missing_family_named(self, section, key):
+        # a missing family is a missing field, like a missing number
+        obj = model_to_dict(f1())
+        obj["continuous"] = continuous_to_dict(f5())
+        del (obj if section is None else obj[section])[key]
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=f"^{path}: missing required field$"):
+            parse_model_file(obj)
+
+    @pytest.mark.parametrize("key", ["e_max", "s_high"])
+    def test_non_finite_continuous_number_named(self, tmp_path, key):
+        obj = model_to_dict(f1())
+        obj["continuous"] = continuous_to_dict(f5())
+        obj["continuous"][key] = math.inf  # written as Infinity, which json reads
+        with pytest.raises(ConfigError, match="^continuous: .*finite"):
+            load_model_file(write(tmp_path, obj))
 
     def test_bad_kind_named(self):
         obj = model_to_dict(f1())

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -169,3 +170,11 @@ class TestValidateContinuous:
     def test_effort_bounds(self):
         with pytest.raises(ValueError, match="e_min"):
             ContinuousEffortModel(F.power(0.0, 1.0, 0.5), 0.25, 0.0, 1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["e_min", "e_max", "s_high", "s_low"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds_and_stakes_rejected(self, field, value):
+        # an infinite stake would solve to an infinite surplus, and an
+        # infinite e_max to a grid of NaN
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(f5(), **{field: value})

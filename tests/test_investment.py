@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -20,6 +21,7 @@ from twinvest.contracts import (
     retention_margin,
     surpluses,
 )
+from twinvest.dynamics import AgentKind, simulate_two_period
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import DISCRETE_FIXTURES, f1, f2, f3, f4
 from twinvest.investment import (
@@ -33,6 +35,7 @@ from twinvest.investment import (
 from twinvest.model import (
     DomainError,
     GridEval,
+    InvalidModelError,
     ModelPrimitives,
     evaluate,
     evaluate_grid,
@@ -130,7 +133,8 @@ class TestClassifyRegimeCodes:
 @st.composite
 def margin_blocks(draw):
     """A block whose feasibility margins are ``0.5 - cost`` (pi0 = 1,
-    pi1 = 2, unit stakes) and an arbitrary rent per point."""
+    pi1 = 2, unit stakes) and an arbitrary rent per point.  Every cell is
+    retained at ``v = 0``, as every valid cell is; 0.5 is a tie there."""
     n, size = draw(st.integers(1, 5)), draw(st.integers(2, 6))
     costs = (0.1, 0.5, 0.5 + 1e-12, 0.5 + 2e-12, 0.6, math.nan, math.inf)
     rents = (0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf)
@@ -138,6 +142,7 @@ def margin_blocks(draw):
         np.array(draw(st.lists(st.sampled_from(pool), min_size=n * size, max_size=n * size))).reshape(n, size)
         for pool in (costs, rents)
     )
+    cost[:, 0] = draw(st.lists(st.sampled_from(costs[:2]), min_size=n, max_size=n))
     ones = np.ones((n, size))
     return GridEval(np.linspace(0.0, 1.0, size), ones, 2.0 * ones, cost, 0.0 * ones, 0.0 * ones, 0.0 * ones), us
 
@@ -151,13 +156,11 @@ class TestFeasibleRun:
         # the block's rent is the drawn one, not the one its primitives give
         with mock.patch.object(twinvest.investment, "information_rent", lambda g: us):
             found, _ = twinvest.investment._grid_pass(model, g)
-        # every row searched: whether any point is feasible, and the best
-        # feasible point with its rent
+        # every row searched: the best feasible point with its rent
         n = len(us)
         feasible = 0.5 - g.cost >= 0.0
         j = np.argmax(np.where(feasible, us, -np.inf), axis=1)
-        expected = (feasible.any(axis=1), j, us[np.arange(n), j])
-        for got, want in zip((found.feasible, found.j, found.u_j), expected):
+        for got, want in zip((found.j, found.u_j), (j, us[np.arange(n), j])):
             assert got.tobytes() == want.tobytes()
 
 
@@ -168,7 +171,7 @@ class TestOptimalInvestment:
         assert sol.u_at_opt == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert not sol.deterrent_binding
         assert sol.displacement_threshold is None
-        assert sol.feasible
+        assert displacement_deterrent_check(f1(), sol.v_opt)
 
     def test_f2_clipped_to_threshold(self):
         sol = optimal_investment(f2())
@@ -194,12 +197,32 @@ class TestOptimalInvestment:
         assert sol.u_at_opt == pytest.approx(0.08)
 
     def test_infeasible_reported_not_silent(self):
-        # tiny stakes make the twin dominate at every investment level
-        model = dataclasses.replace(f1(), s_high=0.2)
-        sol = optimal_investment(model)
-        assert not sol.feasible
-        assert sol.v_opt is None and sol.u_at_opt is None
-        assert not sol.deterrent_binding
+        # tiny stakes make the twin dominate at every investment level, and
+        # a pi1 that ties pi0 at v = 1 zeroes the probability gap there:
+        # both solvers name the failed check, with no warning on the way
+        models = (
+            dataclasses.replace(f1(), s_high=0.2),
+            dataclasses.replace(f1(), pi1=F.affine(0.5, 0.0)),
+        )
+        for model, condition in zip(models, ("baseline-contracting-viability", "pi-ordering")):
+            report = validate(model)
+            assert report.violation.condition == condition
+            for solve in (optimal_investment, lambda m: simulate_two_period(m, AgentKind.STRATEGIC)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InvalidModelError) as raised:
+                        solve(model)
+                assert raised.value.report == report
+                assert str(raised.value) == report.describe()
+
+    def test_invalid_model_report_uses_the_solve_grid(self):
+        # the report is validate's on the grid the solve was given
+        model = dataclasses.replace(f1(), pi1=F.affine(0.5, 0.0))
+        grid = evaluate_model_grid(model, 11)
+        with pytest.raises(InvalidModelError) as raised:
+            optimal_investment(model, 11, grid=grid)
+        assert raised.value.report == validate(model, 11)
+        assert raised.value.report.grid_points == 11
 
     def test_near_tie_run_end_stays_within_the_threshold(self):
         model = near_tie_f2()
@@ -275,16 +298,19 @@ class TestOneRetentionRule:
     @settings(max_examples=80, deadline=None)
     @given(retention_models())
     def test_solve_threshold_validation_and_inducement_agree(self, model):
-        sol = optimal_investment(model)
-        retained_at_zero = displacement_deterrent_check(model, 0.0)
-        if validate(model).passed:
-            assert sol.feasible and retained_at_zero
-        if sol.feasible:
+        report = validate(model)
+        if not report.passed:
+            with pytest.raises(InvalidModelError) as raised:
+                optimal_investment(model)
+            assert raised.value.report == report
+        else:
+            sol = optimal_investment(model)
+            assert displacement_deterrent_check(model, 0.0)
             assert displacement_deterrent_margin(model, sol.v_opt) >= 0.0
             # the roots split the line into runs where retention alternately
             # holds and fails; v_opt lies in no open run where it fails.  With
-            # retention at 0 and one root that is v_opt <= displacement_threshold.
-            ends = [-math.inf] * (not retained_at_zero) + list(sol.deterrent_roots) + [math.inf]
+            # one root that is v_opt <= displacement_threshold.
+            ends = list(sol.deterrent_roots) + [math.inf]
             assert not any(lo < sol.v_opt < hi for lo, hi in zip(ends[::2], ends[1::2]))
         for v in model.grid():
             assert effort_inducement_check(model, v) == displacement_deterrent_check(model, v)
@@ -362,7 +388,28 @@ class TestDisplacementThreshold:
         for root in roots:
             assert abs(displacement_deterrent_margin(model, root)) < 1e-10
         assert displacement_threshold(model) == 0.0
-        assert optimal_investment(model).deterrent_roots == tuple(roots)
+        # not retained at v = 0, so not a model the solver takes
+        with pytest.raises(InvalidModelError):
+            optimal_investment(model)
+
+    def test_feasible_run_from_a_bisected_root(self):
+        # the margin is positive at 0, turns negative, and turns positive
+        # again: the best feasible point lies in the second run, which
+        # begins at the second root's bisected end
+        model = ModelPrimitives(
+            F.affine(0.12254045267400125, 0.05638877527337435), F.constant(0.525972415060961),
+            F.power(0.4012175756894693, -0.13327311607154382, 1.9922893625863738),
+            1.0, 1.566330960773247, 0.22951834894642242,
+        )
+        assert validate(model).passed
+        roots = deterrent_sign_change_roots(model)
+        assert roots == pytest.approx([0.12795, 0.68826], abs=1e-5)
+        sol = optimal_investment(model)
+        assert sol.deterrent_roots == tuple(roots)
+        assert sol.displacement_threshold == roots[0]
+        assert sol.v_opt >= roots[1]
+        assert sol.deterrent_binding
+        assert displacement_deterrent_check(model, sol.v_opt)
 
     def test_threshold_bracketed_by_dense_margin_scan(self):
         # enumeration oracle: the root must sit inside the first sign-change

@@ -152,7 +152,7 @@ class TestBatchIndependence:
         regime_map = regime_sweep(base, axis1, axis2)
         columns = {(axis1.target, axis1.coefficient): [c.param1 for c in regime_map.cells]}
         columns[(axis2.target, axis2.coefficient)] = [c.param2 for c in regime_map.cells]
-        batch = solve_batch(ModelBatch.sweep(base, columns), skip_invalid=True)
+        batch = solve_batch(ModelBatch.sweep(base, columns))
         for cell, sol in zip(regime_map.cells, batch):
             model = cell_model(base, axis1, axis2, cell.param1, cell.param2)
             if not validate(model).passed:
