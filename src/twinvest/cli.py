@@ -208,9 +208,6 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     mf = _load(args)
     model = _discrete(mf)
-    report = validate(model)
-    if not report.passed:
-        raise InvalidModelError(report)
     if args.delta is not None and not 0.0 < args.delta < 1.0:
         raise _InputError(f"--delta must lie in (0, 1), got {args.delta}")
     if args.seed is not None and args.seed < 0:

@@ -24,7 +24,7 @@ import numpy as np
 from .contracts import Contract, employed_agent_payoff, employed_principal_payoff
 from .families import ParametricFamily
 from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, Violation
-from .optimize import refine_grid_max
+from .optimize import refine_max
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class ContinuousEffortModel:
         return e
 
     def grid(self, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+        if grid_points < 2:
+            raise ValueError(f"grid needs at least 2 points, got {grid_points}")
         return np.linspace(self.e_min, self.e_max, int(grid_points))
 
 
@@ -199,14 +201,16 @@ def principal_optimal_effort(
 
     The grid is scanned in one array pass (:func:`principal_surplus_grid`,
     equal to :func:`principal_surplus_at` at every point);
-    :func:`~twinvest.optimize.refine_grid_max` then refines the best
-    bracket on the scalar surplus.  A boundary optimum is returned as the
-    boundary point.
+    :func:`~twinvest.optimize.refine_max` then refines the grid argmax in
+    its neighbour bracket, clipped to the grid, on the scalar surplus.  A
+    boundary optimum is returned as the boundary point.
     """
     es = cmodel.grid(grid_points)
     surplus = principal_surplus_grid(cmodel, es)
+    i = int(np.argmax(surplus))
     f = lambda e: principal_surplus_at(cmodel, e)
-    e_opt, value = refine_grid_max(f, es, surplus, int(np.argmax(surplus)))
+    lo, hi = es[max(i - 1, 0)], es[min(i + 1, len(es) - 1)]
+    e_opt, value = refine_max(f, lo, hi, es[i].item(), surplus[i].item())
     return EffortSolution(
         e_opt=e_opt,
         contract=contract_for_effort(cmodel, e_opt),

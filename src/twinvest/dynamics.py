@@ -42,7 +42,9 @@ from .contracts import (
     retention_holds,
     twin_alone_payoff,
 )
-from .model import DEFAULT_TOL, DomainError, EvaluatedPoint, ModelPrimitives, evaluate
+from .model import (
+    DEFAULT_TOL, DomainError, EvaluatedPoint, InvalidModelError, ModelPrimitives, evaluate, validate
+)
 from .investment import optimal_investment
 from .report import format_bool, format_number
 
@@ -195,6 +197,13 @@ class _FullTraining(NamedTuple):
     effort: EffortLevel  # the myopic agent's period-1 effort against ``offer``
 
 
+def _check_valid(model: ModelPrimitives) -> None:
+    """Raise :class:`~twinvest.model.InvalidModelError` unless ``model`` validates."""
+    report = validate(model)
+    if not report.passed:
+        raise InvalidModelError(report)
+
+
 def _full_training(model: ModelPrimitives) -> _FullTraining:
     """Evaluate the primitives at ``v_max`` once and decide retention, the
     committed offer and the myopic effort from that one evaluation."""
@@ -229,12 +238,12 @@ def simulate_two_period(
     The myopic path composes the committed offer, maximum training, the
     shirk test, and the period-2 retention decision at ``v_max``.  The
     strategic path freezes the single-period deterrent-respecting optimum
-    and repeats it; that agent is never displaced.  Like
-    :func:`~twinvest.investment.optimal_investment`, it raises
+    and repeats it; that agent is never displaced.  Both paths raise
     :class:`~twinvest.model.InvalidModelError` on a model that fails
-    validation.
+    validation (the strategic one in its solve).
     """
     if agent is AgentKind.MYOPIC:
+        _check_valid(model)
         play = _full_training(model)
         first = _employed_record(model, 1, play.offer, play.point, play.effort)
         if play.retained:  # the full-training wage again, earned by high effort
@@ -326,8 +335,10 @@ def simulate_cycles(
     periods.  The retraining period reuses the two-period offer rule: in
     the displacement regime the offer is zero and the agent shirks, which
     still retrains the twin.  Without displacement the agent is simply
-    employed every period.
+    employed every period.  Raises :class:`~twinvest.model.InvalidModelError`
+    on a model that fails validation.
     """
+    _check_valid(model)
     alpha = _check_alpha(alpha)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

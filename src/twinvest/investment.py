@@ -107,15 +107,8 @@ def _objective(batch: ModelBatch, cells, formula):
     objective for the refinements of :mod:`twinvest.optimize`.
 
     When every cell of ``batch`` is the same model (:attr:`ModelBatch.shared`)
-    the objective also takes single floats, and it evaluates an array
-    point by point on floats: at the few points one model refines, numpy's
-    cost per call outweighs its cost per element.  Both round alike.
+    the objective also takes a single float, the investment of every cell.
     """
-    if batch.shared:
-        def point(v):
-            return formula(batch.base, evaluate_batch_values(batch, v))
-
-        return lambda v: np.array([point(x) for x in v.tolist()]) if type(v) is np.ndarray else point(v)
     sub = batch.take(cells)
     return lambda v: formula(sub.base, evaluate_batch_values(sub, v))
 

@@ -5,8 +5,10 @@ the solvers never trust a single local search: they scan a dense grid
 first, then refine the best bracket with golden-section.  This module owns
 that refinement step, :func:`refine_max`: the better of a seed point (the
 grid argmax) and a golden-section search of its bracket.  Both solvers use
-it, the effort solver through its grid-argmax form :func:`refine_grid_max`.
-It also owns the bisection that locates sign changes.
+it.  It also owns the bisection that locates sign changes.
+
+The searches' settings are fixed: the module constants :data:`XTOL`,
+:data:`WIDTH_TOL` and :data:`MAX_ITER`, read at each call.
 
 Each search is written once, as a loop over its state: the bracket, the
 interior points with their values, an iteration count and a live mask.
@@ -16,8 +18,8 @@ one point per bracket.  Each step picks every element's update with a
 two-way select (:func:`_select`: ``a if c else b`` on a scalar condition,
 ``np.where`` on an array), so an element does exactly the arithmetic of
 the one-bracket search and ends bit for bit where that search ends: when
-its own bracket is narrow enough, at its own exact zero or after its own
-``max_iter`` steps, with its own candidates and tie rule.  A stopped
+its own bracket is narrow enough, at its own exact zero or after
+:data:`MAX_ITER` steps, with its own candidates and tie rule.  A stopped
 element keeps its state; at the steps left, the objective sees it at a
 point of its own search again (``x1`` in golden-section, ``lo`` in
 bisection) and its value there is dropped.  A regime sweep refines all
@@ -32,6 +34,10 @@ from typing import Callable
 import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618034
+
+XTOL = 1e-10  # golden-section stops once its bracket is at most this wide
+WIDTH_TOL = 1e-12  # bisection stops once its bracket is at most this wide
+MAX_ITER = 200  # either search stops after this many steps
 
 # Array state is exactly this type.  The per-step checks compare types,
 # which on the one-bracket path's scalars is cheaper than ``isinstance``.
@@ -62,19 +68,15 @@ def _any(c) -> bool:
 
 
 def _start(f: Callable, *args):
-    """The arguments as the state of one search, and ``f`` as its objective.
-
-    When every argument is a scalar they become Python floats (the last,
-    ``max_iter``, an int), so that the search's bracket arithmetic and its
-    live mask stay on Python types; the objective is ``f`` itself.
-    Otherwise they become float arrays of their broadcast shape, and the
-    objective returns an array of that shape (``f`` may return one number
-    for all).
-    """
-    *ends, cap = args
+    """The arguments (bracket ends, and values there) as a search's state,
+    and ``f`` as its objective: Python floats and ``f`` itself when every
+    argument is a scalar, so that the bracket arithmetic and the live mask
+    stay on Python types; else float arrays of their broadcast shape, and
+    an objective returning an array of that shape (``f`` may return one
+    number for all)."""
     # np.ndim is slow on floats and ints, the one-bracket path's usual types
     if all(isinstance(a, (float, int)) or np.ndim(a) == 0 for a in args):
-        return f, *map(float, ends), int(cap)
+        return f, *map(float, args)
     arrays = [np.array(a, dtype=float) for a in np.broadcast_arrays(*args)]
     shape = arrays[0].shape
     return (lambda x: np.broadcast_to(np.asarray(f(x), dtype=float), shape)), *arrays
@@ -91,19 +93,13 @@ def _raise_at(bad, message: str, *values):
     raise ValueError(message.format(*values))
 
 
-def golden_section_max(
-    f: Callable,
-    a,
-    b,
-    xtol: float = 1e-10,
-    max_iter=200,
-) -> tuple:
+def golden_section_max(f: Callable, a, b) -> tuple:
     """Maximize a unimodal ``f`` on ``[a, b]``; returns ``(x, f(x))``.
 
     Endpoints are evaluated too, so a boundary maximum is returned exactly.
-    Given arrays of bracket ends (and of ``max_iter``), returns arrays.
+    Given arrays of bracket ends, returns arrays.
     """
-    f, a, b, cap = _start(f, a, b, max_iter)
+    f, a, b = _start(f, a, b)
     _raise_at(b < a, "empty bracket [{}, {}]", a, b)
     lo, hi = a, b
     x1 = hi - INV_PHI * (hi - lo)
@@ -111,7 +107,7 @@ def golden_section_max(
     f1 = f(x1)
     f2 = f(x2)
     it = 0
-    live = (hi - lo > xtol) & (it < cap)
+    live = (hi - lo > XTOL) & (it < MAX_ITER)
     while _any(live):
         # keep [lo, x2] when f1 >= f2 (x1 moves to x2, the probe x is the
         # new x1), else [x1, hi] (x2 moves to x1, x is the new x2).  A
@@ -123,15 +119,9 @@ def golden_section_max(
             live, left, (lo, x2, x, fx, x1, f1), (x1, hi, x2, f2, x, fx), (lo, hi, x1, f1, x2, f2)
         )
         it = it + live
-        live = (hi - lo > xtol) & (it < cap)
+        live = (hi - lo > XTOL) & (it < MAX_ITER)
     mid = 0.5 * (lo + hi)
     return max_candidate([(a, f(a)), (b, f(b)), (x1, f1), (x2, f2), (mid, f(mid))])
-
-
-def _better(x, fx, best_x, best_f):
-    """Whether ``(x, fx)`` beats ``(best_x, best_f)``: a larger value, ties
-    toward the smaller ``x``; element by element on arrays."""
-    return (fx > best_f) | ((fx == best_f) & (x < best_x))
 
 
 def max_candidate(candidates: list[tuple]) -> tuple:
@@ -139,7 +129,8 @@ def max_candidate(candidates: list[tuple]) -> tuple:
     element by element when the candidates are pairs of arrays."""
     best_x, best_f = candidates[0]
     for x, fx in candidates[1:]:
-        best_x, best_f = _select(_better(x, fx, best_x, best_f), (x, fx), (best_x, best_f))
+        better = (fx > best_f) | ((fx == best_f) & (x < best_x))
+        best_x, best_f = _select(better, (x, fx), (best_x, best_f))
     return best_x, best_f
 
 
@@ -154,35 +145,18 @@ def refine_max(f: Callable, lo, hi, x, fx) -> tuple:
     return max_candidate([(x, fx), golden_section_max(f, lo, hi)])
 
 
-def refine_grid_max(f: Callable, xs, fs, i) -> tuple:
-    """:func:`refine_max` of the grid point ``(xs[i], fs[i])`` inside its
-    neighbour bracket ``[xs[i-1], xs[i+1]]``, clipped to the grid."""
-    return refine_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], xs[i], fs[i])
-
-
-def bisect_bracket(
-    f: Callable,
-    lo,
-    hi,
-    f_lo=None,
-    f_hi=None,
-    width_tol: float = 1e-12,
-    max_iter=200,
-) -> tuple:
-    """Shrink a sign-change bracket of ``f`` to ``width_tol``.
+def bisect_bracket(f: Callable, lo, hi, f_lo, f_hi) -> tuple:
+    """Shrink a sign-change bracket of ``f`` to :data:`WIDTH_TOL`, given
+    the values ``f_lo`` and ``f_hi`` of ``f`` at its ends.
 
     Returns the final ``(lo, hi)`` with ``f(lo)`` and ``f(hi)`` of opposite
     (weak) sign, preserving the original orientation: the endpoint that
     started nonnegative stays nonnegative.  Callers pick whichever endpoint
     their feasibility convention needs.  An exact zero at an end or at a
-    midpoint closes the bracket there.  Given arrays of brackets (and of
-    their end values and ``max_iter``), returns arrays.
+    midpoint closes the bracket there.  Given arrays of brackets and of
+    their end values, returns arrays.
     """
-    given = [x for x in (f_lo, f_hi) if x is not None]
-    f, lo, hi, *given, cap = _start(f, lo, hi, *given, max_iter)
-    given = iter(given)
-    f_lo = f(lo) if f_lo is None else next(given)
-    f_hi = f(hi) if f_hi is None else next(given)
+    f, lo, hi, f_lo, f_hi = _start(f, lo, hi, f_lo, f_hi)
     _raise_at(
         (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) == (f_hi > 0.0)),
         "no sign change on [{}, {}]: f={}, {}", lo, hi, f_lo, f_hi,
@@ -192,7 +166,7 @@ def bisect_bracket(
     lo, hi = _select(f_lo == 0.0, (lo, lo), _select(f_hi == 0.0, (hi, hi), (lo, hi)))
     positive = f_lo > 0.0  # the sign kept at lo: lo only moves to points of that sign
     it = 0
-    live = (hi - lo > width_tol) & (it < cap)
+    live = (hi - lo > WIDTH_TOL) & (it < MAX_ITER)
     while _any(live):
         mid = 0.5 * (lo + hi)
         f_mid = f(_select(live, mid, lo))  # a stopped element evaluates lo again
@@ -200,5 +174,5 @@ def bisect_bracket(
             live, f_mid == 0.0, (mid, mid), _select((f_mid > 0.0) == positive, (mid, hi), (lo, mid)), (lo, hi)
         )
         it = it + live
-        live = (hi - lo > width_tol) & (it < cap)
+        live = (hi - lo > WIDTH_TOL) & (it < MAX_ITER)
     return lo, hi

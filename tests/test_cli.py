@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import twinvest.dynamics
 from twinvest.cli import main
 from twinvest.config import continuous_to_dict, model_to_dict
 from twinvest.fixtures import f1, f2, f3, f4, f5
@@ -129,6 +130,20 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == f"model: {validate(model).describe()}\n"
         assert captured.err == ""
+
+    @pytest.mark.parametrize("mode", [["--agent", "myopic"], ["--alpha", "0.9"]])
+    def test_invalid_model_validated_once(self, model_file, capsys, monkeypatch, mode):
+        calls = []
+        real = twinvest.dynamics.validate
+        monkeypatch.setattr(twinvest.dynamics, "validate", lambda *a: calls.append(a) or real(*a))
+        model = dataclasses.replace(f1(), s_high=0.2)
+        assert main(["simulate", "--model", model_file(model), *mode]) == 2
+        assert len(calls) == 1
+
+    def test_bad_flag_reported_before_invalid_model(self, model_file, capsys):
+        model = dataclasses.replace(f1(), s_high=0.2)
+        assert main(["simulate", "--model", model_file(model), "--delta", "2"]) == 1
+        assert capsys.readouterr().err == "error: --delta must lie in (0, 1), got 2.0\n"
 
     def test_f2_myopic_two_rows(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--agent", "myopic"]) == 0

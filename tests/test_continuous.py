@@ -134,6 +134,20 @@ class TestPrincipalOptimalEffort:
                 principal_surplus_at(model, e) for e in es
             ]
 
+    def test_solution_fields_are_python_floats(self):
+        # a grid point that wins the refinement is returned as a float too
+        for model in [f5()] + random_continuous_models(100, 5):
+            sol = principal_optimal_effort(model)
+            assert type(sol.e_opt) is float
+            assert type(sol.principal_surplus) is float
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_grid_of_fewer_than_two_points_rejected(self, grid_points):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            principal_optimal_effort(f5(), grid_points)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            validate_continuous(f5(), grid_points)
+
     @pytest.mark.parametrize(
         "p", [F.constant(0.5), F.affine(0.9, -0.1), F.exponential_decay(0.9, 0.5)]
     )

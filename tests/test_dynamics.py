@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from twinvest.dynamics import (
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import optimal_investment
-from twinvest.model import DomainError, ModelPrimitives, evaluate, evaluate_grid
+from twinvest.model import (
+    DomainError, InvalidModelError, ModelPrimitives, evaluate, evaluate_grid, validate
+)
 from twinvest.optimize import bisect_bracket
 from twinvest.sampling import random_models
 
@@ -151,6 +154,30 @@ class TestTwoPeriod:
             total_s = sum(r.agent_expected_payoff for r in strategic.records)
             assert total_s >= total_m - 1e-9
 
+    @pytest.mark.parametrize(
+        "model",
+        [dataclasses.replace(f1(), pi1=F.affine(0.5, 0.0)), dataclasses.replace(f1(), s_high=0.2)],
+        ids=["pi-ordering", "baseline-viability"],
+    )
+    @pytest.mark.parametrize(
+        "simulate",
+        [
+            lambda m: simulate_two_period(m, AgentKind.MYOPIC),
+            lambda m: simulate_cycles(m, 0.9, 6),
+        ],
+        ids=["myopic", "cycles"],
+    )
+    def test_invalid_model_raises_its_report(self, model, simulate):
+        # an equal pi0 and pi1 would divide by zero, and a model that is not
+        # viable at v = 0 would yield a trace (the strategic path is checked
+        # with optimal_investment in test_investment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidModelError) as exc:
+                simulate(model)
+        assert not exc.value.report.passed
+        assert exc.value.report == validate(model)
+
     def test_discount_recorded(self):
         trace = simulate_two_period(f1(), AgentKind.MYOPIC, discount=0.95)
         assert trace.discount == 0.95
@@ -202,7 +229,7 @@ class TestDegradation:
 
 def _midpoint_root(f):
     """Midpoint of the sign-change bracket ``[0, 1]`` of ``f`` shrunk to 1e-12."""
-    lo, hi = bisect_bracket(f, 0.0, 1.0, width_tol=1e-12)
+    lo, hi = bisect_bracket(f, 0.0, 1.0, f(0.0), f(1.0))
     return 0.5 * (lo + hi)
 
 

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from twinvest.optimize import (
-    bisect_bracket,
-    golden_section_max,
-    max_candidate,
-    refine_grid_max,
-    refine_max,
-)
+from twinvest import optimize
+from twinvest.optimize import bisect_bracket, golden_section_max, max_candidate, refine_max
+
+#: Step caps set as ``optimize.MAX_ITER``: 0 stops every search before its
+#: first step; the others stop the wide brackets early, while the narrow
+#: ones stop on their width first.
+CAPS = [0, 1, 3, 17]
 
 
 class TestGoldenSection:
     def test_interior_parabola(self):
-        x, fx = golden_section_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, xtol=1e-12)
+        x, fx = golden_section_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0)
         assert x == pytest.approx(0.3, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
@@ -43,21 +43,19 @@ class TestGoldenSection:
 class TestBisection:
     def test_orientation_preserved(self):
         f = lambda x: 0.5 - x  # positive at lo, negative at hi
-        lo, hi = bisect_bracket(f, 0.0, 1.0, width_tol=1e-12)
+        lo, hi = bisect_bracket(f, 0.0, 1.0, f(0.0), f(1.0))
         assert f(lo) >= 0.0 >= f(hi)
         assert hi - lo <= 1e-12
 
     def test_exact_zero_endpoint(self):
-        lo, hi = bisect_bracket(lambda x: x - 1.0, 0.0, 1.0)
+        lo, hi = bisect_bracket(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0)
         assert lo == hi == 1.0
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(ValueError, match="no sign change"):
-            bisect_bracket(lambda x: 1.0 + x, 0.0, 1.0)
+            bisect_bracket(lambda x: 1.0 + x, 0.0, 1.0, 1.0, 2.0)
         # an array call names the first bracket without one, by its own ends and values
         lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0, 3.0])
-        with pytest.raises(ValueError, match=r"^no sign change on \[0\.0, 1\.0\]: f=0\.5, 1\.5$"):
-            bisect_bracket(lambda x: x + 0.5, lo, hi)
         with pytest.raises(ValueError, match=r"^no sign change on \[0\.0, 1\.0\]: f=0\.5, 1\.5$"):
             bisect_bracket(lambda x: x + 0.5, lo, hi, lo + 0.5, hi + 0.5)
 
@@ -78,23 +76,25 @@ def recording(f):
 
 
 class TestRefinement:
+    """A grid argmax refined in its neighbour bracket, clipped to the grid,
+    as the effort solver calls :func:`refine_max`."""
+
     def test_argmax_at_first_index_clips_bracket(self):
-        xs = [0.0, 0.5, 1.0]
+        # on the grid [0, 0.5, 1] the bracket of the argmax 0 is [0, 0.5]
         f, seen = recording(lambda x: -x)
-        x, _ = refine_grid_max(f, xs, [-x for x in xs], 0)
+        x, _ = refine_max(f, 0.0, 0.5, 0.0, -0.0)
         assert x == 0.0
         assert seen and all(0.0 <= s <= 0.5 for s in seen)
 
     def test_argmax_at_last_index_clips_bracket(self):
-        xs = [0.0, 0.5, 1.0]
+        # on the grid [0, 0.5, 1] the bracket of the argmax 1 is [0.5, 1]
         f, seen = recording(lambda x: x)
-        assert refine_grid_max(f, xs, xs, 2) == (1.0, 1.0)
+        assert refine_max(f, 0.5, 1.0, 1.0, 1.0) == (1.0, 1.0)
         assert seen and all(0.5 <= s <= 1.0 for s in seen)
 
     def test_two_point_grid_searches_between_the_points(self):
         f = lambda x: -((x - 0.3) ** 2)
-        xs = [0.0, 1.0]
-        x, fx = refine_grid_max(f, xs, [f(x) for x in xs], 0)
+        x, fx = refine_max(f, 0.0, 1.0, 0.0, f(0.0))
         assert x == pytest.approx(0.3, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
@@ -102,7 +102,6 @@ class TestRefinement:
         # an empty bracket searches its one point, here the candidate's own
         # x, and the candidate's value there is the larger
         assert refine_max(math.sin, 0.3, 0.3, 0.3, 2.0) == (0.3, 2.0)
-        assert refine_grid_max(math.sin, [0.6], [2.0], 0) == (0.6, 2.0)
         # a tie with the point searched keeps the candidate's value
         assert refine_max(math.sin, 0.3, 0.3, 0.3, math.sin(0.3)) == (0.3, math.sin(0.3))
 
@@ -140,8 +139,8 @@ def _two_peaks(c, tilt):
 
 @pytest.fixture
 def brackets():
-    """Bracket ends with unimodal and two-peak centres, empty brackets
-    (``hi == lo``) among them, and per-bracket step caps."""
+    """Bracket ends with unimodal and two-peak centres, and empty brackets
+    (``hi == lo``) among them."""
     rng = np.random.default_rng(20260)
     n = 240
     lo = rng.uniform(-1.0, 1.0, n)
@@ -149,8 +148,7 @@ def brackets():
     hi = lo + width
     c = lo + rng.uniform(-0.2, 1.2, n) * np.maximum(width, 0.1)
     tilt = rng.choice([-0.05, 0.0, 0.05], n)
-    cap = rng.choice([0, 1, 3, 17, 200], n)
-    return lo, hi, c, tilt, cap
+    return lo, hi, c, tilt
 
 
 class TestLockstep:
@@ -158,22 +156,25 @@ class TestLockstep:
 
     @pytest.mark.parametrize("shape", ["parabola", "two_peaks"])
     def test_golden_elements_equal_scalar_calls(self, brackets, shape):
-        lo, hi, c, tilt, _ = brackets
+        lo, hi, c, tilt = brackets
         objective = (lambda c, t: _parabola(c)) if shape == "parabola" else _two_peaks
         xs, fs = golden_section_max(objective(c, tilt), lo, hi)
         for k in range(len(lo)):
             expected = golden_section_max(objective(c[k], tilt[k]), lo[k], hi[k])
             assert (xs[k], fs[k]) == expected, k
 
-    def test_per_element_step_cap(self, brackets):
-        lo, hi, c, tilt, cap = brackets
-        xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi, max_iter=cap)
-        for k in range(len(lo)):
-            expected = golden_section_max(_two_peaks(c[k], tilt[k]), lo[k], hi[k], max_iter=int(cap[k]))
-            assert (xs[k], fs[k]) == expected, k
-        # a cap of 0 stops every search at once, so it only sees its first points
-        capped = cap == 0
-        assert not np.array_equal(xs[capped], golden_section_max(_two_peaks(c, tilt), lo, hi)[0][capped])
+    def test_per_element_step_cap(self, brackets, monkeypatch):
+        # each element stops at the cap or on its own width, whichever comes first
+        lo, hi, c, tilt = brackets
+        uncapped = golden_section_max(_two_peaks(c, tilt), lo, hi)[0]
+        for cap in CAPS:
+            monkeypatch.setattr(optimize, "MAX_ITER", cap)
+            xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi)
+            for k in range(len(lo)):
+                expected = golden_section_max(_two_peaks(c[k], tilt[k]), lo[k], hi[k])
+                assert (xs[k], fs[k]) == expected, (cap, k)
+            # the cap stops the wide brackets short of where they end uncapped
+            assert not np.array_equal(xs, uncapped)
 
     def test_objective_may_return_one_number_for_all(self, brackets):
         lo, hi, *_ = brackets
@@ -194,7 +195,7 @@ class TestLockstep:
             assert xs[k] == golden_section_max(lambda x: x * x, lo[k], hi[k])[0]
 
     def test_refine_max_elements_equal_scalar_calls(self, brackets):
-        lo, hi, c, tilt, _ = brackets
+        lo, hi, c, tilt = brackets
         f = _two_peaks(c, tilt)
         # candidates at the left end, the right end and outside the bracket
         x = np.choose(np.arange(len(lo)) % 3, [lo, hi, lo - 0.5])
@@ -205,7 +206,7 @@ class TestLockstep:
             assert (xs[k], fs[k]) == expected, k
 
     @pytest.mark.parametrize("orientation", [1.0, -1.0])
-    def test_bisection_elements_equal_scalar_calls(self, orientation):
+    def test_bisection_elements_equal_scalar_calls(self, monkeypatch, orientation):
         rng = np.random.default_rng(7)
         n = 200
         lo = rng.uniform(-1.0, 0.0, n)
@@ -215,35 +216,34 @@ class TestLockstep:
         root[:20] = 0.5 * (lo[:20] + hi[:20])  # the first midpoint is exactly a root
         root[20:25] = lo[20:25]  # f is exactly 0 at lo
         root[25:30] = hi[25:30]  # f is exactly 0 at hi
-        cap = rng.choice([0, 2, 200], n)
-        cap[:20] = 200
 
         def f(x):
             return orientation * (root - x)
 
-        out = bisect_bracket(f, lo, hi, max_iter=cap)
-        given = bisect_bracket(f, lo, hi, f(lo), f(hi), max_iter=cap)
-        for k in range(n):
-            g = lambda x, r=root[k]: orientation * (r - x)  # noqa: E731
-            expected = bisect_bracket(g, lo[k], hi[k], max_iter=int(cap[k]))
-            assert (out[0][k], out[1][k]) == expected, k
-            assert (given[0][k], given[1][k]) == expected, k
-        # an exact zero at the first midpoint ends the search there
-        assert np.array_equal(out[0][:20], out[1][:20])
-        assert np.array_equal(out[0][:20], root[:20])
+        for cap in CAPS + [optimize.MAX_ITER]:
+            monkeypatch.setattr(optimize, "MAX_ITER", cap)
+            out = bisect_bracket(f, lo, hi, f(lo), f(hi))
+            for k in range(n):
+                g = lambda x, r=root[k]: orientation * (r - x)  # noqa: E731
+                expected = bisect_bracket(g, lo[k], hi[k], g(lo[k]), g(hi[k]))
+                assert (out[0][k], out[1][k]) == expected, (cap, k)
+            # an exact zero at the first midpoint ends the search there
+            if cap:
+                assert np.array_equal(out[0][:20], out[1][:20])
+                assert np.array_equal(out[0][:20], root[:20])
 
     def test_bisection_orientation_kept_per_element(self):
         lo, hi = np.zeros(2), np.ones(2)
         sign = np.array([1.0, -1.0])
         f = lambda x: sign * (0.3 - x)  # noqa: E731
-        a, b = bisect_bracket(f, lo, hi)
+        a, b = bisect_bracket(f, lo, hi, f(lo), f(hi))
         assert f(a)[0] >= 0.0 >= f(b)[0]
         assert f(a)[1] <= 0.0 <= f(b)[1]
         assert np.all(b - a <= 1e-12)
 
     def test_bisection_rejects_any_bracket_without_sign_change(self):
         with pytest.raises(ValueError, match="no sign change"):
-            bisect_bracket(lambda x: x + 0.5, np.array([-1.0, 0.0]), np.array([0.0, 1.0]))
+            bisect_bracket(lambda x: x + 0.5, np.array([-1.0, 0.0]), np.array([0.0, 1.0]), [-0.5, 0.5], [0.5, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +309,32 @@ class TestAgainstReference:
     """Scalar and array calls both equal the plain while loops, x and f."""
 
     @pytest.mark.parametrize("capped", [False, True])
-    def test_golden(self, brackets, capped):
-        lo, hi, c, tilt, cap = brackets
-        caps = cap if capped else np.full(len(lo), 200)
-        xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi, max_iter=caps)
-        for k in range(len(lo)):
-            f = _two_peaks(float(c[k]), float(tilt[k]))
-            expected = reference_golden(f, float(lo[k]), float(hi[k]), max_iter=int(caps[k]))
-            assert golden_section_max(f, lo[k], hi[k], max_iter=int(caps[k])) == expected, k
-            assert (xs[k], fs[k]) == expected, k
+    def test_golden(self, brackets, monkeypatch, capped):
+        lo, hi, c, tilt = brackets
+        for cap in CAPS if capped else [optimize.MAX_ITER]:
+            monkeypatch.setattr(optimize, "MAX_ITER", cap)
+            xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi)
+            for k in range(len(lo)):
+                f = _two_peaks(float(c[k]), float(tilt[k]))
+                expected = reference_golden(f, float(lo[k]), float(hi[k]), max_iter=cap)
+                assert golden_section_max(f, lo[k], hi[k]) == expected, (cap, k)
+                assert (xs[k], fs[k]) == expected, (cap, k)
 
     @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("orientation", [1.0, -1.0])
-    def test_bisection(self, brackets, capped, orientation):
-        lo, hi, c, _, cap = brackets
-        caps = cap if capped else np.full(len(lo), 200)
+    def test_bisection(self, brackets, monkeypatch, capped, orientation):
+        lo, hi, c, _ = brackets
         # roots clipped into each bracket, so some sit exactly on an end
         root = np.clip(c, lo, hi)
 
         def margin(r):
             return lambda x: orientation * (r - x) * (2.0 + x)
 
-        out = bisect_bracket(margin(root), lo, hi, max_iter=caps)
-        for k in range(len(lo)):
-            f = margin(float(root[k]))
-            expected = reference_bisection(f, float(lo[k]), float(hi[k]), max_iter=int(caps[k]))
-            assert bisect_bracket(f, lo[k], hi[k], max_iter=int(caps[k])) == expected, k
-            assert (out[0][k], out[1][k]) == expected, k
+        for cap in CAPS if capped else [optimize.MAX_ITER]:
+            monkeypatch.setattr(optimize, "MAX_ITER", cap)
+            out = bisect_bracket(margin(root), lo, hi, margin(root)(lo), margin(root)(hi))
+            for k in range(len(lo)):
+                f = margin(float(root[k]))
+                expected = reference_bisection(f, float(lo[k]), float(hi[k]), max_iter=cap)
+                assert bisect_bracket(f, lo[k], hi[k], f(lo[k]), f(hi[k])) == expected, (cap, k)
+                assert (out[0][k], out[1][k]) == expected, (cap, k)
