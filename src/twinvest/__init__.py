@@ -59,7 +59,6 @@ from .investment import (
     wage_slope_diagnostics,
 )
 from .model import (
-    EvaluatedPoint,
     InvalidModelError,
     ModelPrimitives,
     ValidationReport,
@@ -83,7 +82,6 @@ __all__ = [
     "ContinuousEffortModel",
     "EffortLevel",
     "EffortSolution",
-    "EvaluatedPoint",
     "InvalidModelError",
     "InvestmentSolution",
     "ModelPrimitives",

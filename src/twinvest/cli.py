@@ -31,7 +31,7 @@ from .model import (
     GridEval,
     InvalidModelError,
     ModelPrimitives,
-    evaluate_model_grid,
+    evaluate_grid,
     validate,
 )
 from .oracle import run_certification
@@ -115,12 +115,8 @@ def _discrete(mf: ModelFile) -> ModelPrimitives:
     return mf.model
 
 
-def _check_positive(name, value, allow_none=True):
-    if value is None:
-        if allow_none:
-            return
-        raise _InputError(f"--{name} is required")
-    if not (value > 0 and math.isfinite(value)):
+def _check_positive(name, value):
+    if value is not None and not (value > 0 and math.isfinite(value)):
         raise _InputError(f"--{name} must be a positive finite number, got {value}")
 
 
@@ -186,7 +182,7 @@ def cmd_solve(args) -> int:
     mf = _load(args)
     model = _discrete(mf)
     grid_points = _grid_size(args)
-    grid = evaluate_model_grid(model, grid_points)
+    grid = evaluate_grid(model, model.grid(grid_points))
     sol = optimal_investment(model, grid_points, grid=grid)
     print(f"regime={sol.regime.value}")
     print("feasible=true")  # a valid model is retained at v = 0
@@ -217,7 +213,7 @@ def cmd_simulate(args) -> int:
         if not 0.0 < args.alpha < 1.0:
             raise _InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
         horizon = args.horizon if args.horizon is not None else 2
-        _check_positive("horizon", horizon, allow_none=False)
+        _check_positive("horizon", horizon)
         trace = simulate_cycles(model, args.alpha, horizon, discount=args.delta)
     else:
         if args.horizon is not None:

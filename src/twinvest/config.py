@@ -94,23 +94,24 @@ def parse_family(obj, path: str) -> ParametricFamily:
         raise ConfigError(path, str(exc)) from exc
 
 
-def parse_model(obj: dict, path: str = "") -> ModelPrimitives:
+def parse_model(obj: dict) -> ModelPrimitives:
     try:
         return ModelPrimitives(
-            pi0=_family(obj, "pi0", f"{path}pi0"),
-            pi1=_family(obj, "pi1", f"{path}pi1"),
-            cost=_family(obj, "cost", f"{path}cost"),
-            v_max=_number(obj, "v_max", path.rstrip(".")),
-            s_high=_number(obj, "s_high", path.rstrip(".")),
-            s_low=_number(obj, "s_low", path.rstrip(".")),
+            pi0=_family(obj, "pi0", "pi0"),
+            pi1=_family(obj, "pi1", "pi1"),
+            cost=_family(obj, "cost", "cost"),
+            v_max=_number(obj, "v_max", ""),
+            s_high=_number(obj, "s_high", ""),
+            s_low=_number(obj, "s_low", ""),
         )
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(path.rstrip("."), str(exc)) from exc
+        raise ConfigError("", str(exc)) from exc
 
 
-def parse_continuous(obj, path: str = "continuous") -> ContinuousEffortModel:
+def parse_continuous(obj) -> ContinuousEffortModel:
+    path = "continuous"
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, _CONTINUOUS_KEYS, path)
     try:
@@ -128,7 +129,8 @@ def parse_continuous(obj, path: str = "continuous") -> ContinuousEffortModel:
         raise ConfigError(path, str(exc)) from exc
 
 
-def parse_sweep(obj, path: str = "sweep") -> tuple[SweepAxis, SweepAxis]:
+def parse_sweep(obj) -> tuple[SweepAxis, SweepAxis]:
+    path = "sweep"
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"axes"}, path)
     axes = obj.get("axes")
@@ -166,9 +168,9 @@ def parse_sweep(obj, path: str = "sweep") -> tuple[SweepAxis, SweepAxis]:
     return parsed[0], parsed[1]
 
 
-def parse_model_file(obj, path: str = "") -> ModelFile:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, _TOP_KEYS, path)
+def parse_model_file(obj) -> ModelFile:
+    obj = _require_mapping(obj, "")
+    _reject_unknown(obj, _TOP_KEYS, "")
     has_discrete = bool(_MODEL_KEYS & set(obj))
     model = parse_model(obj) if has_discrete else None
     continuous = parse_continuous(obj["continuous"]) if "continuous" in obj else None

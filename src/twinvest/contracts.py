@@ -59,10 +59,9 @@ def outcome_separability(model: ModelPrimitives, v: float) -> float:
 
 
 # The formulas below, like ``incentive_wage`` and ``retention_margin`` of
-# :mod:`twinvest.model`, take any evaluated primitives with ``pi0``,
-# ``pi1`` and ``cost`` fields: one point (``evaluate``) or a whole grid
-# (``evaluate_grid``).  Scalar and grid paths share them, so both round
-# identically.
+# :mod:`twinvest.model`, take a :class:`~twinvest.model.GridEval`: one point
+# (``evaluate``) or a whole grid (``evaluate_grid``).  Scalar and grid paths
+# share them, so both round identically.
 
 
 def information_rent(p):

@@ -43,7 +43,7 @@ from .contracts import (
     twin_alone_payoff,
 )
 from .model import (
-    DEFAULT_TOL, DomainError, EvaluatedPoint, InvalidModelError, ModelPrimitives, evaluate, validate
+    DEFAULT_TOL, DomainError, GridEval, InvalidModelError, ModelPrimitives, evaluate, validate
 )
 from .investment import optimal_investment
 from .report import format_bool, format_number
@@ -138,7 +138,7 @@ def _employed_record(
     model: ModelPrimitives,
     period: int,
     contract: Contract,
-    p: EvaluatedPoint,
+    p: GridEval,
     effort: EffortLevel,
 ) -> PeriodRecord:
     """An employed period at the investment ``p.v``, whose primitives ``p`` holds."""
@@ -191,7 +191,7 @@ def shirk_check(model: ModelPrimitives, offered_contract: Contract) -> bool:
 class _FullTraining(NamedTuple):
     """The primitives at ``v_max`` and the play they decide."""
 
-    point: EvaluatedPoint
+    point: GridEval
     retained: bool
     offer: Contract
     effort: EffortLevel  # the myopic agent's period-1 effort against ``offer``
@@ -270,7 +270,7 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _rehire_surplus(model: ModelPrimitives, p: EvaluatedPoint) -> float:
+def _rehire_surplus(model: ModelPrimitives, p: GridEval) -> float:
     """Principal surplus from employing the agent at full training, whose
     primitives ``p`` holds, under the optimal contract."""
     return employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)

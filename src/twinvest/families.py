@@ -14,8 +14,9 @@ Closed-form derivatives keep differentiation error out of every downstream
 slope comparison, so the only tolerances in the solvers are optimization
 tolerances.  ``value``/``derivative``/``second_derivative`` accept floats or
 numpy arrays and broadcast like ufuncs; ``value`` and ``derivative`` are
-:func:`family_formula`, which also takes per-cell coefficient columns.  A
-grid evaluation takes both at once from :func:`family_value_slope`.
+:func:`family_formula`, which also takes per-cell coefficient columns.
+Every evaluation of a model's primitives with their slopes (one point, a
+grid or a block of cells) takes both at once from :func:`family_value_slope`.
 
 A power family with ``gamma < 1`` has an unbounded derivative at 0; it is
 legal here (the continuous-effort model evaluates it only on an interval
@@ -73,8 +74,8 @@ def family_formula(kind: str, c, v, derivative: bool = False):
 
 
 def family_value_slope(kind: str, c, v: np.ndarray):
-    """:func:`family_formula` of the ``kind`` family on the grid ``v``,
-    value and slope.
+    """:func:`family_formula` of the ``kind`` family at ``v`` (a float, a
+    grid or a block), value and slope.
 
     An exponential decay's value ``a*exp(-kappa*v)`` and slope
     ``-kappa*a*exp(-kappa*v)`` are each a scale times ``exp(-kappa*v)``.

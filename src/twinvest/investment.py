@@ -32,12 +32,11 @@ from .model import (
     InvalidModelError,
     ModelBatch,
     ModelPrimitives,
-    PrimitiveValues,
     batch_validity,
     evaluate,
     evaluate_batch_grid,
     evaluate_batch_values,
-    evaluate_model_grid,
+    evaluate_grid,
     validate,
 )
 from .optimize import bisect_bracket, refine_max
@@ -94,7 +93,7 @@ def classify_regime(
     :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising separability
     everywhere forces the no-investment label on its own.
     """
-    return _REGIMES[int(_regime_codes(evaluate_model_grid(model, grid_points)))]
+    return _REGIMES[int(_regime_codes(evaluate_grid(model, model.grid(grid_points))))]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def _retention_flips(model: ModelPrimitives, g: GridEval) -> tuple[np.ndarray, _
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
 
     def margin(k):  # at the flips' points only, with the grid's bits
-        return retention_margin(model, PrimitiveValues(g.pi0[cell, k], g.pi1[cell, k], g.cost[cell, k]))
+        return retention_margin(model, GridEval(g.v[k], g.pi0[cell, k], g.pi1[cell, k], g.cost[cell, k]))
 
     return nonneg, _Flips(cell, i, margin(i), margin(i + 1))
 

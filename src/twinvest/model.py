@@ -102,6 +102,12 @@ class ModelPrimitives:
         return np.linspace(0.0, self.v_max, int(grid_points))
 
 
+def _families(model: ModelPrimitives) -> tuple[tuple[str, tuple], ...]:
+    """``(kind, coefficients)`` of the model's pi0, pi1 and cost."""
+    p0, p1, c = model.pi0, model.pi1, model.cost
+    return (p0.kind, p0.coefficients), (p1.kind, p1.coefficients), (c.kind, c.coefficients)
+
+
 @dataclass(frozen=True)
 class ModelBatch:
     """Models solved together: the cells of a sweep.
@@ -119,7 +125,7 @@ class ModelBatch:
 
     @classmethod
     def single(cls, model: ModelPrimitives) -> "ModelBatch":
-        return cls(model, 1, tuple((f.kind, f.coefficients) for f in (model.pi0, model.pi1, model.cost)))
+        return cls(model, 1, _families(model))
 
     @classmethod
     def sweep(
@@ -158,78 +164,42 @@ class ModelBatch:
         return not any(isinstance(c, np.ndarray) for _, coeffs in self.families for c in coeffs)
 
 
-@dataclass(frozen=True)
-class EvaluatedPoint:
-    """Function and first-derivative values of all primitives at one ``v``."""
-
-    v: float
-    pi0: float
-    pi1: float
-    cost: float
-    dpi0: float
-    dpi1: float
-    dcost: float
-
-
 class GridEval(NamedTuple):
-    """Vectorized primitive evaluation over an investment grid."""
+    """Primitive values and slopes at investment ``v``: Python floats at one
+    point (:func:`evaluate`), arrays on a grid (:func:`evaluate_grid`), or
+    (cells x grid) arrays on a block of cells (:func:`evaluate_batch_grid`).
+    A value-only evaluation leaves the slopes ``None``."""
 
     v: np.ndarray
     pi0: np.ndarray
     pi1: np.ndarray
     cost: np.ndarray
-    dpi0: np.ndarray
-    dpi1: np.ndarray
-    dcost: np.ndarray
+    dpi0: np.ndarray | None = None
+    dpi1: np.ndarray | None = None
+    dcost: np.ndarray | None = None
 
 
-class PrimitiveValues(NamedTuple):
-    """Primitive values without derivatives, for value-only objectives."""
+def _value_slopes(families, v) -> tuple:
+    """pi0, pi1 and cost of the ``(kind, coefficients)`` families at ``v``,
+    then their slopes, all from :func:`~twinvest.families.family_value_slope`."""
+    (p0, dp0), (p1, dp1), (c, dc) = [family_value_slope(kind, k, v) for kind, k in families]
+    return p0, p1, c, dp0, dp1, dc
 
-    pi0: float
-    pi1: float
-    cost: float
 
-
-def evaluate(model: ModelPrimitives, v: float) -> EvaluatedPoint:
-    """Evaluate all primitives and their analytic derivatives at ``v``.
+def evaluate(model: ModelPrimitives, v: float) -> GridEval:
+    """Evaluate all primitives and their analytic derivatives at ``v``, as
+    Python floats.
 
     Raises :class:`DomainError` if ``v`` is outside ``[0, v_max]``.
     """
     v = model.check_domain(v)
-    return EvaluatedPoint(
-        v=v,
-        pi0=float(model.pi0.value(v)),
-        pi1=float(model.pi1.value(v)),
-        cost=float(model.cost.value(v)),
-        dpi0=float(model.pi0.derivative(v)),
-        dpi1=float(model.pi1.derivative(v)),
-        dcost=float(model.cost.derivative(v)),
-    )
+    return GridEval(v, *map(float, _value_slopes(_families(model), v)))
 
 
 def evaluate_grid(model: ModelPrimitives, vs: np.ndarray) -> GridEval:
     """Evaluate all primitives on an array of investment levels (no domain check)."""
     vs = np.asarray(vs, dtype=float)
-    return GridEval(
-        v=vs,
-        pi0=np.asarray(model.pi0.value(vs), dtype=float),
-        pi1=np.asarray(model.pi1.value(vs), dtype=float),
-        cost=np.asarray(model.cost.value(vs), dtype=float),
-        dpi0=np.asarray(model.pi0.derivative(vs), dtype=float),
-        dpi1=np.asarray(model.pi1.derivative(vs), dtype=float),
-        dcost=np.asarray(model.cost.derivative(vs), dtype=float),
-    )
-
-
-def evaluate_model_grid(
-    model: ModelPrimitives,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid: GridEval | None = None,
-) -> GridEval:
-    """The model's ``grid_points``-point :func:`evaluate_grid` result:
-    ``grid`` when the caller already holds it, else a fresh evaluation."""
-    return evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
+    return GridEval(vs, *(np.asarray(x, dtype=float) for x in _value_slopes(_families(model), vs)))
 
 
 def _block(x, shape: tuple[int, int]) -> np.ndarray:
@@ -256,23 +226,23 @@ def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray) -> GridEval:
         (kind, tuple(c[:, None] if isinstance(c, np.ndarray) else c for c in coeffs))
         for kind, coeffs in batch.families
     ]
-    values, slopes = zip(*(family_value_slope(kind, c, vs) for kind, c in columns))
-    return GridEval(vs, *(_block(x, shape) for x in values + slopes))
+    return GridEval(vs, *(_block(x, shape) for x in _value_slopes(columns, vs)))
 
 
-def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> PrimitiveValues:
+def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> GridEval:
     """Primitive values at one investment per cell (``v`` has one entry per
     cell; when no coefficient varies it may also be a float), with the
     array domain check of :meth:`ModelPrimitives.check_domain`; element
-    for element the values of :func:`evaluate`."""
+    for element the values of :func:`evaluate`; the slopes are ``None``."""
     v = batch.base.check_domain(v)
     (k0, c0), (k1, c1), (k2, c2) = batch.families
-    return PrimitiveValues(family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
+    return GridEval(v, family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
 
 
-# The three formulas below take any evaluated primitives with ``pi0``,
-# ``pi1`` and ``cost`` fields: one point (``evaluate``), a whole grid
-# (``evaluate_grid``) or one value per cell (``PrimitiveValues``).
+# The three formulas below read only the ``pi0``, ``pi1`` and ``cost`` fields
+# of a :class:`GridEval`, so they take one point (``evaluate``), a whole grid
+# (``evaluate_grid``), a block of cells or one value per cell
+# (``evaluate_batch_values``).
 
 
 def incentive_wage(p):
@@ -385,7 +355,7 @@ def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
     failed = np.any([fails for _, fails, _, _ in _assumption_checks(g)], axis=0)
     ok = ~failed & (batch.base.s_high > batch.base.s_low)
     rows = np.flatnonzero(ok)
-    ok[rows] = retention_holds(batch.base, PrimitiveValues(g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0]))
+    ok[rows] = retention_holds(batch.base, GridEval(g.v[0], g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0]))
     return ok
 
 
@@ -437,12 +407,12 @@ def validate(
             f"s_high={model.s_high:.6g} must exceed s_low={model.s_low:.6g}",
         )
 
-    g = evaluate_model_grid(model, grid_points, grid)
+    g = evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
     for condition, failed, bad, detail in _assumption_checks(g):
         if failed:
             return report(condition, float(g.v[np.argmax(bad())]), detail)
 
-    p = PrimitiveValues(g.pi0[0], g.pi1[0], g.cost[0])
+    p = GridEval(g.v[0], g.pi0[0], g.pi1[0], g.cost[0])
     if not retention_holds(model, p):
         gap = p.pi1 - p.pi0
         lhs, rhs = gap * model.quality_importance, p.pi1 * p.cost / gap

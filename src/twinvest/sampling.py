@@ -22,7 +22,7 @@ import numpy as np
 from .contracts import displacement_deterrent_margin_raw
 from .continuous import ContinuousEffortModel, validate_continuous
 from .families import ParametricFamily as F
-from .model import GridEval, ModelPrimitives, evaluate_model_grid, retention_holds, validate
+from .model import GridEval, ModelPrimitives, evaluate_grid, retention_holds, validate
 
 _GENERATION_LIMIT = 10_000
 
@@ -79,7 +79,7 @@ def random_model(
             s_high=s_low + rng.uniform(0.2, 3.0),
             s_low=s_low,
         )
-        grid = evaluate_model_grid(candidate, _GRID_POINTS)
+        grid = evaluate_grid(candidate, candidate.grid(_GRID_POINTS))
         if not validate(candidate, _GRID_POINTS, grid=grid).passed:
             continue
         if not _inducement_everywhere(candidate, grid):

@@ -2,13 +2,46 @@
 
 The bounds guarantee the structural invariants (probability ordering and
 range, positive decreasing cost) without rejection sampling, so algebraic
-identity properties can run over them directly.
+identity properties can run over them directly.  The ``count_calls``
+fixture counts calls of twinvest functions.
 """
 
+import sys
+
 import hypothesis.strategies as st
+import pytest
 
 from twinvest.families import ParametricFamily as F
 from twinvest.model import ModelPrimitives
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(*functions)`` rebinds every twinvest binding of
+    ``functions`` to a counting wrapper (the modules import each other with
+    ``from ... import``) and returns the list that collects each call's
+    function name."""
+
+    def count(*functions):
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for real in functions:
+            wrapper = counting(real)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("twinvest"):
+                    for attr, value in list(vars(module).items()):
+                        if value is real:
+                            monkeypatch.setattr(module, attr, wrapper)
+        return calls
+
+    return count
 
 
 @st.composite

@@ -97,15 +97,11 @@ class TestSolve:
         first_data = lines[1].split(",")
         assert abs(float(first_data[1]) - agent_surplus(f2(), float(first_data[0]))) < 1e-9
 
-    def test_one_grid_evaluation(self, model_file, tmp_path, monkeypatch, capsys):
+    def test_one_grid_evaluation(self, model_file, tmp_path, count_calls, capsys):
         # validate, optimal_investment and the --out table share one grid
         import twinvest.model
 
-        calls = []
-        real = twinvest.model.evaluate_grid
-        monkeypatch.setattr(
-            twinvest.model, "evaluate_grid", lambda *a: calls.append(1) or real(*a)
-        )
+        calls = count_calls(twinvest.model.evaluate_grid)
         out_path = tmp_path / "grid.csv"
         assert main(["solve", "--model", model_file(f2()), "--out", str(out_path)]) == 0
         capsys.readouterr()
@@ -174,6 +170,14 @@ class TestSimulate:
 
     def test_horizon_without_alpha_rejected(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--horizon", "5"]) == 1
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_non_positive_horizon_rejected(self, model_file, capsys, horizon):
+        path = model_file(f2())
+        assert main(["simulate", "--model", path, "--alpha", "0.5", "--horizon", horizon]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --horizon must be a positive finite number, got {horizon}\n"
+        assert captured.out == ""
 
     def test_bad_alpha_rejected(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--alpha", "1.5"]) == 1

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 import warnings
 
 import numpy as np
@@ -40,28 +39,6 @@ def displaced_constant_pi0_model() -> ModelPrimitives:
     # high constant standalone performance: displacement without degradation relief
     return ModelPrimitives(F.constant(0.55), F.affine(0.7, 0.1),
                            F.affine(0.2, -0.1), 1.0, 0.85, 0.0)
-
-
-def count_calls(monkeypatch, *functions):
-    """Rebind every twinvest binding of ``functions`` to a counting wrapper;
-    returns the list that collects one entry per call."""
-    calls = []
-
-    def counting(real):
-        def wrapper(*args):
-            calls.append(real.__name__)
-            return real(*args)
-
-        return wrapper
-
-    for real in functions:
-        wrapper = counting(real)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("twinvest"):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, wrapper)
-    return calls
 
 
 class TestMyopicChoices:
@@ -183,10 +160,10 @@ class TestTwoPeriod:
         assert trace.discount == 0.95
 
     @pytest.mark.parametrize("model", [f1, f2])
-    def test_myopic_evaluates_primitives_once(self, monkeypatch, model):
+    def test_myopic_evaluates_primitives_once(self, count_calls, model):
         # retained (f1) or displaced (f2): one evaluation at v_max serves
         # the offer, the shirk check, retention and both records
-        calls = count_calls(monkeypatch, twinvest.model.evaluate)
+        calls = count_calls(twinvest.model.evaluate)
         simulate_two_period(model(), AgentKind.MYOPIC)
         assert calls == ["evaluate"]
 
@@ -285,9 +262,9 @@ class TestRehireCycles:
         assert trace.records[0].employed
 
     @pytest.mark.parametrize("model, alpha", [(f1, 0.8), (f2, 0.99)])
-    def test_primitives_evaluated_once_per_trace(self, monkeypatch, model, alpha):
+    def test_primitives_evaluated_once_per_trace(self, count_calls, model, alpha):
         # every employed period repeats one record; only twin periods differ
-        calls = count_calls(monkeypatch, twinvest.model.evaluate)
+        calls = count_calls(twinvest.model.evaluate)
         counts = []
         for horizon in (3, 12):
             calls.clear()

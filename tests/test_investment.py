@@ -39,7 +39,6 @@ from twinvest.model import (
     ModelPrimitives,
     evaluate,
     evaluate_grid,
-    evaluate_model_grid,
     validate,
 )
 from twinvest.optimize import bisect_bracket
@@ -218,7 +217,7 @@ class TestOptimalInvestment:
     def test_invalid_model_report_uses_the_solve_grid(self):
         # the report is validate's on the grid the solve was given
         model = dataclasses.replace(f1(), pi1=F.affine(0.5, 0.0))
-        grid = evaluate_model_grid(model, 11)
+        grid = evaluate_grid(model, model.grid(11))
         with pytest.raises(InvalidModelError) as raised:
             optimal_investment(model, 11, grid=grid)
         assert raised.value.report == validate(model, 11)
@@ -248,7 +247,7 @@ class TestOptimalInvestment:
 
     def test_caller_grid_gives_the_same_solution(self):
         for model in exactness_models()[:20]:
-            grid = evaluate_model_grid(model, 301)
+            grid = evaluate_grid(model, model.grid(301))
             assert optimal_investment(model, 301, grid=grid) == optimal_investment(model, 301)
 
     def test_binding_solution_respects_constraint_and_order(self):

@@ -17,7 +17,8 @@ from twinvest.model import (
     batch_validity,
     evaluate,
     evaluate_batch_grid,
-    evaluate_model_grid,
+    evaluate_batch_values,
+    evaluate_grid,
     validate,
 )
 
@@ -102,7 +103,7 @@ class TestValidate:
          dataclasses.replace(f1(), cost=F.affine(0.2, 0.1))],
     )
     def test_caller_grid_gives_the_same_report(self, model):
-        grid = evaluate_model_grid(model, 301)
+        grid = evaluate_grid(model, model.grid(301))
         assert validate(model, 301, grid=grid) == validate(model, 301)
 
     def test_stakes_ordering(self):
@@ -121,7 +122,7 @@ class TestValidate:
         # a single model's report, and a block of cells holding it between
         # two good rows
         model = f1()
-        good = evaluate_model_grid(model, 11)
+        good = evaluate_grid(model, model.grid(11))
         broken = good._replace(**{field: getattr(good, field).copy()})
         getattr(broken, field)[7] = bad
         report = validate(model, 11, grid=broken)
@@ -220,9 +221,51 @@ def test_batch_grid_rows_are_the_cells_own_grids(columns):
         model = base
         for (name, index), values in columns.items():
             model = model.with_coefficient(name, index, values[row])
-        alone = evaluate_model_grid(model, 101)
+        alone = evaluate_grid(model, model.grid(101))
         for got, want in zip(block[1:], alone[1:]):
             assert got[row].tobytes() == want.tobytes()
+
+
+ROUTE_MODELS = {
+    # every family kind: a falling affine, decays with kappa > 0 and kappa = 0
+    # (slope -0.0), power with gamma = 1, 2.5 and 0.5 (slope inf at 0), constant
+    "affine-exp-linear": ModelPrimitives(
+        pi0=F.affine(0.3, -0.1), pi1=F.exponential_decay(0.8, 0.5), cost=F.power(0.2, -0.1, 1.0),
+        v_max=1.5, s_high=1.0, s_low=0.0,
+    ),
+    "flat-exp-power-constant": ModelPrimitives(
+        pi0=F.exponential_decay(0.2, 0.0), pi1=F.power(0.5, 0.3, 2.5), cost=F.constant(0.1),
+        v_max=1.0, s_high=1.0, s_low=0.0,
+    ),
+    "root-power": ModelPrimitives(
+        pi0=F.constant(0.2), pi1=F.power(0.3, 0.2, 0.5), cost=F.exponential_decay(0.4, 1.3),
+        v_max=2.0, s_high=1.0, s_low=0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("model", ROUTE_MODELS.values(), ids=ROUTE_MODELS)
+def test_every_evaluation_route_gives_the_same_bits(model):
+    # compared as bytes, so the sign of zero counts
+    vs = model.grid(41)
+    want = evaluate_grid(model, vs)
+    points = [evaluate(model, v) for v in vs]
+    assert all(type(x) is float for p in points for x in p)
+    single = ModelBatch.single(model)
+    scale = model.pi1.coefficients[0]
+    sweep = ModelBatch.sweep(model, {("pi1", 0): [0.5 * scale, scale, 1.5 * scale]})
+    values = evaluate_batch_values(single, vs)
+    assert values[4:] == (None, None, None)
+    routes = {
+        "evaluate": np.array(points).T,
+        "single block": [vs] + [x[0] for x in evaluate_batch_grid(single, vs)[1:]],
+        "sweep block": [vs] + [x[1] for x in evaluate_batch_grid(sweep, vs)[1:]],
+        "batch values": values[:4],
+        "batch values per point": np.array([evaluate_batch_values(single, v)[:4] for v in vs]).T,
+    }
+    for route, fields in routes.items():
+        for field, got in zip(GridEval._fields, fields):
+            assert np.asarray(got).tobytes() == getattr(want, field).tobytes(), (route, field)
 
 
 class TestBatchValidity:
