@@ -51,12 +51,10 @@ from .families import ParametricFamily
 from .investment import (
     InvestmentSolution,
     RegimeLabel,
-    WageSlopeDiagnostics,
     classify_regime,
     deterrent_sign_change_roots,
     displacement_threshold,
     optimal_investment,
-    wage_slope_diagnostics,
 )
 from .model import (
     InvalidModelError,
@@ -95,7 +93,6 @@ __all__ = [
     "SweepAxisError",
     "TimelineTrace",
     "ValidationReport",
-    "WageSlopeDiagnostics",
     "agent_surplus",
     "brute_force_contract",
     "brute_force_investment",
@@ -129,5 +126,4 @@ __all__ = [
     "surpluses",
     "validate",
     "validate_continuous",
-    "wage_slope_diagnostics",
 ]

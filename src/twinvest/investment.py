@@ -32,8 +32,8 @@ from .model import (
     InvalidModelError,
     ModelBatch,
     ModelPrimitives,
+    _assumption_checks,
     batch_validity,
-    evaluate,
     evaluate_batch_grid,
     evaluate_batch_values,
     evaluate_grid,
@@ -91,9 +91,23 @@ def classify_regime(
     Ties between the two rates (within ``DEFAULT_TOL``) make neither
     strict condition hold and resolve toward
     :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising separability
-    everywhere forces the no-investment label on its own.
+    everywhere forces the no-investment label on its own.  A model whose
+    grid fails a grid check of :func:`~twinvest.model.validate` raises
+    :class:`~twinvest.model.InvalidModelError`.
     """
-    return _REGIMES[int(_regime_codes(evaluate_grid(model, model.grid(grid_points))))]
+    g = evaluate_grid(model, model.grid(grid_points))
+    _check_grid(model, grid_points, g)
+    return _REGIMES[int(_regime_codes(g))]
+
+
+def _check_grid(model: ModelPrimitives, grid_points: int, g: GridEval):
+    """Raise :class:`~twinvest.model.InvalidModelError` when ``model``'s
+    grid ``g`` (or one-row block) fails a grid check of
+    :func:`~twinvest.model.validate`: the regime rates and the retention
+    margin divide by the probabilities and their gap.  A model that fails
+    only the stakes or the viability check passes."""
+    if any(failed for _, failed, _, _ in _assumption_checks(g)):
+        raise InvalidModelError(validate(model, grid_points))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +136,9 @@ def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[
     rent refinements."""
     batch = ModelBatch.single(model)
     vs = batch.base.grid(grid_points)
-    nonneg, flips = _retention_flips(model, evaluate_batch_grid(batch, vs))
+    g = evaluate_batch_grid(batch, vs)
+    _check_grid(model, grid_points, g)
+    nonneg, flips = _retention_flips(model, g)
     return not nonneg[0, 0], _bisect_flips(batch, vs, flips)[2].tolist()
 
 
@@ -140,6 +156,7 @@ def deterrent_sign_change_roots(
     A bracket with an exact zero of the margin at a grid point closes on
     that point, so a root is a grid end (``0.0`` or ``v_max``) when the
     margin is exactly zero there and negative at the neighbouring point.
+    It raises on the models :func:`classify_regime` raises on.
     """
     return _margin_roots(model, grid_points)[1]
 
@@ -156,7 +173,8 @@ def displacement_threshold(
     point: that root is the grid end, where the agent is still retained
     (:func:`deterrent_sign_change_roots`).  This is the threshold of
     :func:`optimal_investment`: its roots are found by bisection, which
-    shrinks each bracket until the residual is far below 1e-10.
+    shrinks each bracket until the residual is far below 1e-10.  It raises
+    on the models :func:`classify_regime` raises on.
     """
     displaced_at_zero, roots = _margin_roots(model, grid_points)
     return 0.0 if displaced_at_zero else (roots[0] if roots else None)
@@ -429,40 +447,3 @@ def _refine(
         ))
     return out
 
-
-# ---------------------------------------------------------------------------
-# Wage-slope diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WageSlopeDiagnostics:
-    """Analytic slopes of the wage, the probability gap and the separability.
-
-    The two consistency flags encode the directional facts the slopes must
-    respect: a widening probability gap forces the wage down, and a rising
-    wage can only happen while separability falls fast enough that the
-    max-investment rate condition holds.
-    """
-
-    t_bar_slope: float
-    delta_pi_slope: float
-    q_slope: float
-    rising_gap_implies_falling_wage: bool
-    rising_wage_implies_falling_separability: bool
-
-
-def wage_slope_diagnostics(model: ModelPrimitives, v: float) -> WageSlopeDiagnostics:
-    p = evaluate(model, v)
-    gap = p.pi1 - p.pi0
-    dgap = p.dpi1 - p.dpi0
-    t_slope = (p.dcost * gap - p.cost * dgap) / (gap * gap)
-    rate_cost, rate_sep, dq = _rates(p)
-    return WageSlopeDiagnostics(
-        t_bar_slope=t_slope,
-        delta_pi_slope=dgap,
-        q_slope=dq,
-        rising_gap_implies_falling_wage=(not dgap > 0.0) or t_slope < 0.0,
-        rising_wage_implies_falling_separability=(not t_slope > 0.0)
-        or (dq < 0.0 and abs(rate_cost) < abs(rate_sep)),
-    )

@@ -30,7 +30,6 @@ from twinvest.investment import (
     deterrent_sign_change_roots,
     displacement_threshold,
     optimal_investment,
-    wage_slope_diagnostics,
 )
 from twinvest.model import (
     DomainError,
@@ -91,6 +90,16 @@ class TestClassifyRegime:
         model = ModelPrimitives(F.constant(0.2), F.constant(0.7), F.constant(0.1),
                                 1.0, 2.0, 0.0)
         assert classify_regime(model) is RegimeLabel.INDETERMINATE
+
+    @pytest.mark.parametrize("diagnostic", [classify_regime, displacement_threshold, deterrent_sign_change_roots])
+    def test_broken_model_is_a_named_error(self, diagnostic):
+        # a zero probability gap at v = 1: the rates and the margin would
+        # divide by zero there
+        model = dataclasses.replace(f1(), pi1=F.affine(0.5, 0.0))
+        with pytest.raises(InvalidModelError) as exc:
+            diagnostic(model)
+        assert exc.value.report == validate(model)
+        assert exc.value.report.violation.condition == "pi-ordering"
 
 
 #: Slopes on and around the regime tests' edges, NaN and infinities.
@@ -441,42 +450,6 @@ class TestDisplacementThreshold:
             assert v_star >= last - 1e-12
             last = v_star
         assert displacement_threshold(dataclasses.replace(f2(), s_high=2.0)) is None
-
-
-class TestWageSlopeDiagnostics:
-    def test_f1_falling_wage(self):
-        # wage runs 0.4 -> 0.375 -> 1/3 across the range
-        d = wage_slope_diagnostics(f1(), 0.5)
-        assert d.t_bar_slope < 0.0
-        assert d.rising_gap_implies_falling_wage
-        assert d.rising_wage_implies_falling_separability
-
-    def test_f4_widening_gap(self):
-        for v in (0.0, 0.5, 1.0):
-            d = wage_slope_diagnostics(f4(), v)
-            assert d.delta_pi_slope == pytest.approx(0.2)
-            assert d.t_bar_slope < 0.0
-            assert d.rising_gap_implies_falling_wage
-
-    def test_flat_case_vacuous(self):
-        model = ModelPrimitives(F.affine(0.2, 0.1), F.affine(0.6, 0.1),
-                                F.constant(0.1), 1.0, 2.0, 0.0)
-        d = wage_slope_diagnostics(model, 0.5)
-        assert d.t_bar_slope == pytest.approx(0.0, abs=1e-15)
-        assert d.delta_pi_slope == pytest.approx(0.0, abs=1e-15)
-        assert d.rising_gap_implies_falling_wage
-        assert d.rising_wage_implies_falling_separability
-
-    def test_rising_wage_case(self):
-        # constant cost with a fast-shrinking gap: wage rises, so the
-        # separability slope must be negative and the rate condition hold
-        model = ModelPrimitives(F.affine(0.2, 0.3), F.affine(0.75, 0.05),
-                                F.constant(0.2), 1.0, 2.0, 0.0)
-        for v in (0.0, 0.5, 1.0):
-            d = wage_slope_diagnostics(model, v)
-            assert d.t_bar_slope > 0.0
-            assert d.q_slope < 0.0
-            assert d.rising_wage_implies_falling_separability
 
 
 class TestRefinementObjectives:

@@ -1,11 +1,12 @@
-import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twinvest.investment
 import twinvest.model
+from twinvest.config import load_model_file
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3
 from twinvest.investment import optimal_investment, solve_batch
@@ -239,15 +240,13 @@ class TestCsv:
 
     def test_f2_binding_sweep_pinned(self):
         # most cells have a displacement threshold inside the range and a
-        # binding optimum, so this pins the feasible run's refined ends
-        regime_map = regime_sweep(
-            f2(), SweepAxis.linspace("cost", 0, 0.12, 0.3, 30), SweepAxis.linspace("pi0", 1, -0.1, 0.45, 30)
-        )
+        # binding optimum, so the map's pin in golden.json pins the
+        # feasible run's refined ends
+        mf = load_model_file(Path(__file__).with_name("f2_binding_sweep.json"))
+        regime_map = regime_sweep(mf.model, *mf.sweep)
         inside = sum(c.v_star is not None and 0.0 < c.v_star < 1.0 for c in regime_map.cells)
         binding = sum(c.deterrent_binding is True for c in regime_map.cells)
         assert (inside, binding) == (269, 265)
-        digest = hashlib.sha256(regime_map.to_csv().encode("utf-8")).hexdigest()
-        assert digest == "bd9543b2ab8c0a5e6a3a1d736164aa9d9473beb7fe5e0a7002b9acbde963e43e"
 
     def test_numeric_fields_reparse(self):
         axis1, axis2 = f3_axes(3)
