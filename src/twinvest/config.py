@@ -165,7 +165,10 @@ def parse_sweep(obj) -> tuple[SweepAxis, SweepAxis]:
                 count,
             )
         )
-    return parsed[0], parsed[1]
+    first, second = parsed
+    if (first.target, first.coefficient) == (second.target, second.coefficient):
+        raise ConfigError(f"{path}.axes[1]", f"varies {first.label()} again; the axes need different coefficients")
+    return first, second
 
 
 def parse_model_file(obj) -> ModelFile:

@@ -64,9 +64,11 @@ def outcome_separability(model: ModelPrimitives, v: float) -> float:
 # share them, so both round identically.
 
 
-def information_rent(p):
-    """``pi0*cost/(pi1-pi0)`` of evaluated primitives, a point or a grid."""
-    return p.pi0 * p.cost / (p.pi1 - p.pi0)
+def information_rent(p, pair=None):
+    """``pi0*cost/(pi1-pi0)`` of evaluated primitives, a point or a grid;
+    ``pair`` is their :func:`~twinvest.model.pair_terms` when the caller
+    holds them, and ``p.pi1`` is then not read."""
+    return p.pi0 * p.cost / (p.pi1 - p.pi0 if pair is None else pair[0])
 
 
 def checked_information_rent(p):

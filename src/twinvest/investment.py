@@ -19,6 +19,7 @@ deterrent-feasible set is treated as a union of intervals.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,15 +29,18 @@ from .contracts import information_rent, principal_payoff, retention_holds, rete
 from .model import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
+    PRIMITIVE_NAMES,
     GridEval,
     InvalidModelError,
     ModelBatch,
     ModelPrimitives,
     _assumption_checks,
-    batch_validity,
     evaluate_batch_grid,
     evaluate_batch_values,
     evaluate_grid,
+    pair_terms,
+    row_passes,
+    table_rows,
     validate,
 )
 from .optimize import bisect_bracket, refine_max
@@ -49,33 +53,37 @@ class RegimeLabel(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-def _rates(p):
-    """cost'/cost, Q'/(Q-1) and Q' of evaluated primitives, a point or a grid."""
+def _rate_cost(p):
+    """cost'/cost of evaluated primitives: the regime rate of cost alone."""
+    return p.dcost / p.cost
+
+
+def _pair_rates(p):
+    """Q'/(Q-1) and Q' of evaluated primitives: the rates of pi0 and pi1."""
     q = p.pi1 / p.pi0
     dq = (p.dpi1 * p.pi0 - p.pi1 * p.dpi0) / (p.pi0 * p.pi0)
-    rate_cost = p.dcost / p.cost
-    rate_sep = dq / (q - 1.0)
-    return rate_cost, rate_sep, dq
+    return dq / (q - 1.0), dq
 
 
 _REGIMES = tuple(RegimeLabel)
 
-#: Cells per block of a batch's grid pass.  Each (cells x grid) float array
-#: of a 1001-point block is then 128 KB; a whole 50x50 map at once would
-#: take 20 MB per array.
+#: Cells per block of a batch's grid pass, and rows per chunk of the tables
+#: it builds.  The per-cell arrays of a 1001-point block are then 128 KB
+#: each; a whole 50x50 map at once would take 20 MB per array.  A sweep
+#: evaluates a primitive once per value of the axis that varies it, outside
+#: the blocks, unless both axes vary it.
 _BLOCK_CELLS = 16
 
 
-def _regime_codes(g: GridEval):
+def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
     """Index into :data:`_REGIMES` of the regime of one model's grid, or of
-    each cell of a block (rows are cells).
+    each cell of a block (rows are cells), from its rates cost'/cost and
+    Q'/(Q-1) and Q''s min and max over the grid.
 
     Each "everywhere" condition is decided at the grid's extremum on its
     side, which fails it exactly when some point does, NaN included (an
     extremum is NaN when a value is, and NaN fails every comparison)."""
-    rate_cost, rate_sep, dq = _rates(g)
     diff = rate_cost - rate_sep  # sign of U'
-    dq_low, dq_high = dq.min(axis=-1), dq.max(axis=-1)
     diff_low, diff_high = diff.min(axis=-1), diff.max(axis=-1)
     no_investment = (dq_low > DEFAULT_TOL) | (diff_high < -DEFAULT_TOL)
     max_investment = (dq_high <= DEFAULT_TOL) & (diff_low > DEFAULT_TOL)
@@ -97,16 +105,17 @@ def classify_regime(
     """
     g = evaluate_grid(model, model.grid(grid_points))
     _check_grid(model, grid_points, g)
-    return _REGIMES[int(_regime_codes(g))]
+    rate_sep, dq = _pair_rates(g)
+    return _REGIMES[int(_regime_codes(_rate_cost(g), rate_sep, dq.min(), dq.max()))]
 
 
 def _check_grid(model: ModelPrimitives, grid_points: int, g: GridEval):
     """Raise :class:`~twinvest.model.InvalidModelError` when ``model``'s
-    grid ``g`` (or one-row block) fails a grid check of
-    :func:`~twinvest.model.validate`: the regime rates and the retention
-    margin divide by the probabilities and their gap.  A model that fails
-    only the stakes or the viability check passes."""
-    if any(failed for _, failed, _, _ in _assumption_checks(g)):
+    grid ``g`` fails a grid check of :func:`~twinvest.model.validate`: the
+    regime rates and the retention margin divide by the probabilities and
+    their gap.  A model that fails only the stakes or the viability check
+    passes."""
+    if any(failed for _, _, failed, _, _ in _assumption_checks(g, g.pi1 <= g.pi0)):
         raise InvalidModelError(validate(model, grid_points))
 
 
@@ -132,14 +141,15 @@ def _rent(model, p):
 
 def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[float]]:
     """Whether the retention margin is negative at ``v = 0``, and its roots:
-    the solve's grid pass and bisection of the margin alone, without the
-    rent refinements."""
-    batch = ModelBatch.single(model)
-    vs = batch.base.grid(grid_points)
-    g = evaluate_batch_grid(batch, vs)
+    the solve's retention mask, flips and bisection, without the rent."""
+    vs = model.grid(grid_points)
+    g = evaluate_grid(model, vs)
     _check_grid(model, grid_points, g)
-    nonneg, flips = _retention_flips(model, g)
-    return not nonneg[0, 0], _bisect_flips(batch, vs, flips)[2].tolist()
+    g = GridEval(vs, *(x[None] for x in g[1:]))
+    pair = pair_terms(model, g)
+    nonneg = retention_holds(model, g, pair)
+    roots = _bisect_flips(ModelBatch.single(model), vs, _flips(model, g, pair, nonneg))[2]
+    return not nonneg[0, 0], roots.tolist()
 
 
 def deterrent_sign_change_roots(
@@ -222,8 +232,7 @@ def optimal_investment(
     raises :class:`~twinvest.model.InvalidModelError`, carrying the
     model's :func:`~twinvest.model.validate` report.
     """
-    block = None if grid is None else GridEval(grid.v, *(x[None, :] for x in grid[1:]))
-    sol = solve_batch(ModelBatch.single(model), grid_points, block)[0]
+    sol = solve_batch(ModelBatch.single(model), grid_points, grid)[0]
     if sol is None:
         raise InvalidModelError(validate(model, grid_points, grid))
     return sol
@@ -256,35 +265,32 @@ class _Flips(NamedTuple):
     hi: np.ndarray
 
 
-def _retention_flips(model: ModelPrimitives, g: GridEval) -> tuple[np.ndarray, _Flips]:
-    """The retention mask of a block of ``model``'s cells (where
-    :func:`~twinvest.model.retention_holds`), and the block's sign flips
-    of the margin: the points where the mask changes."""
-    nonneg = retention_holds(model, g)
+def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray) -> _Flips:
+    """The sign flips of the retention margin in a block of ``model``'s
+    cells, the points where their retention mask ``nonneg`` (where
+    :func:`~twinvest.model.retention_holds`) changes, from their costs
+    ``p.cost`` and :func:`~twinvest.model.pair_terms` ``pair``."""
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
 
     def margin(k):  # at the flips' points only, with the grid's bits
-        return retention_margin(model, GridEval(g.v[k], g.pi0[cell, k], g.pi1[cell, k], g.cost[cell, k]))
+        at = GridEval(p.v[k], None, None, p.cost[cell, k])
+        return retention_margin(model, at, tuple(x[cell, k] for x in pair))
 
-    return nonneg, _Flips(cell, i, margin(i), margin(i + 1))
+    return _Flips(cell, i, margin(i), margin(i + 1))
 
 
-def _grid_pass(model: ModelPrimitives, g: GridEval) -> tuple[_GridPass, _Flips]:
-    """Everything the solve needs from one block's grid of valid cells
-    (rows are cells).
-
-    ``model`` is the batch's base; only its stakes are read, since the
-    cells' own coefficients are in ``g`` already.  The regime tests are
-    decided from a row's min or max, and the best feasible point is
-    searched for only when the block has an infeasible point; the retention
-    mask is the one (cells x grid) array kept from one helper to the next.
-    """
-    us = information_rent(g)
+def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg, regime) -> tuple[_GridPass, _Flips]:
+    """Everything the solve needs from one block of valid cells (rows are
+    cells), from their pi0 and cost on the grid ``p``, their
+    :func:`~twinvest.model.pair_terms` ``pair``, retention mask ``nonneg``
+    and regime codes; of ``model``, the batch's base, only the stakes are
+    read.  The best feasible point is searched for only when the block has
+    an infeasible point."""
+    us = information_rent(p, pair)
     rows = np.arange(len(us))
     i_star = np.argmax(us, axis=1)
-    nonneg, flips = _retention_flips(model, g)
     j = i_star if nonneg.all() else np.argmax(np.where(nonneg, us, -np.inf), axis=1)
-    return _GridPass(_regime_codes(g), us[rows, i_star], i_star, j, us[rows, j]), flips
+    return _GridPass(regime, us[rows, i_star], i_star, j, us[rows, j]), _flips(model, p, pair, nonneg)
 
 
 def solve_batch(
@@ -295,15 +301,13 @@ def solve_batch(
     """:func:`optimal_investment` of every cell of ``batch``, solved
     together; None for a cell that fails :func:`~twinvest.model.validate`.
 
-    Each block of :data:`_BLOCK_CELLS` cells is evaluated once on the grid
-    (``grid``, a one-row block, stands in for a batch of one) and validated
-    on it (:func:`~twinvest.model.batch_validity`); only a block with an
-    invalid cell has its valid rows copied out.  A valid cell is retained
-    at ``v = 0``, so it always has an optimum.
-
-    The grid pass yields the rent, the retention mask
+    The grid pass (:func:`_grid_passes`) evaluates and validates each
+    primitive once per row of its table, one per value of the sweep axis
+    that varies it (``grid``, the model's :func:`evaluate_grid`, stands in
+    for a batch of one), and yields the rent, the retention mask
     (:func:`~twinvest.model.retention_holds`), the margin's sign flips and
-    the regime rates.  One bisection array search finds every root, from
+    the regime rates.  A valid cell is retained at ``v = 0``, so it always
+    has an optimum.  One bisection array search finds every root, from
     which the displacement threshold and the feasible run's ends come: an
     end inside the grid moves to its flip's bisected end on the feasible
     side, so the optimum is feasible and never past the threshold.  One
@@ -332,21 +336,106 @@ def _joined(parts: list):
     return parts[0] if len(parts) == 1 else type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
+def _nan_unless(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays with NaN on the rows that are not ``ok``, so that arithmetic
+    on a row that failed a check of :func:`~twinvest.model.validate` raises
+    no floating-point warning (NaN operands raise none)."""
+    return list(arrays) if ok.all() else [np.where(ok[:, None], x, np.nan) for x in arrays]
+
+
+def _in_chunks(n: int, rows_of) -> dict:
+    """The arrays that ``rows_of(lo, hi)`` gives for rows ``lo`` to ``hi - 1``,
+    for all ``n`` rows, built :data:`_BLOCK_CELLS` rows at a time so that
+    the temporaries of a whole table stay those of a block."""
+    out = {}
+    for lo in range(0, n, _BLOCK_CELLS):
+        for name, x in rows_of(lo, min(lo + _BLOCK_CELLS, n)).items():
+            if name not in out:
+                out[name] = np.empty((n,) + x.shape[1:], x.dtype)
+            out[name][lo:lo + _BLOCK_CELLS] = x
+    return out
+
+
 def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
-    """The grid pass of :func:`solve_batch`, block by block: the valid
-    cells, their :class:`_GridPass` and their sign flips (indexing the
-    valid cells), or None when no cell is valid."""
+    """The grid pass of :func:`solve_batch`: the valid cells, their
+    :class:`_GridPass` and their sign flips (indexing the valid cells), or
+    None when no cell is valid.
+
+    Each quantity is computed once per row of the table of what it reads
+    (:meth:`~twinvest.model.ModelBatch.table`), a dict of arrays whose
+    ``ok`` flags the rows that pass the checks of
+    :func:`~twinvest.model.validate` that read them alone (the others are
+    NaN).  A table with a row per cell is built block by block, and read
+    there as it is; any other is built once, and its rows are gathered for
+    each block.  The rent, the retention mask and its flips and the rate
+    difference are per cell.
+    """
+    base, pair_shape = batch.base, batch.table("pi0", "pi1")
+    shapes = [batch.table(name) for name in PRIMITIVE_NAMES] + [pair_shape]
+    once = [math.prod(shape) < batch.size for shape in shapes]
+    # each cell's rows of the tables built once, and each pair's pi0 and pi1 rows
+    cell_rows = [table_rows(shape, batch.shape) if whole else None for shape, whole in zip(shapes, once)]
+    pair_rows = [table_rows(shape, pair_shape) if whole else None for shape, whole in zip(shapes[:2], once)]
+
+    def primitives(ks, lo, hi) -> list[dict]:
+        """Rows ``lo`` to ``hi - 1`` of the tables of primitives ``ks``: their
+        checks, ``value`` and ``slope`` (cost's ``rate``, cost'/cost, instead)."""
+        rows = [np.arange(lo, hi) if k in ks else None for k in range(3)]
+        g = evaluate_batch_grid(batch, vs, rows) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
+        passed, tables = row_passes(g), []
+        for k in ks:
+            ok = passed[PRIMITIVE_NAMES[k]]
+            value, slope = _nan_unless(ok, g[1 + k], g[4 + k])
+            if k == 2:
+                tables.append(dict(ok=ok, value=value, rate=_rate_cost(GridEval(vs, None, None, value, dcost=slope))))
+            else:
+                tables.append(dict(ok=ok, value=value, slope=slope))
+        return tables
+
+    def pairs(t, lo, hi) -> dict:
+        """Pair rows ``lo`` to ``hi - 1``, from the primitives' tables in
+        ``t``: ``pi-ordering`` (a pair fails with either of its primitives
+        too), its ``rate`` Q'/(Q-1), Q''s extremes and pair terms."""
+        j0, j1 = (link[lo:hi] if once[i] else slice(None) for i, link in enumerate(pair_rows))
+        x0, x1, d0, d1 = t[0]["value"][j0], t[1]["value"][j1], t[0]["slope"][j0], t[1]["slope"][j1]
+        ok = t[0]["ok"][j0] & t[1]["ok"][j1] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
+        x0, x1, d0, d1 = _nan_unless(ok, x0, x1, d0, d1)
+        rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
+        gap, stake = pair_terms(base, GridEval(vs, x0, x1, None))
+        return dict(ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake)
+
+    tables = [None] * 4
+    for k in (0, 1, 3, 2):  # the pairs before cost, so that pi0's and pi1's slopes go before cost's rows come
+        if once[k] and k == 3:
+            tables[3] = _in_chunks(math.prod(pair_shape), lambda lo, hi: pairs(tables, lo, hi))
+            del tables[0]["slope"], tables[1]["slope"]  # read no more
+        elif once[k]:
+            tables[k] = _in_chunks(math.prod(shapes[k]), lambda lo, hi: primitives((k,), lo, hi)[0])
+    per_cell = [k for k in range(3) if not once[k]]
     solved, passes, flips, count = [], [], [], 0
     for start in range(0, batch.size, _BLOCK_CELLS):
-        block = batch.take(np.arange(start, min(start + _BLOCK_CELLS, batch.size)))
-        g = evaluate_batch_grid(block, vs) if grid is None else grid
-        valid = batch_validity(block, g)
-        rows = np.arange(block.size)
-        if not valid.all():  # an all-valid block is solved as it is
-            rows = np.flatnonzero(valid)
-            g = GridEval(vs, *(x[rows] for x in g[1:]))
+        stop = min(start + _BLOCK_CELLS, batch.size)
+        t = list(tables)
+        for k, table in zip(per_cell, primitives(per_cell, start, stop) if per_cell else ()):
+            t[k] = table
+        if not once[3]:
+            t[3] = pairs(t, start, stop)
+        cost, pair = t[2], t[3]
+        # a block's rows of a table built for the block are the whole table
+        i0, ic, ip = (cell_rows[k][start:stop] if once[k] else slice(None) for k in (0, 2, 3))
+        rows = np.flatnonzero(cost["ok"][ic] & pair["ok"][ip] & (base.s_high > base.s_low))
+        if len(rows) < stop - start:
+            i0, ic, ip = (rows if isinstance(i, slice) else i[rows] for i in (i0, ic, ip))
+        regime = _regime_codes(cost["rate"][ic], pair["rate"][ip], pair["dq_low"][ip], pair["dq_high"][ip])
+        p = GridEval(vs, t[0]["value"][i0], None, cost["value"][ic])
+        terms = pair["gap"][ip], pair["stake"][ip]
+        nonneg = retention_holds(base, p, terms)
+        viable = nonneg[:, 0]  # validate's last check: retained at v = 0
+        if not viable.all():
+            rows, regime, nonneg = rows[viable], regime[viable], nonneg[viable]
+            p, terms = GridEval(vs, p.pi0[viable], None, p.cost[viable]), tuple(x[viable] for x in terms)
         if len(rows):
-            grid_pass, block_flips = _grid_pass(batch.base, g)
+            grid_pass, block_flips = _grid_pass(base, p, terms, nonneg, regime)
             passes.append(grid_pass)
             flips.append(block_flips._replace(cell=block_flips.cell + count))
             solved.append(start + rows)

@@ -16,6 +16,7 @@ and labelled by the regime sweep; the solvers raise
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
@@ -115,48 +116,67 @@ class ModelBatch:
     The cells share ``base``'s family kinds, ``v_max`` and stakes and
     differ only in some coefficients.  ``families`` holds ``(kind,
     coefficients)`` for pi0, pi1 and cost; each coefficient is a float
-    shared by every cell or a 1-D array with one entry per cell.  A single
-    model is a batch of one (:meth:`single`).
+    shared by every cell or an array that broadcasts to the batch's
+    ``shape`` (cells in row-major order): a sweep's axis values are a
+    column (axis 1) or a row (axis 2), so what one axis varies has a
+    :meth:`table` row per axis value.  A single model is a batch of one.
     """
 
     base: ModelPrimitives
-    size: int
+    shape: tuple[int, ...]
     families: tuple[tuple[str, tuple], ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
     @classmethod
     def single(cls, model: ModelPrimitives) -> "ModelBatch":
-        return cls(model, 1, _families(model))
+        return cls(model, (), _families(model))
 
     @classmethod
     def sweep(
         cls, base: ModelPrimitives, columns: Mapping[tuple[str, int], np.ndarray]
     ) -> "ModelBatch":
         """``base`` with each coefficient ``(primitive, index)`` of ``columns``
-        replaced by its per-cell column; all columns have the batch's length.
+        replaced by its array; the arrays broadcast together to the batch's
+        shape (one entry per cell, or one per value of a sweep axis).
 
         The columns bypass :class:`ParametricFamily`'s coefficient checks,
         so callers check the values first.
         """
-        sizes = {len(col) for col in columns.values()}
-        if len(sizes) != 1:
-            raise ValueError(f"sweep columns need one common length, got {sorted(sizes)}")
+        columns = {key: np.asarray(col, dtype=float) for key, col in columns.items()}
         families = []
         for name in PRIMITIVE_NAMES:
             family = base.family(name)
             coeffs = list(family.coefficients)
             for (target, index), col in columns.items():
                 if target == name:
-                    coeffs[index] = np.asarray(col, dtype=float)
+                    coeffs[index] = col
             families.append((family.kind, tuple(coeffs)))
-        return cls(base, sizes.pop(), tuple(families))
+        return cls(base, np.broadcast_shapes(*(c.shape for c in columns.values())), tuple(families))
+
+    def table(self, *names: str) -> tuple[int, ...]:
+        """The shape of the table of the named primitives (one, or pi0 and
+        pi1): that of their coefficients broadcast together, with one row
+        per entry; :func:`table_rows` gives each cell's row."""
+        shapes = [
+            c.shape for name in names for c in self.families[PRIMITIVE_NAMES.index(name)][1]
+            if isinstance(c, np.ndarray)
+        ]
+        return np.broadcast_shapes(*shapes) if shapes else ()
 
     def take(self, cells: np.ndarray) -> "ModelBatch":
-        """The batch of the given cells, in that order (repeats allowed)."""
+        """The batch of the given cells, in that order (repeats allowed),
+        with one coefficient entry per cell."""
         families = tuple(
-            (kind, tuple(c[cells] if isinstance(c, np.ndarray) else c for c in coeffs))
+            (kind, tuple(
+                np.broadcast_to(c, self.shape).reshape(-1)[cells] if isinstance(c, np.ndarray) else c
+                for c in coeffs
+            ))
             for kind, coeffs in self.families
         )
-        return ModelBatch(self.base, len(cells), families)
+        return ModelBatch(self.base, (len(cells),), families)
 
     @property
     def shared(self) -> bool:
@@ -167,8 +187,8 @@ class ModelBatch:
 class GridEval(NamedTuple):
     """Primitive values and slopes at investment ``v``: Python floats at one
     point (:func:`evaluate`), arrays on a grid (:func:`evaluate_grid`), or
-    (cells x grid) arrays on a block of cells (:func:`evaluate_batch_grid`).
-    A value-only evaluation leaves the slopes ``None``."""
+    (rows x grid) arrays of a batch's table rows (:func:`evaluate_batch_grid`).
+    A field not evaluated (a value-only evaluation's slopes) is ``None``."""
 
     v: np.ndarray
     pi0: np.ndarray
@@ -202,31 +222,31 @@ def evaluate_grid(model: ModelPrimitives, vs: np.ndarray) -> GridEval:
     return GridEval(vs, *(np.asarray(x, dtype=float) for x in _value_slopes(_families(model), vs)))
 
 
-def _block(x, shape: tuple[int, int]) -> np.ndarray:
-    """A primitive's values (or slopes) as a (cells x grid) array.
-
-    A row shared by every cell stays a view.  A column, one value per cell,
-    is copied out along the grid: numpy reduces and combines a contiguous
-    block several times faster than one with a zero stride along its rows.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size == shape[0] * shape[1]:
-        return x.reshape(shape)
-    block = np.broadcast_to(x, shape)
-    return block.copy() if x.shape[-1] == 1 else block
+def table_rows(table: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The row of a table of shape ``table`` (:meth:`ModelBatch.table`) read
+    by each entry, in row-major order, of a table or batch of ``shape``."""
+    rows = np.arange(math.prod(table))
+    return rows if len(rows) == math.prod(shape) else np.broadcast_to(rows.reshape(table), shape).reshape(-1)
 
 
-def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray) -> GridEval:
-    """All primitives of every cell of ``batch`` on the shared grid ``vs``:
-    ``v`` is ``vs``, every other field a (cells x grid) array."""
+def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray, rows) -> GridEval:
+    """Values and slopes on the grid ``vs`` of rows of the tables of pi0, pi1
+    and cost (:meth:`ModelBatch.table`), ``rows`` holding an index array
+    for each (None leaves its fields None): (rows x grid) arrays, row for
+    row the :func:`evaluate_grid` of the cells that read that row."""
     vs = np.asarray(vs, dtype=float)
-    shape = (batch.size, len(vs))
-    # per-cell coefficients as columns of the block
-    columns = [
-        (kind, tuple(c[:, None] if isinstance(c, np.ndarray) else c for c in coeffs))
-        for kind, coeffs in batch.families
-    ]
-    return GridEval(vs, *(_block(x, shape) for x in _value_slopes(columns, vs)))
+    fields = [None] * 6
+    for k, ((kind, coeffs), r) in enumerate(zip(batch.families, rows)):
+        if r is not None:
+            columns, shape = list(coeffs), (len(r), len(vs))
+            for i, c in enumerate(coeffs):
+                if isinstance(c, np.ndarray):
+                    columns[i] = np.broadcast_to(c, batch.table(PRIMITIVE_NAMES[k])).reshape(-1)[r, None]
+            fields[k], fields[k + 3] = (
+                x if x.shape == shape else np.broadcast_to(x, shape)
+                for x in family_value_slope(kind, columns, vs[None])
+            )
+    return GridEval(vs, *fields)
 
 
 def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> GridEval:
@@ -239,8 +259,8 @@ def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> GridEval:
     return GridEval(v, family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
 
 
-# The three formulas below read only the ``pi0``, ``pi1`` and ``cost`` fields
-# of a :class:`GridEval`, so they take one point (``evaluate``), a whole grid
+# The formulas below read only the ``pi0``, ``pi1`` and ``cost`` fields of a
+# :class:`GridEval`, so they take one point (``evaluate``), a whole grid
 # (``evaluate_grid``), a block of cells or one value per cell
 # (``evaluate_batch_values``).
 
@@ -250,22 +270,31 @@ def incentive_wage(p):
     return p.cost / (p.pi1 - p.pi0)
 
 
-def retention_margin(model: ModelPrimitives, p):
-    """``(s_high - s_low)*(1 - 1/Q) - t_high`` of evaluated primitives.
+def pair_terms(model: ModelPrimitives, p) -> tuple:
+    """What :func:`retention_margin` and the information rent read of pi0
+    and pi1 alone: the gap ``pi1 - pi0`` and the stake
+    ``(s_high - s_low)*(1 - 1/Q)``, once per pair of rows in a batch."""
+    q = p.pi1 / p.pi0
+    return p.pi1 - p.pi0, model.quality_importance * (1.0 - 1.0 / q)
+
+
+def retention_margin(model: ModelPrimitives, p, pair: tuple | None = None):
+    """``(s_high - s_low)*(1 - 1/Q) - t_high`` of evaluated primitives, or
+    of ``p.cost`` and the :func:`pair_terms` ``pair`` when given.
 
     ``pi1`` times it is both the principal's gain from employing the human
     over running the twin alone and the effort gain ``(pi1-pi0)*(s_high-s_low)``
     less the expected wage, so retention and effort inducement are one
     condition."""
-    q = p.pi1 / p.pi0
-    return model.quality_importance * (1.0 - 1.0 / q) - incentive_wage(p)
+    gap, stake = pair_terms(model, p) if pair is None else pair
+    return stake - p.cost / gap
 
 
-def retention_holds(model: ModelPrimitives, p):
+def retention_holds(model: ModelPrimitives, p, pair: tuple | None = None):
     """True where ``retention_margin >= 0`` (NaN fails): the principal weakly
     prefers the human, and inducing effort pays.  The one tie rule of the
     solvers; the displacement thresholds are bisected roots of it."""
-    return retention_margin(model, p) >= 0.0
+    return retention_margin(model, p, pair) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +328,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _assumption_checks(g: GridEval):
-    """``(condition, failed, bad, detail)`` for each grid check of
-    :func:`validate`, in the order it checks them.  ``failed`` says whether
-    the check fails, per cell on a block of cells; ``bad()`` is its mask of
-    bad points, for naming the first one.
+def _assumption_checks(g: GridEval, ordering=None):
+    """``(condition, table, failed, bad, detail)`` for each grid check of
+    :func:`validate`, in the order it checks them, on the primitives whose
+    fields ``g`` holds (not None); ``pi-ordering`` reads ``ordering``, which
+    is ``pi1 <= pi0`` point by point (no subtraction of non-finite values),
+    and is skipped without it.  ``table`` is what a check reads, a
+    primitive or the ``"pair"``; ``failed`` says whether it fails, per row
+    (a cell, or a row of a batch's table); ``bad()`` is its mask of bad
+    points, for naming the first one.
 
     ``failed`` comes from each array's min and max over the grid.  Both are
     finite exactly when every value is, since either is NaN when a value
@@ -312,51 +345,46 @@ def _assumption_checks(g: GridEval):
     so the bounds only decide finite grids.  ``pi-ordering`` compares two
     arrays and stays element-wise.
     """
-    lows = np.array([x.min(axis=-1) for x in g[1:]])
-    highs = np.array([x.max(axis=-1) for x in g[1:]])
-    low, high = GridEval(g.v, *lows), GridEval(g.v, *highs)
-    finite = GridEval(g.v, *(np.isfinite(lows) & np.isfinite(highs)))
+    fields = {f: x for f, x in zip(GridEval._fields[1:], g[1:]) if x is not None}
+    lows = np.array([x.min(axis=-1) for x in fields.values()])
+    highs = np.array([x.max(axis=-1) for x in fields.values()])
+    low, high = dict(zip(fields, lows)), dict(zip(fields, highs))
+    finite = dict(zip(fields, np.isfinite(lows) & np.isfinite(highs)))
 
     def non_finite(name):
-        d = "d" + name
-        failed = ~(getattr(finite, name) & getattr(finite, d))
-        return failed, lambda: ~np.isfinite(getattr(g, name)) | ~np.isfinite(getattr(g, d))
+        x, dx = fields[name], fields["d" + name]
+        return ~(finite[name] & finite["d" + name]), lambda: ~np.isfinite(x) | ~np.isfinite(dx)
 
-    def bound(extremum, field, test, limit):
-        return test(getattr(extremum, field), limit), lambda: test(getattr(g, field), limit)
+    def bound(condition, extremum, field, test, limit, detail):
+        if field in fields:
+            x = fields[field]
+            yield condition, field.lstrip("d"), test(extremum[field], limit), lambda: test(x, limit), detail
 
     for name in PRIMITIVE_NAMES:
-        yield (
-            "finite-evaluation",
-            *non_finite(name),
-            f"{name} value/derivative not finite (family not differentiable here)",
-        )
-    yield "pi0-positive", *bound(low, "pi0", operator.le, 0.0), "pi0 must stay strictly positive"
-    yield "pi1-below-one", *bound(high, "pi1", operator.ge, 1.0), "pi1 must stay strictly below 1"
-    # pi1 - pi0 <= 0 exactly when pi1 <= pi0, without subtracting non-finite values
-    ordering = g.pi1 <= g.pi0
-    yield "pi-ordering", ordering.any(axis=-1), lambda: ordering, "pi1 must exceed pi0 strictly"
-    yield "pi0-nondecreasing", *bound(low, "dpi0", operator.lt, -DEFAULT_TOL), "pi0 slope must be >= 0"
-    yield "pi1-nondecreasing", *bound(low, "dpi1", operator.lt, -DEFAULT_TOL), "pi1 slope must be >= 0"
-    yield "cost-positive", *bound(low, "cost", operator.le, 0.0), "effort cost must stay strictly positive"
-    yield "cost-nonincreasing", *bound(high, "dcost", operator.gt, DEFAULT_TOL), "cost slope must be <= 0"
+        if name in fields:
+            yield (
+                "finite-evaluation", name,
+                *non_finite(name),
+                f"{name} value/derivative not finite (family not differentiable here)",
+            )
+    yield from bound("pi0-positive", low, "pi0", operator.le, 0.0, "pi0 must stay strictly positive")
+    yield from bound("pi1-below-one", high, "pi1", operator.ge, 1.0, "pi1 must stay strictly below 1")
+    if ordering is not None:
+        yield "pi-ordering", "pair", ordering.any(axis=-1), lambda: ordering, "pi1 must exceed pi0 strictly"
+    yield from bound("pi0-nondecreasing", low, "dpi0", operator.lt, -DEFAULT_TOL, "pi0 slope must be >= 0")
+    yield from bound("pi1-nondecreasing", low, "dpi1", operator.lt, -DEFAULT_TOL, "pi1 slope must be >= 0")
+    yield from bound("cost-positive", low, "cost", operator.le, 0.0, "effort cost must stay strictly positive")
+    yield from bound("cost-nonincreasing", high, "dcost", operator.gt, DEFAULT_TOL, "cost slope must be <= 0")
 
 
-def batch_validity(batch: ModelBatch, g: GridEval) -> np.ndarray:
-    """Per-cell pass flags of :func:`validate` for a block of cells.
-
-    ``g`` is :func:`evaluate_batch_grid` of ``batch``.  The checks are
-    those of :func:`validate`, decided from each row's min and max (and
-    ``pi-ordering`` element-wise) as there, so a cell passes exactly when
-    its own report does.  No bad-point mask is built.  The viability test
-    divides by the probability gap, so it only runs on cells that passed
-    every grid check.
-    """
-    failed = np.any([fails for _, fails, _, _ in _assumption_checks(g)], axis=0)
-    ok = ~failed & (batch.base.s_high > batch.base.s_low)
-    rows = np.flatnonzero(ok)
-    ok[rows] = retention_holds(batch.base, GridEval(g.v[0], g.pi0[rows, 0], g.pi1[rows, 0], g.cost[rows, 0]))
-    return ok
+def row_passes(g: GridEval, ordering=None) -> dict[str, np.ndarray]:
+    """For each table that :func:`_assumption_checks` checks on ``g`` (and
+    ``ordering``), a flag per row: True where every check of it passes.
+    The primitives ``g`` holds share their rows."""
+    failed: dict[str, np.ndarray] = {}
+    for _, table, fails, _, _ in _assumption_checks(g, ordering):
+        failed[table] = failed[table] | fails if table in failed else fails
+    return {table: ~fails for table, fails in failed.items()}
 
 
 def validate(
@@ -408,7 +436,7 @@ def validate(
         )
 
     g = evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
-    for condition, failed, bad, detail in _assumption_checks(g):
+    for condition, _, failed, bad, detail in _assumption_checks(g, g.pi1 <= g.pi0):
         if failed:
             return report(condition, float(g.v[np.argmax(bad())]), detail)
 

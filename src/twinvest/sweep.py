@@ -1,8 +1,10 @@
 """Two-parameter regime sweeps producing plot-ready CSV maps.
 
-A sweep template designates two coefficients of the base model's families
-and a grid of values for each.  All grid cells are solved in one batch
-(:func:`~twinvest.investment.solve_batch`), and each cell's result is
+A sweep template designates two different coefficients of the base
+model's families and a grid of values for each.  All grid cells are solved
+in one batch (:func:`~twinvest.investment.solve_batch`), which evaluates,
+validates and rates each primitive once per value of the axis that varies
+it; only what reads both axes is computed per cell.  Each cell's result is
 exactly what solving that cell alone gives: it does not depend on the
 batch.  Cells whose model violates the base assumptions are recorded as
 ``Invalid`` rather than skipped, so the output is always a full rectangle.
@@ -117,17 +119,22 @@ def regime_sweep(
 
     Raises :class:`SweepAxisError` (a ``ValueError``) naming the axis when
     a value does not make a legal family (say a negative exponential-decay
-    rate, or a coefficient index the family does not have).  The check
-    runs before any cell is solved, since the batch stacks the values as
-    coefficient columns without building a family per cell.
+    rate, or a coefficient index the family does not have), and naming
+    both when the two axes vary one coefficient.  The checks run before
+    any cell is solved, since the batch takes the axis values as
+    coefficient arrays without building a family per cell.
     """
     _check_axis(base, axis1)
     _check_axis(base, axis2)
+    if (axis1.target, axis1.coefficient) == (axis2.target, axis2.coefficient):
+        raise SweepAxisError(f"sweep axes {axis1.label()} and {axis2.label()} vary the same coefficient")
+    columns = {
+        (axis1.target, axis1.coefficient): np.array(axis1.values)[:, None],
+        (axis2.target, axis2.coefficient): np.array(axis2.values),
+    }
+    solutions = solve_batch(ModelBatch.sweep(base, columns), grid_points)
     x1 = np.repeat(axis1.values, len(axis2.values))
     x2 = np.tile(axis2.values, len(axis1.values))
-    columns = {(axis1.target, axis1.coefficient): x1}
-    columns[(axis2.target, axis2.coefficient)] = x2  # axis 2 wins on a shared coefficient
-    solutions = solve_batch(ModelBatch.sweep(base, columns), grid_points)
     cells = tuple(
         RegimeCell(p1, p2, INVALID_LABEL, None, None, None, None)
         if sol is None

@@ -105,6 +105,13 @@ class TestErrors:
         with pytest.raises(ConfigError, match="exactly 2"):
             parse_model_file(obj)
 
+    def test_two_axes_on_one_coefficient_rejected(self):
+        obj = model_to_dict(f1())
+        axis = {"target": "cost", "coefficient": 1, "start": 0.1, "stop": 0.2, "count": 2}
+        obj["sweep"] = {"axes": [axis, dict(axis, start=0.3)]}
+        with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]: varies cost\[1\] again"):
+            parse_model_file(obj)
+
     def test_bad_axis_target(self):
         obj = model_to_dict(f1())
         obj["sweep"] = {

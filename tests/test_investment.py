@@ -38,6 +38,8 @@ from twinvest.model import (
     ModelPrimitives,
     evaluate,
     evaluate_grid,
+    pair_terms,
+    retention_holds,
     validate,
 )
 from twinvest.optimize import bisect_bracket
@@ -127,9 +129,10 @@ class TestClassifyRegimeCodes:
         # the all-points reading of the sufficient conditions, NaN and
         # infinities included
         with np.errstate(all="ignore"):
-            rate_cost, rate_sep, dq = twinvest.investment._rates(g)
+            rate_cost = twinvest.investment._rate_cost(g)
+            rate_sep, dq = twinvest.investment._pair_rates(g)
             diff = rate_cost - rate_sep
-            codes = twinvest.investment._regime_codes(g)
+            codes = twinvest.investment._regime_codes(rate_cost, rate_sep, dq.min(axis=-1), dq.max(axis=-1))
         tol = twinvest.model.DEFAULT_TOL
         no_investment = np.all(dq > tol, axis=-1) | np.all(diff < -tol, axis=-1)
         max_investment = np.all(dq <= tol, axis=-1) & np.all(diff > tol, axis=-1)
@@ -162,8 +165,10 @@ class TestFeasibleRun:
         g, us = block
         model = ModelPrimitives(F.constant(0.5), F.constant(0.6), F.constant(0.1), 1.0, 1.0, 0.0)
         # the block's rent is the drawn one, not the one its primitives give
-        with mock.patch.object(twinvest.investment, "information_rent", lambda g: us):
-            found, _ = twinvest.investment._grid_pass(model, g)
+        with mock.patch.object(twinvest.investment, "information_rent", lambda g, pair: us):
+            pair = pair_terms(model, g)
+            nonneg = retention_holds(model, g, pair)
+            found, _ = twinvest.investment._grid_pass(model, g, pair, nonneg, None)
         # every row searched: the best feasible point with its rent
         n = len(us)
         feasible = 0.5 - g.cost >= 0.0

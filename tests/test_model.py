@@ -12,15 +12,17 @@ from twinvest.model import (
     DEFAULT_TOL,
     DomainError,
     GridEval,
+    PRIMITIVE_NAMES,
     ModelBatch,
     ModelPrimitives,
-    batch_validity,
     evaluate,
     evaluate_batch_grid,
     evaluate_batch_values,
     evaluate_grid,
+    table_rows,
     validate,
 )
+from twinvest.investment import solve_batch
 
 
 class TestEvaluate:
@@ -128,9 +130,9 @@ class TestValidate:
         report = validate(model, 11, grid=broken)
         assert (report.violation.condition, report.violation.v) == ("finite-evaluation", good.v[7])
         assert report.violation.detail.startswith(field.lstrip("d") + " ")
-        block = GridEval(good.v, *(np.stack([a, b, a]) for a, b in zip(good[1:], broken[1:])))
-        batch = ModelBatch.sweep(model, {("pi0", 0): [0.2, 0.2, 0.2]})
-        assert batch_validity(batch, block).tolist() == [True, False, True]
+        single = ModelBatch.single(model)
+        flags = [solve_batch(single, 11, grid) != [None] for grid in (good, broken, good)]
+        assert flags == [True, False, True]
 
     @pytest.mark.parametrize(
         "change,expected",
@@ -193,14 +195,14 @@ def edge_cells_agree(cells, grid_points=101):
     :data:`EDGES` each) against their own reports; return the reports."""
     base = edge_base()
     batch = ModelBatch.sweep(base, {key: [cell[k] for cell in cells] for k, key in enumerate(EDGES)})
-    flags = batch_validity(batch, evaluate_batch_grid(batch, base.grid(grid_points)))
+    flags = [sol is not None for sol in solve_batch(batch, grid_points)]
     reports = []
     for cell in cells:
         model = base
         for (name, index), x in zip(EDGES, cell):
             model = model.with_coefficient(name, index, x)
         reports.append(validate(model, grid_points))
-    assert flags.tolist() == [r.passed for r in reports]
+    assert flags == [r.passed for r in reports]
     return reports
 
 
@@ -216,7 +218,7 @@ def test_batch_grid_rows_are_the_cells_own_grids(columns):
     # bit for bit, sign of zero included, in every field
     base = f3()
     batch = ModelBatch.sweep(base, columns)
-    block = evaluate_batch_grid(batch, base.grid(101))
+    block = evaluate_batch_grid(batch, base.grid(101), cell_rows(batch))
     for row in range(batch.size):
         model = base
         for (name, index), values in columns.items():
@@ -224,6 +226,11 @@ def test_batch_grid_rows_are_the_cells_own_grids(columns):
         alone = evaluate_grid(model, model.grid(101))
         for got, want in zip(block[1:], alone[1:]):
             assert got[row].tobytes() == want.tobytes()
+
+
+def cell_rows(batch):
+    """Each cell's row in the tables of pi0, pi1 and cost."""
+    return [table_rows(batch.table(name), batch.shape) for name in PRIMITIVE_NAMES]
 
 
 ROUTE_MODELS = {
@@ -258,8 +265,8 @@ def test_every_evaluation_route_gives_the_same_bits(model):
     assert values[4:] == (None, None, None)
     routes = {
         "evaluate": np.array(points).T,
-        "single block": [vs] + [x[0] for x in evaluate_batch_grid(single, vs)[1:]],
-        "sweep block": [vs] + [x[1] for x in evaluate_batch_grid(sweep, vs)[1:]],
+        "single block": [vs] + [x[0] for x in evaluate_batch_grid(single, vs, cell_rows(single))[1:]],
+        "sweep block": [vs] + [x[1] for x in evaluate_batch_grid(sweep, vs, cell_rows(sweep))[1:]],
         "batch values": values[:4],
         "batch values per point": np.array([evaluate_batch_values(single, v)[:4] for v in vs]).T,
     }
@@ -269,8 +276,8 @@ def test_every_evaluation_route_gives_the_same_bits(model):
 
 
 class TestBatchValidity:
-    """A cell passes :func:`batch_validity` exactly when its own
-    :func:`validate` report passes."""
+    """A cell of a batch is solved (:func:`~twinvest.investment.solve_batch`)
+    exactly when its own :func:`validate` report passes."""
 
     def test_every_edge_combination(self):
         reports = edge_cells_agree(list(itertools.product(*EDGES.values())))

@@ -1,4 +1,5 @@
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +41,23 @@ class TestRegimeSweep:
         present = regime_map.regimes_present()
         assert {"NoInvestment", "MaxInvestment", "Interior"} <= present
 
-    def test_one_grid_evaluation_per_cell(self, monkeypatch):
-        # the batch evaluates each cell's grid once, for validate and the solve
+    def test_one_grid_evaluation_per_axis_value(self, monkeypatch):
+        # the batch evaluates each primitive's grid once per value of the
+        # axis that varies it, for validate and the solve: f3's cost on
+        # axis 1, pi0 on axis 2 and the constant pi1 once
         points = []
-        real = twinvest.investment.evaluate_batch_grid
+        real = twinvest.model.family_value_slope
 
-        def counting(batch, vs):
-            points.append(batch.size * len(vs))
-            return real(batch, vs)
+        def counting(kind, c, v):
+            points.append(math.prod(np.broadcast_shapes(np.shape(v), *map(np.shape, c))))
+            return real(kind, c, v)
 
-        monkeypatch.setattr(twinvest.investment, "evaluate_batch_grid", counting)
+        monkeypatch.setattr(twinvest.model, "family_value_slope", counting)
         monkeypatch.setattr(twinvest.model, "evaluate_grid", None)  # not called at all
         axis1, axis2 = f3_axes(3)
         regime_map = regime_sweep(f3(), axis1, axis2, grid_points=101)
-        assert sum(points) == len(regime_map.cells) * 101 == 9 * 101
+        assert len(regime_map.cells) == 9
+        assert sum(points) == (3 + 3 + 1) * 101
 
     def test_one_golden_section_search_per_solve(self, monkeypatch):
         # both optima of every cell are refined in one array search
@@ -134,6 +138,20 @@ TEMPLATES = {
         SweepAxis.linspace("cost", 0, 0.12, 0.3, 4),
         SweepAxis.linspace("pi0", 1, -0.1, 0.45, 8),
     ),
+    # both axes vary cost, so its rows are built block by block, one per
+    # cell; low levels and steep falls make cells displaced or invalid
+    "cost-both-axes": (
+        f2,
+        SweepAxis.linspace("cost", 0, 0.05, 0.3, 5),
+        SweepAxis.linspace("cost", 1, -0.3, 0.0, 7),
+    ),
+    # each axis varies one of pi0 and pi1, so every pair of their rows is a
+    # cell; a falling pi0 or a pi1 level below pi0 makes a cell invalid
+    "pair-both-axes": (
+        f3,
+        SweepAxis.linspace("pi0", 1, -0.1, 0.4, 6),
+        SweepAxis.linspace("pi1", 0, 0.3, 0.9, 6),
+    ),
 }
 
 
@@ -194,6 +212,12 @@ class TestBatchIndependence:
         for start in range(0, len(kinds), block):
             assert set(kinds[start:start + block]) == {"invalid", "feasible", "partly infeasible"}
 
+        # the tables with a row per cell span several blocks, valid and not
+        for name in ("cost-both-axes", "pair-both-axes"):
+            regimes = [c.regime for c in cells(name)]
+            assert len(regimes) > 2 * block
+            assert INVALID_LABEL in regimes and set(regimes) - {INVALID_LABEL}
+
     def test_near_tie_cell_solves_with_its_neighbours(self):
         # the middle cell's retention margin is -2.6e-14 at the grid point 0.6
         costs = np.array([0.2, 0.22150000000001, 0.19])
@@ -203,7 +227,7 @@ class TestBatchIndependence:
 
     def test_given_grid_only_stands_in_for_a_batch_of_one(self):
         base = f3()
-        grid = twinvest.model.evaluate_batch_grid(ModelBatch.single(base), base.grid(101))
+        grid = evaluate_grid(base, base.grid(101))
         assert solve_batch(ModelBatch.single(base), 101, grid) == [optimal_investment(base, 101)]
         batch = ModelBatch.sweep(base, {("cost", 1): [0.5, 1.0]})
         with pytest.raises(ValueError, match="batch of one"):
@@ -215,6 +239,12 @@ class TestAxisChecks:
         axis1 = SweepAxis.linspace("cost", 1, -1.0, 3.0, 5)
         axis2 = SweepAxis.linspace("pi0", 1, 0.1, 0.4, 5)
         with pytest.raises(SweepAxisError, match=r"cost\[1\].*rate must be >= 0"):
+            regime_sweep(f3(), axis1, axis2)
+
+    def test_two_axes_on_one_coefficient_name_both(self):
+        axis1 = SweepAxis("cost", 1, (0.5, 3.0))
+        axis2 = SweepAxis("cost", 1, (1.0,))
+        with pytest.raises(SweepAxisError, match=r"cost\[1\] and cost\[1\]"):
             regime_sweep(f3(), axis1, axis2)
 
     def test_missing_coefficient_names_the_axis(self):
