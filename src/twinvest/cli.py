@@ -15,6 +15,7 @@ stdout.  Identical inputs and seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -36,7 +37,7 @@ from .model import (
 )
 from .oracle import run_certification
 from .report import format_bool, format_number, format_optional, format_rows
-from .sweep import SweepAxis, SweepAxisError, regime_sweep
+from .sweep import SweepAxisError, regime_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -212,6 +213,8 @@ def cmd_simulate(args) -> int:
     if args.alpha is not None:
         if not 0.0 < args.alpha < 1.0:
             raise _InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
+        if args.agent != AgentKind.MYOPIC.value:
+            raise _InputError("--alpha (cycles mode) takes a myopic agent: a strategic one is never displaced")
         horizon = args.horizon if args.horizon is not None else 2
         _check_positive("horizon", horizon)
         trace = simulate_cycles(model, args.alpha, horizon, discount=args.delta)
@@ -230,18 +233,13 @@ def cmd_sweep(args) -> int:
     model = _discrete(mf)
     if mf.sweep is None:
         raise _InputError("model file has no sweep section")
-    axis1, axis2 = mf.sweep
+    axes = mf.sweep
     if args.grid is not None:
         if args.grid < 1:  # a 1x1 map is legal here, unlike evaluation grids
             raise _InputError(f"--grid must be at least 1, got {args.grid}")
-        axis1 = SweepAxis.linspace(
-            axis1.target, axis1.coefficient, axis1.values[0], axis1.values[-1], args.grid
-        )
-        axis2 = SweepAxis.linspace(
-            axis2.target, axis2.coefficient, axis2.values[0], axis2.values[-1], args.grid
-        )
+        axes = [dataclasses.replace(axis, count=args.grid) for axis in axes]
     try:
-        regime_map = regime_sweep(model, axis1, axis2)
+        regime_map = regime_sweep(model, *axes)
     except SweepAxisError as exc:
         raise _InputError(str(exc)) from None
     rows = len(regime_map.cells)

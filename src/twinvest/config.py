@@ -157,7 +157,7 @@ def parse_sweep(obj) -> tuple[SweepAxis, SweepAxis]:
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError(f"{apath}.count", "expected a positive integer")
         parsed.append(
-            SweepAxis.linspace(
+            SweepAxis(
                 target,
                 coefficient,
                 _number(axis, "start", apath),

@@ -19,7 +19,6 @@ deterrent-feasible set is treated as a union of intervals.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +39,6 @@ from .model import (
     evaluate_grid,
     pair_terms,
     row_passes,
-    table_rows,
     validate,
 )
 from .optimize import bisect_bracket, refine_max
@@ -67,12 +65,10 @@ def _pair_rates(p):
 
 _REGIMES = tuple(RegimeLabel)
 
-#: Cells per block of a batch's grid pass, and rows per chunk of the tables
-#: it builds.  The per-cell arrays of a 1001-point block are then 128 KB
-#: each; a whole 50x50 map at once would take 20 MB per array.  A sweep
-#: evaluates a primitive once per value of the axis that varies it, outside
-#: the blocks, unless both axes vary it.
-_BLOCK_CELLS = 16
+#: Most axis-2 values per block of a batch's grid pass.  The per-cell
+#: arrays of a 1001-point block are then 200 KB each; a whole 50x50 map at
+#: once would take 20 MB per array.
+_BLOCK_CELLS = 25
 
 
 def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
@@ -301,10 +297,12 @@ def solve_batch(
     """:func:`optimal_investment` of every cell of ``batch``, solved
     together; None for a cell that fails :func:`~twinvest.model.validate`.
 
-    The grid pass (:func:`_grid_passes`) evaluates and validates each
-    primitive once per row of its table, one per value of the sweep axis
-    that varies it (``grid``, the model's :func:`evaluate_grid`, stands in
-    for a batch of one), and yields the rent, the retention mask
+    The grid pass (:func:`_grid_passes`) goes through the batch one axis-1
+    value at a time.  It evaluates, validates and rates each primitive, and
+    the pair of pi0 and pi1, once per axis-2 value when axis 2 varies it
+    (else once), and again at each axis-1 value only when axis 1 varies it
+    (``grid``, the model's :func:`evaluate_grid`, stands in for a batch of
+    one).  Per cell it yields the rent, the retention mask
     (:func:`~twinvest.model.retention_holds`), the margin's sign flips and
     the regime rates.  A valid cell is retained at ``v = 0``, so it always
     has an optimum.  One bisection array search finds every root, from
@@ -343,45 +341,29 @@ def _nan_unless(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return list(arrays) if ok.all() else [np.where(ok[:, None], x, np.nan) for x in arrays]
 
 
-def _in_chunks(n: int, rows_of) -> dict:
-    """The arrays that ``rows_of(lo, hi)`` gives for rows ``lo`` to ``hi - 1``,
-    for all ``n`` rows, built :data:`_BLOCK_CELLS` rows at a time so that
-    the temporaries of a whole table stay those of a block."""
-    out = {}
-    for lo in range(0, n, _BLOCK_CELLS):
-        for name, x in rows_of(lo, min(lo + _BLOCK_CELLS, n)).items():
-            if name not in out:
-                out[name] = np.empty((n,) + x.shape[1:], x.dtype)
-            out[name][lo:lo + _BLOCK_CELLS] = x
-    return out
-
-
 def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
     """The grid pass of :func:`solve_batch`: the valid cells, their
     :class:`_GridPass` and their sign flips (indexing the valid cells), or
     None when no cell is valid.
 
-    Each quantity is computed once per row of the table of what it reads
-    (:meth:`~twinvest.model.ModelBatch.table`), a dict of arrays whose
-    ``ok`` flags the rows that pass the checks of
+    The batch is solved one axis-1 value at a time.  Four tables, pi0, pi1,
+    cost and the pair of pi0 and pi1, each hold one row per axis-2 value,
+    or one row when no coefficient they read varies along axis 2; a table
+    is built at the first axis-1 value, and again at each one after only
+    when a coefficient it reads varies along axis 1.  A table is a dict of
+    arrays whose ``ok`` flags the rows that pass the checks of
     :func:`~twinvest.model.validate` that read them alone (the others are
-    NaN).  A table with a row per cell is built block by block, and read
-    there as it is; any other is built once, and its rows are gathered for
-    each block.  The rent, the retention mask and its flips and the rate
-    difference are per cell.
+    NaN).  The rent, the retention mask and its flips and the rate
+    difference are per cell, in blocks of at most :data:`_BLOCK_CELLS`
+    axis-2 values, which read slices of the tables (a one-row table
+    broadcast).
     """
-    base, pair_shape = batch.base, batch.table("pi0", "pi1")
-    shapes = [batch.table(name) for name in PRIMITIVE_NAMES] + [pair_shape]
-    once = [math.prod(shape) < batch.size for shape in shapes]
-    # each cell's rows of the tables built once, and each pair's pi0 and pi1 rows
-    cell_rows = [table_rows(shape, batch.shape) if whole else None for shape, whole in zip(shapes, once)]
-    pair_rows = [table_rows(shape, pair_shape) if whole else None for shape, whole in zip(shapes[:2], once)]
+    base, along_axis1 = batch.base, batch.along_axis1
 
-    def primitives(ks, lo, hi) -> list[dict]:
-        """Rows ``lo`` to ``hi - 1`` of the tables of primitives ``ks``: their
+    def primitives(i, ks) -> list[dict]:
+        """The tables of primitives ``ks`` at axis-1 value ``i``: their
         checks, ``value`` and ``slope`` (cost's ``rate``, cost'/cost, instead)."""
-        rows = [np.arange(lo, hi) if k in ks else None for k in range(3)]
-        g = evaluate_batch_grid(batch, vs, rows) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
+        g = evaluate_batch_grid(batch, vs, i, ks) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
         passed, tables = row_passes(g), []
         for k in ks:
             ok = passed[PRIMITIVE_NAMES[k]]
@@ -392,54 +374,56 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
                 tables.append(dict(ok=ok, value=value, slope=slope))
         return tables
 
-    def pairs(t, lo, hi) -> dict:
-        """Pair rows ``lo`` to ``hi - 1``, from the primitives' tables in
-        ``t``: ``pi-ordering`` (a pair fails with either of its primitives
-        too), its ``rate`` Q'/(Q-1), Q''s extremes and pair terms."""
-        j0, j1 = (link[lo:hi] if once[i] else slice(None) for i, link in enumerate(pair_rows))
-        x0, x1, d0, d1 = t[0]["value"][j0], t[1]["value"][j1], t[0]["slope"][j0], t[1]["slope"][j1]
-        ok = t[0]["ok"][j0] & t[1]["ok"][j1] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
-        x0, x1, d0, d1 = _nan_unless(ok, x0, x1, d0, d1)
+    def pairs(t0, t1) -> dict:
+        """The pair table of the pi0 and pi1 tables: ``pi-ordering`` (a pair
+        fails with either of its primitives too), its ``rate`` Q'/(Q-1),
+        Q''s extremes and pair terms."""
+        x0, x1 = t0["value"], t1["value"]
+        ok = t0["ok"] & t1["ok"] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
+        x0, x1, d0, d1 = _nan_unless(ok, x0, x1, t0["slope"], t1["slope"])
         rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
         gap, stake = pair_terms(base, GridEval(vs, x0, x1, None))
         return dict(ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake)
 
-    tables = [None] * 4
-    for k in (0, 1, 3, 2):  # the pairs before cost, so that pi0's and pi1's slopes go before cost's rows come
-        if once[k] and k == 3:
-            tables[3] = _in_chunks(math.prod(pair_shape), lambda lo, hi: pairs(tables, lo, hi))
-            del tables[0]["slope"], tables[1]["slope"]  # read no more
-        elif once[k]:
-            tables[k] = _in_chunks(math.prod(shapes[k]), lambda lo, hi: primitives((k,), lo, hi)[0])
-    per_cell = [k for k in range(3) if not once[k]]
+    n1, n2 = batch.shape
+    tables = [None] * 3
     solved, passes, flips, count = [], [], [], 0
-    for start in range(0, batch.size, _BLOCK_CELLS):
-        stop = min(start + _BLOCK_CELLS, batch.size)
-        t = list(tables)
-        for k, table in zip(per_cell, primitives(per_cell, start, stop) if per_cell else ()):
-            t[k] = table
-        if not once[3]:
-            t[3] = pairs(t, start, stop)
-        cost, pair = t[2], t[3]
-        # a block's rows of a table built for the block are the whole table
-        i0, ic, ip = (cell_rows[k][start:stop] if once[k] else slice(None) for k in (0, 2, 3))
-        rows = np.flatnonzero(cost["ok"][ic] & pair["ok"][ip] & (base.s_high > base.s_low))
-        if len(rows) < stop - start:
-            i0, ic, ip = (rows if isinstance(i, slice) else i[rows] for i in (i0, ic, ip))
-        regime = _regime_codes(cost["rate"][ic], pair["rate"][ip], pair["dq_low"][ip], pair["dq_high"][ip])
-        p = GridEval(vs, t[0]["value"][i0], None, cost["value"][ic])
-        terms = pair["gap"][ip], pair["stake"][ip]
-        nonneg = retention_holds(base, p, terms)
-        viable = nonneg[:, 0]  # validate's last check: retained at v = 0
-        if not viable.all():
-            rows, regime, nonneg = rows[viable], regime[viable], nonneg[viable]
-            p, terms = GridEval(vs, p.pi0[viable], None, p.cost[viable]), tuple(x[viable] for x in terms)
-        if len(rows):
-            grid_pass, block_flips = _grid_pass(base, p, terms, nonneg, regime)
-            passes.append(grid_pass)
-            flips.append(block_flips._replace(cell=block_flips.cell + count))
-            solved.append(start + rows)
-            count += len(rows)
+    for i in range(n1):
+        ks = [k for k in range(3) if i == 0 or along_axis1[k]]
+        for k, table in zip(ks, primitives(i, ks)):
+            tables[k] = table
+        if 0 in ks or 1 in ks:
+            pair = pairs(*tables[:2])
+        pi0, cost = tables[0], tables[2]
+        for lo in range(0, n2, _BLOCK_CELLS):
+            cells = slice(lo, min(lo + _BLOCK_CELLS, n2))
+            size = cells.stop - lo
+
+            def rows_of(x):  # the block's rows of a table's column
+                if len(x) > 1:
+                    return x[cells]
+                return x if size == 1 else np.broadcast_to(x, (size,) + x.shape[1:])
+
+            rows = np.flatnonzero(rows_of(cost["ok"]) & rows_of(pair["ok"]) & (base.s_high > base.s_low))
+            columns = [rows_of(x) for x in (
+                cost["rate"], pair["rate"], pair["dq_low"], pair["dq_high"],
+                pi0["value"], cost["value"], pair["gap"], pair["stake"],
+            )]
+            if len(rows) < size:
+                columns = [x[rows] for x in columns]
+            regime = _regime_codes(*columns[:4])
+            p, terms = GridEval(vs, columns[4], None, columns[5]), tuple(columns[6:])
+            nonneg = retention_holds(base, p, terms)
+            viable = nonneg[:, 0]  # validate's last check: retained at v = 0
+            if not viable.all():
+                rows, regime, nonneg = rows[viable], regime[viable], nonneg[viable]
+                p, terms = GridEval(vs, p.pi0[viable], None, p.cost[viable]), tuple(x[viable] for x in terms)
+            if len(rows):
+                grid_pass, block_flips = _grid_pass(base, p, terms, nonneg, regime)
+                passes.append(grid_pass)
+                flips.append(block_flips._replace(cell=block_flips.cell + count))
+                solved.append(i * n2 + lo + rows)
+                count += len(rows)
     if not passes:
         return None
     return np.concatenate(solved), _joined(passes), _joined(flips)

@@ -114,16 +114,18 @@ class ModelBatch:
     """Models solved together: the cells of a sweep.
 
     The cells share ``base``'s family kinds, ``v_max`` and stakes and
-    differ only in some coefficients.  ``families`` holds ``(kind,
-    coefficients)`` for pi0, pi1 and cost; each coefficient is a float
-    shared by every cell or an array that broadcasts to the batch's
-    ``shape`` (cells in row-major order): a sweep's axis values are a
-    column (axis 1) or a row (axis 2), so what one axis varies has a
-    :meth:`table` row per axis value.  A single model is a batch of one.
+    differ only in some coefficients.  A batch is ``shape`` ``(n1, n2)``:
+    n1 axis-1 values by n2 axis-2 values, cells in row-major order; a
+    single model is 1x1 and a batch of one axis is 1xn.  ``families``
+    holds ``(kind, coefficients)`` for pi0, pi1 and cost; each coefficient
+    is a float shared by every cell or an array that broadcasts to
+    ``shape``: a sweep's axis values are a column (axis 1) or a row (axis
+    2).  So a primitive has one grid per axis-2 value, or one, at each
+    axis-1 value (:func:`evaluate_batch_grid`).
     """
 
     base: ModelPrimitives
-    shape: tuple[int, ...]
+    shape: tuple[int, int]
     families: tuple[tuple[str, tuple], ...]
 
     @property
@@ -132,7 +134,7 @@ class ModelBatch:
 
     @classmethod
     def single(cls, model: ModelPrimitives) -> "ModelBatch":
-        return cls(model, (), _families(model))
+        return cls(model, (1, 1), _families(model))
 
     @classmethod
     def sweep(
@@ -140,7 +142,7 @@ class ModelBatch:
     ) -> "ModelBatch":
         """``base`` with each coefficient ``(primitive, index)`` of ``columns``
         replaced by its array; the arrays broadcast together to the batch's
-        shape (one entry per cell, or one per value of a sweep axis).
+        shape (a 1-D array is a row: one entry per axis-2 value).
 
         The columns bypass :class:`ParametricFamily`'s coefficient checks,
         so callers check the values first.
@@ -154,20 +156,17 @@ class ModelBatch:
                 if target == name:
                     coeffs[index] = col
             families.append((family.kind, tuple(coeffs)))
-        return cls(base, np.broadcast_shapes(*(c.shape for c in columns.values())), tuple(families))
+        return cls(base, np.broadcast_shapes((1, 1), *(c.shape for c in columns.values())), tuple(families))
 
-    def table(self, *names: str) -> tuple[int, ...]:
-        """The shape of the table of the named primitives (one, or pi0 and
-        pi1): that of their coefficients broadcast together, with one row
-        per entry; :func:`table_rows` gives each cell's row."""
-        shapes = [
-            c.shape for name in names for c in self.families[PRIMITIVE_NAMES.index(name)][1]
-            if isinstance(c, np.ndarray)
-        ]
-        return np.broadcast_shapes(*shapes) if shapes else ()
+    @property
+    def along_axis1(self) -> tuple[bool, ...]:
+        """For pi0, pi1 and cost: whether a coefficient varies along axis 1."""
+        return tuple(
+            any(isinstance(c, np.ndarray) and c.ndim == 2 and len(c) > 1 for c in coeffs) for _, coeffs in self.families
+        )
 
     def take(self, cells: np.ndarray) -> "ModelBatch":
-        """The batch of the given cells, in that order (repeats allowed),
+        """The 1xn batch of the given cells, in that order (repeats allowed),
         with one coefficient entry per cell."""
         families = tuple(
             (kind, tuple(
@@ -176,7 +175,7 @@ class ModelBatch:
             ))
             for kind, coeffs in self.families
         )
-        return ModelBatch(self.base, (len(cells),), families)
+        return ModelBatch(self.base, (1, len(cells)), families)
 
     @property
     def shared(self) -> bool:
@@ -187,7 +186,8 @@ class ModelBatch:
 class GridEval(NamedTuple):
     """Primitive values and slopes at investment ``v``: Python floats at one
     point (:func:`evaluate`), arrays on a grid (:func:`evaluate_grid`), or
-    (rows x grid) arrays of a batch's table rows (:func:`evaluate_batch_grid`).
+    (rows x grid) arrays of a batch at one axis-1 value
+    (:func:`evaluate_batch_grid`).
     A field not evaluated (a value-only evaluation's slopes) is ``None``."""
 
     v: np.ndarray
@@ -222,38 +222,39 @@ def evaluate_grid(model: ModelPrimitives, vs: np.ndarray) -> GridEval:
     return GridEval(vs, *(np.asarray(x, dtype=float) for x in _value_slopes(_families(model), vs)))
 
 
-def table_rows(table: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """The row of a table of shape ``table`` (:meth:`ModelBatch.table`) read
-    by each entry, in row-major order, of a table or batch of ``shape``."""
-    rows = np.arange(math.prod(table))
-    return rows if len(rows) == math.prod(shape) else np.broadcast_to(rows.reshape(table), shape).reshape(-1)
+def _at_axis1(c: np.ndarray, i: int) -> np.ndarray:
+    """A batch's coefficient array at axis-1 value ``i``, as a column: one
+    entry per axis-2 value, or one when it does not vary along axis 2."""
+    c = np.atleast_2d(c)
+    return c[i if len(c) > 1 else 0, :, None]
 
 
-def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray, rows) -> GridEval:
-    """Values and slopes on the grid ``vs`` of rows of the tables of pi0, pi1
-    and cost (:meth:`ModelBatch.table`), ``rows`` holding an index array
-    for each (None leaves its fields None): (rows x grid) arrays, row for
-    row the :func:`evaluate_grid` of the cells that read that row."""
+def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray, i: int, ks) -> GridEval:
+    """Values and slopes on the grid ``vs`` of the primitives ``ks``
+    (positions in :data:`PRIMITIVE_NAMES`; the others' fields are None) at
+    axis-1 value ``i`` of ``batch``: (rows x grid) arrays, one row per
+    axis-2 value, or one row when none of the primitive's coefficients
+    varies along axis 2; row for row the :func:`evaluate_grid` of the cells
+    that read that row."""
     vs = np.asarray(vs, dtype=float)
     fields = [None] * 6
-    for k, ((kind, coeffs), r) in enumerate(zip(batch.families, rows)):
-        if r is not None:
-            columns, shape = list(coeffs), (len(r), len(vs))
-            for i, c in enumerate(coeffs):
-                if isinstance(c, np.ndarray):
-                    columns[i] = np.broadcast_to(c, batch.table(PRIMITIVE_NAMES[k])).reshape(-1)[r, None]
-            fields[k], fields[k + 3] = (
-                x if x.shape == shape else np.broadcast_to(x, shape)
-                for x in family_value_slope(kind, columns, vs[None])
-            )
+    for k in ks:
+        kind, coeffs = batch.families[k]
+        columns = [_at_axis1(c, i) if isinstance(c, np.ndarray) else c for c in coeffs]
+        shape = (max([len(c) for c in columns if isinstance(c, np.ndarray)], default=1), len(vs))
+        fields[k], fields[k + 3] = (
+            x if x.shape == shape else np.broadcast_to(x, shape)
+            for x in family_value_slope(kind, columns, vs[None])
+        )
     return GridEval(vs, *fields)
 
 
 def evaluate_batch_values(batch: ModelBatch, v: np.ndarray) -> GridEval:
-    """Primitive values at one investment per cell (``v`` has one entry per
-    cell; when no coefficient varies it may also be a float), with the
-    array domain check of :meth:`ModelPrimitives.check_domain`; element
-    for element the values of :func:`evaluate`; the slopes are ``None``."""
+    """Primitive values at one investment per cell of a 1xn ``batch`` (``v``
+    has one entry per cell; when no coefficient varies it may also be a
+    float), with the array domain check of
+    :meth:`ModelPrimitives.check_domain`; element for element the values
+    of :func:`evaluate`; the slopes are ``None``."""
     v = batch.base.check_domain(v)
     (k0, c0), (k1, c1), (k2, c2) = batch.families
     return GridEval(v, family_formula(k0, c0, v), family_formula(k1, c1, v), family_formula(k2, c2, v))
@@ -346,10 +347,9 @@ def _assumption_checks(g: GridEval, ordering=None):
     arrays and stays element-wise.
     """
     fields = {f: x for f, x in zip(GridEval._fields[1:], g[1:]) if x is not None}
-    lows = np.array([x.min(axis=-1) for x in fields.values()])
-    highs = np.array([x.max(axis=-1) for x in fields.values()])
-    low, high = dict(zip(fields, lows)), dict(zip(fields, highs))
-    finite = dict(zip(fields, np.isfinite(lows) & np.isfinite(highs)))
+    low = {f: x.min(axis=-1) for f, x in fields.items()}
+    high = {f: x.max(axis=-1) for f, x in fields.items()}
+    finite = {f: np.isfinite(low[f]) & np.isfinite(high[f]) for f in fields}
 
     def non_finite(name):
         x, dx = fields[name], fields["d" + name]
@@ -379,8 +379,7 @@ def _assumption_checks(g: GridEval, ordering=None):
 
 def row_passes(g: GridEval, ordering=None) -> dict[str, np.ndarray]:
     """For each table that :func:`_assumption_checks` checks on ``g`` (and
-    ``ordering``), a flag per row: True where every check of it passes.
-    The primitives ``g`` holds share their rows."""
+    ``ordering``), a flag per row: True where every check of it passes."""
     failed: dict[str, np.ndarray] = {}
     for _, table, fails, _, _ in _assumption_checks(g, ordering):
         failed[table] = failed[table] | fails if table in failed else fails

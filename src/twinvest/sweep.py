@@ -2,13 +2,15 @@
 
 A sweep template designates two different coefficients of the base
 model's families and a grid of values for each.  All grid cells are solved
-in one batch (:func:`~twinvest.investment.solve_batch`), which evaluates,
-validates and rates each primitive once per value of the axis that varies
-it; only what reads both axes is computed per cell.  Each cell's result is
-exactly what solving that cell alone gives: it does not depend on the
-batch.  Cells whose model violates the base assumptions are recorded as
-``Invalid`` rather than skipped, so the output is always a full rectangle.
-Cell order is deterministic: axis 1 outer, axis 2 inner.
+in one batch (:func:`~twinvest.investment.solve_batch`), one axis-1 value
+at a time.  A primitive, or the pair of pi0 and pi1, is evaluated,
+validated and rated once per axis-2 value when only axis 2 varies it, once
+per axis-1 value when only axis 1 does, once when neither does and once
+per cell when both do; only what reads both axes is computed per cell.
+Each cell's result is exactly what solving that cell alone gives: it does
+not depend on the batch.  Cells whose model violates the base assumptions
+are recorded as ``Invalid`` rather than skipped, so the output is always a
+full rectangle.  Cell order is deterministic: axis 1 outer, axis 2 inner.
 """
 
 from __future__ import annotations
@@ -29,24 +31,23 @@ CSV_HEADER = ("param1", "param2", "regime", "v_opt", "u_opt", "deterrent_binding
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One varying coefficient: which primitive, which slot, which values."""
+    """One varying coefficient: which primitive, which slot, and ``count``
+    values evenly spaced from ``start`` to ``stop`` (``start`` alone when
+    ``count`` is 1)."""
 
     target: str  # "pi0" | "pi1" | "cost"
     coefficient: int
-    values: tuple[float, ...]
+    start: float
+    stop: float
+    count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
-        if not self.values:
-            raise ValueError("sweep axis needs at least one value")
+        if self.count < 1:
+            raise ValueError(f"axis count must be >= 1, got {self.count}")
 
-    @classmethod
-    def linspace(
-        cls, target: str, coefficient: int, start: float, stop: float, count: int
-    ) -> "SweepAxis":
-        if count < 1:
-            raise ValueError(f"axis count must be >= 1, got {count}")
-        return cls(target, coefficient, tuple(np.linspace(start, stop, int(count))))
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(np.linspace(self.start, self.stop, int(self.count)).tolist())
 
     def label(self) -> str:
         return f"{self.target}[{self.coefficient}]"

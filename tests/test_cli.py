@@ -180,6 +180,16 @@ class TestSimulate:
     def test_bad_alpha_rejected(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--alpha", "1.5"]) == 1
 
+    def test_strategic_agent_with_alpha_rejected(self, model_file, capsys):
+        argv = ["simulate", "--model", model_file(f2()), "--alpha", "0.5", "--horizon", "3"]
+        assert main([*argv, "--agent", "strategic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --alpha (cycles mode) takes a myopic agent: a strategic one is never displaced\n"
+        )
+        assert captured.out == ""
+        assert main([*argv, "--agent", "myopic"]) == 0
+
     def test_negative_seed_is_input_error(self, model_file, capsys):
         assert main(["simulate", "--model", model_file(f2()), "--seed", "-1"]) == 1
         err = capsys.readouterr().err
@@ -231,6 +241,13 @@ class TestSweep:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 2
         assert "MaxInvestment" in rows[1]
+
+    def test_grid_override_spans_a_one_value_axis(self, model_file, capsys):
+        section = sweep_section()
+        section["axes"][0]["count"] = 1
+        assert main(["sweep", "--model", model_file(f3(), sweep=section), "--grid", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows[::3]] == [0.5, 1.75, 3.0]
 
     def test_invalid_cells_labeled(self, model_file, capsys):
         path = model_file(f3(), sweep={

@@ -12,14 +12,12 @@ from twinvest.model import (
     DEFAULT_TOL,
     DomainError,
     GridEval,
-    PRIMITIVE_NAMES,
     ModelBatch,
     ModelPrimitives,
     evaluate,
     evaluate_batch_grid,
     evaluate_batch_values,
     evaluate_grid,
-    table_rows,
     validate,
 )
 from twinvest.investment import solve_batch
@@ -209,28 +207,36 @@ def edge_cells_agree(cells, grid_points=101):
 @pytest.mark.parametrize(
     "columns",
     [
+        # 1xn batches: one entry per axis-2 value
         {("cost", 1): [0.0, 0.5, 1.8, 3.0], ("pi0", 1): [0.1, 0.2, 0.3, 0.4]},
         {("cost", 0): [0.1, 0.2, 0.3, 0.4]},
         {("cost", 0): [0.1, 0.2, 0.3, 0.4], ("cost", 1): [3.0, 1.8, 0.5, 0.0]},
+        # 3x4 batches: one coefficient per axis, and cost with one on each
+        {("cost", 1): [[0.0], [0.5], [3.0]], ("pi0", 1): [0.1, 0.2, 0.3, 0.4]},
+        {("cost", 0): [[0.1], [0.2], [0.3]], ("cost", 1): [3.0, 1.8, 0.5, 0.0]},
     ],
 )
 def test_batch_grid_rows_are_the_cells_own_grids(columns):
     # bit for bit, sign of zero included, in every field
     base = f3()
     batch = ModelBatch.sweep(base, columns)
-    block = evaluate_batch_grid(batch, base.grid(101), cell_rows(batch))
-    for row in range(batch.size):
-        model = base
-        for (name, index), values in columns.items():
-            model = model.with_coefficient(name, index, values[row])
-        alone = evaluate_grid(model, model.grid(101))
-        for got, want in zip(block[1:], alone[1:]):
-            assert got[row].tobytes() == want.tobytes()
+    n1, n2 = batch.shape
+    for i in range(n1):
+        rows = evaluate_batch_grid(batch, base.grid(101), i, range(3))
+        assert all(len(x) in (1, n2) for x in rows[1:])
+        for j in range(n2):
+            model = base
+            for (name, index), values in columns.items():
+                model = model.with_coefficient(name, index, np.broadcast_to(values, batch.shape)[i, j])
+            alone = evaluate_grid(model, model.grid(101))
+            for got, want in zip(cell_grid(rows, j), alone[1:]):
+                assert got.tobytes() == want.tobytes()
 
 
-def cell_rows(batch):
-    """Each cell's row in the tables of pi0, pi1 and cost."""
-    return [table_rows(batch.table(name), batch.shape) for name in PRIMITIVE_NAMES]
+def cell_grid(rows, j):
+    """The grids of the cell at axis-2 value ``j`` in an
+    :func:`evaluate_batch_grid` result: its row of each field, or the one."""
+    return [x[j if len(x) > 1 else 0] for x in rows[1:]]
 
 
 ROUTE_MODELS = {
@@ -265,8 +271,8 @@ def test_every_evaluation_route_gives_the_same_bits(model):
     assert values[4:] == (None, None, None)
     routes = {
         "evaluate": np.array(points).T,
-        "single block": [vs] + [x[0] for x in evaluate_batch_grid(single, vs, cell_rows(single))[1:]],
-        "sweep block": [vs] + [x[1] for x in evaluate_batch_grid(sweep, vs, cell_rows(sweep))[1:]],
+        "single block": [vs] + cell_grid(evaluate_batch_grid(single, vs, 0, range(3)), 0),
+        "sweep block": [vs] + cell_grid(evaluate_batch_grid(sweep, vs, 0, range(3)), 1),
         "batch values": values[:4],
         "batch values per point": np.array([evaluate_batch_values(single, v)[:4] for v in vs]).T,
     }

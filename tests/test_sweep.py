@@ -19,15 +19,15 @@ from twinvest.sweep import INVALID_LABEL, SweepAxis, SweepAxisError, regime_swee
 
 def f3_axes(count=10):
     return (
-        SweepAxis.linspace("cost", 1, 0.5, 3.0, count),
-        SweepAxis.linspace("pi0", 1, 0.1, 0.4, count),
+        SweepAxis("cost", 1, 0.5, 3.0, count),
+        SweepAxis("pi0", 1, 0.1, 0.4, count),
     )
 
 
 class TestRegimeSweep:
     def test_degenerate_single_cell(self):
-        axis1 = SweepAxis("cost", 1, (-0.1,))
-        axis2 = SweepAxis("pi0", 1, (0.3,))
+        axis1 = SweepAxis("cost", 1, -0.1, -0.1, 1)
+        axis2 = SweepAxis("pi0", 1, 0.3, 0.3, 1)
         regime_map = regime_sweep(f1(), axis1, axis2)
         assert regime_map.shape == (1, 1)
         cell = regime_map.cells[0]
@@ -93,8 +93,8 @@ class TestRegimeSweep:
 
     def test_invalid_cells_recorded_not_skipped(self):
         # pushing the pi1 level below pi0 breaks the ordering invariant
-        axis1 = SweepAxis("pi1", 0, (0.1, 0.8))
-        axis2 = SweepAxis("cost", 0, (0.2,))
+        axis1 = SweepAxis("pi1", 0, 0.1, 0.8, 2)
+        axis2 = SweepAxis("cost", 0, 0.2, 0.2, 1)
         regime_map = regime_sweep(f3(), axis1, axis2)
         regimes = [c.regime for c in regime_map.cells]
         assert regimes[0] == INVALID_LABEL
@@ -117,40 +117,41 @@ def power_model() -> ModelPrimitives:
 
 
 TEMPLATES = {
-    "f3-10x10": (f3, SweepAxis.linspace("cost", 1, 0.5, 3.0, 10), SweepAxis.linspace("pi0", 1, 0.1, 0.4, 10)),
+    "f3-10x10": (f3, SweepAxis("cost", 1, 0.5, 3.0, 10), SweepAxis("pi0", 1, 0.1, 0.4, 10)),
     "power-gamma": (
         power_model,
-        SweepAxis.linspace("pi1", 2, 0.5, 3.0, 6),
-        SweepAxis.linspace("cost", 1, 0.0, 3.0, 5),
+        SweepAxis("pi1", 2, 0.5, 3.0, 6),
+        SweepAxis("cost", 1, 0.0, 3.0, 5),
     ),
-    # one block of 16 cells, the low pi1 levels below pi0 and so invalid
-    "invalid-in-block": (f3, SweepAxis.linspace("pi1", 0, 0.1, 0.9, 4), SweepAxis.linspace("cost", 0, 0.1, 0.4, 4)),
+    # one block per axis-1 value, the low pi1 levels below pi0 and so invalid
+    "invalid-in-block": (f3, SweepAxis("cost", 0, 0.1, 0.4, 4), SweepAxis("pi1", 0, 0.1, 0.9, 4)),
     # low stakes: the retention margin changes sign inside most cells' range
     "margin-flips": (
         f2,
-        SweepAxis.linspace("cost", 0, 0.12, 0.3, 6),
-        SweepAxis.linspace("pi0", 1, 0.0, 0.45, 6),
+        SweepAxis("cost", 0, 0.12, 0.3, 6),
+        SweepAxis("pi0", 1, 0.0, 0.45, 6),
     ),
-    # two blocks of 16 cells, each mixing invalid cells (falling pi0), cells
-    # feasible at every grid point and cells displaced inside the range
+    # one block per axis-1 value, each mixing invalid cells (falling pi0),
+    # cells feasible at every grid point and cells displaced inside the range
     "mixed-blocks": (
         f2,
-        SweepAxis.linspace("cost", 0, 0.12, 0.3, 4),
-        SweepAxis.linspace("pi0", 1, -0.1, 0.45, 8),
+        SweepAxis("cost", 0, 0.15, 0.3, 4),
+        SweepAxis("pi0", 1, -0.1, 0.45, 8),
     ),
-    # both axes vary cost, so its rows are built block by block, one per
-    # cell; low levels and steep falls make cells displaced or invalid
+    # both axes vary cost, so its table is built again at each axis-1 value;
+    # low levels and steep falls make cells displaced or invalid
     "cost-both-axes": (
         f2,
-        SweepAxis.linspace("cost", 0, 0.05, 0.3, 5),
-        SweepAxis.linspace("cost", 1, -0.3, 0.0, 7),
+        SweepAxis("cost", 0, 0.05, 0.3, 5),
+        SweepAxis("cost", 1, -0.3, 0.0, 7),
     ),
-    # each axis varies one of pi0 and pi1, so every pair of their rows is a
-    # cell; a falling pi0 or a pi1 level below pi0 makes a cell invalid
+    # each axis varies one of pi0 and pi1, so the pair table is built again
+    # at each axis-1 value; a falling pi0 or a pi1 level below pi0 makes a
+    # cell invalid
     "pair-both-axes": (
         f3,
-        SweepAxis.linspace("pi0", 1, -0.1, 0.4, 6),
-        SweepAxis.linspace("pi1", 0, 0.3, 0.9, 6),
+        SweepAxis("pi0", 1, -0.1, 0.4, 6),
+        SweepAxis("pi1", 0, 0.3, 0.9, 6),
     ),
 }
 
@@ -190,11 +191,23 @@ class TestBatchIndependence:
             make, axis1, axis2 = TEMPLATES[name]
             return regime_sweep(make(), axis1, axis2).cells
 
+        def validity(name):
+            return ["invalid" if c.regime == INVALID_LABEL else "valid" for c in cells(name)]
+
+        def rows(name, kinds):  # the kinds of each axis-1 value
+            n2 = len(TEMPLATES[name][2].values)
+            return [kinds[start:start + n2] for start in range(0, len(kinds), n2)]
+
+        def blocks(name, kinds):
+            # the kinds of each block of the grid pass: at most _BLOCK_CELLS
+            # axis-2 values of one axis-1 value
+            block = twinvest.investment._BLOCK_CELLS
+            return [set(row[lo:lo + block]) for row in rows(name, kinds) for lo in range(0, len(row), block)]
+
         power = [c.regime for c in cells("power-gamma")]
         assert INVALID_LABEL in power and set(power) - {INVALID_LABEL}
-        mixed = [c.regime for c in cells("invalid-in-block")]
-        assert len(mixed) <= twinvest.investment._BLOCK_CELLS
-        assert INVALID_LABEL in mixed and set(mixed) - {INVALID_LABEL}
+        mixed = blocks("invalid-in-block", validity("invalid-in-block"))
+        assert len(mixed) > 1 and all(kinds == {"invalid", "valid"} for kinds in mixed)
         flips = [c.v_star for c in cells("margin-flips")]
         assert sum(v is not None and 0.0 < v < 1.0 for v in flips) >= 5
 
@@ -207,16 +220,13 @@ class TestBatchIndependence:
             else:
                 feasible = retention_holds(model, evaluate_grid(model, model.grid()))
                 kinds.append("feasible" if feasible.all() else "partly infeasible")
-        block = twinvest.investment._BLOCK_CELLS
-        assert len(kinds) == 2 * block
-        for start in range(0, len(kinds), block):
-            assert set(kinds[start:start + block]) == {"invalid", "feasible", "partly infeasible"}
+        mixed = blocks("mixed-blocks", kinds)
+        assert len(mixed) > 1 and all(k == {"invalid", "feasible", "partly infeasible"} for k in mixed)
 
-        # the tables with a row per cell span several blocks, valid and not
+        # the tables of what both axes vary are built at several axis-1
+        # values, each with valid and invalid cells
         for name in ("cost-both-axes", "pair-both-axes"):
-            regimes = [c.regime for c in cells(name)]
-            assert len(regimes) > 2 * block
-            assert INVALID_LABEL in regimes and set(regimes) - {INVALID_LABEL}
+            assert sum(set(row) == {"invalid", "valid"} for row in rows(name, validity(name))) > 1
 
     def test_near_tie_cell_solves_with_its_neighbours(self):
         # the middle cell's retention margin is -2.6e-14 at the grid point 0.6
@@ -236,20 +246,20 @@ class TestBatchIndependence:
 
 class TestAxisChecks:
     def test_negative_decay_rate_names_the_axis(self):
-        axis1 = SweepAxis.linspace("cost", 1, -1.0, 3.0, 5)
-        axis2 = SweepAxis.linspace("pi0", 1, 0.1, 0.4, 5)
+        axis1 = SweepAxis("cost", 1, -1.0, 3.0, 5)
+        axis2 = SweepAxis("pi0", 1, 0.1, 0.4, 5)
         with pytest.raises(SweepAxisError, match=r"cost\[1\].*rate must be >= 0"):
             regime_sweep(f3(), axis1, axis2)
 
     def test_two_axes_on_one_coefficient_name_both(self):
-        axis1 = SweepAxis("cost", 1, (0.5, 3.0))
-        axis2 = SweepAxis("cost", 1, (1.0,))
+        axis1 = SweepAxis("cost", 1, 0.5, 3.0, 2)
+        axis2 = SweepAxis("cost", 1, 1.0, 1.0, 1)
         with pytest.raises(SweepAxisError, match=r"cost\[1\] and cost\[1\]"):
             regime_sweep(f3(), axis1, axis2)
 
     def test_missing_coefficient_names_the_axis(self):
-        axis1 = SweepAxis.linspace("pi0", 1, 0.1, 0.4, 3)
-        axis2 = SweepAxis.linspace("cost", 5, 0.5, 3.0, 3)
+        axis1 = SweepAxis("pi0", 1, 0.1, 0.4, 3)
+        axis2 = SweepAxis("cost", 5, 0.5, 3.0, 3)
         with pytest.raises(ValueError, match=r"cost\[5\].*out of range"):
             regime_sweep(f3(), axis1, axis2)
 
@@ -291,7 +301,5 @@ class TestCsv:
 
 
 def test_axis_validation():
-    with pytest.raises(ValueError, match="at least one value"):
-        SweepAxis("cost", 1, ())
     with pytest.raises(ValueError, match="count"):
-        SweepAxis.linspace("cost", 1, 0.0, 1.0, 0)
+        SweepAxis("cost", 1, 0.0, 1.0, 0)
