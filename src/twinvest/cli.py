@@ -36,7 +36,7 @@ from .model import (
     validate,
 )
 from .oracle import run_certification
-from .report import format_bool, format_number, format_optional, format_rows
+from .report import format_bool, format_number, format_rows
 from .sweep import SweepAxisError, regime_sweep
 
 EXIT_OK = 0
@@ -188,10 +188,10 @@ def cmd_solve(args) -> int:
     print(f"regime={sol.regime.value}")
     print("feasible=true")  # a valid model is retained at v = 0
     breakdown = surpluses(model, sol.v_opt)
-    roots = ";".join(format_number(r) for r in sol.deterrent_roots)
+    roots = [format_number(r) for r in sol.deterrent_roots]
     print(f"v_opt={format_number(sol.v_opt)}")
-    print(f"v_star={format_optional(sol.displacement_threshold) or 'none'}")
-    print(f"deterrent_roots={roots or 'none'}")
+    print(f"v_star={roots[0] if roots else 'none'}")
+    print(f"deterrent_roots={';'.join(roots) or 'none'}")
     print(f"v_star_unconstrained={format_number(sol.v_star_unconstrained)}")
     print(f"u_opt={format_number(sol.u_at_opt)}")
     print(f"principal_surplus={format_number(sol.principal_surplus_at_opt)}")
@@ -242,9 +242,8 @@ def cmd_sweep(args) -> int:
         regime_map = regime_sweep(model, *axes)
     except SweepAxisError as exc:
         raise _InputError(str(exc)) from None
-    rows = len(regime_map.cells)
     regimes = ",".join(sorted(regime_map.regimes_present()))
-    _emit(regime_map.to_csv(), args.out, f"cells={rows} regimes={regimes}")
+    _emit(regime_map.to_csv(), args.out, f"cells={math.prod(regime_map.shape)} regimes={regimes}")
     return EXIT_OK
 
 

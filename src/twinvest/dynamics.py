@@ -38,7 +38,6 @@ from .contracts import (
     employed_agent_payoff,
     employed_principal_payoff,
     incentive_wage,
-    optimal_contract,
     retention_holds,
     twin_alone_payoff,
 )
@@ -185,7 +184,7 @@ def _shirks(offered_contract: Contract, wage: float) -> bool:
 def shirk_check(model: ModelPrimitives, offered_contract: Contract) -> bool:
     """True when the offered spread falls strictly below the incentive wage
     at ``v_max``, making low effort the myopic best response."""
-    return _shirks(offered_contract, optimal_contract(model, model.v_max).t_high)
+    return _shirks(offered_contract, incentive_wage(_full_training(model).point))
 
 
 class _FullTraining(NamedTuple):
@@ -206,8 +205,13 @@ def _check_valid(model: ModelPrimitives) -> None:
 
 def _full_training(model: ModelPrimitives) -> _FullTraining:
     """Evaluate the primitives at ``v_max`` once and decide retention, the
-    committed offer and the myopic effort from that one evaluation."""
+    committed offer and the myopic effort from that one evaluation.  Unless
+    ``pi1 > pi0 > 0`` and ``cost > 0`` there (the wage divides by the gap,
+    the margin by ``pi0``) it raises :class:`~twinvest.model.InvalidModelError`
+    with the model's :func:`~twinvest.model.validate` report."""
     p = evaluate(model, model.v_max)
+    if not (p.pi1 > p.pi0 > 0.0 and p.cost > 0.0):
+        raise InvalidModelError(validate(model))
     wage = incentive_wage(p)
     retained = retention_holds(model, p)
     offer = Contract(wage, 0.0) if retained else ZERO_CONTRACT
@@ -280,7 +284,7 @@ def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     """Retention test when one untrained period degrades the twin to
     ``alpha * v_max``; ties retain the agent."""
     alpha = _check_alpha(alpha)
-    rehire = _rehire_surplus(model, evaluate(model, model.v_max))
+    rehire = _rehire_surplus(model, _full_training(model).point)
     return bool(rehire - _twin_surplus(model, alpha * model.v_max) >= 0.0)
 
 

@@ -234,6 +234,33 @@ def optimal_investment(
     return sol
 
 
+class BatchSolution(NamedTuple):
+    """The solves of a batch's valid cells, a column entry per cell: its flat
+    index in the batch (ascending), its :class:`RegimeLabel` index, five
+    :class:`InvestmentSolution` fields and its deterrent roots
+    ``roots[bounds[c]:bounds[c + 1]]`` (the ``c``-th valid cell)."""
+
+    cell: np.ndarray
+    regime: np.ndarray
+    v_star_unconstrained: np.ndarray
+    v_opt: np.ndarray
+    u_at_opt: np.ndarray
+    deterrent_binding: np.ndarray
+    principal_surplus_at_opt: np.ndarray
+    roots: np.ndarray
+    bounds: np.ndarray
+
+    def solutions(self, size: int) -> list[InvestmentSolution | None]:
+        """The :class:`InvestmentSolution` of each of the batch's ``size``
+        cells, None for an invalid one."""
+        roots, bounds, out = self.roots.tolist(), self.bounds.tolist(), [None] * size
+        for c, (cell, code, v_star, v, u, bound, principal) in enumerate(zip(*(x.tolist() for x in self[:7]))):
+            cell_roots = tuple(roots[bounds[c]:bounds[c + 1]])
+            threshold = cell_roots[0] if cell_roots else None
+            out[cell] = InvestmentSolution(_REGIMES[code], v_star, v, threshold, bound, u, principal, cell_roots)
+        return out
+
+
 class _GridPass(NamedTuple):
     """What the grid pass keeps of each solved cell, O(cells) in all.
 
@@ -275,18 +302,25 @@ def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray)
     return _Flips(cell, i, margin(i), margin(i + 1))
 
 
+_NO_FLIPS = _Flips(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0))
+
+
 def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg, regime) -> tuple[_GridPass, _Flips]:
     """Everything the solve needs from one block of valid cells (rows are
     cells), from their pi0 and cost on the grid ``p``, their
     :func:`~twinvest.model.pair_terms` ``pair``, retention mask ``nonneg``
     and regime codes; of ``model``, the batch's base, only the stakes are
-    read.  The best feasible point is searched for only when the block has
-    an infeasible point."""
+    read.  A block feasible at every grid point has no flip and its argmax
+    is feasible, so only a block with an infeasible point is searched for
+    flips and its best feasible point."""
     us = information_rent(p, pair)
     rows = np.arange(len(us))
     i_star = np.argmax(us, axis=1)
-    j = i_star if nonneg.all() else np.argmax(np.where(nonneg, us, -np.inf), axis=1)
-    return _GridPass(regime, us[rows, i_star], i_star, j, us[rows, j]), _flips(model, p, pair, nonneg)
+    u_star = us[rows, i_star]
+    if nonneg.all():
+        return _GridPass(regime, u_star, i_star, i_star, u_star), _NO_FLIPS
+    j = np.argmax(np.where(nonneg, us, -np.inf), axis=1)
+    return _GridPass(regime, u_star, i_star, j, us[rows, j]), _flips(model, p, pair, nonneg)
 
 
 def solve_batch(
@@ -295,7 +329,17 @@ def solve_batch(
     grid: GridEval | None = None,
 ) -> list[InvestmentSolution | None]:
     """:func:`optimal_investment` of every cell of ``batch``, solved
-    together; None for a cell that fails :func:`~twinvest.model.validate`.
+    together (:func:`solve_batch_columns`); None for a cell that fails
+    :func:`~twinvest.model.validate`."""
+    return solve_batch_columns(batch, grid_points, grid).solutions(batch.size)
+
+
+def solve_batch_columns(
+    batch: ModelBatch,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    grid: GridEval | None = None,
+) -> BatchSolution:
+    """The solve of every cell of ``batch`` that passes :func:`~twinvest.model.validate`.
 
     The grid pass (:func:`_grid_passes`) goes through the batch one axis-1
     value at a time.  It evaluates, validates and rates each primitive, and
@@ -320,13 +364,14 @@ def solve_batch(
     if grid is not None and batch.size != 1:
         raise ValueError(f"grid stands in for a batch of one, got {batch.size} cells")
     vs = batch.base.grid(grid_points) if grid is None else grid.v
-    out: list[InvestmentSolution | None] = [None] * batch.size
     solved = _grid_passes(batch, vs, grid)
-    if solved is not None:
-        cells, p, flips = solved
-        for cell, sol in zip(cells.tolist(), _refine(batch.take(cells), vs, p, flips)):
-            out[cell] = sol
-    return out
+    if solved is None:
+        return _NO_CELLS
+    cells, p, flips = solved
+    return BatchSolution(cells, *_refine(batch.take(cells), vs, p, flips))
+
+
+_NO_CELLS = BatchSolution(*[np.empty(0, np.intp)] * 2, *[np.empty(0)] * 6, np.zeros(1, np.intp))
 
 
 def _joined(parts: list):
@@ -457,13 +502,11 @@ def _bisect_flips(batch: ModelBatch, vs: np.ndarray, flips: _Flips):
     return lo, hi, 0.5 * (lo + hi)
 
 
-def _refine(
-    batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips
-) -> list[InvestmentSolution]:
+def _refine(batch: ModelBatch, vs: np.ndarray, p: _GridPass, flips: _Flips) -> tuple:
     """Refine every valid cell of ``batch`` from its grid pass ``p`` and
-    sign flips ``flips``, all cells in each search together.  A refined
-    point is feasible, and a solution binding, by the grid's rule,
-    :func:`~twinvest.model.retention_holds`."""
+    sign flips ``flips``, all cells in each search together, into the
+    columns of :class:`BatchSolution` after ``cell``.  A refined point is
+    feasible, and a solution binding, by :func:`~twinvest.model.retention_holds`."""
     n, size = batch.size, len(vs)
     cells = np.arange(n)
 
@@ -500,23 +543,5 @@ def _refine(
     v_opt, u_opt = np.where(strayed, x_j, v_opt), np.where(strayed, p.u_j, u_opt)
     principal = _objective(batch, cells, principal_payoff)(v_opt)
 
-    bounds = np.searchsorted(flips.cell, np.arange(n + 1)).tolist()  # each cell's roots
-    roots = roots.tolist()
-    out = []
-    for c, (code, v_star, v, u, bound, principal_at_opt) in enumerate(zip(
-        p.regime.tolist(), v_unc.tolist(), v_opt.tolist(), u_opt.tolist(),
-        failed[n:].tolist(), principal.tolist(),
-    )):
-        cell_roots = tuple(roots[bounds[c]:bounds[c + 1]])
-        out.append(InvestmentSolution(
-            regime=_REGIMES[code],
-            v_star_unconstrained=v_star,
-            v_opt=v,
-            displacement_threshold=cell_roots[0] if cell_roots else None,
-            deterrent_binding=bound,
-            u_at_opt=u,
-            principal_surplus_at_opt=principal_at_opt,
-            deterrent_roots=cell_roots,
-        ))
-    return out
-
+    bounds = np.searchsorted(flips.cell, np.arange(n + 1))  # each cell's roots
+    return p.regime, v_unc, v_opt, u_opt, failed[n:], principal, roots, bounds

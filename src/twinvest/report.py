@@ -7,6 +7,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import itertools
+
 # The one number format; ``"%.12g" % x`` and ``f"{x:.12g}"`` give the same text.
 NUMBER_FORMAT = "%.12g"
 
@@ -17,13 +19,11 @@ def format_number(x: float) -> str:
 
 def format_rows(columns) -> str:
     """CSV lines, one per row of equal-length numeric ``columns`` (arrays),
-    each value written as :func:`format_number` writes it."""
+    each value written as :func:`format_number` writes it, the whole table
+    by one ``%``."""
+    rows = list(zip(*(c.tolist() for c in columns)))
     line = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
-    return "".join([line % row for row in zip(*(c.tolist() for c in columns))])
-
-
-def format_optional(x: float | None) -> str:
-    return "" if x is None else format_number(x)
+    return (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def format_bool(x: bool) -> str:

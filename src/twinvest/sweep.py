@@ -2,8 +2,8 @@
 
 A sweep template designates two different coefficients of the base
 model's families and a grid of values for each.  All grid cells are solved
-in one batch (:func:`~twinvest.investment.solve_batch`), one axis-1 value
-at a time.  A primitive, or the pair of pi0 and pi1, is evaluated,
+in one batch (:func:`~twinvest.investment.solve_batch_columns`), one axis-1
+value at a time.  A primitive, or the pair of pi0 and pi1, is evaluated,
 validated and rated once per axis-2 value when only axis 2 varies it, once
 per axis-1 value when only axis 1 does, once when neither does and once
 per cell when both do; only what reads both axes is computed per cell.
@@ -11,20 +11,26 @@ Each cell's result is exactly what solving that cell alone gives: it does
 not depend on the batch.  Cells whose model violates the base assumptions
 are recorded as ``Invalid`` rather than skipped, so the output is always a
 full rectangle.  Cell order is deterministic: axis 1 outer, axis 2 inner.
+The map keeps the batch's columns and writes its CSV from them; the
+per-cell :attr:`RegimeMap.cells` are built only on first access.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .investment import solve_batch
+from .investment import BatchSolution, RegimeLabel, solve_batch_columns
 from .model import DEFAULT_GRID_POINTS, ModelBatch, ModelPrimitives
-from .report import format_number
+from .report import format_rows
 
 INVALID_LABEL = "Invalid"
+
+_LABELS = tuple(label.value for label in RegimeLabel)
 
 CSV_HEADER = ("param1", "param2", "regime", "v_opt", "u_opt", "deterrent_binding", "v_star")
 
@@ -64,35 +70,48 @@ class RegimeCell:
     v_star: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimeMap:
+    """The solved template; a cell that ``solved`` does not list is invalid."""
+
     axis1: SweepAxis
     axis2: SweepAxis
-    cells: tuple[RegimeCell, ...]
+    solved: BatchSolution
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.axis1.values), len(self.axis2.values)
 
+    @cached_property
+    def cells(self) -> tuple[RegimeCell, ...]:
+        """One :class:`RegimeCell` per cell, axis 1 outer."""
+        params = itertools.product(self.axis1.values, self.axis2.values)
+        return tuple(
+            RegimeCell(p1, p2, INVALID_LABEL, None, None, None, None) if s is None
+            else RegimeCell(p1, p2, s.regime.value, s.v_opt, s.u_at_opt, s.deterrent_binding, s.displacement_threshold)
+            for (p1, p2), s in zip(params, self.solved.solutions(math.prod(self.shape)))
+        )
+
     def regimes_present(self) -> set[str]:
-        return {c.regime for c in self.cells}
+        present = {_LABELS[code] for code in set(self.solved.regime.tolist())}
+        return present if len(self.solved.cell) == math.prod(self.shape) else present | {INVALID_LABEL}
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(CSV_HEADER) + "\n")
-        for c in self.cells:
-            binding = "" if c.deterrent_binding is None else str(c.deterrent_binding).lower()
-            row = (
-                format_number(c.param1),
-                format_number(c.param2),
-                c.regime,
-                "" if c.v_opt is None else format_number(c.v_opt),
-                "" if c.u_opt is None else format_number(c.u_opt),
-                binding,
-                "" if c.v_star is None else format_number(c.v_star),
-            )
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
+        s, size = self.solved, math.prod(self.shape)
+        first, with_root = s.bounds[:-1], np.flatnonzero(s.bounds[:-1] < s.bounds[1:])
+        v_star = [""] * len(s.cell)  # a cell's threshold is its first root
+        for c, x in zip(with_root.tolist(), format_rows([s.roots[first[with_root]]]).splitlines()):
+            v_star[c] = x
+        labels = [_LABELS[c] for c in s.regime.tolist()]
+        binding = ["true" if b else "false" for b in s.deterrent_binding.tolist()]
+        rows = list(map(",".join, zip(labels, format_rows([s.v_opt, s.u_at_opt]).splitlines(), binding, v_star)))
+        if len(rows) < size:  # an invalid cell has a label only
+            rows, solved = [INVALID_LABEL + ",,,,"] * size, rows
+            for c, row in zip(s.cell.tolist(), solved):
+                rows[c] = row
+        x1, x2 = (format_rows([np.array(axis.values)]).splitlines() for axis in (self.axis1, self.axis2))
+        params = map(",".join, itertools.product(x1, x2))
+        return ",".join(CSV_HEADER) + "\n" + "\n".join(map(",".join, zip(params, rows))) + "\n"
 
 
 class SweepAxisError(ValueError):
@@ -133,21 +152,4 @@ def regime_sweep(
         (axis1.target, axis1.coefficient): np.array(axis1.values)[:, None],
         (axis2.target, axis2.coefficient): np.array(axis2.values),
     }
-    solutions = solve_batch(ModelBatch.sweep(base, columns), grid_points)
-    x1 = np.repeat(axis1.values, len(axis2.values))
-    x2 = np.tile(axis2.values, len(axis1.values))
-    cells = tuple(
-        RegimeCell(p1, p2, INVALID_LABEL, None, None, None, None)
-        if sol is None
-        else RegimeCell(
-            param1=p1,
-            param2=p2,
-            regime=sol.regime.value,
-            v_opt=sol.v_opt,
-            u_opt=sol.u_at_opt,
-            deterrent_binding=sol.deterrent_binding,
-            v_star=sol.displacement_threshold,
-        )
-        for p1, p2, sol in zip(x1.tolist(), x2.tolist(), solutions)
-    )
-    return RegimeMap(axis1, axis2, cells)
+    return RegimeMap(axis1, axis2, solve_batch_columns(ModelBatch.sweep(base, columns), grid_points))

@@ -77,6 +77,44 @@ class TestPeriod1Contract:
         assert principal_period1_contract(flat) == Contract(0.0, 0.0)
 
 
+class TestInvalidAtFullTraining:
+    """The four calls that evaluate only ``v_max`` raise the model's
+    validation report where the wage or the margin would divide by zero,
+    and call ``validate`` only to build that error."""
+
+    CALLS = {
+        "principal_period1_contract": principal_period1_contract,
+        "shirk_check": lambda m: shirk_check(m, Contract(0.1, 0.0)),
+        "degradation_deterrent_check": lambda m: degradation_deterrent_check(m, 0.5),
+        "rehire_cycle_length": lambda m: rehire_cycle_length(m, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "model",
+        [
+            dataclasses.replace(f1(), pi0=F.affine(0.2, 0.6), pi1=F.constant(0.8)),  # pi1 == pi0 at v_max
+            dataclasses.replace(f1(), pi0=F.constant(0.0)),  # pi0 == 0: Q divides by it
+            dataclasses.replace(f2(), cost=F.affine(0.2, -0.2)),  # zero cost: no positive wage
+        ],
+        ids=["equal-pi", "zero-pi0", "zero-cost"],
+    )
+    def test_raises_the_validation_report(self, name, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidModelError) as exc:
+                self.CALLS[name](model)
+        assert not exc.value.report.passed
+        assert exc.value.report == validate(model)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_valid_model_is_not_validated(self, count_calls, name):
+        calls = count_calls(twinvest.model.validate)
+        for model in (f1(), f2()):
+            self.CALLS[name](model)
+        assert calls == []
+
+
 class TestTwoPeriod:
     def test_f2_myopic_shirks_and_is_displaced(self):
         trace = simulate_two_period(f2(), AgentKind.MYOPIC)

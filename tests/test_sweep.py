@@ -7,14 +7,16 @@ import pytest
 
 import twinvest.investment
 import twinvest.model
+from twinvest import cli
 from twinvest.config import load_model_file
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3
-from twinvest.investment import optimal_investment, solve_batch
+from twinvest.investment import InvestmentSolution, optimal_investment, solve_batch
 from twinvest.contracts import retention_holds
 from twinvest.model import ModelBatch, ModelPrimitives, evaluate_grid, validate
 from twinvest.oracle import brute_force_investment
-from twinvest.sweep import INVALID_LABEL, SweepAxis, SweepAxisError, regime_sweep
+from twinvest.report import format_number
+from twinvest.sweep import CSV_HEADER, INVALID_LABEL, RegimeCell, SweepAxis, SweepAxisError, regime_sweep
 
 
 def f3_axes(count=10):
@@ -242,6 +244,46 @@ class TestBatchIndependence:
         batch = ModelBatch.sweep(base, {("cost", 1): [0.5, 1.0]})
         with pytest.raises(ValueError, match="batch of one"):
             solve_batch(batch, 101, grid)
+
+
+def per_cell_csv(regime_map) -> str:
+    """The map's CSV written cell by cell from ``RegimeMap.cells``: the
+    reference for the columnar writer."""
+    out = io.StringIO()
+    out.write(",".join(CSV_HEADER) + "\n")
+    for c in regime_map.cells:
+        binding = "" if c.deterrent_binding is None else str(c.deterrent_binding).lower()
+        row = (
+            format_number(c.param1),
+            format_number(c.param2),
+            c.regime,
+            "" if c.v_opt is None else format_number(c.v_opt),
+            "" if c.u_opt is None else format_number(c.u_opt),
+            binding,
+            "" if c.v_star is None else format_number(c.v_star),
+        )
+        out.write(",".join(row) + "\n")
+    return out.getvalue()
+
+
+class TestColumnarMap:
+    """The map writes its CSV and its regimes from the batch's columns."""
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_csv_equals_the_per_cell_writer(self, name):
+        make, axis1, axis2 = TEMPLATES[name]
+        regime_map = regime_sweep(make(), axis1, axis2)
+        assert regime_map.to_csv() == per_cell_csv(regime_map)
+        assert regime_map.regimes_present() == {c.regime for c in regime_map.cells}
+
+    def test_sweep_command_builds_no_per_cell_object(self, count_calls, tmp_path):
+        calls = count_calls(InvestmentSolution, RegimeCell)
+        config = Path(__file__).parents[1] / "configs" / "f3.json"
+        assert cli.main(["sweep", "--model", str(config), "--out", str(tmp_path / "map.csv")]) == 0
+        assert calls == []
+        # the counters see the objects that the cells of a map are built from
+        assert len(regime_sweep(f3(), *f3_axes(2)).cells) == 4
+        assert sorted(set(calls)) == ["InvestmentSolution", "RegimeCell"] and len(calls) == 8
 
 
 class TestAxisChecks:
