@@ -280,6 +280,10 @@ def _rehire_surplus(model: ModelPrimitives, p: GridEval) -> float:
     return employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)
 
 
+#: How many twin-only periods :func:`rehire_cycle_length` scans by default.
+_REHIRE_HORIZON = 10_000
+
+
 def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     """Retention test when one untrained period degrades the twin to
     ``alpha * v_max``; ties retain the agent."""
@@ -291,7 +295,7 @@ def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
 def rehire_cycle_length(
     model: ModelPrimitives,
     alpha: float,
-    horizon: int = 10_000,
+    horizon: int = _REHIRE_HORIZON,
 ) -> int | None:
     """Number of twin-only periods until rehiring beats the degraded twin.
 
@@ -309,8 +313,11 @@ def rehire_cycle_length(
     left fold with the bits of ``ability *= alpha`` repeated, so the result
     is the same as testing each ``n`` in turn with scalar arithmetic.
     """
-    alpha = _check_alpha(alpha)
-    play = _full_training(model)
+    return _rehire_after(model, _check_alpha(alpha), _full_training(model), horizon)
+
+
+def _rehire_after(model: ModelPrimitives, alpha: float, play: _FullTraining, horizon: int) -> int | None:
+    """:func:`rehire_cycle_length` from the model's full-training ``play``."""
     if play.retained:
         return None
     rehire = _rehire_surplus(model, play.point)
@@ -356,7 +363,7 @@ def simulate_cycles(
         records = tuple(replace(employed, period=t) for t in range(1, horizon + 1))
         return TimelineTrace(records, None, None, discount)
 
-    n = rehire_cycle_length(model, alpha)
+    n = _rehire_after(model, alpha, play, _REHIRE_HORIZON)
     records: list[PeriodRecord] = []
     period = 1
     displaced_at: int | None = None

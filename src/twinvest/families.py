@@ -27,6 +27,7 @@ includes 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +49,20 @@ def _const_like(v, c):
     return c
 
 
+def _power_slope(c, v):
+    with np.errstate(divide="ignore"):
+        return c[1] * c[2] * np.power(v, c[2] - 1.0)
+
+
+#: Each kind's value and slope formulas, functions of ``(c, v)``.
+_FORMULAS = {
+    AFFINE: (lambda c, v: c[0] + c[1] * v, lambda c, v: _const_like(v, c[1])),
+    EXPONENTIAL_DECAY: (lambda c, v: c[0] * np.exp(-c[1] * v), lambda c, v: -c[1] * c[0] * np.exp(-c[1] * v)),
+    POWER: (lambda c, v: c[0] + c[1] * np.power(v, c[2]), _power_slope),
+    CONSTANT: (lambda c, v: _const_like(v, c[0]), lambda c, v: _const_like(v, 0.0)),
+}
+
+
 def family_formula(kind: str, c, v, derivative: bool = False):
     """Value (or first derivative) of the ``kind`` family at ``v``.
 
@@ -59,18 +74,14 @@ def family_formula(kind: str, c, v, derivative: bool = False):
     itself, filled to the shape of ``v`` when ``v`` is an array and the
     coefficient a number.
     """
-    if kind == AFFINE:
-        return _const_like(v, c[1]) if derivative else c[0] + c[1] * v
-    if kind == EXPONENTIAL_DECAY:
-        if derivative:
-            return -c[1] * c[0] * np.exp(-c[1] * v)
-        return c[0] * np.exp(-c[1] * v)
-    if kind == POWER:
-        if derivative:
-            with np.errstate(divide="ignore"):
-                return c[1] * c[2] * np.power(v, c[2] - 1.0)
-        return c[0] + c[1] * np.power(v, c[2])
-    return _const_like(v, 0.0 if derivative else c[0])
+    return _FORMULAS[kind][derivative](c, v)
+
+
+def family_function(kind: str, c):
+    """The value of the ``kind`` family with coefficients ``c`` as a
+    function of ``v``: :func:`family_formula`, with the formula looked up
+    once (a search evaluates it at many points)."""
+    return partial(_FORMULAS[kind][0], c)
 
 
 def family_value_slope(kind: str, c, v: np.ndarray):

@@ -34,8 +34,8 @@ from .model import (
     ModelBatch,
     ModelPrimitives,
     _assumption_checks,
+    batch_formula,
     evaluate_batch_grid,
-    evaluate_batch_values,
     evaluate_grid,
     pair_terms,
     row_passes,
@@ -74,11 +74,14 @@ _BLOCK_CELLS = 25
 def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
     """Index into :data:`_REGIMES` of the regime of one model's grid, or of
     each cell of a block (rows are cells), from its rates cost'/cost and
-    Q'/(Q-1) and Q''s min and max over the grid.
+    Q'/(Q-1) and Q''s min and max over the grid: :func:`classify_regime`,
+    and in a batch the cells that the tables' extremes leave open
+    (:func:`_decided`).
 
-    Each "everywhere" condition is decided at the grid's extremum on its
-    side, which fails it exactly when some point does, NaN included (an
-    extremum is NaN when a value is, and NaN fails every comparison)."""
+    Each "everywhere" condition is decided at the extremum on its side of
+    the rate difference over the grid, which fails it exactly when some
+    point does, NaN included (an extremum is NaN when a value is, and NaN
+    fails every comparison)."""
     diff = rate_cost - rate_sep  # sign of U'
     diff_low, diff_high = diff.min(axis=-1), diff.max(axis=-1)
     no_investment = (dq_low > DEFAULT_TOL) | (diff_high < -DEFAULT_TOL)
@@ -122,13 +125,15 @@ def _check_grid(model: ModelPrimitives, grid_points: int, g: GridEval):
 
 def _objective(batch: ModelBatch, cells, formula):
     """``formula(model, values)`` at one investment per listed cell, as an
-    objective for the refinements of :mod:`twinvest.optimize`.
+    objective for the refinements of :mod:`twinvest.optimize`; its
+    ``narrow(idx)`` is the objective of the cells ``cells[idx]`` alone.
 
     When every cell of ``batch`` is the same model (:attr:`ModelBatch.shared`)
     the objective also takes a single float, the investment of every cell.
     """
-    sub = batch.take(cells)
-    return lambda v: formula(sub.base, evaluate_batch_values(sub, v))
+    objective = batch_formula(batch if batch.shared else batch.take(cells), formula)
+    objective.narrow = lambda idx: _objective(batch, cells[idx], formula)
+    return objective
 
 
 def _rent(model, p):
@@ -144,7 +149,7 @@ def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[
     g = GridEval(vs, *(x[None] for x in g[1:]))
     pair = pair_terms(model, g)
     nonneg = retention_holds(model, g, pair)
-    roots = _bisect_flips(ModelBatch.single(model), vs, _flips(model, g, pair, nonneg))[2]
+    roots = _bisect_flips(ModelBatch.single(model), vs, _flips(model, g, pair, nonneg, np.zeros(1, np.intp)))[2]
     return not nonneg[0, 0], roots.tolist()
 
 
@@ -288,16 +293,20 @@ class _Flips(NamedTuple):
     hi: np.ndarray
 
 
-def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray) -> _Flips:
-    """The sign flips of the retention margin in a block of ``model``'s
-    cells, the points where their retention mask ``nonneg`` (where
-    :func:`~twinvest.model.retention_holds`) changes, from their costs
-    ``p.cost`` and :func:`~twinvest.model.pair_terms` ``pair``."""
+def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray, rows: np.ndarray) -> _Flips:
+    """The sign flips of the retention margin in the rows ``rows`` of a
+    block of ``model``'s cells, the points where their retention mask
+    ``nonneg`` (where :func:`~twinvest.model.retention_holds`; a row per
+    listed row) changes, from the block's costs ``p.cost`` and
+    :func:`~twinvest.model.pair_terms` ``pair``."""
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
+    cell = rows[cell]
 
     def margin(k):  # at the flips' points only, with the grid's bits
-        at = GridEval(p.v[k], None, None, p.cost[cell, k])
-        return retention_margin(model, at, tuple(x[cell, k] for x in pair))
+        def at(x):  # a one-row table's row serves every cell
+            return x[cell if len(x) > 1 else 0, k]
+
+        return retention_margin(model, GridEval(p.v[k], None, None, at(p.cost)), tuple(map(at, pair)))
 
     return _Flips(cell, i, margin(i), margin(i + 1))
 
@@ -305,22 +314,24 @@ def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray)
 _NO_FLIPS = _Flips(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0))
 
 
-def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg, regime) -> tuple[_GridPass, _Flips]:
+def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, opened, nonneg, regime) -> tuple[_GridPass, _Flips]:
     """Everything the solve needs from one block of valid cells (rows are
     cells), from their pi0 and cost on the grid ``p``, their
-    :func:`~twinvest.model.pair_terms` ``pair``, retention mask ``nonneg``
-    and regime codes; of ``model``, the batch's base, only the stakes are
-    read.  A block feasible at every grid point has no flip and its argmax
-    is feasible, so only a block with an infeasible point is searched for
-    flips and its best feasible point."""
+    :func:`~twinvest.model.pair_terms` ``pair`` and regime codes; of
+    ``model``, the batch's base, only the stakes are read.  ``nonneg`` is
+    the retention mask of the rows ``opened`` (positions, ascending); every
+    other row is retained at every grid point, so its argmax is feasible
+    and it has no flip.  Only the opened rows are searched for flips and
+    their best feasible points."""
     us = information_rent(p, pair)
     rows = np.arange(len(us))
     i_star = np.argmax(us, axis=1)
     u_star = us[rows, i_star]
-    if nonneg.all():
+    if not len(opened):
         return _GridPass(regime, u_star, i_star, i_star, u_star), _NO_FLIPS
-    j = np.argmax(np.where(nonneg, us, -np.inf), axis=1)
-    return _GridPass(regime, u_star, i_star, j, us[rows, j]), _flips(model, p, pair, nonneg)
+    j = i_star.copy()
+    j[opened] = np.argmax(np.where(nonneg, us[opened], -np.inf), axis=1)
+    return _GridPass(regime, u_star, i_star, j, us[rows, j]), _flips(model, p, pair, nonneg, opened)
 
 
 def solve_batch(
@@ -346,20 +357,24 @@ def solve_batch_columns(
     the pair of pi0 and pi1, once per axis-2 value when axis 2 varies it
     (else once), and again at each axis-1 value only when axis 1 varies it
     (``grid``, the model's :func:`evaluate_grid`, stands in for a batch of
-    one).  Per cell it yields the rent, the retention mask
-    (:func:`~twinvest.model.retention_holds`), the margin's sign flips and
-    the regime rates.  A valid cell is retained at ``v = 0``, so it always
-    has an optimum.  One bisection array search finds every root, from
+    one).  Per cell it yields the rent and its argmax; the regime label and
+    the retention mask (:func:`~twinvest.model.retention_holds`) with the
+    margin's sign flips come from the tables' per-row extremes where those
+    decide them, and per cell elsewhere.  A valid cell is retained at
+    ``v = 0``, so it always has an optimum.  One bisection array search
+    finds every root, from
     which the displacement threshold and the feasible run's ends come: an
     end inside the grid moves to its flip's bisected end on the feasible
     side, so the optimum is feasible and never past the threshold.  One
     golden-section array search (:func:`~twinvest.optimize.refine_max`)
     refines the unconstrained argmax in its neighbour bracket and the best
     feasible grid point in its run, each seeded with its grid point; ties
-    break toward smaller ``v``.  One evaluation of the retention rule and
-    the principal's payoff then checks and prices both optima.  A single
-    model's few brackets run one by one, through the same searches on
-    floats.  Each cell's result is exactly the one it gets alone.
+    break toward smaller ``v``.  The array searches step only the brackets
+    still open, on objectives narrowed to their cells.  One evaluation of
+    the retention rule and the principal's payoff then checks and prices
+    both optima.  A single model's few brackets run one by one, through the
+    same searches on floats.  Each cell's result is exactly the one it gets
+    alone.
     """
     if grid is not None and batch.size != 1:
         raise ValueError(f"grid stands in for a batch of one, got {batch.size} cells")
@@ -386,89 +401,173 @@ def _nan_unless(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return list(arrays) if ok.all() else [np.where(ok[:, None], x, np.nan) for x in arrays]
 
 
+def _cost_table(vs: np.ndarray, ok: np.ndarray, value: np.ndarray, slope: np.ndarray, bounds: bool) -> dict:
+    """The cost table of a batch at one axis-1 value, from its rows' checks
+    ``ok``, values and slopes (NaN on the rows that are not ok): ``value``
+    and its ``rate`` cost'/cost; with ``bounds``, also the extremes of each
+    row that :func:`_decided` reads: the rate's min and max and the cost's
+    max."""
+    rate = _rate_cost(GridEval(vs, None, None, value, dcost=slope))
+    table = dict(ok=ok, value=value, rate=rate)
+    if bounds:
+        table.update(rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), high=value.max(axis=-1))
+    return table
+
+
+def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict, bounds: bool) -> dict:
+    """The pair table of the pi0 and pi1 tables: ``pi-ordering`` (a pair
+    fails with either of its primitives too), its ``rate`` Q'/(Q-1), Q''s
+    extremes and the :func:`~twinvest.model.pair_terms` ``gap`` and
+    ``stake`` of ``model``'s stakes; with ``bounds``, also the extremes of
+    each row that :func:`_decided` reads: the rate's min and max and the
+    min of the gap and of the stake."""
+    x0, x1 = t0["value"], t1["value"]
+    ok = t0["ok"] & t1["ok"] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
+    x0, x1, d0, d1 = _nan_unless(ok, x0, x1, t0["slope"], t1["slope"])
+    rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
+    gap, stake = pair_terms(model, GridEval(vs, x0, x1, None))
+    table = dict(ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake)
+    if bounds:
+        table.update(
+            rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), gap_low=gap.min(axis=-1), stake_low=stake.min(axis=-1)
+        )
+    return table
+
+
+def _tables(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
+    """The tables of ``batch`` on the grid ``vs`` at each axis-1 value:
+    ``(pi0, cost, pair)``.
+
+    Four tables, pi0, pi1, cost and the pair of pi0 and pi1, each hold one
+    row per axis-2 value, or one row when no coefficient they read varies
+    along axis 2; a table is built at the first axis-1 value, and again at
+    each one after only when a coefficient it reads varies along axis 1
+    (``grid``, the model's :func:`evaluate_grid`, stands in for a batch of
+    one).  A table is a dict of arrays whose ``ok`` flags the rows that
+    pass the checks of :func:`~twinvest.model.validate` that read them
+    alone (the others are NaN); a primitive's has its ``value`` and
+    ``slope``, and the cost and pair tables are :func:`_cost_table` and
+    :func:`_pair_table`, with the extremes of :func:`_decided` unless the
+    batch is a single cell.
+    """
+    along_axis1, bounds, tables = batch.along_axis1, batch.size > 1, [None] * 3
+    for i in range(batch.shape[0]):
+        ks = [k for k in range(3) if i == 0 or along_axis1[k]]
+        g = evaluate_batch_grid(batch, vs, i, ks) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
+        passed = row_passes(g)
+        for k in ks:
+            ok = passed[PRIMITIVE_NAMES[k]]
+            value, slope = _nan_unless(ok, g[1 + k], g[4 + k])
+            tables[k] = _cost_table(vs, ok, value, slope, bounds) if k == 2 else dict(ok=ok, value=value, slope=slope)
+        if 0 in ks or 1 in ks:
+            pair = _pair_table(batch.base, vs, *tables[:2], bounds)
+        yield tables[0], tables[2], pair
+
+
+def _decided(cost: dict, pair: dict) -> tuple[np.ndarray, np.ndarray]:
+    """What the per-row extremes of a cost and a pair table decide of the
+    cells that pair their rows (row ``k`` of each, a one-row table's row
+    for every cell): each cell's index into :data:`_REGIMES`, or -1 where
+    they leave it open, and whether it is retained at every grid point.
+
+    * ``max cost'/cost - min Q'/(Q-1) < -tol``: the rate difference is
+      below ``-tol`` at every point, so the cell is ``NoInvestment``, as
+      it is when ``min Q' > tol``;
+    * ``min cost'/cost - max Q'/(Q-1) > tol``: the rate difference is
+      above ``tol`` at every point, so the cell is ``MaxInvestment`` when
+      ``max Q' <= tol`` and ``Indeterminate`` otherwise;
+    * ``min stake - max cost/min gap >= 0``: the retention margin
+      ``stake - cost/gap`` is nonnegative at every grid point.
+
+    Each bound decides exactly as the per-point tests of
+    :func:`_regime_codes` and :func:`~twinvest.model.retention_holds`:
+    IEEE subtraction and division round monotonically, so the rounded
+    difference or quotient of the extremes bounds the rounded one at
+    every point (cost and gap are positive on a valid row).  A NaN bound,
+    from a NaN value or from ``inf - inf``, fails its test and leaves the
+    cell open.
+    """
+    with np.errstate(all="ignore"):
+        falling = cost["rate_high"] - pair["rate_low"] < -DEFAULT_TOL
+        rising = cost["rate_low"] - pair["rate_high"] > DEFAULT_TOL
+        retained = pair["stake_low"] - cost["high"] / pair["gap_low"] >= 0.0
+    dq_low, dq_high = pair["dq_low"], pair["dq_high"]
+    codes = np.where(
+        falling | (dq_low > DEFAULT_TOL), 0, np.where(rising, np.where(dq_high <= DEFAULT_TOL, 1, 3), -1)
+    )
+    return codes, retained
+
+
+#: What :func:`_grid_passes` takes as decided of a single cell: nothing.
+_UNDECIDED = np.full(1, -1), np.zeros(1, bool)
+
+
 def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
     """The grid pass of :func:`solve_batch`: the valid cells, their
     :class:`_GridPass` and their sign flips (indexing the valid cells), or
     None when no cell is valid.
 
-    The batch is solved one axis-1 value at a time.  Four tables, pi0, pi1,
-    cost and the pair of pi0 and pi1, each hold one row per axis-2 value,
-    or one row when no coefficient they read varies along axis 2; a table
-    is built at the first axis-1 value, and again at each one after only
-    when a coefficient it reads varies along axis 1.  A table is a dict of
-    arrays whose ``ok`` flags the rows that pass the checks of
-    :func:`~twinvest.model.validate` that read them alone (the others are
-    NaN).  The rent, the retention mask and its flips and the rate
-    difference are per cell, in blocks of at most :data:`_BLOCK_CELLS`
-    axis-2 values, which read slices of the tables (a one-row table
-    broadcast).
+    The batch is solved one axis-1 value at a time, from its tables
+    (:func:`_tables`).  The per-row extremes of the tables decide, for all
+    the cells of an axis-1 value at once (:func:`_decided`), most regime
+    labels and which cells are retained at every grid point.  Only the
+    cells they leave open get the per-cell rate difference of
+    :func:`_regime_codes`, or the retention margin with its flips (a cell
+    whose margin holds at every point after all has none).  A single cell
+    leaves everything open: each table row serves that one cell, so its
+    extremes would cost more than the per-cell tests they spare.  The
+    viability check of :func:`~twinvest.model.validate` (retained at
+    ``v = 0``) reads an open cell's margin; a retained cell passes it.  The rent
+    and its argmax are per cell, in blocks of at most :data:`_BLOCK_CELLS`
+    axis-2 values, which read slices of the tables; a one-row table's row
+    broadcasts in the arithmetic (a sweep's axis 2 varies some table, so
+    a block's arrays have a row per cell).
     """
-    base, along_axis1 = batch.base, batch.along_axis1
+    base = batch.base
+    n2 = batch.shape[1]
 
-    def primitives(i, ks) -> list[dict]:
-        """The tables of primitives ``ks`` at axis-1 value ``i``: their
-        checks, ``value`` and ``slope`` (cost's ``rate``, cost'/cost, instead)."""
-        g = evaluate_batch_grid(batch, vs, i, ks) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
-        passed, tables = row_passes(g), []
-        for k in ks:
-            ok = passed[PRIMITIVE_NAMES[k]]
-            value, slope = _nan_unless(ok, g[1 + k], g[4 + k])
-            if k == 2:
-                tables.append(dict(ok=ok, value=value, rate=_rate_cost(GridEval(vs, None, None, value, dcost=slope))))
-            else:
-                tables.append(dict(ok=ok, value=value, slope=slope))
-        return tables
+    def cells_of(x):  # a table's entry per row as one per axis-2 value
+        return x if len(x) == n2 else x.repeat(n2)
 
-    def pairs(t0, t1) -> dict:
-        """The pair table of the pi0 and pi1 tables: ``pi-ordering`` (a pair
-        fails with either of its primitives too), its ``rate`` Q'/(Q-1),
-        Q''s extremes and pair terms."""
-        x0, x1 = t0["value"], t1["value"]
-        ok = t0["ok"] & t1["ok"] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
-        x0, x1, d0, d1 = _nan_unless(ok, x0, x1, t0["slope"], t1["slope"])
-        rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
-        gap, stake = pair_terms(base, GridEval(vs, x0, x1, None))
-        return dict(ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake)
+    def take(x, rows):  # a table's rows at the axis-2 values ``rows`` (ascending)
+        if len(x) == 1:
+            return x  # one row for every cell: it broadcasts
+        return x[rows[0]:rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else x[rows]
 
-    n1, n2 = batch.shape
-    tables = [None] * 3
     solved, passes, flips, count = [], [], [], 0
-    for i in range(n1):
-        ks = [k for k in range(3) if i == 0 or along_axis1[k]]
-        for k, table in zip(ks, primitives(i, ks)):
-            tables[k] = table
-        if 0 in ks or 1 in ks:
-            pair = pairs(*tables[:2])
-        pi0, cost = tables[0], tables[2]
+    for i, (pi0, cost, pair) in enumerate(_tables(batch, vs, grid)):
+        decided = _decided(cost, pair) if batch.size > 1 else _UNDECIDED
+        codes, retained, dq_low, dq_high = map(cells_of, (*decided, pair["dq_low"], pair["dq_high"]))
+        ok = cells_of(cost["ok"] & pair["ok"]) & (base.s_high > base.s_low)
         for lo in range(0, n2, _BLOCK_CELLS):
-            cells = slice(lo, min(lo + _BLOCK_CELLS, n2))
-            size = cells.stop - lo
-
-            def rows_of(x):  # the block's rows of a table's column
-                if len(x) > 1:
-                    return x[cells]
-                return x if size == 1 else np.broadcast_to(x, (size,) + x.shape[1:])
-
-            rows = np.flatnonzero(rows_of(cost["ok"]) & rows_of(pair["ok"]) & (base.s_high > base.s_low))
-            columns = [rows_of(x) for x in (
-                cost["rate"], pair["rate"], pair["dq_low"], pair["dq_high"],
-                pi0["value"], cost["value"], pair["gap"], pair["stake"],
-            )]
-            if len(rows) < size:
-                columns = [x[rows] for x in columns]
-            regime = _regime_codes(*columns[:4])
-            p, terms = GridEval(vs, columns[4], None, columns[5]), tuple(columns[6:])
-            nonneg = retention_holds(base, p, terms)
-            viable = nonneg[:, 0]  # validate's last check: retained at v = 0
-            if not viable.all():
-                rows, regime, nonneg = rows[viable], regime[viable], nonneg[viable]
-                p, terms = GridEval(vs, p.pi0[viable], None, p.cost[viable]), tuple(x[viable] for x in terms)
-            if len(rows):
-                grid_pass, block_flips = _grid_pass(base, p, terms, nonneg, regime)
-                passes.append(grid_pass)
-                flips.append(block_flips._replace(cell=block_flips.cell + count))
-                solved.append(i * n2 + lo + rows)
-                count += len(rows)
+            rows = lo + np.flatnonzero(ok[lo:lo + _BLOCK_CELLS])
+            opened, nonneg = np.flatnonzero(~retained[rows]), None
+            if len(opened):  # the rows the bounds leave open
+                at = rows[opened]
+                at_open = GridEval(vs, None, None, take(cost["value"], at))
+                nonneg = retention_holds(base, at_open, (take(pair["gap"], at), take(pair["stake"], at)))
+                viable = nonneg[:, 0]  # validate's last check: retained at v = 0
+                if not viable.all():
+                    rows, nonneg = np.setdiff1d(rows, at[~viable]), nonneg[viable]
+                    opened = np.flatnonzero(~retained[rows])
+                held = nonneg.all(axis=1)  # retained at every point after all
+                if held.any():
+                    opened, nonneg = opened[~held], nonneg[~held]
+            if not len(rows):
+                continue
+            p = GridEval(vs, take(pi0["value"], rows), None, take(cost["value"], rows))
+            terms = take(pair["gap"], rows), take(pair["stake"], rows)
+            regime = codes[rows]
+            open_codes = np.flatnonzero(regime < 0)
+            if len(open_codes):
+                at = rows[open_codes]
+                rates = take(cost["rate"], at), take(pair["rate"], at)
+                regime[open_codes] = _regime_codes(*rates, dq_low[at], dq_high[at])
+            grid_pass, block_flips = _grid_pass(base, p, terms, opened, nonneg, regime)
+            passes.append(grid_pass)
+            flips.append(block_flips._replace(cell=block_flips.cell + count))
+            solved.append(i * n2 + rows)
+            count += len(rows)
     if not passes:
         return None
     return np.concatenate(solved), _joined(passes), _joined(flips)

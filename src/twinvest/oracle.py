@@ -26,6 +26,7 @@ the effort-inducing/human-retaining option on exact payoff ties.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -178,6 +179,24 @@ def brute_force_contract(
     return Contract(best[2], best[1])
 
 
+#: The payment enumerations of the running :func:`run_certification`, by
+#: ``(model, v, payment_step)``, so that a run enumerates each one once.
+_ENUMERATED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("enumerated", default=None)
+
+
+def _enumerated_contract(model: ModelPrimitives, v: float, payment_step: float) -> Contract | None:
+    """:func:`brute_force_contract`, enumerated once per ``(model, v,
+    payment_step)`` within a :func:`run_certification` run.  The result is
+    a pure function of those three, so a repeat takes the first one's."""
+    done = _ENUMERATED.get()
+    if done is None:
+        return brute_force_contract(model, v, payment_step)
+    key = (model, v, payment_step)
+    if key not in done:
+        done[key] = brute_force_contract(model, v, payment_step)
+    return done[key]
+
+
 def brute_force_effort(
     cmodel: ContinuousEffortModel, step: float = 1e-4
 ) -> tuple[float, float]:
@@ -252,7 +271,7 @@ def brute_force_two_period(
         if found is None:
             raise ValueError("empty feasible set; no contracting outcome to trace")
         v, _ = found
-        contract = brute_force_contract(model, v, payment_step)
+        contract = _enumerated_contract(model, v, payment_step)
         if contract is None:
             raise ValueError(
                 f"no effort-inducing payment pair on [0, {model.s_high:g}] at v={v:g}"
@@ -265,7 +284,7 @@ def brute_force_two_period(
             )
         return TimelineTrace(tuple(records), None, None, None)
 
-    candidate_b = brute_force_contract(model, model.v_max, payment_step)
+    candidate_b = _enumerated_contract(model, model.v_max, payment_step)
     candidates = [c for c in (candidate_b, ZERO_CONTRACT) if c is not None]
 
     best_total = -np.inf
@@ -274,7 +293,7 @@ def brute_force_two_period(
         v, effort, _ = _myopic_best_response(model, offer, v_step)
         _, principal1 = _employed_payoffs(model, v, offer, effort)
         retain_contract = (
-            candidate_b if v == model.v_max else brute_force_contract(model, v, payment_step)
+            candidate_b if v == model.v_max else _enumerated_contract(model, v, payment_step)
         )
         twin = _twin_surplus_at(model, v)
         if retain_contract is not None:
@@ -397,7 +416,7 @@ def certify_contract(cases: list[tuple[str, ModelPrimitives, float]]) -> OracleR
     cert = _Certifier("optimal_contract", 0.0, 1e-3 + 1e-9)
     for name, model, v in cases:
         analytic = optimal_contract(model, v)
-        enumerated = brute_force_contract(model, v, 1e-3)
+        enumerated = _enumerated_contract(model, v, 1e-3)
         if enumerated is None:
             cert.mismatch(f"{name} v={v:g}", str(analytic), "no feasible pair")
             continue
@@ -585,7 +604,9 @@ def run_certification(
     ``oracle_step`` overrides the grid step of the investment, regime and
     effort oracles (their defaults are 1e-4, 1e-3 and 1e-4); the payment
     enumeration stays at its own resolution because the contract tolerance
-    is tied to it.
+    is tied to it.  A run enumerates the payments of each ``(model, v)``
+    once: the contract report and both two-period traces of a model share
+    an enumeration at the same investment.
     """
     fixtures = [("f1", f1()), ("f2", f2()), ("f3", f3()), ("f4", f4())]
 
@@ -609,10 +630,14 @@ def run_certification(
         for i, m in enumerate(random_continuous_models(min(n_models, 100), seed + 2))
     ]
 
-    return [
-        certify_contract(contract_cases),
-        certify_investment(fixtures + randoms, step=oracle_step or 1e-4),
-        certify_regimes(randoms, step=oracle_step or 1e-3),
-        certify_two_period([("f1", f1()), ("f2", f2())] + two_period_random),
-        certify_continuous(continuous_cases, step=oracle_step or 1e-4, seed=seed + 3),
-    ]
+    enumerated = _ENUMERATED.set({})
+    try:
+        return [
+            certify_contract(contract_cases),
+            certify_investment(fixtures + randoms, step=oracle_step or 1e-4),
+            certify_regimes(randoms, step=oracle_step or 1e-3),
+            certify_two_period([("f1", f1()), ("f2", f2())] + two_period_random),
+            certify_continuous(continuous_cases, step=oracle_step or 1e-4, seed=seed + 3),
+        ]
+    finally:
+        _ENUMERATED.reset(enumerated)

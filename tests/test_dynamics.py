@@ -311,6 +311,13 @@ class TestRehireCycles:
         assert counts[0] == counts[1]
         assert [r.period for r in trace.records] == list(range(1, 13))
 
+    def test_displaced_trace_evaluates_primitives_once(self, count_calls):
+        # the rehire cycle reads the trace's own evaluation at v_max
+        calls = count_calls(twinvest.model.evaluate)
+        trace = simulate_cycles(f2(), 0.9, 6)
+        assert calls == ["evaluate"]
+        assert trace.displacement_period is not None
+
     def test_unemployed_records_are_zeroed(self):
         trace = simulate_cycles(f2(), 0.9, 8)
         for r in trace.records:

@@ -141,6 +141,95 @@ class TestClassifyRegimeCodes:
         assert np.array_equal(codes, expected)
 
 
+#: Costs around the retention tie ``0.5 - 4*cost == 0`` at ``pi1 = 0.5``.
+COSTS = (0.1, 0.125 - 2.0**-50, 0.125, 0.125 + 2.0**-50, 0.2)
+
+
+@st.composite
+def bounded_blocks(draw):
+    """The cost and pair tables of a block of ``n`` cells, each with one row
+    or a row per cell, and the primitives they come from.
+
+    pi0 is 0.25, so Q'/(Q-1) is four times pi1's slope where pi1 is 0.5:
+    the slopes, drawn from :data:`SLOPES` (a quarter of them for pi1),
+    make rate differences on and around ``DEFAULT_TOL``, NaN and infinite.
+    A row may be all NaN, as a row failing a check of validate is."""
+    n, size = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+
+    def rows(pool, count):
+        drawn = draw(st.lists(st.sampled_from(pool), min_size=count * size, max_size=count * size))
+        return np.array(drawn).reshape(count, size)
+
+    def nan_rows(*arrays):
+        bad = np.array(draw(st.lists(st.booleans(), min_size=len(arrays[0]), max_size=len(arrays[0]))))
+        return ~bad, [np.where(bad[:, None], np.nan, x) for x in arrays]
+
+    k_cost, k_pair = draw(st.sampled_from([1, n])), draw(st.sampled_from([1, n]))
+    cost_ok, (cost, dcost) = nan_rows(rows(COSTS, k_cost), rows(SLOPES, k_cost))
+    pi1_ok, (pi1, dpi1) = nan_rows(rows((0.5, 0.5 + 2.0**-50, 0.75), k_pair), rows(SLOPES, k_pair) / 4.0)
+    pi0, dpi0 = np.full((k_pair, size), 0.25), np.zeros((k_pair, size))
+    model = ModelPrimitives(F.constant(0.25), F.constant(0.5), F.constant(0.1), 1.0, 1.0, 0.0)
+    vs = np.linspace(0.0, 1.0, size)
+    with np.errstate(all="ignore"):
+        cost_table = twinvest.investment._cost_table(vs, cost_ok, cost, dcost, True)
+        t0 = dict(ok=np.ones(k_pair, bool), value=pi0, slope=dpi0)
+        t1 = dict(ok=pi1_ok, value=pi1, slope=dpi1)
+        pair_table = twinvest.investment._pair_table(model, vs, t0, t1, True)
+    cells = lambda x: np.broadcast_to(x, (n, size))  # noqa: E731 - a row per cell
+    return cost_table, pair_table, GridEval(vs, *map(cells, (pi0, pi1, cost, dpi0, dpi1, dcost)))
+
+
+class TestDecidedFromBounds:
+    """What the tables' extremes decide is what every point decides."""
+
+    @staticmethod
+    def reference(g: GridEval):
+        """The regime index and whether the retention margin holds at every
+        point, per cell, from every point's values (unit quality importance)."""
+        tol = twinvest.model.DEFAULT_TOL
+        with np.errstate(all="ignore"):
+            q = g.pi1 / g.pi0
+            dq = (g.dpi1 * g.pi0 - g.pi1 * g.dpi0) / (g.pi0 * g.pi0)
+            diff = g.dcost / g.cost - dq / (q - 1.0)
+            margin = 1.0 * (1.0 - 1.0 / q) - g.cost / (g.pi1 - g.pi0)
+        no_investment = np.all(dq > tol, axis=-1) | np.all(diff < -tol, axis=-1)
+        max_investment = np.all(dq <= tol, axis=-1) & np.all(diff > tol, axis=-1)
+        interior = (diff[:, 0] > tol) & (diff[:, -1] < -tol)
+        codes = np.where(no_investment, 0, np.where(max_investment, 1, np.where(interior, 2, 3)))
+        return codes, np.all(margin >= 0.0, axis=-1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_blocks())
+    def test_decided_cells_equal_every_point(self, block):
+        cost, pair, g = block
+        codes, retained = (np.broadcast_to(x, len(g.pi0)) for x in twinvest.investment._decided(cost, pair))
+        expected, held = self.reference(g)
+        decided = codes >= 0
+        assert np.array_equal(codes[decided], expected[decided])
+        assert held[retained].all()
+
+    def test_each_outcome(self):
+        # rows: cost'/cost below Q'/(Q-1) everywhere; above it with Q' <= 0
+        # (MaxInvestment) and with Q' > 0 at one point (Indeterminate); and
+        # crossing it from above (Interior).  Costs 0.1 and 0.125 (a tie) keep the margin
+        # 0.5 - 4*cost nonnegative, 0.2 does not.
+        vs = np.linspace(0.0, 1.0, 3)
+        cost = np.array([[0.125] * 3, [0.1] * 3, [0.1] * 3, [0.1, 0.1, 0.2]])
+        dcost = np.array([[-1.0] * 3, [0.0] * 3, [1.0] * 3, [1.0, 1.0, -1.0]])
+        dpi1 = np.array([[0.0] * 3, [-0.25] * 3, [0.0, 0.25, 0.0], [0.0] * 3])
+        pi0, pi1 = np.full((4, 3), 0.25), np.full((4, 3), 0.5)
+        model = ModelPrimitives(F.constant(0.25), F.constant(0.5), F.constant(0.1), 1.0, 1.0, 0.0)
+        ok = np.ones(4, bool)
+        cost_table = twinvest.investment._cost_table(vs, ok, cost, dcost, True)
+        t0, t1 = dict(ok=ok, value=pi0, slope=0.0 * pi0), dict(ok=ok, value=pi1, slope=dpi1)
+        pair_table = twinvest.investment._pair_table(model, vs, t0, t1, True)
+        codes, retained = twinvest.investment._decided(cost_table, pair_table)
+        assert codes.tolist() == [0, 1, 3, -1]
+        assert retained.tolist() == [True, True, True, False]
+        expected, held = self.reference(GridEval(vs, pi0, pi1, cost, 0.0 * pi0, dpi1, dcost))
+        assert expected.tolist() == [0, 1, 3, 2] and held.tolist() == [True, True, True, False]
+
+
 @st.composite
 def margin_blocks(draw):
     """A block whose feasibility margins are ``0.5 - cost`` (pi0 = 1,
@@ -168,7 +257,9 @@ class TestFeasibleRun:
         with mock.patch.object(twinvest.investment, "information_rent", lambda g, pair: us):
             pair = pair_terms(model, g)
             nonneg = retention_holds(model, g, pair)
-            found, _ = twinvest.investment._grid_pass(model, g, pair, nonneg, None)
+            # a row retained at every point is not opened, as the bounds leave it
+            opened = np.flatnonzero(~nonneg.all(axis=1))
+            found, _ = twinvest.investment._grid_pass(model, g, pair, opened, nonneg[opened], None)
         # every row searched: the best feasible point with its rent
         n = len(us)
         feasible = 0.5 - g.cost >= 0.0

@@ -14,9 +14,9 @@ from twinvest.model import (
     GridEval,
     ModelBatch,
     ModelPrimitives,
+    batch_formula,
     evaluate,
     evaluate_batch_grid,
-    evaluate_batch_values,
     evaluate_grid,
     validate,
 )
@@ -267,14 +267,15 @@ def test_every_evaluation_route_gives_the_same_bits(model):
     single = ModelBatch.single(model)
     scale = model.pi1.coefficients[0]
     sweep = ModelBatch.sweep(model, {("pi1", 0): [0.5 * scale, scale, 1.5 * scale]})
-    values = evaluate_batch_values(single, vs)
+    values_at = batch_formula(single, lambda model, p: p)
+    values = values_at(vs)
     assert values[4:] == (None, None, None)
     routes = {
         "evaluate": np.array(points).T,
         "single block": [vs] + cell_grid(evaluate_batch_grid(single, vs, 0, range(3)), 0),
         "sweep block": [vs] + cell_grid(evaluate_batch_grid(sweep, vs, 0, range(3)), 1),
         "batch values": values[:4],
-        "batch values per point": np.array([evaluate_batch_values(single, v)[:4] for v in vs]).T,
+        "batch values per point": np.array([values_at(v)[:4] for v in vs]).T,
     }
     for route, fields in routes.items():
         for field, got in zip(GridEval._fields, fields):

@@ -151,14 +151,37 @@ def brackets():
     return lo, hi, c, tilt
 
 
+class Narrowable:
+    """``make(*params)`` as an objective that offers ``narrow(idx)``, the
+    objective of the parameters at the elements ``idx``, as the solvers'
+    objectives do.  ``points`` collects the size of every call's argument,
+    narrowed or not."""
+
+    def __init__(self, make, params, points=None):
+        self.make, self.params, self.f = make, params, make(*params)
+        self.points = [] if points is None else points
+
+    def __call__(self, x):
+        self.points.append(np.size(x))
+        return self.f(x)
+
+    def narrow(self, idx):
+        return Narrowable(self.make, [np.asarray(p)[idx] for p in self.params], self.points)
+
+
 class TestLockstep:
     """Each element of an array call equals the one-bracket call, x and f."""
+
+    @staticmethod
+    def objective(make, *params):
+        """The array search's objective ``make(*params)``."""
+        return make(*params)
 
     @pytest.mark.parametrize("shape", ["parabola", "two_peaks"])
     def test_golden_elements_equal_scalar_calls(self, brackets, shape):
         lo, hi, c, tilt = brackets
         objective = (lambda c, t: _parabola(c)) if shape == "parabola" else _two_peaks
-        xs, fs = golden_section_max(objective(c, tilt), lo, hi)
+        xs, fs = golden_section_max(self.objective(objective, c, tilt), lo, hi)
         for k in range(len(lo)):
             expected = golden_section_max(objective(c[k], tilt[k]), lo[k], hi[k])
             assert (xs[k], fs[k]) == expected, k
@@ -169,7 +192,7 @@ class TestLockstep:
         uncapped = golden_section_max(_two_peaks(c, tilt), lo, hi)[0]
         for cap in CAPS:
             monkeypatch.setattr(optimize, "MAX_ITER", cap)
-            xs, fs = golden_section_max(_two_peaks(c, tilt), lo, hi)
+            xs, fs = golden_section_max(self.objective(_two_peaks, c, tilt), lo, hi)
             for k in range(len(lo)):
                 expected = golden_section_max(_two_peaks(c[k], tilt[k]), lo[k], hi[k])
                 assert (xs[k], fs[k]) == expected, (cap, k)
@@ -196,7 +219,7 @@ class TestLockstep:
 
     def test_refine_max_elements_equal_scalar_calls(self, brackets):
         lo, hi, c, tilt = brackets
-        f = _two_peaks(c, tilt)
+        f = self.objective(_two_peaks, c, tilt)
         # candidates at the left end, the right end and outside the bracket
         x = np.choose(np.arange(len(lo)) % 3, [lo, hi, lo - 0.5])
         xs, fs = refine_max(f, lo, hi, x, f(x))
@@ -217,12 +240,13 @@ class TestLockstep:
         root[20:25] = lo[20:25]  # f is exactly 0 at lo
         root[25:30] = hi[25:30]  # f is exactly 0 at hi
 
-        def f(x):
-            return orientation * (root - x)
+        def line(root):
+            return lambda x: orientation * (root - x)
 
+        f = self.objective(line, root)
         for cap in CAPS + [optimize.MAX_ITER]:
             monkeypatch.setattr(optimize, "MAX_ITER", cap)
-            out = bisect_bracket(f, lo, hi, f(lo), f(hi))
+            out = bisect_bracket(f, lo, hi, line(root)(lo), line(root)(hi))
             for k in range(n):
                 g = lambda x, r=root[k]: orientation * (r - x)  # noqa: E731
                 expected = bisect_bracket(g, lo[k], hi[k], g(lo[k]), g(hi[k]))
@@ -244,6 +268,36 @@ class TestLockstep:
     def test_bisection_rejects_any_bracket_without_sign_change(self):
         with pytest.raises(ValueError, match="no sign change"):
             bisect_bracket(lambda x: x + 0.5, np.array([-1.0, 0.0]), np.array([0.0, 1.0]), [-0.5, 0.5], [0.5, 1.5])
+
+
+class TestLockstepNarrowed(TestLockstep):
+    """The same, on objectives that the searches narrow to their live
+    brackets (:class:`Narrowable`)."""
+
+    @staticmethod
+    def objective(make, *params):
+        return Narrowable(make, params)
+
+    @pytest.mark.parametrize("cap", CAPS + [200])
+    def test_only_live_brackets_are_evaluated(self, brackets, monkeypatch, cap):
+        # a narrowed search evaluates exactly the points of the one-bracket
+        # searches: none for a bracket that has stopped
+        monkeypatch.setattr(optimize, "MAX_ITER", cap)
+        lo, hi, c, tilt = brackets
+        root = np.clip(c, lo, hi)
+        line = lambda r: lambda x: r - x  # noqa: E731
+        for search, make, params, ends in (
+            (golden_section_max, _two_peaks, (c, tilt), ()),
+            (bisect_bracket, line, (root,), (root - lo, root - hi)),
+        ):
+            f = Narrowable(make, params)
+            search(f, lo, hi, *ends)
+            alone = []
+            for k in range(len(lo)):
+                g = Narrowable(make, [p[k] for p in params])
+                search(g, lo[k], hi[k], *(e[k] for e in ends))
+                alone.extend(g.points)
+            assert sum(f.points) == len(alone), search
 
 
 # ---------------------------------------------------------------------------

@@ -289,3 +289,25 @@ def test_run_certification_fixtures_only():
     reports = run_certification(seed=5, n_models=0)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
+
+
+def test_run_certification_enumerates_each_contract_once(monkeypatch):
+    # the contract report and both two-period traces of f1 and f2 meet
+    # again at v_max; a run enumerates each (model, v, payment_step) once
+    real, keys = oracle_module.brute_force_contract, []
+
+    def counting(model, v, payment_step=1e-3):
+        keys.append((model, v, payment_step))
+        return real(model, v, payment_step)
+
+    monkeypatch.setattr(oracle_module, "brute_force_contract", counting)
+    reports = run_certification(seed=5, n_models=0)
+    assert all(r.passed for r in reports)
+    assert len(keys) == len(set(keys)) == 13
+    contract_cases = {(m, v, 1e-3) for m in (f1(), f2(), f3(), f4()) for v in (0.0, m.v_max / 2.0, m.v_max)}
+    assert contract_cases <= set(keys)
+    # outside a run, every call enumerates
+    keys.clear()
+    for _ in range(2):
+        brute_force_two_period(f2(), AgentKind.MYOPIC)
+    assert len(keys) == 2 * len(set(keys))

@@ -266,6 +266,54 @@ def per_cell_csv(regime_map) -> str:
     return out.getvalue()
 
 
+def decided_cells(base, axis1, axis2):
+    """What the tables' extremes decide of each cell of a template
+    (``_decided`` at each axis-1 value): regime indices, -1 where open, and
+    whether each cell is retained at every grid point."""
+    columns = {
+        (axis1.target, axis1.coefficient): np.array(axis1.values)[:, None],
+        (axis2.target, axis2.coefficient): np.array(axis2.values),
+    }
+    batch = ModelBatch.sweep(base, columns)
+    n2, codes, retained = batch.shape[1], [], []
+    for _, cost, pair in twinvest.investment._tables(batch, base.grid(), None):
+        decided = twinvest.investment._decided(cost, pair)
+        codes.extend(np.broadcast_to(decided[0], n2).tolist())
+        retained.extend(np.broadcast_to(decided[1], n2).tolist())
+    return codes, retained
+
+
+class TestDecidedFromBounds:
+    """The tables' extremes decide a cell only as its own grid does."""
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_decided_cells_equal_single_model_checks(self, name):
+        make, axis1, axis2 = TEMPLATES[name]
+        base = make()
+        codes, retained = decided_cells(base, axis1, axis2)
+        labels = list(twinvest.investment.RegimeLabel)
+        params = [(x1, x2) for x1 in axis1.values for x2 in axis2.values]
+        for (x1, x2), code, held in zip(params, codes, retained):
+            model = cell_model(base, axis1, axis2, x1, x2)
+            if not validate(model).passed:
+                continue
+            if code >= 0:
+                assert labels[code] == twinvest.investment.classify_regime(model), (x1, x2)
+            if held:
+                assert retention_holds(model, evaluate_grid(model, model.grid())).all(), (x1, x2)
+
+    def test_f3_map_decides_its_end_labels(self):
+        # every NoInvestment and MaxInvestment label of the paper's map,
+        # and most retained cells, come from the extremes alone
+        mf = load_model_file(Path(__file__).parents[1] / "configs" / "f3.json")
+        codes, retained = decided_cells(mf.model, *mf.sweep)
+        regimes = [c.regime for c in regime_sweep(mf.model, *mf.sweep).cells]
+        ends = [r in ("NoInvestment", "MaxInvestment") for r in regimes]
+        assert sum(ends) == 2098
+        assert [code in (0, 1) for code in codes] == ends
+        assert sum(retained) >= 1800
+
+
 class TestColumnarMap:
     """The map writes its CSV and its regimes from the batch's columns."""
 
