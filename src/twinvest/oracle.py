@@ -7,17 +7,21 @@ path.  Oracles are deliberately dumb: dense grids, exhaustive payment
 enumeration, explicit backward induction.
 
 The payment enumeration is still exhaustive: every pair on the grid is
-evaluated with the raw two-sided expressions.  It is streamed through
-small row blocks, with the one-dimensional factors computed once per call
-and every two-dimensional step written in place, so that the temporaries
-stay in cache.  Each row-plus-column sum ``high[j] + low[i]`` of a block
-is one matrix product of ``[1, low]`` and ``[high; 1]``
-(:func:`_outer_sum_factors`), which BLAS writes faster than numpy's
-broadcast add.  Both of its products are exact and the sum starts from an
-exact zero, so it is rounded once, to the broadcast add's value, however
-BLAS orders or fuses the terms; only the sign of an exact-zero sum may
-differ, and no comparison or ``argmax`` tells ``+0.0`` from ``-0.0``.  So
-each pair's values, the feasibility mask and the tie rule are those of
+checked for participation and incentive compatibility with the raw
+two-sided expressions.  It is streamed through small row blocks, with the
+one-dimensional factors computed once per call and every two-dimensional
+step written in place, so that the temporaries stay in cache.  Each
+row-plus-column sum ``high[j] + low[i]`` of a block is one matrix product
+of ``[1, low]`` and ``[high; 1]`` (:func:`_outer_sum_factors`), which BLAS
+writes faster than numpy's broadcast add.  Both of its products are exact
+and the sum starts from an exact zero, so it is rounded once, to the
+broadcast add's value, however BLAS orders or fuses the terms; only the
+sign of an exact-zero sum may differ, and no comparison tells ``+0.0``
+from ``-0.0``.  The principal's surplus matters only where a pair passes
+both checks: a block in which no pair does holds no candidate, so it skips
+the surplus, and any other block takes its best feasible surplus with one
+masked maximum, locating it only when it beats the earlier blocks' best.
+So each pair's values, the feasibility mask and the tie rule are those of
 one broadcast over the whole grid.
 
 Ties break deterministically: smaller investment, smaller payments, and
@@ -48,7 +52,7 @@ from .dynamics import (
 )
 from .fixtures import f1, f2, f3, f4, f5
 from .investment import RegimeLabel, classify_regime, optimal_investment
-from .model import ModelPrimitives, evaluate, evaluate_grid
+from .model import DomainError, ModelPrimitives, evaluate, evaluate_grid
 from .report import format_number
 from .sampling import random_continuous_models, random_models
 
@@ -58,6 +62,10 @@ _TIE_TOL = 1e-12
 # rank-2 factors (32 KB each) the working set stays near 1 MB, inside a
 # 2 MB per-core L2 cache.  The block size changes speed only, never a result.
 _CHUNK_ROWS = 16
+# Points of the zoom next to an endpoint (:func:`_zoom_confirms_interior`),
+# evaluated this many at a time so that its arrays stay near 64 KB each.
+_ZOOM_POINTS = 100_001
+_ZOOM_SLICE = 8_192
 
 
 def _outer_sum_factors(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,6 +78,14 @@ def _outer_sum_factors(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, n
     """
     ones = np.ones_like(high)
     return np.column_stack((ones, low)), np.stack((high, ones))
+
+
+def _check_step(name: str, step: float) -> None:
+    """:class:`DomainError` naming ``name`` unless ``step`` is a positive,
+    finite grid step; a zero step would divide by zero, a NaN fail to
+    round and a negative one enumerate a wrong grid without a word."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"{name} must be positive and finite, got {step!r}")
 
 
 def _investment_grid(v_max: float, step: float) -> np.ndarray:
@@ -89,6 +105,7 @@ def brute_force_investment(
     the feasible set is empty.  Without it the unconstrained argmax is
     returned, which is what the regime labels make claims about.
     """
+    _check_step("step", step)
     vs = _investment_grid(model.v_max, step)
     g = evaluate_grid(model, vs)
     gap = g.pi1 - g.pi0
@@ -116,16 +133,23 @@ def brute_force_contract(
     principal-surplus maximizer among those satisfying participation and
     incentive compatibility in their raw two-sided form.
 
-    The enumeration is exhaustive: every pair on the grid is evaluated.
+    The enumeration is exhaustive: every pair on the grid is checked.
     Each of the three sums below, a term in ``t_high`` plus a term in
     ``t_low``, is formed per block of rows as a rank-2 matrix product
     (:func:`_outer_sum_factors`); its two products are exact, so the sum is
     rounded once and equals the broadcast add ``high[None, :] +
     low[:, None]`` up to the sign of an exact zero, which no comparison
-    sees.
+    sees.  Only a feasible pair can be the answer, so a block with none
+    skips the surplus: that leaves out no candidate, only values that one
+    masked ``argmax`` over the whole grid would discard.  Otherwise the
+    block's best feasible surplus is one masked ``max``, and its first
+    position in row-major order is looked up only when it beats, by a
+    strict ``>``, the best of the earlier blocks; so ties go to the first
+    pair in row-major order (smaller ``t_low``, then smaller ``t_high``).
 
     ``None`` when no pair on the grid induces effort (wage above the grid).
     """
+    _check_step("payment_step", payment_step)
     p = evaluate(model, v)
     top = max(model.s_high, 0.0)
     num = max(int(math.ceil(top / payment_step)), 1) + 1
@@ -162,18 +186,18 @@ def brute_force_contract(
         np.greater_equal(ah, -_TIE_TOL, out=ok)
         np.greater_equal(al, -_TIE_TOL, out=ic)
         np.logical_and(ok, ic, out=ok)
-        # surplus = pi1*(s_high - t_high) + (1-pi1)*(s_low - t_low), -inf if infeasible
+        if not ok.any():
+            continue  # no candidate in this block
+        # surplus = pi1*(s_high - t_high) + (1-pi1)*(s_low - t_low)
         np.matmul(left_keep[start:stop], right_keep, out=s)
-        np.logical_not(ok, out=ok)
-        np.copyto(s, -np.inf, where=ok)
-        k = int(np.argmax(s))
-        value = float(s.flat[k])
-        if value == -np.inf:
-            continue
-        i, j = divmod(k, num)
+        value = float(s.max(where=ok, initial=-np.inf))
         # strict > keeps the first maximum in row-major order
-        if best is None or value > best[0]:
-            best = (value, float(payments[start + i]), float(payments[j]))
+        if value == -np.inf or (best is not None and value <= best[0]):
+            continue
+        np.equal(s, value, out=ic)
+        np.logical_and(ic, ok, out=ic)
+        i, j = divmod(int(np.argmax(ic)), num)
+        best = (value, float(payments[start + i]), float(payments[j]))
     if best is None:
         return None
     return Contract(best[2], best[1])
@@ -201,6 +225,7 @@ def brute_force_effort(
     cmodel: ContinuousEffortModel, step: float = 1e-4
 ) -> tuple[float, float]:
     """Grid argmax of the principal's surplus over the effort interval."""
+    _check_step("step", step)
     num = max(int(round((cmodel.e_max - cmodel.e_min) / step)), 1) + 1
     es = np.linspace(cmodel.e_min, cmodel.e_max, num)
     p = np.asarray(cmodel.p.value(es), dtype=float)
@@ -266,6 +291,7 @@ def brute_force_two_period(
     comparison; the candidate with the larger two-period total wins, ties
     to the effort-inducing one.
     """
+    _check_step("v_step", v_step)
     if agent_kind is AgentKind.STRATEGIC:
         found = brute_force_investment(model, step=1e-4, enforce_deterrent=True)
         if found is None:
@@ -468,17 +494,26 @@ def _zoom_confirms_interior(model: ModelPrimitives, endpoint: float, step: float
     grid step; this scans that single interval densely (resolution
     ``step * 1e-5``) and reports whether any strictly interior point beats
     the endpoint.  Still pure enumeration, just fine enough to resolve the
-    claim being certified.
+    claim being certified.  The points are evaluated in slices of
+    :data:`_ZOOM_SLICE`, in order, and a strict ``>`` across slices keeps
+    the first maximum, as one ``argmax`` over all of them would.
     """
     if endpoint == 0.0:
-        vs = np.linspace(0.0, min(step, model.v_max), 100_001)
+        vs = np.linspace(0.0, min(step, model.v_max), _ZOOM_POINTS)
     else:
-        vs = np.linspace(max(model.v_max - step, 0.0), model.v_max, 100_001)
-    g = evaluate_grid(model, vs)
-    rent = g.pi0 * g.cost / (g.pi1 - g.pi0)
-    i = int(np.argmax(rent))
-    at_end = rent[0] if endpoint == 0.0 else rent[-1]
-    return 0.0 < vs[i] < model.v_max and rent[i] > at_end
+        vs = np.linspace(max(model.v_max - step, 0.0), model.v_max, _ZOOM_POINTS)
+    best = None  # (rent, v) of the first maximum so far
+    for start in range(0, _ZOOM_POINTS, _ZOOM_SLICE):
+        part = vs[start:start + _ZOOM_SLICE]
+        g = evaluate_grid(model, part)
+        rent = g.pi0 * g.cost / (g.pi1 - g.pi0)
+        i = int(np.argmax(rent))
+        if best is None or rent[i] > best[0]:
+            best = (rent[i], part[i])
+        if start == 0:
+            first = rent[0]
+    at_end = first if endpoint == 0.0 else rent[-1]
+    return 0.0 < best[1] < model.v_max and best[0] > at_end
 
 
 def certify_regimes(

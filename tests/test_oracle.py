@@ -22,7 +22,8 @@ from twinvest.oracle import (
     certify_two_period,
     run_certification,
 )
-from twinvest.model import evaluate
+from twinvest.families import ParametricFamily as F
+from twinvest.model import DomainError, ModelPrimitives, evaluate, evaluate_grid
 from twinvest.sampling import random_continuous_models, random_models
 
 
@@ -53,6 +54,24 @@ def one_shot_contract(model, v, payment_step=1e-3):
 
 def payment_count(model, payment_step):
     return max(int(math.ceil(max(model.s_high, 0.0) / payment_step)), 1) + 1
+
+
+def one_shot_zoom(model, endpoint, step):
+    """:func:`oracle._zoom_confirms_interior` with all its points evaluated
+    at once: the reference for the sliced scan."""
+    if endpoint == 0.0:
+        vs = np.linspace(0.0, min(step, model.v_max), 100_001)
+    else:
+        vs = np.linspace(max(model.v_max - step, 0.0), model.v_max, 100_001)
+    g = evaluate_grid(model, vs)
+    rent = g.pi0 * g.cost / (g.pi1 - g.pi0)
+    i = int(np.argmax(rent))
+    at_end = rent[0] if endpoint == 0.0 else rent[-1]
+    return 0.0 < vs[i] < model.v_max and rent[i] > at_end
+
+
+# Rows per block of the payment enumeration, from one row to all of them.
+BLOCK_ROWS = [1, 3, 16, 200, 10_000]
 
 
 class TestBruteForceInvestment:
@@ -148,7 +167,7 @@ class TestStreamedContractEnumeration:
         assert brute_force_contract(model, 0.0) is None
         assert one_shot_contract(model, 0.0) is None
 
-    @pytest.mark.parametrize("rows", [1, 3, 16, 200, 10_000])
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
     def test_block_size_changes_no_result(self, rows, monkeypatch):
         monkeypatch.setattr(oracle_module, "_CHUNK_ROWS", rows)
         for make in (f1, f2, f3, f4):
@@ -156,6 +175,111 @@ class TestStreamedContractEnumeration:
             for v in (0.0, model.v_max):
                 found = brute_force_contract(model, v, payment_step=1e-2)
                 assert found == one_shot_contract(model, v, payment_step=1e-2)
+
+
+# Constant primitives with pi0 < 0: outside any valid model, but the only
+# way to make participation bind above the incentive line, which the
+# enumeration, reading only the raw expressions, does not care about.  Here
+# participation asks t_high + t_low >= 2*cost and incentive compatibility
+# t_high - t_low >= cost, and the surplus is 1 - (t_high + t_low)/2, so the
+# pairs on the participation line tie.  The stakes are dyadic, so on a
+# dyadic payment step every surplus is exact.
+def raw_model(cost):
+    return ModelPrimitives(F.constant(-0.5), F.constant(0.5), F.constant(cost), 1.0, 2.0, 0.0)
+
+
+class TestBlockKernel:
+    """Blocks with no feasible pair, and exact surplus ties, give the
+    one-shot result at every block size."""
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_infeasible_blocks_before_and_after(self, rows, monkeypatch):
+        # cost 1.25 leaves feasible pairs only at 0.5 <= t_low <= 0.75, rows
+        # 32-48 of 129: with 16-row blocks, blocks 0-1 and 4-8 have none
+        monkeypatch.setattr(oracle_module, "_CHUNK_ROWS", rows)
+        model = raw_model(1.25)
+        found = brute_force_contract(model, 0.5, payment_step=1 / 64)
+        assert found == one_shot_contract(model, 0.5, payment_step=1 / 64)
+        assert found == Contract(2.0, 0.5)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("step", [1 / 8, 1 / 64], ids=["one-block", "two-blocks"])
+    def test_first_of_tied_pairs_wins(self, step, rows, monkeypatch):
+        # cost 0.5: every pair with t_high + t_low = 1 and t_low <= 0.25
+        # ties; on a 1/8 step those are rows 0-2, on a 1/64 step rows 0-16,
+        # which straddle the first two 16-row blocks
+        monkeypatch.setattr(oracle_module, "_CHUNK_ROWS", rows)
+        model = raw_model(0.5)
+        found = brute_force_contract(model, 0.5, payment_step=step)
+        assert found == one_shot_contract(model, 0.5, payment_step=step)
+        assert found == Contract(1.0, 0.0)
+        p = evaluate(model, 0.5)
+        surplus = [p.pi1 * (2.0 - (1.0 - t)) + (1.0 - p.pi1) * (0.0 - t) for t in (0.0, 0.25)]
+        assert surplus[0] == surplus[1]  # the tie is exact
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_infeasible_pairs_tying_the_best_are_passed_over(self, rows, monkeypatch):
+        # with pi1 = 0 the surplus does not depend on t_high, so each row's
+        # infeasible pairs, left of t_high = t_low + 2*cost, tie its feasible
+        # ones; the best row is t_low = cost
+        monkeypatch.setattr(oracle_module, "_CHUNK_ROWS", rows)
+        model = ModelPrimitives(F.constant(-0.5), F.constant(0.0), F.constant(0.25), 1.0, 2.0, 0.0)
+        found = brute_force_contract(model, 0.5, payment_step=1 / 8)
+        assert found == one_shot_contract(model, 0.5, payment_step=1 / 8)
+        assert found == Contract(0.75, 0.25)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_random_models_at_both_ends(self, rows, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_CHUNK_ROWS", rows)
+        for model in random_models(50, seed=2024):
+            for v in (0.0, model.v_max):
+                found = brute_force_contract(model, v, payment_step=1e-2)
+                assert found == one_shot_contract(model, v, payment_step=1e-2)
+
+
+class TestZoomSlices:
+    """The endpoint zoom, evaluated in slices, agrees with one scan of all
+    its points at both endpoints."""
+
+    @staticmethod
+    def cases():
+        near_max_rate = 0.3 / (0.2 + 0.3 * 0.6) + 0.3 / (0.6 - 0.3 * 0.6) + 5e-5
+        models = [
+            f1(),  # rent rises to v_max
+            f3(),  # interior peak far from both ends
+            dataclasses.replace(f3(), cost=F.exponential_decay(0.2, 1.999)),  # peak near 0
+            dataclasses.replace(f3(), cost=F.exponential_decay(0.2, 5.0)),  # rent falls from 0
+            # peak a hair below v_max = 0.6
+            dataclasses.replace(f3(), cost=F.exponential_decay(0.2, near_max_rate), v_max=0.6),
+            ModelPrimitives(F.constant(0.2), F.constant(0.7), F.constant(0.1), 1.0, 2.0, 0.0),
+        ]
+        models += random_models(10, seed=31)
+        return [(m, end) for m in models for end in (0.0, m.v_max)]
+
+    @pytest.mark.parametrize("size", [977, 8_192, 100_001])
+    def test_slices_agree_with_one_scan(self, size, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_ZOOM_SLICE", size)
+        outcomes = set()
+        for model, end in self.cases():
+            found = oracle_module._zoom_confirms_interior(model, end, 1e-3)
+            assert found == one_shot_zoom(model, end, 1e-3)
+            outcomes.add((end == 0.0, found))
+        assert len(outcomes) == 4  # both answers at both endpoints
+
+
+class TestStepValidation:
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_step_is_named(self, step):
+        with pytest.raises(DomainError, match="payment_step"):
+            brute_force_contract(f1(), 0.5, step)
+        with pytest.raises(DomainError, match="^step "):
+            brute_force_investment(f1(), step)
+        with pytest.raises(DomainError, match="^step "):
+            brute_force_effort(f5(), step)
+        with pytest.raises(DomainError, match="v_step"):
+            brute_force_two_period(f1(), AgentKind.MYOPIC, v_step=step)
+        with pytest.raises(DomainError, match="payment_step"):
+            brute_force_two_period(f1(), AgentKind.STRATEGIC, payment_step=step)
 
 
 # Finite floats from 1e-300 to 1e300 in magnitude, with zeros, negatives and
