@@ -347,12 +347,13 @@ def simulate_cycles(
     the displacement regime the offer is zero and the agent shirks, which
     still retrains the twin.  Without displacement the agent is simply
     employed every period.  Raises :class:`~twinvest.model.InvalidModelError`
-    on a model that fails validation.
+    on a model that fails validation, and :class:`~twinvest.model.DomainError`
+    on ``alpha`` outside ``(0, 1)`` or a ``horizon`` below 1.
     """
     _check_valid(model)
     alpha = _check_alpha(alpha)
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
 
     play = _full_training(model)
     v = model.v_max

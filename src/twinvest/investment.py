@@ -33,10 +33,8 @@ from .model import (
     InvalidModelError,
     ModelBatch,
     ModelPrimitives,
-    _assumption_checks,
     batch_formula,
     evaluate_batch_grid,
-    evaluate_grid,
     pair_terms,
     row_passes,
     validate,
@@ -72,11 +70,10 @@ _BLOCK_CELLS = 25
 
 
 def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
-    """Index into :data:`_REGIMES` of the regime of one model's grid, or of
-    each cell of a block (rows are cells), from its rates cost'/cost and
-    Q'/(Q-1) and Q''s min and max over the grid: :func:`classify_regime`,
-    and in a batch the cells that the tables' extremes leave open
-    (:func:`_decided`).
+    """Index into :data:`_REGIMES` of the regime of each cell of a block
+    (rows are cells), from its rates cost'/cost and Q'/(Q-1) and Q''s min
+    and max over the grid: the cells that the tables' extremes leave open
+    (:func:`_decided`), and the one row of :func:`classify_regime`.
 
     Each "everywhere" condition is decided at the extremum on its side of
     the rate difference over the grid, which fails it exactly when some
@@ -98,24 +95,25 @@ def classify_regime(
     Ties between the two rates (within ``DEFAULT_TOL``) make neither
     strict condition hold and resolve toward
     :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising separability
-    everywhere forces the no-investment label on its own.  A model whose
-    grid fails a grid check of :func:`~twinvest.model.validate` raises
-    :class:`~twinvest.model.InvalidModelError`.
+    everywhere forces the no-investment label on its own.  It reads the
+    solve's tables and raises :class:`~twinvest.model.InvalidModelError`
+    on a model whose grid fails a check of validate (:func:`_single_tables`).
     """
-    g = evaluate_grid(model, model.grid(grid_points))
-    _check_grid(model, grid_points, g)
-    rate_sep, dq = _pair_rates(g)
-    return _REGIMES[int(_regime_codes(_rate_cost(g), rate_sep, dq.min(), dq.max()))]
+    cost, pair = _single_tables(model, grid_points)
+    return _REGIMES[int(_regime_codes(cost["rate"], pair["rate"], pair["dq_low"], pair["dq_high"])[0])]
 
 
-def _check_grid(model: ModelPrimitives, grid_points: int, g: GridEval):
-    """Raise :class:`~twinvest.model.InvalidModelError` when ``model``'s
-    grid ``g`` fails a grid check of :func:`~twinvest.model.validate`: the
-    regime rates and the retention margin divide by the probabilities and
-    their gap.  A model that fails only the stakes or the viability check
+def _single_tables(model: ModelPrimitives, grid_points: int) -> tuple[dict, dict]:
+    """The cost and pair tables (:func:`_tables`) of ``model`` alone, one row
+    each.  Raises :class:`~twinvest.model.InvalidModelError` unless both
+    rows are ``ok`` (the grid checks of :func:`~twinvest.model.validate`:
+    the rates and the retention margin divide by the probabilities and
+    their gap); a model that fails only the stakes or the viability check
     passes."""
-    if any(failed for _, _, failed, _, _ in _assumption_checks(g, g.pi1 <= g.pi0)):
+    _, cost, pair = next(_tables(ModelBatch.single(model), model.grid(grid_points), None))
+    if not (cost["ok"] & pair["ok"])[0]:
         raise InvalidModelError(validate(model, grid_points))
+    return cost, pair
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +141,10 @@ def _rent(model, p):
 def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[float]]:
     """Whether the retention margin is negative at ``v = 0``, and its roots:
     the solve's retention mask, flips and bisection, without the rent."""
-    vs = model.grid(grid_points)
-    g = evaluate_grid(model, vs)
-    _check_grid(model, grid_points, g)
-    g = GridEval(vs, *(x[None] for x in g[1:]))
-    pair = pair_terms(model, g)
-    nonneg = retention_holds(model, g, pair)
-    roots = _bisect_flips(ModelBatch.single(model), vs, _flips(model, g, pair, nonneg, np.zeros(1, np.intp)))[2]
+    cost, pair = _single_tables(model, grid_points)
+    g, terms = GridEval(model.grid(grid_points), None, None, cost["value"]), (pair["gap"], pair["stake"])
+    nonneg = retention_holds(model, g, terms)
+    roots = _bisect_flips(ModelBatch.single(model), g.v, _flips(model, g, terms, nonneg, np.zeros(1, np.intp)))[2]
     return not nonneg[0, 0], roots.tolist()
 
 
@@ -227,13 +222,14 @@ def optimal_investment(
 ) -> InvestmentSolution:
     """Maximize the agent's rent over ``[0, v_max]``, respecting the deterrent.
 
-    The solve of :func:`solve_batch` on a batch of one; ``grid`` is the
-    model's ``grid_points``-point :func:`evaluate_grid` result when the
-    caller already holds it.  A model that fails validation on that grid
-    raises :class:`~twinvest.model.InvalidModelError`, carrying the
+    The solve of :func:`solve_batch_columns` on a batch of one, by the
+    route a sweep's cells take; ``grid`` is the model's
+    ``grid_points``-point :func:`~twinvest.model.evaluate_grid` result when
+    the caller already holds it.  A model that fails validation on that
+    grid raises :class:`~twinvest.model.InvalidModelError`, carrying the
     model's :func:`~twinvest.model.validate` report.
     """
-    sol = solve_batch(ModelBatch.single(model), grid_points, grid)[0]
+    sol = solve_batch_columns(ModelBatch.single(model), grid_points, grid).solutions(1)[0]
     if sol is None:
         raise InvalidModelError(validate(model, grid_points, grid))
     return sol
@@ -334,17 +330,6 @@ def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, opened, nonneg,
     return _GridPass(regime, u_star, i_star, j, us[rows, j]), _flips(model, p, pair, nonneg, opened)
 
 
-def solve_batch(
-    batch: ModelBatch,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid: GridEval | None = None,
-) -> list[InvestmentSolution | None]:
-    """:func:`optimal_investment` of every cell of ``batch``, solved
-    together (:func:`solve_batch_columns`); None for a cell that fails
-    :func:`~twinvest.model.validate`."""
-    return solve_batch_columns(batch, grid_points, grid).solutions(batch.size)
-
-
 def solve_batch_columns(
     batch: ModelBatch,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -352,17 +337,18 @@ def solve_batch_columns(
 ) -> BatchSolution:
     """The solve of every cell of ``batch`` that passes :func:`~twinvest.model.validate`.
 
-    The grid pass (:func:`_grid_passes`) goes through the batch one axis-1
-    value at a time.  It evaluates, validates and rates each primitive, and
-    the pair of pi0 and pi1, once per axis-2 value when axis 2 varies it
-    (else once), and again at each axis-1 value only when axis 1 varies it
-    (``grid``, the model's :func:`evaluate_grid`, stands in for a batch of
-    one).  Per cell it yields the rent and its argmax; the regime label and
-    the retention mask (:func:`~twinvest.model.retention_holds`) with the
-    margin's sign flips come from the tables' per-row extremes where those
-    decide them, and per cell elsewhere.  A valid cell is retained at
-    ``v = 0``, so it always has an optimum.  One bisection array search
-    finds every root, from
+    A single model is a batch of one and takes the same route.  The grid
+    pass (:func:`_grid_passes`) goes through the batch one axis-1 value at
+    a time.  It evaluates, validates and rates each primitive, and the pair
+    of pi0 and pi1, once per axis-2 value when axis 2 varies it (else
+    once), and again at each axis-1 value only when axis 1 varies it
+    (``grid``, the model's :func:`~twinvest.model.evaluate_grid`, stands in
+    for a batch of one).  Per cell it yields the rent and its argmax; the
+    regime label and the retention mask
+    (:func:`~twinvest.model.retention_holds`) with the margin's sign flips
+    come from the tables' per-row extremes where those decide them, and per
+    cell elsewhere.  A valid cell is retained at ``v = 0``, so it always
+    has an optimum.  One bisection array search finds every root, from
     which the displacement threshold and the feasible run's ends come: an
     end inside the grid moves to its flip's bisected end on the feasible
     side, so the optimum is feasible and never past the threshold.  One
@@ -401,37 +387,33 @@ def _nan_unless(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return list(arrays) if ok.all() else [np.where(ok[:, None], x, np.nan) for x in arrays]
 
 
-def _cost_table(vs: np.ndarray, ok: np.ndarray, value: np.ndarray, slope: np.ndarray, bounds: bool) -> dict:
+def _cost_table(vs: np.ndarray, ok: np.ndarray, value: np.ndarray, slope: np.ndarray) -> dict:
     """The cost table of a batch at one axis-1 value, from its rows' checks
     ``ok``, values and slopes (NaN on the rows that are not ok): ``value``
-    and its ``rate`` cost'/cost; with ``bounds``, also the extremes of each
-    row that :func:`_decided` reads: the rate's min and max and the cost's
-    max."""
+    and its ``rate`` cost'/cost, and the extremes of each row that
+    :func:`_decided` reads: the rate's min and max and the cost's max."""
     rate = _rate_cost(GridEval(vs, None, None, value, dcost=slope))
-    table = dict(ok=ok, value=value, rate=rate)
-    if bounds:
-        table.update(rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), high=value.max(axis=-1))
-    return table
+    return dict(
+        ok=ok, value=value, rate=rate, rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), high=value.max(axis=-1)
+    )
 
 
-def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict, bounds: bool) -> dict:
+def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict) -> dict:
     """The pair table of the pi0 and pi1 tables: ``pi-ordering`` (a pair
     fails with either of its primitives too), its ``rate`` Q'/(Q-1), Q''s
-    extremes and the :func:`~twinvest.model.pair_terms` ``gap`` and
-    ``stake`` of ``model``'s stakes; with ``bounds``, also the extremes of
-    each row that :func:`_decided` reads: the rate's min and max and the
-    min of the gap and of the stake."""
+    extremes, the :func:`~twinvest.model.pair_terms` ``gap`` and ``stake``
+    of ``model``'s stakes, and the extremes of each row that
+    :func:`_decided` reads: the rate's min and max and the min of the gap
+    and of the stake."""
     x0, x1 = t0["value"], t1["value"]
     ok = t0["ok"] & t1["ok"] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
     x0, x1, d0, d1 = _nan_unless(ok, x0, x1, t0["slope"], t1["slope"])
     rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
     gap, stake = pair_terms(model, GridEval(vs, x0, x1, None))
-    table = dict(ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake)
-    if bounds:
-        table.update(
-            rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), gap_low=gap.min(axis=-1), stake_low=stake.min(axis=-1)
-        )
-    return table
+    return dict(
+        ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake,
+        rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), gap_low=gap.min(axis=-1), stake_low=stake.min(axis=-1),
+    )
 
 
 def _tables(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
@@ -442,15 +424,14 @@ def _tables(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
     row per axis-2 value, or one row when no coefficient they read varies
     along axis 2; a table is built at the first axis-1 value, and again at
     each one after only when a coefficient it reads varies along axis 1
-    (``grid``, the model's :func:`evaluate_grid`, stands in for a batch of
-    one).  A table is a dict of arrays whose ``ok`` flags the rows that
-    pass the checks of :func:`~twinvest.model.validate` that read them
-    alone (the others are NaN); a primitive's has its ``value`` and
-    ``slope``, and the cost and pair tables are :func:`_cost_table` and
-    :func:`_pair_table`, with the extremes of :func:`_decided` unless the
-    batch is a single cell.
+    (``grid``, the model's :func:`~twinvest.model.evaluate_grid`, stands in
+    for a batch of one).  A table is a dict of arrays whose ``ok`` flags
+    the rows that pass the checks of :func:`~twinvest.model.validate` that
+    read them alone (the others are NaN); a primitive's has its ``value``
+    and ``slope``, and the cost and pair tables are :func:`_cost_table` and
+    :func:`_pair_table`.
     """
-    along_axis1, bounds, tables = batch.along_axis1, batch.size > 1, [None] * 3
+    along_axis1, tables = batch.along_axis1, [None] * 3
     for i in range(batch.shape[0]):
         ks = [k for k in range(3) if i == 0 or along_axis1[k]]
         g = evaluate_batch_grid(batch, vs, i, ks) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
@@ -458,9 +439,9 @@ def _tables(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
         for k in ks:
             ok = passed[PRIMITIVE_NAMES[k]]
             value, slope = _nan_unless(ok, g[1 + k], g[4 + k])
-            tables[k] = _cost_table(vs, ok, value, slope, bounds) if k == 2 else dict(ok=ok, value=value, slope=slope)
+            tables[k] = _cost_table(vs, ok, value, slope) if k == 2 else dict(ok=ok, value=value, slope=slope)
         if 0 in ks or 1 in ks:
-            pair = _pair_table(batch.base, vs, *tables[:2], bounds)
+            pair = _pair_table(batch.base, vs, *tables[:2])
         yield tables[0], tables[2], pair
 
 
@@ -498,26 +479,21 @@ def _decided(cost: dict, pair: dict) -> tuple[np.ndarray, np.ndarray]:
     return codes, retained
 
 
-#: What :func:`_grid_passes` takes as decided of a single cell: nothing.
-_UNDECIDED = np.full(1, -1), np.zeros(1, bool)
-
-
 def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
-    """The grid pass of :func:`solve_batch`: the valid cells, their
+    """The grid pass of :func:`solve_batch_columns`: the valid cells, their
     :class:`_GridPass` and their sign flips (indexing the valid cells), or
     None when no cell is valid.
 
     The batch is solved one axis-1 value at a time, from its tables
     (:func:`_tables`).  The per-row extremes of the tables decide, for all
     the cells of an axis-1 value at once (:func:`_decided`), most regime
-    labels and which cells are retained at every grid point.  Only the
-    cells they leave open get the per-cell rate difference of
+    labels and which cells are retained at every grid point; a single
+    model is a batch of one and is decided the same way.  Only the cells
+    they leave open get the per-cell rate difference of
     :func:`_regime_codes`, or the retention margin with its flips (a cell
-    whose margin holds at every point after all has none).  A single cell
-    leaves everything open: each table row serves that one cell, so its
-    extremes would cost more than the per-cell tests they spare.  The
-    viability check of :func:`~twinvest.model.validate` (retained at
-    ``v = 0``) reads an open cell's margin; a retained cell passes it.  The rent
+    whose margin holds at every point after all has none).  The viability
+    check of :func:`~twinvest.model.validate` (retained at ``v = 0``) reads
+    an open cell's margin; a retained cell passes it.  The rent
     and its argmax are per cell, in blocks of at most :data:`_BLOCK_CELLS`
     axis-2 values, which read slices of the tables; a one-row table's row
     broadcasts in the arithmetic (a sweep's axis 2 varies some table, so
@@ -536,8 +512,7 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
 
     solved, passes, flips, count = [], [], [], 0
     for i, (pi0, cost, pair) in enumerate(_tables(batch, vs, grid)):
-        decided = _decided(cost, pair) if batch.size > 1 else _UNDECIDED
-        codes, retained, dq_low, dq_high = map(cells_of, (*decided, pair["dq_low"], pair["dq_high"]))
+        codes, retained, dq_low, dq_high = map(cells_of, (*_decided(cost, pair), pair["dq_low"], pair["dq_high"]))
         ok = cells_of(cost["ok"] & pair["ok"]) & (base.s_high > base.s_low)
         for lo in range(0, n2, _BLOCK_CELLS):
             rows = lo + np.flatnonzero(ok[lo:lo + _BLOCK_CELLS])

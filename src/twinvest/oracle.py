@@ -641,8 +641,14 @@ def run_certification(
     enumeration stays at its own resolution because the contract tolerance
     is tied to it.  A run enumerates the payments of each ``(model, v)``
     once: the contract report and both two-period traces of a model share
-    an enumeration at the same investment.
+    an enumeration at the same investment.  A step that is not positive
+    and finite, or a negative ``n_models``, raises :class:`DomainError`.
     """
+    if oracle_step is not None:
+        _check_step("oracle_step", oracle_step)
+    if n_models < 0:
+        raise DomainError(f"n_models must be >= 0, got {n_models}")
+    steps = (1e-4, 1e-3, 1e-4) if oracle_step is None else (oracle_step,) * 3
     fixtures = [("f1", f1()), ("f2", f2()), ("f3", f3()), ("f4", f4())]
 
     contract_cases = [
@@ -669,10 +675,10 @@ def run_certification(
     try:
         return [
             certify_contract(contract_cases),
-            certify_investment(fixtures + randoms, step=oracle_step or 1e-4),
-            certify_regimes(randoms, step=oracle_step or 1e-3),
+            certify_investment(fixtures + randoms, step=steps[0]),
+            certify_regimes(randoms, step=steps[1]),
             certify_two_period([("f1", f1()), ("f2", f2())] + two_period_random),
-            certify_continuous(continuous_cases, step=oracle_step or 1e-4, seed=seed + 3),
+            certify_continuous(continuous_cases, step=steps[2], seed=seed + 3),
         ]
     finally:
         _ENUMERATED.reset(enumerated)

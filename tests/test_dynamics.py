@@ -299,6 +299,11 @@ class TestRehireCycles:
         assert len(trace.records) == 1
         assert trace.records[0].employed
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_is_named(self, horizon):
+        with pytest.raises(DomainError, match=f"horizon must be >= 1, got {horizon}"):
+            simulate_cycles(f2(), 0.9, horizon)
+
     @pytest.mark.parametrize("model, alpha", [(f1, 0.8), (f2, 0.99)])
     def test_primitives_evaluated_once_per_trace(self, count_calls, model, alpha):
         # every employed period repeats one record; only twin periods differ

@@ -103,6 +103,25 @@ class TestClassifyRegime:
         assert exc.value.report == validate(model)
         assert exc.value.report.violation.condition == "pi-ordering"
 
+    @pytest.mark.parametrize(
+        "model, condition, expected",
+        [
+            (dataclasses.replace(f3(), s_high=f3().s_low), "stakes-ordering", (RegimeLabel.INTERIOR, 0.0, [])),
+            (
+                dataclasses.replace(f1(), s_high=0.2), "baseline-contracting-viability",
+                (RegimeLabel.MAX_INVESTMENT, 0.0, []),
+            ),
+        ],
+    )
+    def test_stakes_or_viability_failure_is_answered(self, model, condition, expected):
+        # only a failed grid check raises: the stakes and the viability at
+        # v = 0 enter no rate, and the margin is defined on a valid grid
+        assert validate(model).violation.condition == condition
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classify_regime(model), displacement_threshold(model), deterrent_sign_change_roots(model)
+        assert got == expected
+
 
 #: Slopes on and around the regime tests' edges, NaN and infinities.
 SLOPES = (-1.0, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 1.0, math.nan, math.inf, -math.inf)
@@ -171,10 +190,10 @@ def bounded_blocks(draw):
     model = ModelPrimitives(F.constant(0.25), F.constant(0.5), F.constant(0.1), 1.0, 1.0, 0.0)
     vs = np.linspace(0.0, 1.0, size)
     with np.errstate(all="ignore"):
-        cost_table = twinvest.investment._cost_table(vs, cost_ok, cost, dcost, True)
+        cost_table = twinvest.investment._cost_table(vs, cost_ok, cost, dcost)
         t0 = dict(ok=np.ones(k_pair, bool), value=pi0, slope=dpi0)
         t1 = dict(ok=pi1_ok, value=pi1, slope=dpi1)
-        pair_table = twinvest.investment._pair_table(model, vs, t0, t1, True)
+        pair_table = twinvest.investment._pair_table(model, vs, t0, t1)
     cells = lambda x: np.broadcast_to(x, (n, size))  # noqa: E731 - a row per cell
     return cost_table, pair_table, GridEval(vs, *map(cells, (pi0, pi1, cost, dpi0, dpi1, dcost)))
 
@@ -220,9 +239,9 @@ class TestDecidedFromBounds:
         pi0, pi1 = np.full((4, 3), 0.25), np.full((4, 3), 0.5)
         model = ModelPrimitives(F.constant(0.25), F.constant(0.5), F.constant(0.1), 1.0, 1.0, 0.0)
         ok = np.ones(4, bool)
-        cost_table = twinvest.investment._cost_table(vs, ok, cost, dcost, True)
+        cost_table = twinvest.investment._cost_table(vs, ok, cost, dcost)
         t0, t1 = dict(ok=ok, value=pi0, slope=0.0 * pi0), dict(ok=ok, value=pi1, slope=dpi1)
-        pair_table = twinvest.investment._pair_table(model, vs, t0, t1, True)
+        pair_table = twinvest.investment._pair_table(model, vs, t0, t1)
         codes, retained = twinvest.investment._decided(cost_table, pair_table)
         assert codes.tolist() == [0, 1, 3, -1]
         assert retained.tolist() == [True, True, True, False]

@@ -20,7 +20,7 @@ from twinvest.model import (
     evaluate_grid,
     validate,
 )
-from twinvest.investment import solve_batch
+from twinvest.investment import solve_batch_columns
 
 
 class TestEvaluate:
@@ -129,7 +129,7 @@ class TestValidate:
         assert (report.violation.condition, report.violation.v) == ("finite-evaluation", good.v[7])
         assert report.violation.detail.startswith(field.lstrip("d") + " ")
         single = ModelBatch.single(model)
-        flags = [solve_batch(single, 11, grid) != [None] for grid in (good, broken, good)]
+        flags = [solve_batch_columns(single, 11, grid).solutions(1) != [None] for grid in (good, broken, good)]
         assert flags == [True, False, True]
 
     @pytest.mark.parametrize(
@@ -193,7 +193,7 @@ def edge_cells_agree(cells, grid_points=101):
     :data:`EDGES` each) against their own reports; return the reports."""
     base = edge_base()
     batch = ModelBatch.sweep(base, {key: [cell[k] for cell in cells] for k, key in enumerate(EDGES)})
-    flags = [sol is not None for sol in solve_batch(batch, grid_points)]
+    flags = [sol is not None for sol in solve_batch_columns(batch, grid_points).solutions(batch.size)]
     reports = []
     for cell in cells:
         model = base
@@ -283,7 +283,7 @@ def test_every_evaluation_route_gives_the_same_bits(model):
 
 
 class TestBatchValidity:
-    """A cell of a batch is solved (:func:`~twinvest.investment.solve_batch`)
+    """A cell of a batch is solved (:func:`~twinvest.investment.solve_batch_columns`)
     exactly when its own :func:`validate` report passes."""
 
     def test_every_edge_combination(self):

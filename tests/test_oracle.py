@@ -415,6 +415,17 @@ def test_run_certification_fixtures_only():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+def test_run_certification_rejects_bad_step(step):
+    with pytest.raises(DomainError, match="oracle_step"):
+        run_certification(seed=5, n_models=0, oracle_step=step)
+
+
+def test_run_certification_rejects_negative_model_count():
+    with pytest.raises(DomainError, match="n_models"):
+        run_certification(seed=5, n_models=-1)
+
+
 def test_run_certification_enumerates_each_contract_once(monkeypatch):
     # the contract report and both two-period traces of f1 and f2 meet
     # again at v_max; a run enumerates each (model, v, payment_step) once

@@ -11,7 +11,7 @@ from twinvest import cli
 from twinvest.config import load_model_file
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3
-from twinvest.investment import InvestmentSolution, optimal_investment, solve_batch
+from twinvest.investment import InvestmentSolution, optimal_investment, solve_batch_columns
 from twinvest.contracts import retention_holds
 from twinvest.model import ModelBatch, ModelPrimitives, evaluate_grid, validate
 from twinvest.oracle import brute_force_investment
@@ -174,7 +174,8 @@ class TestBatchIndependence:
         regime_map = regime_sweep(base, axis1, axis2)
         columns = {(axis1.target, axis1.coefficient): [c.param1 for c in regime_map.cells]}
         columns[(axis2.target, axis2.coefficient)] = [c.param2 for c in regime_map.cells]
-        batch = solve_batch(ModelBatch.sweep(base, columns))
+        sweep = ModelBatch.sweep(base, columns)
+        batch = solve_batch_columns(sweep).solutions(sweep.size)
         for cell, sol in zip(regime_map.cells, batch):
             model = cell_model(base, axis1, axis2, cell.param1, cell.param2)
             if not validate(model).passed:
@@ -233,17 +234,19 @@ class TestBatchIndependence:
     def test_near_tie_cell_solves_with_its_neighbours(self):
         # the middle cell's retention margin is -2.6e-14 at the grid point 0.6
         costs = np.array([0.2, 0.22150000000001, 0.19])
-        batch = solve_batch(ModelBatch.sweep(f2(), {("cost", 0): costs}))
+        sweep = ModelBatch.sweep(f2(), {("cost", 0): costs})
+        batch = solve_batch_columns(sweep).solutions(sweep.size)
         for cost, sol in zip(costs.tolist(), batch):
             assert sol == optimal_investment(f2().with_coefficient("cost", 0, cost))
 
     def test_given_grid_only_stands_in_for_a_batch_of_one(self):
         base = f3()
         grid = evaluate_grid(base, base.grid(101))
-        assert solve_batch(ModelBatch.single(base), 101, grid) == [optimal_investment(base, 101)]
+        single = ModelBatch.single(base)
+        assert solve_batch_columns(single, 101, grid).solutions(single.size) == [optimal_investment(base, 101)]
         batch = ModelBatch.sweep(base, {("cost", 1): [0.5, 1.0]})
         with pytest.raises(ValueError, match="batch of one"):
-            solve_batch(batch, 101, grid)
+            solve_batch_columns(batch, 101, grid)
 
 
 def per_cell_csv(regime_map) -> str:
