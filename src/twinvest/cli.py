@@ -27,14 +27,7 @@ from .contracts import checked_information_rent, incentive_wage, retention_margi
 from .continuous import validate_continuous
 from .dynamics import AgentKind, sample_outcomes, simulate_cycles, simulate_two_period
 from .investment import optimal_investment
-from .model import (
-    DEFAULT_GRID_POINTS,
-    GridEval,
-    InvalidModelError,
-    ModelPrimitives,
-    evaluate_grid,
-    validate,
-)
+from .model import DEFAULT_GRID_POINTS, InvalidModelError, ModelPrimitives, evaluate_grid, validate
 from .oracle import run_certification
 from .report import format_bool, format_number, format_rows
 from .sweep import SweepAxisError, regime_sweep
@@ -171,9 +164,10 @@ def cmd_validate(args) -> int:
     return status
 
 
-def _solve_grid_csv(model: ModelPrimitives, g: GridEval) -> str:
-    """Per-grid-point table from the solve's grid evaluation, same values as
-    the scalar ``surpluses``, ``optimal_contract`` and retention margin."""
+def _solve_grid_csv(model: ModelPrimitives, grid_points: int) -> str:
+    """Per-grid-point table on the solve's grid, same values as the scalar
+    ``surpluses``, ``optimal_contract`` and retention margin."""
+    g = evaluate_grid(model, model.grid(grid_points))
     u_gap = checked_information_rent(g)
     columns = (g.v, u_gap, incentive_wage(g), g.pi1 / g.pi0, retention_margin(model, g))
     return "v,agent_surplus,t_bar,outcome_separability,deterrent_margin\n" + format_rows(columns)
@@ -183,8 +177,7 @@ def cmd_solve(args) -> int:
     mf = _load(args)
     model = _discrete(mf)
     grid_points = _grid_size(args)
-    grid = evaluate_grid(model, model.grid(grid_points))
-    sol = optimal_investment(model, grid_points, grid=grid)
+    sol = optimal_investment(model, grid_points)
     print(f"regime={sol.regime.value}")
     print("feasible=true")  # a valid model is retained at v = 0
     breakdown = surpluses(model, sol.v_opt)
@@ -198,7 +191,7 @@ def cmd_solve(args) -> int:
     print(f"total_surplus={format_number(breakdown.total_surplus)}")
     print(f"deterrent_binding={format_bool(sol.deterrent_binding)}")
     if args.out:
-        _write(args.out, _solve_grid_csv(model, grid))
+        _write(args.out, _solve_grid_csv(model, grid_points))
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import io
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -274,6 +275,14 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_horizon(horizon: int) -> int:
+    """``horizon`` as an int; a float, even a whole one, raises DomainError."""
+    try:
+        return operator.index(horizon)
+    except TypeError:
+        raise DomainError(f"horizon must be an integer, got {horizon!r}") from None
+
+
 def _rehire_surplus(model: ModelPrimitives, p: GridEval) -> float:
     """Principal surplus from employing the agent at full training, whose
     primitives ``p`` holds, under the optimal contract."""
@@ -312,8 +321,11 @@ def rehire_cycle_length(
     horizon.  A chunk's abilities come from ``np.multiply.accumulate``, a
     left fold with the bits of ``ability *= alpha`` repeated, so the result
     is the same as testing each ``n`` in turn with scalar arithmetic.
+    Raises :class:`~twinvest.model.DomainError` on ``alpha`` outside
+    ``(0, 1)`` or a ``horizon`` that is not an integer.
     """
-    return _rehire_after(model, _check_alpha(alpha), _full_training(model), horizon)
+    alpha, horizon = _check_alpha(alpha), _check_horizon(horizon)
+    return _rehire_after(model, alpha, _full_training(model), horizon)
 
 
 def _rehire_after(model: ModelPrimitives, alpha: float, play: _FullTraining, horizon: int) -> int | None:
@@ -321,7 +333,6 @@ def _rehire_after(model: ModelPrimitives, alpha: float, play: _FullTraining, hor
     if play.retained:
         return None
     rehire = _rehire_surplus(model, play.point)
-    horizon = int(horizon)
     ability, done, size = model.v_max, 0, 16
     while done < horizon:
         size = min(size, horizon - done)
@@ -348,10 +359,11 @@ def simulate_cycles(
     still retrains the twin.  Without displacement the agent is simply
     employed every period.  Raises :class:`~twinvest.model.InvalidModelError`
     on a model that fails validation, and :class:`~twinvest.model.DomainError`
-    on ``alpha`` outside ``(0, 1)`` or a ``horizon`` below 1.
+    on ``alpha`` outside ``(0, 1)`` or a ``horizon`` that is not an integer
+    of at least 1.
     """
     _check_valid(model)
-    alpha = _check_alpha(alpha)
+    alpha, horizon = _check_alpha(alpha), _check_horizon(horizon)
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
 

@@ -110,7 +110,7 @@ def _single_tables(model: ModelPrimitives, grid_points: int) -> tuple[dict, dict
     the rates and the retention margin divide by the probabilities and
     their gap); a model that fails only the stakes or the viability check
     passes."""
-    _, cost, pair = next(_tables(ModelBatch.single(model), model.grid(grid_points), None))
+    _, cost, pair = next(_tables(ModelBatch.single(model), model.grid(grid_points)))
     if not (cost["ok"] & pair["ok"])[0]:
         raise InvalidModelError(validate(model, grid_points))
     return cost, pair
@@ -215,23 +215,17 @@ class InvestmentSolution:
     deterrent_roots: tuple[float, ...] = ()
 
 
-def optimal_investment(
-    model: ModelPrimitives,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid: GridEval | None = None,
-) -> InvestmentSolution:
+def optimal_investment(model: ModelPrimitives, grid_points: int = DEFAULT_GRID_POINTS) -> InvestmentSolution:
     """Maximize the agent's rent over ``[0, v_max]``, respecting the deterrent.
 
     The solve of :func:`solve_batch_columns` on a batch of one, by the
-    route a sweep's cells take; ``grid`` is the model's
-    ``grid_points``-point :func:`~twinvest.model.evaluate_grid` result when
-    the caller already holds it.  A model that fails validation on that
-    grid raises :class:`~twinvest.model.InvalidModelError`, carrying the
-    model's :func:`~twinvest.model.validate` report.
+    route a sweep's cells take.  A model that fails validation raises
+    :class:`~twinvest.model.InvalidModelError`, carrying its
+    :func:`~twinvest.model.validate` report.
     """
-    sol = solve_batch_columns(ModelBatch.single(model), grid_points, grid).solutions(1)[0]
+    sol = solve_batch_columns(ModelBatch.single(model), grid_points).solutions(1)[0]
     if sol is None:
-        raise InvalidModelError(validate(model, grid_points, grid))
+        raise InvalidModelError(validate(model, grid_points))
     return sol
 
 
@@ -330,42 +324,33 @@ def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, opened, nonneg,
     return _GridPass(regime, u_star, i_star, j, us[rows, j]), _flips(model, p, pair, nonneg, opened)
 
 
-def solve_batch_columns(
-    batch: ModelBatch,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid: GridEval | None = None,
-) -> BatchSolution:
+def solve_batch_columns(batch: ModelBatch, grid_points: int = DEFAULT_GRID_POINTS) -> BatchSolution:
     """The solve of every cell of ``batch`` that passes :func:`~twinvest.model.validate`.
 
     A single model is a batch of one and takes the same route.  The grid
-    pass (:func:`_grid_passes`) goes through the batch one axis-1 value at
-    a time.  It evaluates, validates and rates each primitive, and the pair
-    of pi0 and pi1, once per axis-2 value when axis 2 varies it (else
-    once), and again at each axis-1 value only when axis 1 varies it
-    (``grid``, the model's :func:`~twinvest.model.evaluate_grid`, stands in
-    for a batch of one).  Per cell it yields the rent and its argmax; the
-    regime label and the retention mask
+    pass (:func:`_grid_passes`) goes through the batch one axis-1 value at a
+    time.  It evaluates, validates and rates each primitive, and the pair of
+    pi0 and pi1, once per axis-2 value when axis 2 varies it (else once),
+    and again at each axis-1 value only when axis 1 varies it.  Per cell it
+    yields the rent and its argmax; the regime label and the retention mask
     (:func:`~twinvest.model.retention_holds`) with the margin's sign flips
     come from the tables' per-row extremes where those decide them, and per
-    cell elsewhere.  A valid cell is retained at ``v = 0``, so it always
-    has an optimum.  One bisection array search finds every root, from
-    which the displacement threshold and the feasible run's ends come: an
-    end inside the grid moves to its flip's bisected end on the feasible
-    side, so the optimum is feasible and never past the threshold.  One
-    golden-section array search (:func:`~twinvest.optimize.refine_max`)
-    refines the unconstrained argmax in its neighbour bracket and the best
-    feasible grid point in its run, each seeded with its grid point; ties
-    break toward smaller ``v``.  The array searches step only the brackets
-    still open, on objectives narrowed to their cells.  One evaluation of
-    the retention rule and the principal's payoff then checks and prices
-    both optima.  A single model's few brackets run one by one, through the
-    same searches on floats.  Each cell's result is exactly the one it gets
-    alone.
+    cell elsewhere.  A valid cell is retained at ``v = 0``, so it always has
+    an optimum.  One bisection array search finds every root, from which the
+    displacement threshold and the feasible run's ends come: an end inside
+    the grid moves to its flip's bisected end on the feasible side, so the
+    optimum is feasible and never past the threshold.  One golden-section
+    array search (:func:`~twinvest.optimize.refine_max`) refines the
+    unconstrained argmax in its neighbour bracket and the best feasible grid
+    point in its run, each seeded with its grid point; ties break toward
+    smaller ``v``.  The array searches step only the brackets still open, on
+    objectives narrowed to their cells.  One evaluation of the retention
+    rule and the principal's payoff then checks and prices both optima.  A
+    single model's few brackets run one by one, through the same searches on
+    floats.  Each cell's result is exactly the one it gets alone.
     """
-    if grid is not None and batch.size != 1:
-        raise ValueError(f"grid stands in for a batch of one, got {batch.size} cells")
-    vs = batch.base.grid(grid_points) if grid is None else grid.v
-    solved = _grid_passes(batch, vs, grid)
+    vs = batch.base.grid(grid_points)
+    solved = _grid_passes(batch, vs)
     if solved is None:
         return _NO_CELLS
     cells, p, flips = solved
@@ -416,25 +401,23 @@ def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict) -> d
     )
 
 
-def _tables(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
+def _tables(batch: ModelBatch, vs: np.ndarray):
     """The tables of ``batch`` on the grid ``vs`` at each axis-1 value:
     ``(pi0, cost, pair)``.
 
     Four tables, pi0, pi1, cost and the pair of pi0 and pi1, each hold one
     row per axis-2 value, or one row when no coefficient they read varies
     along axis 2; a table is built at the first axis-1 value, and again at
-    each one after only when a coefficient it reads varies along axis 1
-    (``grid``, the model's :func:`~twinvest.model.evaluate_grid`, stands in
-    for a batch of one).  A table is a dict of arrays whose ``ok`` flags
-    the rows that pass the checks of :func:`~twinvest.model.validate` that
-    read them alone (the others are NaN); a primitive's has its ``value``
-    and ``slope``, and the cost and pair tables are :func:`_cost_table` and
-    :func:`_pair_table`.
+    each one after only when a coefficient it reads varies along axis 1.
+    A table is a dict of arrays whose ``ok`` flags the rows that pass the
+    checks of :func:`~twinvest.model.validate` that read them alone (the
+    others are NaN); a primitive's has its ``value`` and ``slope``, and the
+    cost and pair tables are :func:`_cost_table` and :func:`_pair_table`.
     """
     along_axis1, tables = batch.along_axis1, [None] * 3
     for i in range(batch.shape[0]):
         ks = [k for k in range(3) if i == 0 or along_axis1[k]]
-        g = evaluate_batch_grid(batch, vs, i, ks) if grid is None else GridEval(vs, *(x[None] for x in grid[1:]))
+        g = evaluate_batch_grid(batch, vs, i, ks)
         passed = row_passes(g)
         for k in ks:
             ok = passed[PRIMITIVE_NAMES[k]]
@@ -479,7 +462,7 @@ def _decided(cost: dict, pair: dict) -> tuple[np.ndarray, np.ndarray]:
     return codes, retained
 
 
-def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
+def _grid_passes(batch: ModelBatch, vs: np.ndarray):
     """The grid pass of :func:`solve_batch_columns`: the valid cells, their
     :class:`_GridPass` and their sign flips (indexing the valid cells), or
     None when no cell is valid.
@@ -511,7 +494,7 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray, grid: GridEval | None):
         return x[rows[0]:rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else x[rows]
 
     solved, passes, flips, count = [], [], [], 0
-    for i, (pi0, cost, pair) in enumerate(_tables(batch, vs, grid)):
+    for i, (pi0, cost, pair) in enumerate(_tables(batch, vs)):
         codes, retained, dq_low, dq_high = map(cells_of, (*_decided(cost, pair), pair["dq_low"], pair["dq_high"]))
         ok = cells_of(cost["ok"] & pair["ok"]) & (base.s_high > base.s_low)
         for lo in range(0, n2, _BLOCK_CELLS):

@@ -304,6 +304,15 @@ class TestRehireCycles:
         with pytest.raises(DomainError, match=f"horizon must be >= 1, got {horizon}"):
             simulate_cycles(f2(), 0.9, horizon)
 
+    @pytest.mark.parametrize("horizon", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", [simulate_cycles, rehire_cycle_length])
+    def test_horizon_that_is_not_an_integer_is_named(self, entry, horizon):
+        # a retained and a displaced model, refused before any loop: an
+        # infinite horizon would never run out
+        for model in (f1(), f2()):
+            with pytest.raises(DomainError, match=f"horizon must be an integer, got {horizon}"):
+                entry(model, 0.9, horizon)
+
     @pytest.mark.parametrize("model, alpha", [(f1, 0.8), (f2, 0.99)])
     def test_primitives_evaluated_once_per_trace(self, count_calls, model, alpha):
         # every employed period repeats one record; only twin periods differ

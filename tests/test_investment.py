@@ -341,9 +341,8 @@ class TestOptimalInvestment:
     def test_invalid_model_report_uses_the_solve_grid(self):
         # the report is validate's on the grid the solve was given
         model = dataclasses.replace(f1(), pi1=F.affine(0.5, 0.0))
-        grid = evaluate_grid(model, model.grid(11))
         with pytest.raises(InvalidModelError) as raised:
-            optimal_investment(model, 11, grid=grid)
+            optimal_investment(model, 11)
         assert raised.value.report == validate(model, 11)
         assert raised.value.report.grid_points == 11
 
@@ -368,11 +367,6 @@ class TestOptimalInvestment:
             calls.clear()
             sol = optimal_investment(model)
             assert len(calls) == len(sol.deterrent_roots)
-
-    def test_caller_grid_gives_the_same_solution(self):
-        for model in exactness_models()[:20]:
-            grid = evaluate_grid(model, model.grid(301))
-            assert optimal_investment(model, 301, grid=grid) == optimal_investment(model, 301)
 
     def test_binding_solution_respects_constraint_and_order(self):
         from twinvest.model import evaluate

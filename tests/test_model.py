@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import twinvest.investment
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.model import (
@@ -118,9 +119,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("field", GridEval._fields[1:])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_point_named_where_it_is(self, field, bad):
-        # a single model's report, and a block of cells holding it between
-        # two good rows
+    def test_non_finite_point_named_where_it_is(self, field, bad, monkeypatch):
+        # a single model's report, and its solve when the grid pass reads
+        # the broken row between two good ones
         model = f1()
         good = evaluate_grid(model, model.grid(11))
         broken = good._replace(**{field: getattr(good, field).copy()})
@@ -128,8 +129,11 @@ class TestValidate:
         report = validate(model, 11, grid=broken)
         assert (report.violation.condition, report.violation.v) == ("finite-evaluation", good.v[7])
         assert report.violation.detail.startswith(field.lstrip("d") + " ")
-        single = ModelBatch.single(model)
-        flags = [solve_batch_columns(single, 11, grid).solutions(1) != [None] for grid in (good, broken, good)]
+        single, flags = ModelBatch.single(model), []
+        for grid in (good, broken, good):
+            rows = GridEval(grid.v, *(x[None] for x in grid[1:]))
+            monkeypatch.setattr(twinvest.investment, "evaluate_batch_grid", lambda *args, rows=rows: rows)
+            flags.append(solve_batch_columns(single, 11).solutions(1) != [None])
         assert flags == [True, False, True]
 
     @pytest.mark.parametrize(

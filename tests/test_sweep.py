@@ -239,15 +239,6 @@ class TestBatchIndependence:
         for cost, sol in zip(costs.tolist(), batch):
             assert sol == optimal_investment(f2().with_coefficient("cost", 0, cost))
 
-    def test_given_grid_only_stands_in_for_a_batch_of_one(self):
-        base = f3()
-        grid = evaluate_grid(base, base.grid(101))
-        single = ModelBatch.single(base)
-        assert solve_batch_columns(single, 101, grid).solutions(single.size) == [optimal_investment(base, 101)]
-        batch = ModelBatch.sweep(base, {("cost", 1): [0.5, 1.0]})
-        with pytest.raises(ValueError, match="batch of one"):
-            solve_batch_columns(batch, 101, grid)
-
 
 def per_cell_csv(regime_map) -> str:
     """The map's CSV written cell by cell from ``RegimeMap.cells``: the
@@ -279,7 +270,7 @@ def decided_cells(base, axis1, axis2):
     }
     batch = ModelBatch.sweep(base, columns)
     n2, codes, retained = batch.shape[1], [], []
-    for _, cost, pair in twinvest.investment._tables(batch, base.grid(), None):
+    for _, cost, pair in twinvest.investment._tables(batch, base.grid()):
         decided = twinvest.investment._decided(cost, pair)
         codes.extend(np.broadcast_to(decided[0], n2).tolist())
         retained.extend(np.broadcast_to(decided[1], n2).tolist())
