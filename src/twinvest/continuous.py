@@ -23,7 +23,7 @@ import numpy as np
 
 from .contracts import Contract, employed_agent_payoff, employed_principal_payoff
 from .families import ParametricFamily
-from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, Violation
+from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, Violation, check_grid_points
 from .optimize import refine_max
 
 
@@ -58,9 +58,7 @@ class ContinuousEffortModel:
         return e
 
     def grid(self, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-        if grid_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {grid_points}")
-        return np.linspace(self.e_min, self.e_max, int(grid_points))
+        return np.linspace(self.e_min, self.e_max, check_grid_points(grid_points))
 
 
 def validate_continuous(

@@ -245,8 +245,12 @@ def simulate_two_period(
     strategic path freezes the single-period deterrent-respecting optimum
     and repeats it; that agent is never displaced.  Both paths raise
     :class:`~twinvest.model.InvalidModelError` on a model that fails
-    validation (the strategic one in its solve).
+    validation (the strategic one in its solve), and
+    :class:`~twinvest.model.DomainError` on an ``agent`` that is not an
+    :class:`AgentKind`.
     """
+    if not isinstance(agent, AgentKind):
+        raise DomainError(f"agent must be an AgentKind, got {agent!r}")
     if agent is AgentKind.MYOPIC:
         _check_valid(model)
         play = _full_training(model)

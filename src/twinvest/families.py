@@ -15,8 +15,6 @@ slope comparison, so the only tolerances in the solvers are optimization
 tolerances.  ``value``/``derivative``/``second_derivative`` accept floats or
 numpy arrays and broadcast like ufuncs; ``value`` and ``derivative`` are
 :func:`family_formula`, which also takes per-cell coefficient columns.
-Every evaluation of a model's primitives with their slopes (one point, a
-grid or a block of cells) takes both at once from :func:`family_value_slope`.
 
 A power family with ``gamma < 1`` has an unbounded derivative at 0; it is
 legal here (the continuous-effort model evaluates it only on an interval
@@ -54,12 +52,28 @@ def _power_slope(c, v):
         return c[1] * c[2] * np.power(v, c[2] - 1.0)
 
 
-#: Each kind's value and slope formulas, functions of ``(c, v)``.
+def _power_curvature(c, v):
+    # gamma = 1 is affine: no 0 * inf at v = 0
+    if c[2] == 1.0:
+        return _const_like(v, 0.0)
+    with np.errstate(divide="ignore"):
+        return c[1] * c[2] * (c[2] - 1.0) * np.power(v, c[2] - 2.0)
+
+
+def _zero(c, v):
+    return _const_like(v, 0.0)
+
+
+#: Each kind's value, slope and curvature formulas, functions of ``(c, v)``.
 _FORMULAS = {
-    AFFINE: (lambda c, v: c[0] + c[1] * v, lambda c, v: _const_like(v, c[1])),
-    EXPONENTIAL_DECAY: (lambda c, v: c[0] * np.exp(-c[1] * v), lambda c, v: -c[1] * c[0] * np.exp(-c[1] * v)),
-    POWER: (lambda c, v: c[0] + c[1] * np.power(v, c[2]), _power_slope),
-    CONSTANT: (lambda c, v: _const_like(v, c[0]), lambda c, v: _const_like(v, 0.0)),
+    AFFINE: (lambda c, v: c[0] + c[1] * v, lambda c, v: _const_like(v, c[1]), _zero),
+    EXPONENTIAL_DECAY: (
+        lambda c, v: c[0] * np.exp(-c[1] * v),
+        lambda c, v: -c[1] * c[0] * np.exp(-c[1] * v),
+        lambda c, v: c[1] * c[1] * c[0] * np.exp(-c[1] * v),
+    ),
+    POWER: (lambda c, v: c[0] + c[1] * np.power(v, c[2]), _power_slope, _power_curvature),
+    CONSTANT: (lambda c, v: _const_like(v, c[0]), _zero, _zero),
 }
 
 
@@ -86,18 +100,8 @@ def family_function(kind: str, c):
 
 def family_value_slope(kind: str, c, v: np.ndarray):
     """:func:`family_formula` of the ``kind`` family at ``v`` (a float, a
-    grid or a block), value and slope.
-
-    An exponential decay's value ``a*exp(-kappa*v)`` and slope
-    ``-kappa*a*exp(-kappa*v)`` are each a scale times ``exp(-kappa*v)``.
-    The scale is the formula at ``v = 0`` (times ``exp(-0.0)``, exactly 1)
-    and the exponential is the unit-scale decay (times exactly 1), so the
-    two share one ``np.exp`` and keep the bits of two calls.
-    """
-    if kind != EXPONENTIAL_DECAY:
-        return family_formula(kind, c, v), family_formula(kind, c, v, True)
-    decay = family_formula(kind, (1.0, c[1]), v)
-    return tuple(family_formula(kind, c, 0.0, derivative) * decay for derivative in (False, True))
+    grid or a block), value and slope."""
+    return family_formula(kind, c, v), family_formula(kind, c, v, True)
 
 
 @dataclass(frozen=True)
@@ -157,16 +161,7 @@ class ParametricFamily:
         return family_formula(self.kind, self.coefficients, v, True)
 
     def second_derivative(self, v):
-        c = self.coefficients
-        if self.kind == EXPONENTIAL_DECAY:
-            return c[1] * c[1] * c[0] * np.exp(-c[1] * v)
-        if self.kind == POWER:
-            gamma = c[2]
-            if gamma == 1.0:
-                return _const_like(v, 0.0)
-            with np.errstate(divide="ignore"):
-                return c[1] * gamma * (gamma - 1.0) * np.power(v, gamma - 2.0)
-        return _const_like(v, 0.0)
+        return _FORMULAS[self.kind][2](self.coefficients, v)
 
     def with_coefficient(self, index: int, value: float) -> "ParametricFamily":
         """Return a copy with one coefficient replaced (used by sweeps)."""

@@ -98,9 +98,15 @@ class ModelPrimitives:
         return v
 
     def grid(self, grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-        if grid_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {grid_points}")
-        return np.linspace(0.0, self.v_max, int(grid_points))
+        return np.linspace(0.0, self.v_max, check_grid_points(grid_points))
+
+
+def check_grid_points(grid_points: int) -> int:
+    """``grid_points`` as an int of at least 2, else :class:`DomainError` (a whole float too)."""
+    n = operator.index(grid_points) if hasattr(grid_points, "__index__") else 0
+    if n < 2:
+        raise DomainError(f"grid needs at least 2 points, got {grid_points!r}")
+    return n
 
 
 def _families(model: ModelPrimitives) -> tuple[tuple[str, tuple], ...]:
@@ -344,59 +350,41 @@ class ValidationReport:
 
 
 def _assumption_checks(g: GridEval, ordering=None):
-    """``(condition, table, failed, bad, detail)`` for each grid check of
+    """``(condition, table, bad, detail)`` for each grid check of
     :func:`validate`, in the order it checks them, on the primitives whose
     fields ``g`` holds (not None); ``pi-ordering`` reads ``ordering``, which
     is ``pi1 <= pi0`` point by point (no subtraction of non-finite values),
     and is skipped without it.  ``table`` is what a check reads, a
-    primitive or the ``"pair"``; ``failed`` says whether it fails, per row
-    (a cell, or a row of a batch's table); ``bad()`` is its mask of bad
-    points, for naming the first one.
-
-    ``failed`` comes from each array's min and max over the grid.  Both are
-    finite exactly when every value is, since either is NaN when a value
-    is.  On finite values a one-sided bound fails somewhere exactly when it
-    fails at the extremum on its side.  The finiteness checks come first,
-    so the bounds only decide finite grids.  ``pi-ordering`` compares two
-    arrays and stays element-wise.
+    primitive or the ``"pair"``; ``bad`` is its mask of failing points.
     """
     fields = {f: x for f, x in zip(GridEval._fields[1:], g[1:]) if x is not None}
-    low = {f: x.min(axis=-1) for f, x in fields.items()}
-    high = {f: x.max(axis=-1) for f, x in fields.items()}
-    finite = {f: np.isfinite(low[f]) & np.isfinite(high[f]) for f in fields}
 
-    def non_finite(name):
-        x, dx = fields[name], fields["d" + name]
-        return ~(finite[name] & finite["d" + name]), lambda: ~np.isfinite(x) | ~np.isfinite(dx)
-
-    def bound(condition, extremum, field, test, limit, detail):
+    def bound(condition, field, test, limit, detail):
         if field in fields:
-            x = fields[field]
-            yield condition, field.lstrip("d"), test(extremum[field], limit), lambda: test(x, limit), detail
+            yield condition, field.lstrip("d"), test(fields[field], limit), detail
 
     for name in PRIMITIVE_NAMES:
         if name in fields:
             yield (
-                "finite-evaluation", name,
-                *non_finite(name),
+                "finite-evaluation", name, ~np.isfinite(fields[name]) | ~np.isfinite(fields["d" + name]),
                 f"{name} value/derivative not finite (family not differentiable here)",
             )
-    yield from bound("pi0-positive", low, "pi0", operator.le, 0.0, "pi0 must stay strictly positive")
-    yield from bound("pi1-below-one", high, "pi1", operator.ge, 1.0, "pi1 must stay strictly below 1")
+    yield from bound("pi0-positive", "pi0", operator.le, 0.0, "pi0 must stay strictly positive")
+    yield from bound("pi1-below-one", "pi1", operator.ge, 1.0, "pi1 must stay strictly below 1")
     if ordering is not None:
-        yield "pi-ordering", "pair", ordering.any(axis=-1), lambda: ordering, "pi1 must exceed pi0 strictly"
-    yield from bound("pi0-nondecreasing", low, "dpi0", operator.lt, -DEFAULT_TOL, "pi0 slope must be >= 0")
-    yield from bound("pi1-nondecreasing", low, "dpi1", operator.lt, -DEFAULT_TOL, "pi1 slope must be >= 0")
-    yield from bound("cost-positive", low, "cost", operator.le, 0.0, "effort cost must stay strictly positive")
-    yield from bound("cost-nonincreasing", high, "dcost", operator.gt, DEFAULT_TOL, "cost slope must be <= 0")
+        yield "pi-ordering", "pair", ordering, "pi1 must exceed pi0 strictly"
+    yield from bound("pi0-nondecreasing", "dpi0", operator.lt, -DEFAULT_TOL, "pi0 slope must be >= 0")
+    yield from bound("pi1-nondecreasing", "dpi1", operator.lt, -DEFAULT_TOL, "pi1 slope must be >= 0")
+    yield from bound("cost-positive", "cost", operator.le, 0.0, "effort cost must stay strictly positive")
+    yield from bound("cost-nonincreasing", "dcost", operator.gt, DEFAULT_TOL, "cost slope must be <= 0")
 
 
 def row_passes(g: GridEval, ordering=None) -> dict[str, np.ndarray]:
     """For each table that :func:`_assumption_checks` checks on ``g`` (and
     ``ordering``), a flag per row: True where every check of it passes."""
     failed: dict[str, np.ndarray] = {}
-    for _, table, fails, _, _ in _assumption_checks(g, ordering):
-        failed[table] = failed[table] | fails if table in failed else fails
+    for _, table, bad, _ in _assumption_checks(g, ordering):
+        failed[table] = failed.get(table, False) | bad.any(axis=-1)
     return {table: ~fails for table, fails in failed.items()}
 
 
@@ -414,33 +402,25 @@ def validate(
     inequalities allow a slack of ``DEFAULT_TOL``):
 
     * ``s_high > s_low`` (quality importance positive);
-    * finite values and derivatives of all primitives on the grid
-      (differentiability over the closed interval);
+    * finite values and derivatives of pi0, then pi1, then cost on the
+      grid (differentiability over the closed interval);
     * ``0 < pi0(v)`` and ``pi1(v) < 1`` and strict ordering ``pi0 < pi1``;
-    * monotonicity: ``pi0' >= 0``, ``pi1' >= 0``, ``cost' <= 0``;
-    * ``cost(v) > 0``;
+    * monotonicity of the probabilities: ``pi0' >= 0``, ``pi1' >= 0``;
+    * ``cost(v) > 0`` and ``cost' <= 0``;
     * baseline contracting viability at ``v = 0``: the gain from inducing
       effort covers the expected wage.  This is :func:`retention_holds` at
       zero investment, with no slack, so a model that passes validation is
       always feasible and retained at ``v = 0``.
 
-    Each grid check is decided from the grid's min and max of the arrays it
-    bounds (``pi-ordering`` element-wise), and only a failed check builds
-    its element-wise mask, to report the first bad ``v``.
+    A violated grid check is reported at its first bad ``v``.
 
     A vanishing ``pi1`` slope anywhere is flagged as a warning, not a
     failure: several downstream slope results assume a strictly positive
     slope while the base assumptions only require a weak one.
     """
-    warnings: list[str] = []
 
     def report(condition: str, v: float | None, detail: str) -> ValidationReport:
-        return ValidationReport(
-            passed=False,
-            violation=Violation(condition, v, detail),
-            warnings=tuple(warnings),
-            grid_points=grid_points,
-        )
+        return ValidationReport(False, Violation(condition, v, detail), (), grid_points)
 
     if not model.s_high > model.s_low:
         return report(
@@ -449,9 +429,9 @@ def validate(
         )
 
     g = evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
-    for condition, _, failed, bad, detail in _assumption_checks(g, g.pi1 <= g.pi0):
-        if failed:
-            return report(condition, float(g.v[np.argmax(bad())]), detail)
+    for condition, _, bad, detail in _assumption_checks(g, g.pi1 <= g.pi0):
+        if bad.any():
+            return report(condition, float(g.v[np.argmax(bad)]), detail)
 
     p = GridEval(g.v[0], g.pi0[0], g.pi1[0], g.cost[0])
     if not retention_holds(model, p):
@@ -462,10 +442,10 @@ def validate(
             f"effort gain {lhs:.6g} below expected wage {rhs:.6g} at zero investment",
         )
 
+    warnings = ()
     if np.any(np.abs(g.dpi1) <= DEFAULT_TOL):
-        warnings.append(
+        warnings = (
             "pi1 slope vanishes on part of the range; slope-based results "
-            "that assume a strictly increasing pi1 degenerate there"
+            "that assume a strictly increasing pi1 degenerate there",
         )
-
-    return ValidationReport(True, None, tuple(warnings), grid_points)
+    return ValidationReport(True, None, warnings, grid_points)

@@ -289,8 +289,11 @@ def brute_force_two_period(
     the enumerated effort-inducing contract at full training) are played
     against the agent's grid best response and the period-2 retain/fire
     comparison; the candidate with the larger two-period total wins, ties
-    to the effort-inducing one.
+    to the effort-inducing one.  An ``agent_kind`` that is not an
+    :class:`AgentKind` raises :class:`~twinvest.model.DomainError`.
     """
+    if not isinstance(agent_kind, AgentKind):
+        raise DomainError(f"agent kind must be an AgentKind, got {agent_kind!r}")
     _check_step("v_step", v_step)
     if agent_kind is AgentKind.STRATEGIC:
         found = brute_force_investment(model, step=1e-4, enforce_deterrent=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from twinvest.model import (
     DomainError, InvalidModelError, ModelPrimitives, evaluate, evaluate_grid, validate
 )
 from twinvest.optimize import bisect_bracket
+from twinvest.oracle import brute_force_two_period
 from twinvest.sampling import random_models
 
 
@@ -192,6 +194,13 @@ class TestTwoPeriod:
                 simulate(model)
         assert not exc.value.report.passed
         assert exc.value.report == validate(model)
+
+    @pytest.mark.parametrize("agent", ["myopic", "strategic", None, 0])
+    @pytest.mark.parametrize("play", [simulate_two_period, brute_force_two_period])
+    def test_agent_kind_must_be_a_member(self, play, agent):
+        # a value that is not an AgentKind would pick a game by accident
+        with pytest.raises(DomainError, match=re.escape(repr(agent))):
+            play(f2(), agent)
 
     def test_discount_recorded(self):
         trace = simulate_two_period(f1(), AgentKind.MYOPIC, discount=0.95)

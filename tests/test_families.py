@@ -71,6 +71,48 @@ class TestEvaluation:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+
+def closed_forms(kind, c, v):
+    """Value, slope and curvature of a family, written out here in the
+    arithmetic order of :mod:`twinvest.families`."""
+    def filled(x):
+        return np.full(v.shape, x) if isinstance(v, np.ndarray) else x
+
+    with np.errstate(divide="ignore"):
+        if kind == "affine":
+            return c[0] + c[1] * v, filled(c[1]), filled(0.0)
+        if kind == "exponential-decay":
+            a, k = c
+            return a * np.exp(-k * v), -k * a * np.exp(-k * v), k * k * a * np.exp(-k * v)
+        if kind == "power":
+            a, b, g = c
+            curvature = filled(0.0) if g == 1.0 else b * g * (g - 1.0) * np.power(v, g - 2.0)
+            return a + b * np.power(v, g), b * g * np.power(v, g - 1.0), curvature
+        return filled(c[0]), filled(0.0), filled(0.0)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        F.affine(0.2, 0.3),
+        F.affine(0.2, -0.1),
+        F.exponential_decay(0.2, 0.0),  # a slope of -0.0
+        F.exponential_decay(0.2, 1.8),
+        *(F.power(0.1, 0.4, g) for g in (0.5, 1.0, 1.5, 2.0, 3.0)),
+        F.power(0.1, -0.4, 0.5),  # slope -inf at 0
+        F.constant(0.8),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "v", [0.0, 0.37, float("nan"), np.append(np.linspace(0.0, 2.0, 9), np.nan)], ids=["zero", "float", "nan", "grid"]
+)
+def test_family_formulas_bit_for_bit(family, v):
+    got = (family.value(v), family.derivative(v), family.second_derivative(v))
+    for method, x, want in zip(("value", "derivative", "second_derivative"), got, closed_forms(family.kind, family.coefficients, v)):
+        assert np.shape(x) == np.shape(v), method
+        assert np.asarray(x, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes(), method
+
 class TestConstruction:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown family kind"):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -19,9 +20,13 @@ from twinvest.model import (
     evaluate,
     evaluate_batch_grid,
     evaluate_grid,
+    row_passes,
     validate,
 )
-from twinvest.investment import solve_batch_columns
+from twinvest.continuous import principal_optimal_effort, validate_continuous
+from twinvest.fixtures import f5
+from twinvest.investment import optimal_investment, solve_batch_columns
+from twinvest.sweep import SweepAxis, regime_sweep
 
 
 class TestEvaluate:
@@ -165,6 +170,24 @@ class TestValidate:
         found = None if report.passed else (report.violation.condition, report.violation.v)
         assert found == expected
 
+
+
+@pytest.mark.parametrize("grid_points", [2.5, 11.0, float("nan"), "11"])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda n: validate(f1(), n),
+        lambda n: optimal_investment(f1(), n),
+        lambda n: regime_sweep(f1(), SweepAxis("cost", 1, -0.1, -0.05, 2), SweepAxis("pi0", 1, 0.1, 0.3, 2), n),
+        lambda n: validate_continuous(f5(), n),
+        lambda n: principal_optimal_effort(f5(), n),
+    ],
+    ids=["validate", "optimal_investment", "regime_sweep", "validate_continuous", "principal_optimal_effort"],
+)
+def test_grid_points_must_be_an_integer(solve, grid_points):
+    # a float, even a whole one, is refused rather than truncated
+    with pytest.raises(DomainError, match="grid needs at least 2 points"):
+        solve(grid_points)
 
 def edge_base() -> ModelPrimitives:
     """f1 with a power curve for pi1, so a sweep over its exponent reaches
@@ -312,6 +335,96 @@ class TestBatchValidity:
     def test_matches_validate_on_mixed_sweeps(self, cells):
         edge_cells_agree(cells)
 
+
+
+#: Values a drawn validation grid mixes in: the non-finite ones, the
+#: probability bounds and slopes exactly at the tolerance.
+SPECIAL_VALUES = (float("nan"), float("inf"), float("-inf"), 0.0, 1.0, DEFAULT_TOL, -DEFAULT_TOL)
+
+#: Ranges of the finite values of each field of a drawn grid, wide enough
+#: to fail each check and narrow enough that whole grids also pass; no
+#: subnormal pi0, whose pi1/pi0 overflows.
+FIELD_RANGES = {
+    "pi0": (0.0, 0.5), "pi1": (0.5, 1.0), "cost": (0.0, 0.3),
+    "dpi0": (-0.01, 0.5), "dpi1": (-0.01, 0.5), "dcost": (-0.5, 0.01),
+}
+
+
+@st.composite
+def validation_grids(draw):
+    """A (rows x points) :class:`GridEval` of 1-4 rows on f1's grid: values
+    from :data:`FIELD_RANGES`, with up to four points set to one of
+    :data:`SPECIAL_VALUES` or to a tie of pi1 with pi0."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    fields = {}
+    for field, (lo, hi) in FIELD_RANGES.items():
+        values = draw(st.lists(st.floats(lo, hi, allow_subnormal=False), min_size=rows * n, max_size=rows * n))
+        fields[field] = np.array(values).reshape(rows, n)
+    edit = st.tuples(
+        st.sampled_from([*FIELD_RANGES, "tie"]), st.integers(0, rows - 1), st.integers(0, n - 1),
+        st.sampled_from(SPECIAL_VALUES),
+    )
+    for field, row, i, x in draw(st.lists(edit, max_size=4)):
+        if field == "tie":
+            fields["pi1"][row, i] = fields["pi0"][row, i]
+        else:
+            fields[field][row, i] = x
+    return GridEval(f1().grid(n), **fields)
+
+
+def finite(p, name):
+    return math.isfinite(p[name]) and math.isfinite(p["d" + name])
+
+
+#: The grid checks of :func:`validate` in its documented order, as
+#: ``(condition, table, fails)``; ``fails`` tests one point, a dict of floats.
+POINT_CHECKS = (
+    ("finite-evaluation", "pi0", lambda p: not finite(p, "pi0")),
+    ("finite-evaluation", "pi1", lambda p: not finite(p, "pi1")),
+    ("finite-evaluation", "cost", lambda p: not finite(p, "cost")),
+    ("pi0-positive", "pi0", lambda p: not 0.0 < p["pi0"]),
+    ("pi1-below-one", "pi1", lambda p: not p["pi1"] < 1.0),
+    ("pi-ordering", "pair", lambda p: not p["pi0"] < p["pi1"]),
+    ("pi0-nondecreasing", "pi0", lambda p: not p["dpi0"] >= -DEFAULT_TOL),
+    ("pi1-nondecreasing", "pi1", lambda p: not p["dpi1"] >= -DEFAULT_TOL),
+    ("cost-positive", "cost", lambda p: not p["cost"] > 0.0),
+    ("cost-nonincreasing", "cost", lambda p: not p["dcost"] <= DEFAULT_TOL),
+)
+
+
+def reference_report(model, points):
+    """``(condition, v)`` of the first violation of a one-row grid's
+    ``points`` (dicts of floats), walking :data:`POINT_CHECKS` point by
+    point and then the viability at ``v = 0``; ``(None, None)`` when it
+    passes."""
+    for condition, _, fails in POINT_CHECKS:
+        for p in points:
+            if fails(p):
+                return condition, p["v"]
+    p = points[0]
+    stake = model.quality_importance * (1.0 - 1.0 / (p["pi1"] / p["pi0"]))
+    if not stake - p["cost"] / (p["pi1"] - p["pi0"]) >= 0.0:
+        return "baseline-contracting-viability", 0.0
+    return None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(validation_grids())
+def test_validation_matches_a_per_point_reference(g):
+    model, tables = f1(), ("pi0", "pi1", "cost", "pair")
+    passed = row_passes(g, g.pi1 <= g.pi0)
+    passed["pair"] = passed["pair"] & passed["pi0"] & passed["pi1"]
+    for row in range(len(g.pi0)):
+        one = GridEval(g.v, *(x[row] for x in g[1:]))
+        points = [dict(zip(GridEval._fields, p)) for p in zip(*(x.tolist() for x in one))]
+        report = validate(model, len(g.v), grid=one)
+        found = (None, None) if report.passed else (report.violation.condition, report.violation.v)
+        assert found == reference_report(model, points)
+        if report.passed:
+            assert bool(report.warnings) == any(abs(p["dpi1"]) <= DEFAULT_TOL for p in points)
+        ok = {t: not any(fails(p) for _, table, fails in POINT_CHECKS if table == t for p in points) for t in tables}
+        ok["pair"] = ok["pair"] and ok["pi0"] and ok["pi1"]
+        assert {t: bool(passed[t][row]) for t in tables} == ok
 
 def test_with_coefficient_roundtrip():
     model = f1().with_coefficient("cost", 0, 0.3)
