@@ -48,7 +48,7 @@ def _const_like(v, c):
 
 
 def _power_slope(c, v):
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return c[1] * c[2] * np.power(v, c[2] - 1.0)
 
 
@@ -56,7 +56,7 @@ def _power_curvature(c, v):
     # gamma = 1 is affine: no 0 * inf at v = 0
     if c[2] == 1.0:
         return _const_like(v, 0.0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return c[1] * c[2] * (c[2] - 1.0) * np.power(v, c[2] - 2.0)
 
 

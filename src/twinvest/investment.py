@@ -63,17 +63,12 @@ def _pair_rates(p):
 
 _REGIMES = tuple(RegimeLabel)
 
-#: Most axis-2 values per block of a batch's grid pass.  The per-cell
-#: arrays of a 1001-point block are then 200 KB each; a whole 50x50 map at
-#: once would take 20 MB per array.
-_BLOCK_CELLS = 25
-
 
 def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
-    """Index into :data:`_REGIMES` of the regime of each cell of a block
-    (rows are cells), from its rates cost'/cost and Q'/(Q-1) and Q''s min
-    and max over the grid: the cells that the tables' extremes leave open
-    (:func:`_decided`), and the one row of :func:`classify_regime`.
+    """Index into :data:`_REGIMES` of the regime of each of the cells of an
+    axis-1 value (rows are cells), from its rates cost'/cost and Q'/(Q-1)
+    and Q''s min and max over the grid: the cells that the tables' extremes
+    leave open (:func:`_decided`), and the one row of :func:`classify_regime`.
 
     Each "everywhere" condition is decided at the extremum on its side of
     the rate difference over the grid, which fails it exactly when some
@@ -284,10 +279,10 @@ class _Flips(NamedTuple):
 
 
 def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray, rows: np.ndarray) -> _Flips:
-    """The sign flips of the retention margin in the rows ``rows`` of a
-    block of ``model``'s cells, the points where their retention mask
-    ``nonneg`` (where :func:`~twinvest.model.retention_holds`; a row per
-    listed row) changes, from the block's costs ``p.cost`` and
+    """The sign flips of the retention margin in the rows ``rows`` of the
+    cells of an axis-1 value of ``model``, the points where their retention
+    mask ``nonneg`` (where :func:`~twinvest.model.retention_holds`; a row
+    per listed row) changes, from those cells' costs ``p.cost`` and
     :func:`~twinvest.model.pair_terms` ``pair``."""
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
     cell = rows[cell]
@@ -305,8 +300,8 @@ _NO_FLIPS = _Flips(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.e
 
 
 def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, opened, nonneg, regime) -> tuple[_GridPass, _Flips]:
-    """Everything the solve needs from one block of valid cells (rows are
-    cells), from their pi0 and cost on the grid ``p``, their
+    """Everything the solve needs from the valid cells of an axis-1 value
+    (rows are cells), from their pi0 and cost on the grid ``p``, their
     :func:`~twinvest.model.pair_terms` ``pair`` and regime codes; of
     ``model``, the batch's base, only the stakes are read.  ``nonneg`` is
     the retention mask of the rows ``opened`` (positions, ascending); every
@@ -361,7 +356,7 @@ _NO_CELLS = BatchSolution(*[np.empty(0, np.intp)] * 2, *[np.empty(0)] * 6, np.ze
 
 
 def _joined(parts: list):
-    """One tuple of arrays from per-block tuples of the same type."""
+    """One tuple of arrays from same-type tuples, one per axis-1 value."""
     return parts[0] if len(parts) == 1 else type(parts[0])(*map(np.concatenate, zip(*parts)))
 
 
@@ -393,7 +388,8 @@ def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict) -> d
     x0, x1 = t0["value"], t1["value"]
     ok = t0["ok"] & t1["ok"] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
     x0, x1, d0, d1 = _nan_unless(ok, x0, x1, t0["slope"], t1["slope"])
-    rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # pi0*pi0 underflows below ~1.5e-154
+        rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
     gap, stake = pair_terms(model, GridEval(vs, x0, x1, None))
     return dict(
         ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake,
@@ -468,19 +464,20 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray):
     None when no cell is valid.
 
     The batch is solved one axis-1 value at a time, from its tables
-    (:func:`_tables`).  The per-row extremes of the tables decide, for all
-    the cells of an axis-1 value at once (:func:`_decided`), most regime
+    (:func:`_tables`).  Each cell's validity is decided first, as one flag:
+    the tables' ``ok``, the stakes and the viability check of
+    :func:`~twinvest.model.validate` (retained at ``v = 0``), read from the
+    tables' first column.  The per-row extremes of the tables decide, for
+    all the cells of an axis-1 value at once (:func:`_decided`), most regime
     labels and which cells are retained at every grid point; a single
-    model is a batch of one and is decided the same way.  Only the cells
-    they leave open get the per-cell rate difference of
+    model is a batch of one and is decided the same way.  Only the valid
+    cells they leave open get the per-cell rate difference of
     :func:`_regime_codes`, or the retention margin with its flips (a cell
-    whose margin holds at every point after all has none).  The viability
-    check of :func:`~twinvest.model.validate` (retained at ``v = 0``) reads
-    an open cell's margin; a retained cell passes it.  The rent
-    and its argmax are per cell, in blocks of at most :data:`_BLOCK_CELLS`
-    axis-2 values, which read slices of the tables; a one-row table's row
+    whose margin holds at every point after all has none).  The rent and
+    its argmax are per cell, in one step over the valid cells of an axis-1
+    value, which reads slices of the tables; a one-row table's row
     broadcasts in the arithmetic (a sweep's axis 2 varies some table, so
-    a block's arrays have a row per cell).
+    the step's arrays have a row per cell).
     """
     base = batch.base
     n2 = batch.shape[1]
@@ -496,36 +493,32 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray):
     solved, passes, flips, count = [], [], [], 0
     for i, (pi0, cost, pair) in enumerate(_tables(batch, vs)):
         codes, retained, dq_low, dq_high = map(cells_of, (*_decided(cost, pair), pair["dq_low"], pair["dq_high"]))
-        ok = cells_of(cost["ok"] & pair["ok"]) & (base.s_high > base.s_low)
-        for lo in range(0, n2, _BLOCK_CELLS):
-            rows = lo + np.flatnonzero(ok[lo:lo + _BLOCK_CELLS])
-            opened, nonneg = np.flatnonzero(~retained[rows]), None
-            if len(opened):  # the rows the bounds leave open
-                at = rows[opened]
-                at_open = GridEval(vs, None, None, take(cost["value"], at))
-                nonneg = retention_holds(base, at_open, (take(pair["gap"], at), take(pair["stake"], at)))
-                viable = nonneg[:, 0]  # validate's last check: retained at v = 0
-                if not viable.all():
-                    rows, nonneg = np.setdiff1d(rows, at[~viable]), nonneg[viable]
-                    opened = np.flatnonzero(~retained[rows])
-                held = nonneg.all(axis=1)  # retained at every point after all
-                if held.any():
-                    opened, nonneg = opened[~held], nonneg[~held]
-            if not len(rows):
-                continue
-            p = GridEval(vs, take(pi0["value"], rows), None, take(cost["value"], rows))
-            terms = take(pair["gap"], rows), take(pair["stake"], rows)
-            regime = codes[rows]
-            open_codes = np.flatnonzero(regime < 0)
-            if len(open_codes):
-                at = rows[open_codes]
-                rates = take(cost["rate"], at), take(pair["rate"], at)
-                regime[open_codes] = _regime_codes(*rates, dq_low[at], dq_high[at])
-            grid_pass, block_flips = _grid_pass(base, p, terms, opened, nonneg, regime)
-            passes.append(grid_pass)
-            flips.append(block_flips._replace(cell=block_flips.cell + count))
-            solved.append(i * n2 + rows)
-            count += len(rows)
+        at_zero = GridEval(vs[0], None, None, cost["value"][:, 0])  # validate's viability check reads v = 0
+        viable = retention_holds(base, at_zero, (pair["gap"][:, 0], pair["stake"][:, 0]))
+        rows = np.flatnonzero(cells_of(cost["ok"] & pair["ok"] & viable) & (base.s_high > base.s_low))
+        if not len(rows):
+            continue
+        opened, nonneg = np.flatnonzero(~retained[rows]), None
+        if len(opened):  # the rows the bounds leave open
+            at = rows[opened]
+            at_open = GridEval(vs, None, None, take(cost["value"], at))
+            nonneg = retention_holds(base, at_open, (take(pair["gap"], at), take(pair["stake"], at)))
+            held = nonneg.all(axis=1)  # retained at every point after all
+            if held.any():
+                opened, nonneg = opened[~held], nonneg[~held]
+        p = GridEval(vs, take(pi0["value"], rows), None, take(cost["value"], rows))
+        terms = take(pair["gap"], rows), take(pair["stake"], rows)
+        regime = codes[rows]
+        open_codes = np.flatnonzero(regime < 0)
+        if len(open_codes):
+            at = rows[open_codes]
+            rates = take(cost["rate"], at), take(pair["rate"], at)
+            regime[open_codes] = _regime_codes(*rates, dq_low[at], dq_high[at])
+        grid_pass, row_flips = _grid_pass(base, p, terms, opened, nonneg, regime)
+        passes.append(grid_pass)
+        flips.append(row_flips._replace(cell=row_flips.cell + count))
+        solved.append(i * n2 + rows)
+        count += len(rows)
     if not passes:
         return None
     return np.concatenate(solved), _joined(passes), _joined(flips)

@@ -369,7 +369,8 @@ def _assumption_checks(g: GridEval, ordering=None):
                 "finite-evaluation", name, ~np.isfinite(fields[name]) | ~np.isfinite(fields["d" + name]),
                 f"{name} value/derivative not finite (family not differentiable here)",
             )
-    yield from bound("pi0-positive", "pi0", operator.le, 0.0, "pi0 must stay strictly positive")
+    # below the smallest normal float, pi1/pi0 overflows
+    yield from bound("pi0-positive", "pi0", operator.lt, np.finfo(float).tiny, "pi0 must stay positive and normal")
     yield from bound("pi1-below-one", "pi1", operator.ge, 1.0, "pi1 must stay strictly below 1")
     if ordering is not None:
         yield "pi-ordering", "pair", ordering, "pi1 must exceed pi0 strictly"
@@ -404,7 +405,8 @@ def validate(
     * ``s_high > s_low`` (quality importance positive);
     * finite values and derivatives of pi0, then pi1, then cost on the
       grid (differentiability over the closed interval);
-    * ``0 < pi0(v)`` and ``pi1(v) < 1`` and strict ordering ``pi0 < pi1``;
+    * ``pi0(v)`` positive and not subnormal, ``pi1(v) < 1`` and strict
+      ordering ``pi0 < pi1``;
     * monotonicity of the probabilities: ``pi0' >= 0``, ``pi1' >= 0``;
     * ``cost(v) > 0`` and ``cost' <= 0``;
     * baseline contracting viability at ``v = 0``: the gain from inducing

@@ -43,7 +43,7 @@ from twinvest.model import (
     validate,
 )
 from twinvest.optimize import bisect_bracket
-from twinvest.oracle import certify_investment
+from twinvest.oracle import certify_investment, certify_regimes
 from twinvest.sampling import random_models
 
 
@@ -578,3 +578,62 @@ class TestRefinementObjectives:
     def test_agent_surplus_rejects_outside_domain(self, v):
         with pytest.raises(DomainError):
             agent_surplus(f1(), v)
+
+
+#: Every entry point of a solve or a diagnostic: each returns a labelled
+#: result or raises InvalidModelError with the model's validate report.
+ENTRY_POINTS = {
+    "optimal_investment": optimal_investment,
+    "classify_regime": classify_regime,
+    "displacement_threshold": displacement_threshold,
+    "deterrent_sign_change_roots": deterrent_sign_change_roots,
+    "myopic": lambda m: simulate_two_period(m, AgentKind.MYOPIC),
+    "strategic": lambda m: simulate_two_period(m, AgentKind.STRATEGIC),
+}
+
+
+def entry_point_results(model):
+    """``{name: result or raised report}`` of every :data:`ENTRY_POINTS`
+    entry on ``model``, with numpy warnings raised as errors."""
+    found = {}
+    for name, entry in ENTRY_POINTS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                found[name] = entry(model)
+            except InvalidModelError as raised:
+                found[name] = raised.report
+    return found
+
+
+class TestDegenerateProbabilities:
+    def test_zero_scale_power_family_is_a_finite_evaluation_failure(self):
+        # pi1 = 0.7 + 0*v**0.5 is constant, but its slope is 0 * inf at v = 0
+        model = dataclasses.replace(f1(), pi1=F.power(0.7, 0.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(model)
+        assert (report.violation.condition, report.violation.v) == ("finite-evaluation", 0.0)
+        assert entry_point_results(model) == dict.fromkeys(ENTRY_POINTS, report)
+
+    @pytest.mark.parametrize("make", [f1, f2, f3, f4], ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("family", ["affine", "constant"])
+    def test_tiny_pi0_is_solved_or_a_named_error(self, make, family):
+        # pi0*pi0 underflows below about 1.5e-154 and pi1/pi0 overflows for
+        # a subnormal pi0, which validate refuses
+        for a in (1e-160, 1e-200, 1e-300, 1e-311, 5e-324):
+            pi0 = F.affine(a, 0.3) if family == "affine" else F.constant(a)
+            model = dataclasses.replace(make(), pi0=pi0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = validate(model)
+            results = entry_point_results(model)
+            if a < np.finfo(float).tiny:
+                assert (report.violation.condition, report.violation.v) == ("pi0-positive", 0.0)
+                assert results == dict.fromkeys(ENTRY_POINTS, report)
+                continue
+            assert report.passed
+            assert not any(isinstance(r, twinvest.model.ValidationReport) for r in results.values())
+            cases = [(f"{make.__name__}-{family}-{a}", model)]
+            for certified in (certify_regimes(cases), certify_investment(cases)):
+                assert certified.passed, certified.describe()

@@ -338,12 +338,12 @@ class TestBatchValidity:
 
 
 #: Values a drawn validation grid mixes in: the non-finite ones, the
-#: probability bounds and slopes exactly at the tolerance.
-SPECIAL_VALUES = (float("nan"), float("inf"), float("-inf"), 0.0, 1.0, DEFAULT_TOL, -DEFAULT_TOL)
+#: probability bounds, slopes exactly at the tolerance and a subnormal.
+SPECIAL_VALUES = (float("nan"), float("inf"), float("-inf"), 0.0, 1.0, DEFAULT_TOL, -DEFAULT_TOL, 1e-311)
 
 #: Ranges of the finite values of each field of a drawn grid, wide enough
-#: to fail each check and narrow enough that whole grids also pass; no
-#: subnormal pi0, whose pi1/pi0 overflows.
+#: to fail each check and narrow enough that whole grids also pass;
+#: subnormal values included.
 FIELD_RANGES = {
     "pi0": (0.0, 0.5), "pi1": (0.5, 1.0), "cost": (0.0, 0.3),
     "dpi0": (-0.01, 0.5), "dpi1": (-0.01, 0.5), "dcost": (-0.5, 0.01),
@@ -358,7 +358,7 @@ def validation_grids(draw):
     rows, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     fields = {}
     for field, (lo, hi) in FIELD_RANGES.items():
-        values = draw(st.lists(st.floats(lo, hi, allow_subnormal=False), min_size=rows * n, max_size=rows * n))
+        values = draw(st.lists(st.floats(lo, hi), min_size=rows * n, max_size=rows * n))
         fields[field] = np.array(values).reshape(rows, n)
     edit = st.tuples(
         st.sampled_from([*FIELD_RANGES, "tie"]), st.integers(0, rows - 1), st.integers(0, n - 1),
@@ -382,7 +382,7 @@ POINT_CHECKS = (
     ("finite-evaluation", "pi0", lambda p: not finite(p, "pi0")),
     ("finite-evaluation", "pi1", lambda p: not finite(p, "pi1")),
     ("finite-evaluation", "cost", lambda p: not finite(p, "cost")),
-    ("pi0-positive", "pi0", lambda p: not 0.0 < p["pi0"]),
+    ("pi0-positive", "pi0", lambda p: not np.finfo(float).tiny <= p["pi0"]),
     ("pi1-below-one", "pi1", lambda p: not p["pi1"] < 1.0),
     ("pi-ordering", "pair", lambda p: not p["pi0"] < p["pi1"]),
     ("pi0-nondecreasing", "pi0", lambda p: not p["dpi0"] >= -DEFAULT_TOL),

@@ -202,10 +202,9 @@ class TestBatchIndependence:
             return [kinds[start:start + n2] for start in range(0, len(kinds), n2)]
 
         def blocks(name, kinds):
-            # the kinds of each block of the grid pass: at most _BLOCK_CELLS
-            # axis-2 values of one axis-1 value
-            block = twinvest.investment._BLOCK_CELLS
-            return [set(row[lo:lo + block]) for row in rows(name, kinds) for lo in range(0, len(row), block)]
+            # the kinds of each step of the grid pass: the cells of one
+            # axis-1 value
+            return [set(row) for row in rows(name, kinds)]
 
         power = [c.regime for c in cells("power-gamma")]
         assert INVALID_LABEL in power and set(power) - {INVALID_LABEL}
