@@ -56,9 +56,12 @@ def _rate_cost(p):
 
 def _pair_rates(p):
     """Q'/(Q-1) and Q' of evaluated primitives: the rates of pi0 and pi1."""
-    q = p.pi1 / p.pi0
-    dq = (p.dpi1 * p.pi0 - p.pi1 * p.dpi0) / (p.pi0 * p.pi0)
-    return dq / (q - 1.0), dq
+    # in place, so that a map's pair table holds fewer grids while it is built
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # pi0*pi0 underflows below ~1.5e-154
+        dq = p.dpi1 * p.pi0
+        dq -= p.pi1 * p.dpi0
+        dq /= p.pi0 * p.pi0
+        return dq / (p.pi1 / p.pi0 - 1.0), dq
 
 
 _REGIMES = tuple(RegimeLabel)
@@ -91,24 +94,26 @@ def classify_regime(
     strict condition hold and resolve toward
     :attr:`RegimeLabel.INDETERMINATE`.  A strictly rising separability
     everywhere forces the no-investment label on its own.  It reads the
-    solve's tables and raises :class:`~twinvest.model.InvalidModelError`
-    on a model whose grid fails a check of validate (:func:`_single_tables`).
+    rates of the solve's tables and raises
+    :class:`~twinvest.model.InvalidModelError` on a model whose grid fails
+    a check of validate (:func:`_single_grid`).
     """
-    cost, pair = _single_tables(model, grid_points)
-    return _REGIMES[int(_regime_codes(cost["rate"], pair["rate"], pair["dq_low"], pair["dq_high"])[0])]
+    g = _single_grid(model, grid_points)
+    rate_sep, dq = _pair_rates(g)
+    return _REGIMES[int(_regime_codes(_rate_cost(g), rate_sep, dq.min(axis=-1), dq.max(axis=-1))[0])]
 
 
-def _single_tables(model: ModelPrimitives, grid_points: int) -> tuple[dict, dict]:
-    """The cost and pair tables (:func:`_tables`) of ``model`` alone, one row
-    each.  Raises :class:`~twinvest.model.InvalidModelError` unless both
-    rows are ``ok`` (the grid checks of :func:`~twinvest.model.validate`:
-    the rates and the retention margin divide by the probabilities and
-    their gap); a model that fails only the stakes or the viability check
-    passes."""
-    _, cost, pair = next(_tables(ModelBatch.single(model), model.grid(grid_points)))
-    if not (cost["ok"] & pair["ok"])[0]:
+def _single_grid(model: ModelPrimitives, grid_points: int) -> GridEval:
+    """The primitives of ``model`` alone on its grid, one row each, as the
+    solve's tables hold them (:func:`~twinvest.model.evaluate_batch_grid`).
+    Raises :class:`~twinvest.model.InvalidModelError` unless the row passes
+    the grid checks of :func:`~twinvest.model.validate` (the rates and the
+    retention margin divide by the probabilities and their gap); a model
+    that fails only the stakes or the viability check passes."""
+    g = evaluate_batch_grid(ModelBatch.single(model), model.grid(grid_points), 0, range(3))
+    if not all(row_passes(g, g.pi1 <= g.pi0).values()):
         raise InvalidModelError(validate(model, grid_points))
-    return cost, pair
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +141,8 @@ def _rent(model, p):
 def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[float]]:
     """Whether the retention margin is negative at ``v = 0``, and its roots:
     the solve's retention mask, flips and bisection, without the rent."""
-    cost, pair = _single_tables(model, grid_points)
-    g, terms = GridEval(model.grid(grid_points), None, None, cost["value"]), (pair["gap"], pair["stake"])
+    g = _single_grid(model, grid_points)
+    terms = pair_terms(model, g)
     nonneg = retention_holds(model, g, terms)
     roots = _bisect_flips(ModelBatch.single(model), g.v, _flips(model, g, terms, nonneg, np.zeros(1, np.intp)))[2]
     return not nonneg[0, 0], roots.tolist()
@@ -323,14 +328,16 @@ def solve_batch_columns(batch: ModelBatch, grid_points: int = DEFAULT_GRID_POINT
     """The solve of every cell of ``batch`` that passes :func:`~twinvest.model.validate`.
 
     A single model is a batch of one and takes the same route.  The grid
-    pass (:func:`_grid_passes`) goes through the batch one axis-1 value at a
-    time.  It evaluates, validates and rates each primitive, and the pair of
-    pi0 and pi1, once per axis-2 value when axis 2 varies it (else once),
-    and again at each axis-1 value only when axis 1 varies it.  Per cell it
-    yields the rent and its argmax; the regime label and the retention mask
-    (:func:`~twinvest.model.retention_holds`) with the margin's sign flips
-    come from the tables' per-row extremes where those decide them, and per
-    cell elsewhere.  A valid cell is retained at ``v = 0``, so it always has
+    pass (:func:`_grid_passes`) evaluates, validates and rates each
+    primitive, and the pair of pi0 and pi1, once per value of the one axis
+    that varies it (else once), for the whole batch; only a primitive or
+    pair that both axes vary is built again at each axis-1 value.  The
+    tables' extremes then decide, for every cell at once, its validity and
+    most regime labels and retention masks
+    (:func:`~twinvest.model.retention_holds`); per cell it yields the rent
+    and its argmax, and the label, or the retention mask with the margin's
+    sign flips, only where the extremes leave them open.  A valid cell is
+    retained at ``v = 0``, so it always has
     an optimum.  One bisection array search finds every root, from which the
     displacement threshold and the feasible run's ends come: an end inside
     the grid moves to its flip's bisected end on the feasible side, so the
@@ -349,7 +356,7 @@ def solve_batch_columns(batch: ModelBatch, grid_points: int = DEFAULT_GRID_POINT
     if solved is None:
         return _NO_CELLS
     cells, p, flips = solved
-    return BatchSolution(cells, *_refine(batch.take(cells), vs, p, flips))
+    return BatchSolution(cells, *_refine(batch if batch.shared else batch.take(cells), vs, p, flips))
 
 
 _NO_CELLS = BatchSolution(*[np.empty(0, np.intp)] * 2, *[np.empty(0)] * 6, np.zeros(1, np.intp))
@@ -364,98 +371,175 @@ def _nan_unless(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     """The arrays with NaN on the rows that are not ``ok``, so that arithmetic
     on a row that failed a check of :func:`~twinvest.model.validate` raises
     no floating-point warning (NaN operands raise none)."""
-    return list(arrays) if ok.all() else [np.where(ok[:, None], x, np.nan) for x in arrays]
+    return list(arrays) if ok.all() else [np.where(ok[..., None], x, np.nan) for x in arrays]
 
 
-def _cost_table(vs: np.ndarray, ok: np.ndarray, value: np.ndarray, slope: np.ndarray) -> dict:
-    """The cost table of a batch at one axis-1 value, from its rows' checks
-    ``ok``, values and slopes (NaN on the rows that are not ok): ``value``
-    and its ``rate`` cost'/cost, and the extremes of each row that
-    :func:`_decided` reads: the rate's min and max and the cost's max."""
-    rate = _rate_cost(GridEval(vs, None, None, value, dcost=slope))
+#: Grid points per block of a table's extremes (:func:`_on_blocks`).
+_BLOCK_POINTS = 32
+
+
+def _cost_table(vs: np.ndarray, t: dict) -> dict:
+    """The cost table of the cost's primitive table ``t``: its ``ok`` and
+    ``value`` and the ``rate`` cost'/cost."""
+    return dict(ok=t["ok"], value=t["value"], rate=_rate_cost(GridEval(vs, None, None, t["value"], dcost=t["slope"])))
+
+
+def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict, ordered: np.ndarray) -> dict:
+    """The pair table of the pi0 and pi1 tables and the ``pi-ordering``
+    flags ``ordered`` of their rows: ``ok`` (those flags and the
+    primitives' checks), the ``pi0`` values, the ``rate`` Q'/(Q-1), Q''s
+    min and max over each row and the :func:`~twinvest.model.pair_terms`
+    ``gap`` and ``stake`` of ``model``'s stakes."""
+    ok = t0["ok"] & t1["ok"] & ordered
+    x0, x1, d0, d1 = _nan_unless(ok, t0["value"], t1["value"], t0["slope"], t1["slope"])
+    gap, stake = pair_terms(model, GridEval(vs, x0, x1, None))  # before the rates: the build then peaks lower
+    rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
     return dict(
-        ok=ok, value=value, rate=rate, rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), high=value.max(axis=-1)
-    )
-
-
-def _pair_table(model: ModelPrimitives, vs: np.ndarray, t0: dict, t1: dict) -> dict:
-    """The pair table of the pi0 and pi1 tables: ``pi-ordering`` (a pair
-    fails with either of its primitives too), its ``rate`` Q'/(Q-1), Q''s
-    extremes, the :func:`~twinvest.model.pair_terms` ``gap`` and ``stake``
-    of ``model``'s stakes, and the extremes of each row that
-    :func:`_decided` reads: the rate's min and max and the min of the gap
-    and of the stake."""
-    x0, x1 = t0["value"], t1["value"]
-    ok = t0["ok"] & t1["ok"] & row_passes(GridEval(vs, None, None, None), x1 <= x0)["pair"]
-    x0, x1, d0, d1 = _nan_unless(ok, x0, x1, t0["slope"], t1["slope"])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # pi0*pi0 underflows below ~1.5e-154
-        rate, dq = _pair_rates(GridEval(vs, x0, x1, None, d0, d1))
-    gap, stake = pair_terms(model, GridEval(vs, x0, x1, None))
-    return dict(
-        ok=ok, rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake,
-        rate_low=rate.min(axis=-1), rate_high=rate.max(axis=-1), gap_low=gap.min(axis=-1), stake_low=stake.min(axis=-1),
+        ok=ok, pi0=t0["value"], rate=rate, dq_low=dq.min(axis=-1), dq_high=dq.max(axis=-1), gap=gap, stake=stake
     )
 
 
 def _tables(batch: ModelBatch, vs: np.ndarray):
-    """The tables of ``batch`` on the grid ``vs`` at each axis-1 value:
-    ``(pi0, cost, pair)``.
+    """The cost and pair tables of ``batch`` on the grid ``vs``, in slabs of
+    axis-1 values: ``(values, cost, pair)``, ``values`` the slab's range.
 
-    Four tables, pi0, pi1, cost and the pair of pi0 and pi1, each hold one
-    row per axis-2 value, or one row when no coefficient they read varies
-    along axis 2; a table is built at the first axis-1 value, and again at
-    each one after only when a coefficient it reads varies along axis 1.
-    A table is a dict of arrays whose ``ok`` flags the rows that pass the
-    checks of :func:`~twinvest.model.validate` that read them alone (the
-    others are NaN); a primitive's has its ``value`` and ``slope``, and the
-    cost and pair tables are :func:`_cost_table` and :func:`_pair_table`.
+    A table is a dict of (axis-1 rows x axis-2 rows x ...) arrays, with one
+    row along an axis per value of the slab there, or one row where no
+    coefficient the table reads varies along it (:attr:`ModelBatch.varies`),
+    so each distinct grid is evaluated, validated and rated once.  Every
+    table that at most one axis varies is built once, for the whole batch,
+    which is one slab when no table varies along both axes.  Otherwise each
+    axis-1 value is a slab, which reads the whole-batch tables' rows at that
+    value and builds again only the tables that both axes vary.  ``ok``
+    flags the rows that pass the checks of :func:`~twinvest.model.validate`
+    that read them alone (the others are NaN); a primitive's table has its
+    ``value`` and ``slope``.
     """
-    along_axis1, tables = batch.along_axis1, [None] * 3
-    for i in range(batch.shape[0]):
-        ks = [k for k in range(3) if i == 0 or along_axis1[k]]
+    base, n1, size = batch.base, batch.shape[0], len(vs)
+    varies = (*batch.varies, tuple(a or b for a, b in zip(*batch.varies[:2])))  # pi0, pi1, cost and their pair
+    both = [all(axes) for axes in varies]
+
+    def build(tables, i):  # with i None, the tables that one axis varies at most; else those both vary, at i
+        ks = [k for k in range(3) if both[k] == (i is not None)]
         g = evaluate_batch_grid(batch, vs, i, ks)
-        passed = row_passes(g)
+        x = {k: g[1 + k].reshape(n1 if i is None and varies[k][0] else 1, -1, size) for k in ks}
+        with_pair = both[3] == (i is not None)
+        if with_pair:  # pi-ordering, checked with the primitives; a table's NaN rows fail their pair anyway
+            x0, x1 = (x[k] if k in x else tables[k]["value"] for k in (0, 1))
+        passed = row_passes(g, x1 <= x0 if with_pair else None)
         for k in ks:
-            ok = passed[PRIMITIVE_NAMES[k]]
-            value, slope = _nan_unless(ok, g[1 + k], g[4 + k])
-            tables[k] = _cost_table(vs, ok, value, slope) if k == 2 else dict(ok=ok, value=value, slope=slope)
-        if 0 in ks or 1 in ks:
-            pair = _pair_table(batch.base, vs, *tables[:2])
-        yield tables[0], tables[2], pair
+            ok = passed[PRIMITIVE_NAMES[k]].reshape(x[k].shape[:2])
+            value, slope = _nan_unless(ok, x[k], g[4 + k].reshape(x[k].shape))
+            tables[k] = dict(ok=ok, value=value, slope=slope)
+        if with_pair:  # before the cost table: a table built holds less than one being built
+            tables[3] = _pair_table(base, vs, tables[0], tables[1], passed["pair"])
+        if 2 in ks:
+            tables[2] = _cost_table(vs, tables[2])
+        return tables
+
+    whole = build({}, None)
+    if not any(both):
+        yield range(n1), whole[2], whole[3]
+        return
+    for i in range(n1):
+        at_i = {k: {key: x[i:i + 1] if len(x) > 1 else x for key, x in t.items()} for k, t in whole.items()}
+        tables = build(at_i, i)
+        yield range(i, i + 1), tables[2], tables[3]
 
 
-def _decided(cost: dict, pair: dict) -> tuple[np.ndarray, np.ndarray]:
-    """What the per-row extremes of a cost and a pair table decide of the
-    cells that pair their rows (row ``k`` of each, a one-row table's row
-    for every cell): each cell's index into :data:`_REGIMES`, or -1 where
-    they leave it open, and whether it is retained at every grid point.
+#: The extremes that :func:`_everywhere` reads: of which array of a table,
+#: by which reduction.
+_EXTREMES = dict(
+    rate_low=("rate", np.minimum), rate_high=("rate", np.maximum), high=("value", np.maximum),
+    gap_low=("gap", np.minimum), stake_low=("stake", np.minimum),
+)
+
+
+def _everywhere(cost: dict, pair: dict, at) -> list[np.ndarray]:
+    """Where each bound on the extremes ``at(table, key)`` (a key of
+    :data:`_EXTREMES`) holds at every point they bound:
 
     * ``max cost'/cost - min Q'/(Q-1) < -tol``: the rate difference is
-      below ``-tol`` at every point, so the cell is ``NoInvestment``, as
-      it is when ``min Q' > tol``;
-    * ``min cost'/cost - max Q'/(Q-1) > tol``: the rate difference is
-      above ``tol`` at every point, so the cell is ``MaxInvestment`` when
-      ``max Q' <= tol`` and ``Indeterminate`` otherwise;
+      below ``-tol``;
+    * ``min cost'/cost - max Q'/(Q-1) > tol``: it is above ``tol``;
     * ``min stake - max cost/min gap >= 0``: the retention margin
-      ``stake - cost/gap`` is nonnegative at every grid point.
+      ``stake - cost/gap`` is nonnegative.
 
     Each bound decides exactly as the per-point tests of
     :func:`_regime_codes` and :func:`~twinvest.model.retention_holds`:
     IEEE subtraction and division round monotonically, so the rounded
-    difference or quotient of the extremes bounds the rounded one at
-    every point (cost and gap are positive on a valid row).  A NaN bound,
-    from a NaN value or from ``inf - inf``, fails its test and leaves the
-    cell open.
+    difference or quotient of the extremes bounds the rounded one at each
+    point (cost and gap are positive on a valid row; Moore, Kearfott &
+    Cloud, *Introduction to Interval Analysis*, SIAM 2009).  A NaN bound,
+    from a NaN value or from ``inf - inf``, fails; the caller silences the
+    warnings of that arithmetic.
     """
+    return [
+        at(cost, "rate_high") - at(pair, "rate_low") < -DEFAULT_TOL,
+        at(cost, "rate_low") - at(pair, "rate_high") > DEFAULT_TOL,
+        at(pair, "stake_low") - at(cost, "high") / at(pair, "gap_low") >= 0.0,
+    ]
+
+
+def _on_blocks(cost: dict, pair: dict, cells: tuple) -> list[np.ndarray]:
+    """The bounds of :func:`_everywhere` on every block of
+    :data:`_BLOCK_POINTS` grid points (the last one ragged) of the cells
+    at the axis-1 and axis-2 positions ``cells``."""
+    starts = np.arange(0, cost["rate"].shape[-1], _BLOCK_POINTS)
+
+    def at(table, key):
+        name, reduce = _EXTREMES[key]
+        x = reduce.reduceat(table[name], starts, axis=-1)
+        return x[cells[0] if len(x) > 1 else 0, cells[1] if x.shape[1] > 1 else 0]
+
+    return [held.all(axis=-1) for held in _everywhere(cost, pair, at)]
+
+
+def _decided(model: ModelPrimitives, cost: dict, pair: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a slab's cost and pair tables decide of its cells, as (axis-1 x
+    axis-2) arrays: validity, the index into :data:`_REGIMES` (-1 where
+    left open) and retention at every grid point.
+
+    A cell is valid when its rows are ``ok``, ``model``'s stakes are
+    ordered and it is retained at ``v = 0`` (the viability check of
+    :func:`~twinvest.model.validate`).  Its label is ``NoInvestment`` when
+    ``min Q' > tol`` or the rate difference falls below ``-tol`` everywhere,
+    else ``MaxInvestment`` (``max Q' <= tol``) or ``Indeterminate`` when it
+    rises above ``tol`` everywhere, else ``Interior`` when it is above
+    ``tol`` at ``v = 0`` and below ``-tol`` at ``v_max``: those ends rule
+    out both "everywhere" conditions, so they decide it exactly.  The
+    "everywhere" conditions and retention are bounded by each row's
+    extremes (:func:`_everywhere`), and then, for the valid cells left open
+    when they outnumber the tables' rows, by the extremes of each block
+    (:func:`_on_blocks`): a table row's block extremes cost about what one
+    cell's per-point test does, and only the open cells' are held.
+    """
+
+    def extremes(table, key):  # of each row
+        name, reduce = _EXTREMES[key]
+        return reduce.reduce(table[name], axis=-1)
+
+    at_zero = GridEval(None, None, None, cost["value"][..., 0])
+    viable = retention_holds(model, at_zero, (pair["gap"][..., 0], pair["stake"][..., 0]))
+    valid = cost["ok"] & pair["ok"] & viable & (model.s_high > model.s_low)
+    no_investment = pair["dq_low"] > DEFAULT_TOL
+    last = cost["rate"].shape[-1] - 1
     with np.errstate(all="ignore"):
-        falling = cost["rate_high"] - pair["rate_low"] < -DEFAULT_TOL
-        rising = cost["rate_low"] - pair["rate_high"] > DEFAULT_TOL
-        retained = pair["stake_low"] - cost["high"] / pair["gap_low"] >= 0.0
-    dq_low, dq_high = pair["dq_low"], pair["dq_high"]
+        ends = cost["rate"][..., ::last] - pair["rate"][..., ::last]  # at v = 0 and v_max
+        interior = (ends[..., 0] > DEFAULT_TOL) & (ends[..., 1] < -DEFAULT_TOL)
+        falling, rising, retained = _everywhere(cost, pair, extremes)
+        rows = cost["ok"].size + pair["ok"].size
+        if valid.size > rows:  # else the open cells cannot outnumber the rows
+            cells = np.nonzero(valid & ~(retained & (falling | rising | interior | no_investment)))
+            if len(cells[0]) > rows:
+                for held, on_blocks in zip((falling, rising, retained), _on_blocks(cost, pair, cells)):
+                    held[cells] |= on_blocks
     codes = np.where(
-        falling | (dq_low > DEFAULT_TOL), 0, np.where(rising, np.where(dq_high <= DEFAULT_TOL, 1, 3), -1)
+        no_investment | falling,
+        0,
+        np.where(rising, np.where(pair["dq_high"] <= DEFAULT_TOL, 1, 3), np.where(interior, 2, -1)),
     )
-    return codes, retained
+    return valid, codes, retained
 
 
 def _grid_passes(batch: ModelBatch, vs: np.ndarray):
@@ -463,27 +547,17 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray):
     :class:`_GridPass` and their sign flips (indexing the valid cells), or
     None when no cell is valid.
 
-    The batch is solved one axis-1 value at a time, from its tables
-    (:func:`_tables`).  Each cell's validity is decided first, as one flag:
-    the tables' ``ok``, the stakes and the viability check of
-    :func:`~twinvest.model.validate` (retained at ``v = 0``), read from the
-    tables' first column.  The per-row extremes of the tables decide, for
-    all the cells of an axis-1 value at once (:func:`_decided`), most regime
-    labels and which cells are retained at every grid point; a single
-    model is a batch of one and is decided the same way.  Only the valid
-    cells they leave open get the per-cell rate difference of
-    :func:`_regime_codes`, or the retention margin with its flips (a cell
-    whose margin holds at every point after all has none).  The rent and
-    its argmax are per cell, in one step over the valid cells of an axis-1
-    value, which reads slices of the tables; a one-row table's row
-    broadcasts in the arithmetic (a sweep's axis 2 varies some table, so
-    the step's arrays have a row per cell).
+    Each slab of the tables (:func:`_tables`; a single model is a slab of
+    one cell) is decided in one step before any per-cell work
+    (:func:`_decided`).  Then each axis-1 value takes one step over its
+    valid cells, on slices of the tables (a one-row table's row broadcasts
+    in the arithmetic): the rent and its argmax, and only for the cells
+    left open, the retention margin with its flips (none when it holds at
+    every point after all) and the per-point regime test of
+    :func:`_regime_codes`.
     """
     base = batch.base
     n2 = batch.shape[1]
-
-    def cells_of(x):  # a table's entry per row as one per axis-2 value
-        return x if len(x) == n2 else x.repeat(n2)
 
     def take(x, rows):  # a table's rows at the axis-2 values ``rows`` (ascending)
         if len(x) == 1:
@@ -491,34 +565,39 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray):
         return x[rows[0]:rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else x[rows]
 
     solved, passes, flips, count = [], [], [], 0
-    for i, (pi0, cost, pair) in enumerate(_tables(batch, vs)):
-        codes, retained, dq_low, dq_high = map(cells_of, (*_decided(cost, pair), pair["dq_low"], pair["dq_high"]))
-        at_zero = GridEval(vs[0], None, None, cost["value"][:, 0])  # validate's viability check reads v = 0
-        viable = retention_holds(base, at_zero, (pair["gap"][:, 0], pair["stake"][:, 0]))
-        rows = np.flatnonzero(cells_of(cost["ok"] & pair["ok"] & viable) & (base.s_high > base.s_low))
-        if not len(rows):
-            continue
-        opened, nonneg = np.flatnonzero(~retained[rows]), None
-        if len(opened):  # the rows the bounds leave open
-            at = rows[opened]
-            at_open = GridEval(vs, None, None, take(cost["value"], at))
-            nonneg = retention_holds(base, at_open, (take(pair["gap"], at), take(pair["stake"], at)))
-            held = nonneg.all(axis=1)  # retained at every point after all
-            if held.any():
-                opened, nonneg = opened[~held], nonneg[~held]
-        p = GridEval(vs, take(pi0["value"], rows), None, take(cost["value"], rows))
-        terms = take(pair["gap"], rows), take(pair["stake"], rows)
-        regime = codes[rows]
-        open_codes = np.flatnonzero(regime < 0)
-        if len(open_codes):
-            at = rows[open_codes]
-            rates = take(cost["rate"], at), take(pair["rate"], at)
-            regime[open_codes] = _regime_codes(*rates, dq_low[at], dq_high[at])
-        grid_pass, row_flips = _grid_pass(base, p, terms, opened, nonneg, regime)
-        passes.append(grid_pass)
-        flips.append(row_flips._replace(cell=row_flips.cell + count))
-        solved.append(i * n2 + rows)
-        count += len(rows)
+    for values, cost, pair in _tables(batch, vs):
+        valid, codes, retained = _decided(base, cost, pair)  # (axis-1 x axis-2) of the slab
+        for k, i in enumerate(values):
+            rows = np.flatnonzero(valid[k])
+            if not len(rows):
+                continue
+
+            def at(x):  # a table's rows at axis-1 value i
+                return x[k if len(x) > 1 else 0]
+
+            value, gap, stake = at(cost["value"]), at(pair["gap"]), at(pair["stake"])
+            opened, nonneg = np.flatnonzero(~retained[k, rows]), None
+            if len(opened):  # the rows the bounds leave open
+                cells = rows[opened]
+                nonneg = retention_holds(
+                    base, GridEval(vs, None, None, take(value, cells)), (take(gap, cells), take(stake, cells))
+                )
+                held = nonneg.all(axis=1)  # retained at every point after all
+                if held.any():
+                    opened, nonneg = opened[~held], nonneg[~held]
+            p = GridEval(vs, take(at(pair["pi0"]), rows), None, take(value, rows))
+            regime = codes[k, rows]
+            open_codes = np.flatnonzero(regime < 0)
+            if len(open_codes):
+                cells = rows[open_codes]
+                rates = take(at(cost["rate"]), cells), take(at(pair["rate"]), cells)
+                dq = take(at(pair["dq_low"]), cells), take(at(pair["dq_high"]), cells)
+                regime[open_codes] = _regime_codes(*rates, *dq)
+            grid_pass, row_flips = _grid_pass(base, p, (take(gap, rows), take(stake, rows)), opened, nonneg, regime)
+            passes.append(grid_pass)
+            flips.append(row_flips._replace(cell=row_flips.cell + count))
+            solved.append(i * n2 + rows)
+            count += len(rows)
     if not passes:
         return None
     return np.concatenate(solved), _joined(passes), _joined(flips)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -127,7 +128,8 @@ class ModelBatch:
     is a float shared by every cell or an array that broadcasts to
     ``shape``: a sweep's axis values are a column (axis 1) or a row (axis
     2).  So a primitive has one grid per axis-2 value, or one, at each
-    axis-1 value (:func:`evaluate_batch_grid`).
+    axis-1 value, and one per value of the one axis that varies it, or
+    one, in the whole batch (:func:`evaluate_batch_grid`).
     """
 
     base: ModelPrimitives
@@ -164,11 +166,17 @@ class ModelBatch:
             families.append((family.kind, tuple(coeffs)))
         return cls(base, np.broadcast_shapes((1, 1), *(c.shape for c in columns.values())), tuple(families))
 
-    @property
-    def along_axis1(self) -> tuple[bool, ...]:
-        """For pi0, pi1 and cost: whether a coefficient varies along axis 1."""
+    @cached_property
+    def varies(self) -> tuple[tuple[bool, bool], ...]:
+        """For pi0, pi1 and cost: whether a coefficient varies along axis 1,
+        and whether one varies along axis 2."""
+        n1, n2 = self.shape
         return tuple(
-            any(isinstance(c, np.ndarray) and c.ndim == 2 and len(c) > 1 for c in coeffs) for _, coeffs in self.families
+            (
+                n1 > 1 and any(isinstance(c, np.ndarray) and c.ndim == 2 and len(c) > 1 for c in coeffs),
+                n2 > 1 and any(isinstance(c, np.ndarray) and c.ndim and c.shape[-1] > 1 for c in coeffs),
+            )
+            for _, coeffs in self.families
         )
 
     def take(self, cells: np.ndarray) -> "ModelBatch":
@@ -183,7 +191,7 @@ class ModelBatch:
         )
         return ModelBatch(self.base, (1, len(cells)), families)
 
-    @property
+    @cached_property
     def shared(self) -> bool:
         """True when no coefficient varies across cells (a single model)."""
         return not any(isinstance(c, np.ndarray) for _, coeffs in self.families for c in coeffs)
@@ -233,20 +241,24 @@ def evaluate_grid(model: ModelPrimitives, vs: np.ndarray) -> GridEval:
     return GridEval(vs, *(np.asarray(x, dtype=float) for x in _value_slopes(_families(model), vs)))
 
 
-def _at_axis1(c: np.ndarray, i: int) -> np.ndarray:
+def _at_axis1(c: np.ndarray, i: int | None) -> np.ndarray:
     """A batch's coefficient array at axis-1 value ``i``, as a column: one
-    entry per axis-2 value, or one when it does not vary along axis 2."""
+    entry per axis-2 value, or one when it does not vary along axis 2.
+    With ``i`` None, the column of a coefficient that one axis varies at
+    most: an entry per value of that axis, or one."""
     c = np.atleast_2d(c)
-    return c[i if len(c) > 1 else 0, :, None]
+    return c.reshape(-1, 1) if i is None else c[i if len(c) > 1 else 0, :, None]
 
 
-def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray, i: int, ks) -> GridEval:
+def evaluate_batch_grid(batch: ModelBatch, vs: np.ndarray, i: int | None, ks) -> GridEval:
     """Values and slopes on the grid ``vs`` of the primitives ``ks``
     (positions in :data:`PRIMITIVE_NAMES`; the others' fields are None) at
     axis-1 value ``i`` of ``batch``: (rows x grid) arrays, one row per
     axis-2 value, or one row when none of the primitive's coefficients
     varies along axis 2; row for row the :func:`evaluate_grid` of the cells
-    that read that row."""
+    that read that row.  With ``i`` None they are the rows of the whole
+    batch, of primitives that one axis varies at most
+    (:attr:`ModelBatch.varies`): one row per value of that axis, or one."""
     vs = np.asarray(vs, dtype=float)
     fields = [None] * 6
     for k in ks:

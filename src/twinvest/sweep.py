@@ -2,11 +2,14 @@
 
 A sweep template designates two different coefficients of the base
 model's families and a grid of values for each.  All grid cells are solved
-in one batch (:func:`~twinvest.investment.solve_batch_columns`), one axis-1
-value at a time.  A primitive, or the pair of pi0 and pi1, is evaluated,
-validated and rated once per axis-2 value when only axis 2 varies it, once
-per axis-1 value when only axis 1 does, once when neither does and once
-per cell when both do; only what reads both axes is computed per cell.
+in one batch (:func:`~twinvest.investment.solve_batch_columns`).  A
+primitive, or the pair of pi0 and pi1, is evaluated, validated and rated
+once per axis-2 value when only axis 2 varies it, once per axis-1 value
+when only axis 1 does, once when neither does and once per cell when both
+do.  The extremes of those tables over blocks of grid points decide each
+cell's validity and most regime labels and retention masks for the whole
+map at once; only what reads both axes, and what the extremes leave open,
+is computed per cell.
 Each cell's result is exactly what solving that cell alone gives: it does
 not depend on the batch.  Cells whose model violates the base assumptions
 are recorded as ``Invalid`` rather than skipped, so the output is always a

@@ -165,37 +165,47 @@ COSTS = (0.1, 0.125 - 2.0**-50, 0.125, 0.125 + 2.0**-50, 0.2)
 
 
 @st.composite
-def bounded_blocks(draw):
-    """The cost and pair tables of a block of ``n`` cells, each with one row
-    or a row per cell, and the primitives they come from.
+def bounded_maps(draw):
+    """The cost and pair tables of a map of cells, a block size and the
+    cells' primitives, with a row per cell along each axis.
 
-    pi0 is 0.25, so Q'/(Q-1) is four times pi1's slope where pi1 is 0.5:
-    the slopes, drawn from :data:`SLOPES` (a quarter of them for pi1),
-    make rate differences on and around ``DEFAULT_TOL``, NaN and infinite.
-    A row may be all NaN, as a row failing a check of validate is."""
-    n, size = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    The cost table's rows run along axis 1 and the pair table's along axis
+    2, each one row or several, and a cell pairs them.  pi0 is 0.25, so
+    Q'/(Q-1) is four times pi1's slope where pi1 is 0.5: the slopes, drawn
+    from :data:`SLOPES` (a quarter of them for pi1), make rate differences
+    on and around ``DEFAULT_TOL``, NaN and infinite.  A row may be all NaN,
+    as a row failing a check of validate is.  The grid's length need not
+    be a multiple of the block size, which may exceed it."""
+    r1, r2, size = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    block = draw(st.integers(1, size + 1))
 
-    def rows(pool, count):
+    def rows(pool, count):  # flat rows make a tie at every point of a block
         drawn = draw(st.lists(st.sampled_from(pool), min_size=count * size, max_size=count * size))
-        return np.array(drawn).reshape(count, size)
+        x = np.array(drawn).reshape(count, size)
+        return x[:, :1].repeat(size, axis=1) if draw(st.booleans()) else x
 
     def nan_rows(*arrays):
         bad = np.array(draw(st.lists(st.booleans(), min_size=len(arrays[0]), max_size=len(arrays[0]))))
         return ~bad, [np.where(bad[:, None], np.nan, x) for x in arrays]
 
-    k_cost, k_pair = draw(st.sampled_from([1, n])), draw(st.sampled_from([1, n]))
-    cost_ok, (cost, dcost) = nan_rows(rows(COSTS, k_cost), rows(SLOPES, k_cost))
-    pi1_ok, (pi1, dpi1) = nan_rows(rows((0.5, 0.5 + 2.0**-50, 0.75), k_pair), rows(SLOPES, k_pair) / 4.0)
-    pi0, dpi0 = np.full((k_pair, size), 0.25), np.zeros((k_pair, size))
+    cost_ok, (cost, dcost) = nan_rows(rows(COSTS, r1), rows(SLOPES, r1))
+    pi1_ok, (pi1, dpi1) = nan_rows(rows((0.5, 0.5 + 2.0**-50, 0.75), r2), rows(SLOPES, r2) / 4.0)
     model = ModelPrimitives(F.constant(0.25), F.constant(0.5), F.constant(0.1), 1.0, 1.0, 0.0)
     vs = np.linspace(0.0, 1.0, size)
+    on_axis1 = lambda x: x.reshape(r1, 1, *x.shape[1:])  # noqa: E731
+    on_axis2 = lambda x: x.reshape(1, r2, *x.shape[1:])  # noqa: E731
+    pi0 = np.full((1, 1, size), 0.25)
     with np.errstate(all="ignore"):
-        cost_table = twinvest.investment._cost_table(vs, cost_ok, cost, dcost)
-        t0 = dict(ok=np.ones(k_pair, bool), value=pi0, slope=dpi0)
-        t1 = dict(ok=pi1_ok, value=pi1, slope=dpi1)
-        pair_table = twinvest.investment._pair_table(model, vs, t0, t1)
-    cells = lambda x: np.broadcast_to(x, (n, size))  # noqa: E731 - a row per cell
-    return cost_table, pair_table, GridEval(vs, *map(cells, (pi0, pi1, cost, dpi0, dpi1, dcost)))
+        cost_table = twinvest.investment._cost_table(
+            vs, dict(ok=on_axis1(cost_ok), value=on_axis1(cost), slope=on_axis1(dcost))
+        )
+        t0 = dict(ok=np.ones((1, 1), bool), value=pi0, slope=0.0 * pi0)
+        t1 = dict(ok=on_axis2(pi1_ok), value=on_axis2(pi1), slope=on_axis2(dpi1))
+        pair_table = twinvest.investment._pair_table(model, vs, t0, t1, np.ones((1, r2), bool))
+    cells = lambda x: np.broadcast_to(x, (r1, r2, size))  # noqa: E731 - a grid per cell
+    g = GridEval(vs, *map(cells, (pi0, on_axis2(pi1), on_axis1(cost), 0.0 * pi0, on_axis2(dpi1), on_axis1(dcost))))
+    ok = cost_ok[:, None] & pi1_ok[None, :]
+    return model, cost_table, pair_table, block, g, ok
 
 
 class TestDecidedFromBounds:
@@ -203,8 +213,9 @@ class TestDecidedFromBounds:
 
     @staticmethod
     def reference(g: GridEval):
-        """The regime index and whether the retention margin holds at every
-        point, per cell, from every point's values (unit quality importance)."""
+        """The regime index, whether the retention margin holds at every
+        point and the rate difference and margin at each point, per cell,
+        from every point's values (unit quality importance)."""
         tol = twinvest.model.DEFAULT_TOL
         with np.errstate(all="ignore"):
             q = g.pi1 / g.pi0
@@ -213,40 +224,62 @@ class TestDecidedFromBounds:
             margin = 1.0 * (1.0 - 1.0 / q) - g.cost / (g.pi1 - g.pi0)
         no_investment = np.all(dq > tol, axis=-1) | np.all(diff < -tol, axis=-1)
         max_investment = np.all(dq <= tol, axis=-1) & np.all(diff > tol, axis=-1)
-        interior = (diff[:, 0] > tol) & (diff[:, -1] < -tol)
+        interior = (diff[..., 0] > tol) & (diff[..., -1] < -tol)
         codes = np.where(no_investment, 0, np.where(max_investment, 1, np.where(interior, 2, 3)))
-        return codes, np.all(margin >= 0.0, axis=-1)
+        return codes, np.all(margin >= 0.0, axis=-1), diff, margin
 
     @settings(max_examples=300, deadline=None)
-    @given(bounded_blocks())
-    def test_decided_cells_equal_every_point(self, block):
-        cost, pair, g = block
-        codes, retained = (np.broadcast_to(x, len(g.pi0)) for x in twinvest.investment._decided(cost, pair))
-        expected, held = self.reference(g)
+    @given(bounded_maps())
+    def test_decided_cells_equal_every_point(self, drawn):
+        model, cost, pair, block, g, ok = drawn
+        with mock.patch.object(twinvest.investment, "_BLOCK_POINTS", block):
+            valid, codes, retained = twinvest.investment._decided(model, cost, pair)
+        expected, held, _, margin = self.reference(g)
+        assert np.array_equal(valid, ok & (margin[..., 0] >= 0.0))
         decided = codes >= 0
         assert np.array_equal(codes[decided], expected[decided])
         assert held[retained].all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_maps())
+    def test_block_bounds_hold_at_every_point(self, drawn):
+        # on every cell, whatever the row bounds decide; a block of one
+        # point decides exactly as that point does
+        model, cost, pair, block, g, ok = drawn
+        cells = np.nonzero(np.ones(ok.shape, bool))
+        with mock.patch.object(twinvest.investment, "_BLOCK_POINTS", block), np.errstate(all="ignore"):
+            on_blocks = twinvest.investment._on_blocks(cost, pair, cells)
+        _, _, diff, margin = self.reference(g)
+        tol = twinvest.model.DEFAULT_TOL
+        every_point = [np.all(diff < -tol, axis=-1), np.all(diff > tol, axis=-1), np.all(margin >= 0.0, axis=-1)]
+        for bound, held in zip(on_blocks, every_point):
+            bound = bound.reshape(ok.shape)
+            assert held[ok & bound].all()
+            if block == 1:
+                assert np.array_equal(bound[ok], held[ok])
+
     def test_each_outcome(self):
-        # rows: cost'/cost below Q'/(Q-1) everywhere; above it with Q' <= 0
+        # cells: cost'/cost below Q'/(Q-1) everywhere; above it with Q' <= 0
         # (MaxInvestment) and with Q' > 0 at one point (Indeterminate); and
-        # crossing it from above (Interior).  Costs 0.1 and 0.125 (a tie) keep the margin
-        # 0.5 - 4*cost nonnegative, 0.2 does not.
+        # crossing it from above (Interior, from the grid's ends).  Costs
+        # 0.1 and 0.125 (a tie) keep the margin 0.5 - 4*cost nonnegative,
+        # 0.2 does not.
         vs = np.linspace(0.0, 1.0, 3)
-        cost = np.array([[0.125] * 3, [0.1] * 3, [0.1] * 3, [0.1, 0.1, 0.2]])
-        dcost = np.array([[-1.0] * 3, [0.0] * 3, [1.0] * 3, [1.0, 1.0, -1.0]])
-        dpi1 = np.array([[0.0] * 3, [-0.25] * 3, [0.0, 0.25, 0.0], [0.0] * 3])
-        pi0, pi1 = np.full((4, 3), 0.25), np.full((4, 3), 0.5)
+        cost = np.array([[0.125] * 3, [0.1] * 3, [0.1] * 3, [0.1, 0.1, 0.2]])[None]
+        dcost = np.array([[-1.0] * 3, [0.0] * 3, [1.0] * 3, [1.0, 1.0, -1.0]])[None]
+        dpi1 = np.array([[0.0] * 3, [-0.25] * 3, [0.0, 0.25, 0.0], [0.0] * 3])[None]
+        pi0, pi1 = np.full((1, 4, 3), 0.25), np.full((1, 4, 3), 0.5)
         model = ModelPrimitives(F.constant(0.25), F.constant(0.5), F.constant(0.1), 1.0, 1.0, 0.0)
-        ok = np.ones(4, bool)
-        cost_table = twinvest.investment._cost_table(vs, ok, cost, dcost)
+        ok = np.ones((1, 4), bool)
+        cost_table = twinvest.investment._cost_table(vs, dict(ok=ok, value=cost, slope=dcost))
         t0, t1 = dict(ok=ok, value=pi0, slope=0.0 * pi0), dict(ok=ok, value=pi1, slope=dpi1)
-        pair_table = twinvest.investment._pair_table(model, vs, t0, t1)
-        codes, retained = twinvest.investment._decided(cost_table, pair_table)
-        assert codes.tolist() == [0, 1, 3, -1]
-        assert retained.tolist() == [True, True, True, False]
-        expected, held = self.reference(GridEval(vs, pi0, pi1, cost, 0.0 * pi0, dpi1, dcost))
-        assert expected.tolist() == [0, 1, 3, 2] and held.tolist() == [True, True, True, False]
+        pair_table = twinvest.investment._pair_table(model, vs, t0, t1, ok)
+        valid, codes, retained = twinvest.investment._decided(model, cost_table, pair_table)
+        assert valid.tolist() == [[True] * 4]
+        assert codes.tolist() == [[0, 1, 3, 2]]
+        assert retained.tolist() == [[True, True, True, False]]
+        expected, held, _, _ = self.reference(GridEval(vs, pi0, pi1, cost, 0.0 * pi0, dpi1, dcost))
+        assert expected.tolist() == [[0, 1, 3, 2]] and held.tolist() == [[True, True, True, False]]
 
 
 @st.composite

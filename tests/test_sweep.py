@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,20 +262,27 @@ def per_cell_csv(regime_map) -> str:
 
 
 def decided_cells(base, axis1, axis2):
-    """What the tables' extremes decide of each cell of a template
-    (``_decided`` at each axis-1 value): regime indices, -1 where open, and
-    whether each cell is retained at every grid point."""
+    """What the tables decide of each cell of a template (``_decided`` on
+    each slab of ``_tables``): validity, regime indices (-1 where open) and
+    whether each cell is retained at every grid point, axis 1 outer."""
     columns = {
         (axis1.target, axis1.coefficient): np.array(axis1.values)[:, None],
         (axis2.target, axis2.coefficient): np.array(axis2.values),
     }
     batch = ModelBatch.sweep(base, columns)
-    n2, codes, retained = batch.shape[1], [], []
+    valid, codes, retained = [], [], []
     for _, cost, pair in twinvest.investment._tables(batch, base.grid()):
-        decided = twinvest.investment._decided(cost, pair)
-        codes.extend(np.broadcast_to(decided[0], n2).tolist())
-        retained.extend(np.broadcast_to(decided[1], n2).tolist())
-    return codes, retained
+        for out, decided in zip((valid, codes, retained), twinvest.investment._decided(base, cost, pair)):
+            out.extend(decided.ravel().tolist())
+    return valid, codes, retained
+
+
+def map_file(name: str) -> Path:
+    """A model file with a ``sweep`` section: the paper's f3 map or a test map."""
+    return Path(__file__).parents[1] / "configs" / name if name == "f3.json" else Path(__file__).with_name(name)
+
+
+MAP_FILES = ("f3.json", "f2_binding_sweep.json", "f2_cost_both_axes_sweep.json", "f3_pair_both_axes_sweep.json")
 
 
 class TestDecidedFromBounds:
@@ -283,12 +292,13 @@ class TestDecidedFromBounds:
     def test_decided_cells_equal_single_model_checks(self, name):
         make, axis1, axis2 = TEMPLATES[name]
         base = make()
-        codes, retained = decided_cells(base, axis1, axis2)
+        decided = zip(*decided_cells(base, axis1, axis2))
         labels = list(twinvest.investment.RegimeLabel)
         params = [(x1, x2) for x1 in axis1.values for x2 in axis2.values]
-        for (x1, x2), code, held in zip(params, codes, retained):
+        for (x1, x2), (valid, code, held) in zip(params, decided):
             model = cell_model(base, axis1, axis2, x1, x2)
-            if not validate(model).passed:
+            assert valid == validate(model).passed, (x1, x2)
+            if not valid:
                 continue
             if code >= 0:
                 assert labels[code] == twinvest.investment.classify_regime(model), (x1, x2)
@@ -296,15 +306,95 @@ class TestDecidedFromBounds:
                 assert retention_holds(model, evaluate_grid(model, model.grid())).all(), (x1, x2)
 
     def test_f3_map_decides_its_end_labels(self):
-        # every NoInvestment and MaxInvestment label of the paper's map,
-        # and most retained cells, come from the extremes alone
-        mf = load_model_file(Path(__file__).parents[1] / "configs" / "f3.json")
-        codes, retained = decided_cells(mf.model, *mf.sweep)
+        # every NoInvestment, MaxInvestment and Interior label of the
+        # paper's map comes from the tables alone, the last from the rate
+        # difference at the grid's ends; only the Indeterminate cells stay
+        # open, and the block bounds retain every cell but the 10 whose
+        # margin changes sign
+        mf = load_model_file(map_file("f3.json"))
+        valid, codes, retained = decided_cells(mf.model, *mf.sweep)
         regimes = [c.regime for c in regime_sweep(mf.model, *mf.sweep).cells]
+        assert all(valid)
         ends = [r in ("NoInvestment", "MaxInvestment") for r in regimes]
         assert sum(ends) == 2098
         assert [code in (0, 1) for code in codes] == ends
-        assert sum(retained) >= 1800
+        assert [code in (0, 1, 2) for code in codes] == [r != "Indeterminate" for r in regimes]
+        assert codes.count(-1) == regimes.count("Indeterminate") == 113
+        assert sum(retained) == 2490
+
+    @pytest.mark.parametrize("block", [1001, 7])
+    @pytest.mark.parametrize("name", MAP_FILES)
+    def test_map_bytes_do_not_depend_on_the_block_size(self, name, block, monkeypatch):
+        # a block of the whole grid is a row's extremes
+        mf = load_model_file(map_file(name))
+        want = regime_sweep(mf.model, *mf.sweep).to_csv()
+        monkeypatch.setattr(twinvest.investment, "_BLOCK_POINTS", block)
+        assert regime_sweep(mf.model, *mf.sweep).to_csv() == want
+
+
+class TestF3Traffic:
+    """The per-cell work of the paper's map goes only to the cells the
+    tables leave open."""
+
+    def test_only_open_cells_reach_the_per_point_tests(self, monkeypatch):
+        margin_rows, regime_codes = [], []
+        real_holds, real_codes = twinvest.investment.retention_holds, twinvest.investment._regime_codes
+
+        def holds(model, p, pair=None):
+            out = real_holds(model, p, pair)
+            if np.ndim(p.v) == 1 and np.ndim(out) == 2:  # a margin over the whole grid
+                margin_rows.append(len(out))
+            return out
+
+        def codes(*args):
+            out = real_codes(*args)
+            regime_codes.extend(out.tolist())
+            return out
+
+        monkeypatch.setattr(twinvest.investment, "retention_holds", holds)
+        monkeypatch.setattr(twinvest.investment, "_regime_codes", codes)
+        mf = load_model_file(map_file("f3.json"))
+        regime_map = regime_sweep(mf.model, *mf.sweep)
+        flips = np.diff(regime_map.solved.bounds) > 0  # the cells whose margin changes sign
+        assert sum(margin_rows) == flips.sum() == 10
+        assert regime_codes == [3] * 113
+
+    def test_transposed_map_mirrors_every_cell(self):
+        # the cost table along axis 2 and the pair table along axis 1,
+        # against the other way round
+        mf = load_model_file(map_file("f3.json"))
+        axis1, axis2 = mf.sweep
+        regime_map = regime_sweep(mf.model, axis1, axis2)
+        transposed = regime_sweep(mf.model, axis2, axis1)
+        n1, n2 = regime_map.shape
+        for k, cell in enumerate(regime_map.cells):
+            mirror = transposed.cells[(k % n2) * n1 + k // n2]
+            assert (mirror.param1, mirror.param2) == (cell.param2, cell.param1)
+            fields = ("regime", "v_opt", "u_opt", "deterrent_binding", "v_star")
+            assert [getattr(mirror, f) for f in fields] == [getattr(cell, f) for f in fields]
+
+
+#: tracemalloc peak of one sweep and its CSV (MB), about 25 % above the
+#: measured 3.28, 26.79, 3.08 and 5.78 MB.
+MEMORY_LIMITS_MB = {
+    ("f3.json", None): 4.1,
+    ("f3.json", 200): 33.5,
+    ("f2_cost_both_axes_sweep.json", None): 3.9,
+    ("f3_pair_both_axes_sweep.json", None): 7.2,
+}
+
+
+@pytest.mark.parametrize("name, count", MEMORY_LIMITS_MB)
+def test_sweep_memory_stays_bounded(name, count):
+    mf = load_model_file(map_file(name))
+    axes = mf.sweep if count is None else [dataclasses.replace(axis, count=count) for axis in mf.sweep]
+    tracemalloc.start()
+    try:
+        regime_sweep(mf.model, *axes).to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= MEMORY_LIMITS_MB[name, count]
 
 
 class TestColumnarMap:
