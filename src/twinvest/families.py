@@ -100,8 +100,10 @@ def family_function(kind: str, c):
 
 def family_value_slope(kind: str, c, v: np.ndarray):
     """:func:`family_formula` of the ``kind`` family at ``v`` (a float, a
-    grid or a block), value and slope."""
-    return family_formula(kind, c, v), family_formula(kind, c, v, True)
+    grid or a block), value and slope; an overflow is left inf or NaN,
+    for the caller's finiteness check, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return family_formula(kind, c, v), family_formula(kind, c, v, True)
 
 
 @dataclass(frozen=True)

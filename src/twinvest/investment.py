@@ -67,22 +67,31 @@ def _pair_rates(p):
 _REGIMES = tuple(RegimeLabel)
 
 
-def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
-    """Index into :data:`_REGIMES` of the regime of each of the cells of an
-    axis-1 value (rows are cells), from its rates cost'/cost and Q'/(Q-1)
-    and Q''s min and max over the grid: the cells that the tables' extremes
-    leave open (:func:`_decided`), and the one row of :func:`classify_regime`.
+def _codes(dq_low, dq_high, falling, rising, ends, open_code):
+    """The label rule: each cell's index into :data:`_REGIMES`, from Q''s
+    min and max over the grid, whether the rate difference cost'/cost -
+    Q'/(Q-1) is below ``-tol`` (``falling``) or above ``tol`` (``rising``)
+    at every point, and that difference at ``v = 0`` and ``v_max`` (the
+    first and last of ``ends``).  Once both "everywhere" conditions fail,
+    those ends decide ``Interior`` exactly; ``open_code`` where none holds."""
+    interior = (ends[..., 0] > DEFAULT_TOL) & (ends[..., -1] < -DEFAULT_TOL)
+    return np.where(
+        (dq_low > DEFAULT_TOL) | falling,
+        0,
+        np.where(rising, np.where(dq_high <= DEFAULT_TOL, 1, 3), np.where(interior, 2, open_code)),
+    )
 
-    Each "everywhere" condition is decided at the extremum on its side of
-    the rate difference over the grid, which fails it exactly when some
-    point does, NaN included (an extremum is NaN when a value is, and NaN
-    fails every comparison)."""
+
+def _regime_codes(rate_cost, rate_sep, dq_low, dq_high):
+    """:func:`_codes` of the cells of an axis-1 value (rows are cells) from
+    every point's rates cost'/cost and Q'/(Q-1) and Q''s min and max,
+    ``Indeterminate`` where no condition holds: the cells :func:`_decided`
+    leaves open, and the one row of :func:`classify_regime`.  The extremum
+    of the rate difference fails an "everywhere" condition exactly when
+    some point does, NaN included (NaN fails every comparison)."""
     diff = rate_cost - rate_sep  # sign of U'
-    diff_low, diff_high = diff.min(axis=-1), diff.max(axis=-1)
-    no_investment = (dq_low > DEFAULT_TOL) | (diff_high < -DEFAULT_TOL)
-    max_investment = (dq_high <= DEFAULT_TOL) & (diff_low > DEFAULT_TOL)
-    interior = (diff[..., 0] > DEFAULT_TOL) & (diff[..., -1] < -DEFAULT_TOL)
-    return np.where(no_investment, 0, np.where(max_investment, 1, np.where(interior, 2, 3)))
+    falling, rising = diff.max(axis=-1) < -DEFAULT_TOL, diff.min(axis=-1) > DEFAULT_TOL
+    return _codes(dq_low, dq_high, falling, rising, diff, 3)
 
 
 def classify_regime(
@@ -332,13 +341,13 @@ def solve_batch_columns(batch: ModelBatch, grid_points: int = DEFAULT_GRID_POINT
     primitive, and the pair of pi0 and pi1, once per value of the one axis
     that varies it (else once), for the whole batch; only a primitive or
     pair that both axes vary is built again at each axis-1 value.  The
-    tables' extremes then decide, for every cell at once, its validity and
-    most regime labels and retention masks
+    tables then decide every cell at once (:func:`_decided`): its validity,
+    and from their extremes most regime labels and retention masks
     (:func:`~twinvest.model.retention_holds`); per cell it yields the rent
     and its argmax, and the label, or the retention mask with the margin's
     sign flips, only where the extremes leave them open.  A valid cell is
-    retained at ``v = 0``, so it always has
-    an optimum.  One bisection array search finds every root, from which the
+    retained at ``v = 0``, so it always has an optimum.  One bisection array
+    search finds every root, from which the
     displacement threshold and the feasible run's ends come: an end inside
     the grid moves to its flip's bisected end on the feasible side, so the
     optimum is feasible and never past the threshold.  One golden-section
@@ -374,7 +383,7 @@ def _nan_unless(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return list(arrays) if ok.all() else [np.where(ok[..., None], x, np.nan) for x in arrays]
 
 
-#: Grid points per block of a table's extremes (:func:`_on_blocks`).
+#: Grid points per block of a table's extremes (:func:`_bounds`).
 _BLOCK_POINTS = 32
 
 
@@ -447,52 +456,39 @@ def _tables(batch: ModelBatch, vs: np.ndarray):
         yield range(i, i + 1), tables[2], tables[3]
 
 
-#: The extremes that :func:`_everywhere` reads: of which array of a table,
-#: by which reduction.
-_EXTREMES = dict(
-    rate_low=("rate", np.minimum), rate_high=("rate", np.maximum), high=("value", np.maximum),
-    gap_low=("gap", np.minimum), stake_low=("stake", np.minimum),
-)
+def _bounds(model: ModelPrimitives, cost: dict, pair: dict, cells: tuple | None = None) -> list[np.ndarray]:
+    """Where the rate difference falls below ``-tol``, where it rises above
+    ``tol`` and where the retention margin is nonnegative, at every point:
+    from the extremes of each row of a slab's cost and pair tables, as
+    (axis-1 x axis-2) arrays, or, given ``cells`` (axis-1 and axis-2
+    positions), of each block of :data:`_BLOCK_POINTS` grid points (the
+    last one ragged) of those cells, an entry per cell.  The bounds are
+    ``max cost'/cost - min Q'/(Q-1) < -tol``, ``min cost'/cost - max
+    Q'/(Q-1) > tol`` and :func:`~twinvest.model.retention_holds` at ``max
+    cost``, ``min gap`` and ``min stake``.
 
-
-def _everywhere(cost: dict, pair: dict, at) -> list[np.ndarray]:
-    """Where each bound on the extremes ``at(table, key)`` (a key of
-    :data:`_EXTREMES`) holds at every point they bound:
-
-    * ``max cost'/cost - min Q'/(Q-1) < -tol``: the rate difference is
-      below ``-tol``;
-    * ``min cost'/cost - max Q'/(Q-1) > tol``: it is above ``tol``;
-    * ``min stake - max cost/min gap >= 0``: the retention margin
-      ``stake - cost/gap`` is nonnegative.
-
-    Each bound decides exactly as the per-point tests of
-    :func:`_regime_codes` and :func:`~twinvest.model.retention_holds`:
-    IEEE subtraction and division round monotonically, so the rounded
-    difference or quotient of the extremes bounds the rounded one at each
-    point (cost and gap are positive on a valid row; Moore, Kearfott &
-    Cloud, *Introduction to Interval Analysis*, SIAM 2009).  A NaN bound,
-    from a NaN value or from ``inf - inf``, fails; the caller silences the
-    warnings of that arithmetic.
+    Each decides exactly as its per-point test: IEEE subtraction and
+    division round monotonically, so the rounded difference or quotient of
+    the extremes bounds the rounded one at each point (cost and gap are
+    positive on a valid row; Moore, Kearfott & Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009).  A NaN bound, from a NaN value or from
+    ``inf - inf``, fails; the caller silences that arithmetic's warnings.
     """
-    return [
-        at(cost, "rate_high") - at(pair, "rate_low") < -DEFAULT_TOL,
-        at(cost, "rate_low") - at(pair, "rate_high") > DEFAULT_TOL,
-        at(pair, "stake_low") - at(cost, "high") / at(pair, "gap_low") >= 0.0,
-    ]
 
-
-def _on_blocks(cost: dict, pair: dict, cells: tuple) -> list[np.ndarray]:
-    """The bounds of :func:`_everywhere` on every block of
-    :data:`_BLOCK_POINTS` grid points (the last one ragged) of the cells
-    at the axis-1 and axis-2 positions ``cells``."""
-    starts = np.arange(0, cost["rate"].shape[-1], _BLOCK_POINTS)
-
-    def at(table, key):
-        name, reduce = _EXTREMES[key]
-        x = reduce.reduceat(table[name], starts, axis=-1)
+    def at(x, reduce):  # the extremes of the table array x
+        if cells is None:
+            return reduce.reduce(x, axis=-1)
+        x = reduce.reduceat(x, np.arange(0, x.shape[-1], _BLOCK_POINTS), axis=-1)
         return x[cells[0] if len(x) > 1 else 0, cells[1] if x.shape[1] > 1 else 0]
 
-    return [held.all(axis=-1) for held in _everywhere(cost, pair, at)]
+    low, high = np.minimum, np.maximum
+    worst = GridEval(None, None, None, at(cost["value"], high))
+    held = [
+        at(cost["rate"], high) - at(pair["rate"], low) < -DEFAULT_TOL,
+        at(cost["rate"], low) - at(pair["rate"], high) > DEFAULT_TOL,
+        retention_holds(model, worst, (at(pair["gap"], low), at(pair["stake"], low))),
+    ]
+    return held if cells is None else [h.all(axis=-1) for h in held]
 
 
 def _decided(model: ModelPrimitives, cost: dict, pair: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -502,43 +498,28 @@ def _decided(model: ModelPrimitives, cost: dict, pair: dict) -> tuple[np.ndarray
 
     A cell is valid when its rows are ``ok``, ``model``'s stakes are
     ordered and it is retained at ``v = 0`` (the viability check of
-    :func:`~twinvest.model.validate`).  Its label is ``NoInvestment`` when
-    ``min Q' > tol`` or the rate difference falls below ``-tol`` everywhere,
-    else ``MaxInvestment`` (``max Q' <= tol``) or ``Indeterminate`` when it
-    rises above ``tol`` everywhere, else ``Interior`` when it is above
-    ``tol`` at ``v = 0`` and below ``-tol`` at ``v_max``: those ends rule
-    out both "everywhere" conditions, so they decide it exactly.  The
-    "everywhere" conditions and retention are bounded by each row's
-    extremes (:func:`_everywhere`), and then, for the valid cells left open
-    when they outnumber the tables' rows, by the extremes of each block
-    (:func:`_on_blocks`): a table row's block extremes cost about what one
-    cell's per-point test does, and only the open cells' are held.
+    :func:`~twinvest.model.validate`).  Its label is :func:`_codes` of the
+    "everywhere" conditions and of the rate difference at the grid's ends.
+    The conditions and retention are bounded by each row's extremes
+    (:func:`_bounds`), then, for the valid cells left open when they
+    outnumber the tables' rows, by each block's: a table row's block
+    extremes cost about what one cell's per-point test does.
     """
-
-    def extremes(table, key):  # of each row
-        name, reduce = _EXTREMES[key]
-        return reduce.reduce(table[name], axis=-1)
-
     at_zero = GridEval(None, None, None, cost["value"][..., 0])
     viable = retention_holds(model, at_zero, (pair["gap"][..., 0], pair["stake"][..., 0]))
     valid = cost["ok"] & pair["ok"] & viable & (model.s_high > model.s_low)
-    no_investment = pair["dq_low"] > DEFAULT_TOL
     last = cost["rate"].shape[-1] - 1
     with np.errstate(all="ignore"):
         ends = cost["rate"][..., ::last] - pair["rate"][..., ::last]  # at v = 0 and v_max
-        interior = (ends[..., 0] > DEFAULT_TOL) & (ends[..., 1] < -DEFAULT_TOL)
-        falling, rising, retained = _everywhere(cost, pair, extremes)
+        falling, rising, retained = _bounds(model, cost, pair)
+        codes = _codes(pair["dq_low"], pair["dq_high"], falling, rising, ends, -1)
         rows = cost["ok"].size + pair["ok"].size
         if valid.size > rows:  # else the open cells cannot outnumber the rows
-            cells = np.nonzero(valid & ~(retained & (falling | rising | interior | no_investment)))
+            cells = np.nonzero(valid & ~(retained & (codes >= 0)))
             if len(cells[0]) > rows:
-                for held, on_blocks in zip((falling, rising, retained), _on_blocks(cost, pair, cells)):
+                for held, on_blocks in zip((falling, rising, retained), _bounds(model, cost, pair, cells)):
                     held[cells] |= on_blocks
-    codes = np.where(
-        no_investment | falling,
-        0,
-        np.where(rising, np.where(pair["dq_high"] <= DEFAULT_TOL, 1, 3), np.where(interior, 2, -1)),
-    )
+                codes = _codes(pair["dq_low"], pair["dq_high"], falling, rising, ends, -1)
     return valid, codes, retained
 
 

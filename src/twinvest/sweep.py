@@ -6,10 +6,11 @@ in one batch (:func:`~twinvest.investment.solve_batch_columns`).  A
 primitive, or the pair of pi0 and pi1, is evaluated, validated and rated
 once per axis-2 value when only axis 2 varies it, once per axis-1 value
 when only axis 1 does, once when neither does and once per cell when both
-do.  The extremes of those tables over blocks of grid points decide each
-cell's validity and most regime labels and retention masks for the whole
-map at once; only what reads both axes, and what the extremes leave open,
-is computed per cell.
+do.  Those tables then decide each cell's validity for the whole map at
+once, and their extremes over each row, and over blocks of grid points
+where the rows leave many cells open, decide most regime labels and
+retention masks; only what reads both axes, and what the extremes leave
+open, is computed per cell.
 Each cell's result is exactly what solving that cell alone gives: it does
 not depend on the batch.  Cells whose model violates the base assumptions
 are recorded as ``Invalid`` rather than skipped, so the output is always a
@@ -122,8 +123,12 @@ class SweepAxisError(ValueError):
 
 
 def _check_axis(base: ModelPrimitives, axis: SweepAxis) -> None:
-    """Raise :class:`SweepAxisError` naming the axis unless every one of
-    its values makes a legal family out of the base model's."""
+    """Raise :class:`SweepAxisError` naming the axis unless its range has a
+    finite width and every one of its values makes a legal family out of
+    the base model's."""
+    if not math.isfinite(float(axis.stop) - float(axis.start)):  # else the values would be NaN
+        span = f"the range from {axis.start!r} to {axis.stop!r}"
+        raise SweepAxisError(f"sweep axis {axis.label()}: {span} is wider than the largest float")
     try:
         family = base.family(axis.target)
         for x in axis.values:
@@ -142,8 +147,9 @@ def regime_sweep(
 
     Raises :class:`SweepAxisError` (a ``ValueError``) naming the axis when
     a value does not make a legal family (say a negative exponential-decay
-    rate, or a coefficient index the family does not have), and naming
-    both when the two axes vary one coefficient.  The checks run before
+    rate, or a coefficient index the family does not have) or its range is
+    wider than the largest float, and naming both when the two axes vary
+    one coefficient.  The checks run before
     any cell is solved, since the batch takes the axis values as
     coefficient arrays without building a family per cell.
     """

@@ -6,6 +6,7 @@ import pytest
 import twinvest.dynamics
 from twinvest.cli import main
 from twinvest.config import continuous_to_dict, model_to_dict
+from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4, f5
 from twinvest.model import validate
 
@@ -57,6 +58,16 @@ class TestValidate:
 
     def test_missing_model_flag(self, capsys):
         assert main(["validate"]) == 1
+
+
+class TestOverflowingModel:
+    @pytest.mark.parametrize("command", ["validate", "solve", "simulate"])
+    def test_named_without_a_warning(self, model_file, capsys, command):
+        # pi0 = 1e308 + 1e308*v overflows inside the grid: validate's report,
+        # and no numpy warning (an error under this suite) before it
+        path = model_file(dataclasses.replace(f3(), pi0=F.affine(1e308, 1e308)))
+        assert main([command, "--model", path]) == 2
+        assert "finite-evaluation" in capsys.readouterr().out
 
 
 class TestSolve:
@@ -275,6 +286,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: sweep axis {named}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", ["1", "3"])
+    def test_overflowing_axis_range_is_named(self, model_file, capsys, grid):
+        # the width 2e308 overflows: the error names the range, not the NaN
+        # values it would spread, and numpy warns of nothing on the way
+        section = sweep_section()
+        section["axes"][0].update(start=-1e308, stop=1e308)
+        assert main(["sweep", "--model", model_file(f3(), sweep=section), "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sweep axis cost[1]: the range from -1e+308 to 1e+308 is wider than the largest float\n"
 
     def test_missing_sweep_section(self, model_file, capsys):
         assert main(["sweep", "--model", model_file(f3())]) == 1

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from twinvest.continuous import (
@@ -38,6 +38,17 @@ def sqrt_like_models(draw):
         s_high=draw(st.floats(0.5, 3.0)),
         s_low=0.0,
     )
+
+
+def effort_between(model, t):
+    """The effort a fraction ``t`` of the way from ``e_min`` to ``e_max``,
+    clamped to that range: the interpolation can round one ulp past
+    ``e_max``, an effort the model rightly refuses."""
+    return min(max(model.e_min + t * (model.e_max - model.e_min), model.e_min), model.e_max)
+
+
+#: A range whose interpolation at t = 1 rounds one ulp above its e_max.
+ULP_PAST_E_MAX = dict(model=dataclasses.replace(f5(), e_min=0.1813016770743595, e_max=1.4419699426266182), t=1.0)
 
 
 class TestContractForEffort:
@@ -92,16 +103,18 @@ class TestFocResidual:
         assert foc_residual(f5(), 0.25, Contract(0.3, 0.3)) == pytest.approx(-0.25)
 
     @given(model=sqrt_like_models(), t=st.floats(0.0, 1.0))
+    @example(**ULP_PAST_E_MAX)
     @settings(max_examples=100, deadline=None)
     def test_residual_vanishes_for_induced_contracts(self, model, t):
-        e = model.e_min + t * (model.e_max - model.e_min)
+        e = effort_between(model, t)
         contract = contract_for_effort(model, e)
         assert abs(foc_residual(model, e, contract)) <= 1e-10
 
     @given(model=sqrt_like_models(), t=st.floats(0.0, 1.0))
+    @example(**ULP_PAST_E_MAX)
     @settings(max_examples=100, deadline=None)
     def test_participation_holds_everywhere(self, model, t):
-        e = model.e_min + t * (model.e_max - model.e_min)
+        e = effort_between(model, t)
         contract = contract_for_effort(model, e)
         assert agent_expected_utility(model, e, contract) >= -1e-12
 

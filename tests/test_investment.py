@@ -248,7 +248,7 @@ class TestDecidedFromBounds:
         model, cost, pair, block, g, ok = drawn
         cells = np.nonzero(np.ones(ok.shape, bool))
         with mock.patch.object(twinvest.investment, "_BLOCK_POINTS", block), np.errstate(all="ignore"):
-            on_blocks = twinvest.investment._on_blocks(cost, pair, cells)
+            on_blocks = twinvest.investment._bounds(model, cost, pair, cells)
         _, _, diff, margin = self.reference(g)
         tol = twinvest.model.DEFAULT_TOL
         every_point = [np.all(diff < -tol, axis=-1), np.all(diff > tol, axis=-1), np.all(margin >= 0.0, axis=-1)]
@@ -670,3 +670,18 @@ class TestDegenerateProbabilities:
             cases = [(f"{make.__name__}-{family}-{a}", model)]
             for certified in (certify_regimes(cases), certify_investment(cases)):
                 assert certified.passed, certified.describe()
+
+
+class TestSolverInvariants:
+    """Outputs of the solver that must agree with each other on every model
+    it solves, with no oracle: classify_regime reads the single-grid route
+    and optimal_investment the tables' route, so one label rule decides
+    both only if they give the same label."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_labels_agree_with_the_solve(self, seed):
+        for model in random_models(200, seed):
+            solution = optimal_investment(model)
+            assert classify_regime(model) is solution.regime
+            if solution.regime is RegimeLabel.MAX_INVESTMENT:
+                assert solution.v_star_unconstrained == model.v_max

@@ -1,20 +1,36 @@
-"""The paper's two regime maps, cell by cell: every valid cell's solve
-certified against the oracles, and the abstract's displacement claim as a
-property of the cells.
+"""The paper's regime maps, cell by cell: every valid cell's solve
+certified against the oracles, and the abstract's displacement and
+alignment claims as properties of the cells.
 
-The maps are the sweep templates of ``configs/f3.json`` (50x50) and of
-``tests/f2_binding_sweep.json`` (30x30, where the deterrent binds).  A
-myopic agent trains fully and is displaced exactly when the retention
-margin ``M = gap*(s_high - s_low) - pi1*cost/gap`` (``gap = pi1 - pi0``)
-is negative at ``v_max``.  Its partials are sign-definite: ``M`` falls as
+The maps are the sweep templates of ``configs/f3.json`` (50x50), of
+``tests/f2_binding_sweep.json`` (30x30, where the deterrent binds) and of
+``tests/f1_verifiability_editability_sweep.json`` (30x30).  A myopic agent
+trains fully and is displaced exactly when the retention margin
+``M = gap*(s_high - s_low) - pi1*cost/gap`` (``gap = pi1 - pi0``) is
+negative at ``v_max``.  Its partials are sign-definite: ``M`` falls as
 pi0 or the cost rises, so displacement never switches off as either
 rises, and rises with pi1, so displacement never switches on as it rises.
-The same properties are also checked on hypothesis-drawn models.
+
+The abstract also says that tasks with high verifiability and low
+editability align best with a worker's incentive to train their twin.
+These tests read verifiability as the slope of pi0 (the twin alone gains
+from training) and editability as the slope of pi1 (the human in the loop
+gains).  For affine ``pi0 = a0 + b0*v`` and ``pi1 = a1 + b1*v`` with
+``0 < a0 < a1``, the rent ``U = pi0*cost/(pi1 - pi0)`` has
+``d2 log U/dv db0 = a0/pi0**2 + (a1 - a0)/gap**2 > 0`` and
+``d2 log U/dv db1 = -(a1 - a0)/gap**2 < 0``, so the unconstrained optimum
+never falls as b0 rises and never rises as b1 does (Topkis, *Operations
+Research* 1978; Milgrom & Shannon, *Econometrica* 1994).  The solver's
+golden-section refinement leaves its optima about 1e-9 from exact, so
+these monotonicities are checked with that slack.  The same properties
+are also checked on hypothesis-drawn models.
 """
 
+import dataclasses
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from conftest import affine_models
 from hypothesis import HealthCheck, assume, event, given, settings
@@ -22,11 +38,18 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from twinvest.config import load_model_file
 from twinvest.contracts import displacement_deterrent_margin_raw
 from twinvest.dynamics import AgentKind, simulate_two_period
-from twinvest.model import validate
+from twinvest.investment import solve_batch_columns
+from twinvest.model import ModelBatch, validate
 from twinvest.oracle import certify_investment, certify_regimes
+from twinvest.sweep import regime_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
-MAPS = {"f3": ROOT / "configs" / "f3.json", "f2_binding": Path(__file__).with_name("f2_binding_sweep.json")}
+HERE = Path(__file__).parent
+MAPS = {
+    "f3": ROOT / "configs" / "f3.json",
+    "f2_binding": HERE / "f2_binding_sweep.json",
+    "f1_verifiability_editability": HERE / "f1_verifiability_editability_sweep.json",
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +71,7 @@ def maps():
     return out
 
 
-@pytest.mark.parametrize("name, valid", [("f3", 2500), ("f2_binding", 720)])
+@pytest.mark.parametrize("name, valid", [("f3", 2500), ("f2_binding", 720), ("f1_verifiability_editability", 600)])
 def test_every_valid_cell_is_certified(maps, name, valid):
     cells = maps[name][2]
     assert len(cells) == valid
@@ -137,3 +160,70 @@ def test_myopic_displacement_is_monotone_in_each_primitive(model, name, d):
         assert not (after and not before)  # never switches on as pi1 rises
     else:
         assert not (before and not after)  # never switches off as pi0 or the cost rises
+
+
+#: How far the solver's unbound optimum may stray from exact: the
+#: golden-section refinement's noise.
+SLACK = 1e-9
+
+
+@pytest.fixture(scope="module")
+def alignment_maps() -> dict:
+    """The verifiability x editability map's ``v_opt``,
+    ``v_star_unconstrained`` and ``deterrent_binding`` as (axis-1 x axis-2)
+    arrays, NaN on invalid cells, at ``s_high`` 2.0 and 0.6."""
+    mf = load_model_file(MAPS["f1_verifiability_editability"])
+    assert [(axis.target, axis.coefficient) for axis in mf.sweep] == [("pi0", 1), ("pi1", 1)]
+    shape = tuple(axis.count for axis in mf.sweep)
+    out = {}
+    for s_high in (2.0, 0.6):
+        solved = regime_sweep(dataclasses.replace(mf.model, s_high=s_high), *mf.sweep).solved
+        out[s_high] = {}
+        for name in ("v_opt", "v_star_unconstrained", "deterrent_binding"):
+            x = np.full(shape[0] * shape[1], np.nan)
+            x[solved.cell] = getattr(solved, name)
+            out[s_high][name] = x.reshape(shape)
+    return out
+
+
+def against(x, axis, sign) -> list:
+    """The steps between consecutive non-NaN cells of ``x`` along ``axis``
+    (0 for axis 1, 1 for axis 2) that move against ``sign`` (+1 for
+    nondecreasing, -1 for nonincreasing) by more than :data:`SLACK`."""
+    lines = x.T if axis == 0 else x
+    steps = np.concatenate([np.diff(line[~np.isnan(line)]) for line in lines])
+    return (sign * steps)[sign * steps < -SLACK].tolist()
+
+
+@pytest.mark.parametrize("s_high, binding", [(2.0, 54), (0.6, 243)])
+def test_verifiability_raises_and_editability_lowers_the_investment(alignment_maps, s_high, binding):
+    columns = alignment_maps[s_high]
+    assert np.count_nonzero(~np.isnan(columns["v_opt"])) == 600
+    assert np.nansum(columns["deterrent_binding"]) == binding
+    unbound = np.where(columns["deterrent_binding"] == 0.0, columns["v_opt"], np.nan)
+    for x in (unbound, columns["v_star_unconstrained"]):
+        assert against(x, 0, +1) == []  # pi0's slope rises along axis 1
+        assert against(x, 1, -1) == []  # pi1's slope rises along axis 2
+
+
+def test_low_stakes_hold_back_investment(alignment_maps):
+    # v* does not read the stakes and lower stakes shrink the feasible set,
+    # so every cell that binds at s_high = 2 binds at 0.6 too
+    high, low = alignment_maps[2.0], alignment_maps[0.6]
+    assert np.array_equal(high["v_star_unconstrained"], low["v_star_unconstrained"], equal_nan=True)
+    assert np.all(low["deterrent_binding"][high["deterrent_binding"] == 1.0] == 1.0)
+
+
+# most drawn models fail the viability check at v = 0, so most draws are
+# filtered out
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(affine_models(), st.sampled_from(["pi0", "pi1"]), st.floats(1e-6, 0.3))
+def test_unconstrained_investment_is_monotone_in_each_slope(model, name, d):
+    # coefficient 1 of pi0 or pi1, its slope, shifted up by d
+    shifted = model.with_coefficient(name, 1, model.family(name).coefficients[1] + d)
+    before, after = (solve_batch_columns(ModelBatch.single(m)) for m in (model, shifted))
+    assume(len(before.cell) and len(after.cell))  # both valid
+    step = after.v_star_unconstrained[0] - before.v_star_unconstrained[0]
+    if step:
+        event(f"v* moves as {name}'s slope rises")
+    assert (step if name == "pi0" else -step) >= -SLACK
