@@ -11,6 +11,8 @@ cycles, and a continuous-effort variant, each certified against
 brute-force oracles.
 """
 
+import types
+
 from .contracts import (
     Contract,
     SurplusBreakdown,
@@ -74,56 +76,8 @@ from .sweep import RegimeMap, SweepAxis, SweepAxisError, regime_sweep
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentKind",
-    "Contract",
-    "ContinuousEffortModel",
-    "EffortLevel",
-    "EffortSolution",
-    "InvalidModelError",
-    "InvestmentSolution",
-    "ModelPrimitives",
-    "OracleReport",
-    "ParametricFamily",
-    "PeriodRecord",
-    "RegimeLabel",
-    "RegimeMap",
-    "SurplusBreakdown",
-    "SweepAxis",
-    "SweepAxisError",
-    "TimelineTrace",
-    "ValidationReport",
-    "agent_surplus",
-    "brute_force_contract",
-    "brute_force_investment",
-    "brute_force_two_period",
-    "classify_regime",
-    "contract_for_effort",
-    "degradation_deterrent_check",
-    "deterrent_sign_change_roots",
-    "displacement_deterrent_check",
-    "displacement_deterrent_margin",
-    "displacement_threshold",
-    "effort_inducement_check",
-    "evaluate",
-    "foc_residual",
-    "myopic_investment",
-    "optimal_contract",
-    "optimal_investment",
-    "outcome_separability",
-    "principal_optimal_effort",
-    "principal_period1_contract",
-    "principal_surplus",
-    "regime_sweep",
-    "rehire_cycle_length",
-    "sample_outcomes",
-    "run_certification",
-    "shirk_check",
-    "should_offer_twin",
-    "simulate_cycles",
-    "simulate_two_period",
-    "social_total_surplus",
-    "surpluses",
-    "validate",
-    "validate_continuous",
-]
+# every public name imported above; the submodules those imports bind are not
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -1,7 +1,5 @@
 """Command-line interface.
 
-Subcommands: validate | solve | simulate | sweep | verify.
-
 Exit codes: 0 success, 1 input error (bad arguments, unreadable or
 malformed files, unwritable output), 2 model fails validation, 3 oracle
 disagreement in `verify`.
@@ -56,8 +54,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="twinvest", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, model=True, out=False, grid=False):
+    def add(name, handler, help_text, model=True, out=False, grid=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if model:
             p.add_argument("--model", help="model definition file (JSON)")
         if out:
@@ -66,11 +65,11 @@ def _build_parser() -> _Parser:
             p.add_argument("--grid", type=int, help="grid size override")
         return p
 
-    add("validate", "check a model file against the base assumptions", grid=True)
-    add("solve", "regime, optimal investment and displacement threshold",
+    add("validate", cmd_validate, "check a model file against the base assumptions", grid=True)
+    add("solve", cmd_solve, "regime, optimal investment and displacement threshold",
         out=True, grid=True)
 
-    sim = add("simulate", "two-period game or degradation/rehire cycles", out=True)
+    sim = add("simulate", cmd_simulate, "two-period game or degradation/rehire cycles", out=True)
     sim.add_argument(
         "--agent", choices=[k.value for k in AgentKind], default=AgentKind.MYOPIC.value
     )
@@ -79,9 +78,9 @@ def _build_parser() -> _Parser:
     sim.add_argument("--horizon", type=int, help="number of periods (cycles mode)")
     sim.add_argument("--seed", type=int, help="sample per-period outcomes with this seed")
 
-    add("sweep", "two-parameter regime map as CSV", out=True, grid=True)
+    add("sweep", cmd_sweep, "two-parameter regime map as CSV", out=True, grid=True)
 
-    verify = add("verify", "certify solvers against the brute-force oracles",
+    verify = add("verify", cmd_verify, "certify solvers against the brute-force oracles",
                  model=False, out=True)
     verify.add_argument(
         "--models", type=int, default=200, help="number of random models (0 = fixtures only)"
@@ -262,19 +261,10 @@ def cmd_verify(args) -> int:
     return EXIT_ORACLE if failed else EXIT_OK
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "solve": cmd_solve,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (_InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,14 +2,17 @@
 
 A file describes a discrete model (top-level ``pi0``/``pi1``/``cost``
 families plus bounds and stakes), and may additionally carry a
-``continuous`` section and a two-axis ``sweep`` template.  Unknown keys
-are rejected, and every parse error names the offending field path.
+``continuous`` section and a two-axis ``sweep`` template.  The keys of
+each object are the fields of the dataclass it describes
+(:class:`ModelPrimitives`, :class:`ContinuousEffortModel`,
+:class:`ParametricFamily`, :class:`SweepAxis`).  Unknown keys are rejected,
+and every parse error names the offending field path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .continuous import ContinuousEffortModel
@@ -26,11 +29,15 @@ class ConfigError(ValueError):
         super().__init__(f"{self.path}: {message}")
 
 
-_MODEL_KEYS = {"pi0", "pi1", "cost", "v_max", "s_high", "s_low"}
+def _keys(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
+
+
+_MODEL_KEYS = _keys(ModelPrimitives)
 _TOP_KEYS = _MODEL_KEYS | {"continuous", "sweep"}
-_FAMILY_KEYS = {"kind", "coefficients"}
-_CONTINUOUS_KEYS = {"p", "c0", "e_min", "e_max", "s_high", "s_low"}
-_AXIS_KEYS = {"target", "coefficient", "start", "stop", "count"}
+_FAMILY_KEYS = _keys(ParametricFamily)
+_CONTINUOUS_KEYS = _keys(ContinuousEffortModel)
+_AXIS_KEYS = _keys(SweepAxis)
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,7 @@ def _number(obj: dict, key: str, path: str) -> float:
 
 def _family(obj: dict, key: str, path: str) -> ParametricFamily:
     """The family under ``key``; a missing one is a missing field."""
+    path = f"{path}.{key}" if path else key
     if key not in obj:
         raise ConfigError(path, "missing required field")
     return parse_family(obj[key], path)
@@ -94,39 +102,30 @@ def parse_family(obj, path: str) -> ParametricFamily:
         raise ConfigError(path, str(exc)) from exc
 
 
-def parse_model(obj: dict) -> ModelPrimitives:
+def _section(cls, obj: dict, path: str):
+    """``cls`` from the fields of ``obj`` at ``path``, read in field order,
+    so the first missing or malformed field is the one reported.  A field
+    annotated ``ParametricFamily`` (annotations are strings: every module
+    postpones them) is read as a family, any other as a number."""
+    values = {
+        f.name: (_family if f.type == "ParametricFamily" else _number)(obj, f.name, path)
+        for f in fields(cls)
+    }
     try:
-        return ModelPrimitives(
-            pi0=_family(obj, "pi0", "pi0"),
-            pi1=_family(obj, "pi1", "pi1"),
-            cost=_family(obj, "cost", "cost"),
-            v_max=_number(obj, "v_max", ""),
-            s_high=_number(obj, "s_high", ""),
-            s_low=_number(obj, "s_low", ""),
-        )
-    except ConfigError:
-        raise
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError("", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
+
+
+def parse_model(obj: dict) -> ModelPrimitives:
+    return _section(ModelPrimitives, obj, "")
 
 
 def parse_continuous(obj) -> ContinuousEffortModel:
     path = "continuous"
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, _CONTINUOUS_KEYS, path)
-    try:
-        return ContinuousEffortModel(
-            p=_family(obj, "p", f"{path}.p"),
-            c0=_number(obj, "c0", path),
-            e_min=_number(obj, "e_min", path),
-            e_max=_number(obj, "e_max", path),
-            s_high=_number(obj, "s_high", path),
-            s_low=_number(obj, "s_low", path),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _section(ContinuousEffortModel, obj, path)
 
 
 def parse_sweep(obj) -> tuple[SweepAxis, SweepAxis]:
@@ -201,27 +200,7 @@ def load_model_file(path: str | Path) -> ModelFile:
 # ---------------------------------------------------------------------------
 
 
-def family_to_dict(family: ParametricFamily) -> dict:
-    return {"kind": family.kind, "coefficients": list(family.coefficients)}
-
-
-def model_to_dict(model: ModelPrimitives) -> dict:
-    return {
-        "pi0": family_to_dict(model.pi0),
-        "pi1": family_to_dict(model.pi1),
-        "cost": family_to_dict(model.cost),
-        "v_max": model.v_max,
-        "s_high": model.s_high,
-        "s_low": model.s_low,
-    }
-
-
-def continuous_to_dict(cmodel: ContinuousEffortModel) -> dict:
-    return {
-        "p": family_to_dict(cmodel.p),
-        "c0": cmodel.c0,
-        "e_min": cmodel.e_min,
-        "e_max": cmodel.e_max,
-        "s_high": cmodel.s_high,
-        "s_low": cmodel.s_low,
-    }
+def section_to_dict(section: ModelPrimitives | ContinuousEffortModel) -> dict:
+    """The model-file object of a model or continuous section: one key per
+    dataclass field, each family an object of its own fields."""
+    return asdict(section, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items})

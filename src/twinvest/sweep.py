@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,12 +53,15 @@ class SweepAxis:
     count: int
 
     def __post_init__(self):
+        if not hasattr(self.count, "__index__"):
+            raise ValueError(f"axis count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", operator.index(self.count))
         if self.count < 1:
             raise ValueError(f"axis count must be >= 1, got {self.count}")
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(np.linspace(self.start, self.stop, int(self.count)).tolist())
+        return tuple(np.linspace(self.start, self.stop, self.count).tolist())
 
     def label(self) -> str:
         return f"{self.target}[{self.coefficient}]"
@@ -123,9 +127,12 @@ class SweepAxisError(ValueError):
 
 
 def _check_axis(base: ModelPrimitives, axis: SweepAxis) -> None:
-    """Raise :class:`SweepAxisError` naming the axis unless its range has a
-    finite width and every one of its values makes a legal family out of
-    the base model's."""
+    """Raise :class:`SweepAxisError` naming the axis unless its ends and the
+    width of its range are finite and every one of its values makes a legal
+    family out of the base model's."""
+    for end, x in (("start", axis.start), ("stop", axis.stop)):
+        if not math.isfinite(x):
+            raise SweepAxisError(f"sweep axis {axis.label()}: {end} must be finite, got {x!r}")
     if not math.isfinite(float(axis.stop) - float(axis.start)):  # else the values would be NaN
         span = f"the range from {axis.start!r} to {axis.stop!r}"
         raise SweepAxisError(f"sweep axis {axis.label()}: {span} is wider than the largest float")
@@ -147,11 +154,11 @@ def regime_sweep(
 
     Raises :class:`SweepAxisError` (a ``ValueError``) naming the axis when
     a value does not make a legal family (say a negative exponential-decay
-    rate, or a coefficient index the family does not have) or its range is
-    wider than the largest float, and naming both when the two axes vary
-    one coefficient.  The checks run before
-    any cell is solved, since the batch takes the axis values as
-    coefficient arrays without building a family per cell.
+    rate, or a coefficient index the family does not have), an end is not
+    finite or its range is wider than the largest float, and naming both
+    when the two axes vary one coefficient.  The checks run before any
+    cell is solved, since the batch takes the axis values as coefficient
+    arrays without building a family per cell.
     """
     _check_axis(base, axis1)
     _check_axis(base, axis2)

@@ -195,9 +195,9 @@ def test_criterion_09_deterministic_outputs(tmp_path, capsys):
     """Repeated sweep and verify runs with a fixed seed are byte-identical."""
     import json
 
-    from twinvest.config import model_to_dict
+    from twinvest.config import section_to_dict
 
-    obj = model_to_dict(f3())
+    obj = section_to_dict(f3())
     obj["sweep"] = {
         "axes": [
             {"target": "cost", "coefficient": 1, "start": 0.5, "stop": 3.0, "count": 6},

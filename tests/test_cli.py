@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
 import twinvest.dynamics
 from twinvest.cli import main
-from twinvest.config import continuous_to_dict, model_to_dict
+from twinvest.config import section_to_dict
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4, f5
 from twinvest.model import validate
@@ -14,7 +15,7 @@ from twinvest.model import validate
 @pytest.fixture
 def model_file(tmp_path):
     def write(model, name="model.json", **extra):
-        obj = model_to_dict(model)
+        obj = section_to_dict(model)
         obj.update(extra)
         path = tmp_path / name
         path.write_text(json.dumps(obj), encoding="utf-8")
@@ -51,7 +52,7 @@ class TestValidate:
         assert "pi0" in capsys.readouterr().err
 
     def test_continuous_section_checked(self, model_file, capsys):
-        path = model_file(f1(), continuous=continuous_to_dict(f5()))
+        path = model_file(f1(), continuous=section_to_dict(f5()))
         assert main(["validate", "--model", path]) == 0
         out = capsys.readouterr().out
         assert "continuous: valid" in out
@@ -296,6 +297,16 @@ class TestSweep:
         assert main(["sweep", "--model", model_file(f3(), sweep=section), "--grid", grid]) == 1
         err = capsys.readouterr().err
         assert err == "error: sweep axis cost[1]: the range from -1e+308 to 1e+308 is wider than the largest float\n"
+
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_end_is_named(self, model_file, capsys, end, value):
+        # json reads NaN and Infinity; the error names the end, not the range
+        section = sweep_section()
+        section["axes"][0][end] = value
+        assert main(["sweep", "--model", model_file(f3(), sweep=section)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sweep axis cost[1]: {end} must be finite, got {value!r}\n"
 
     def test_missing_sweep_section(self, model_file, capsys):
         assert main(["sweep", "--model", model_file(f3())]) == 1

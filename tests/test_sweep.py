@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -435,6 +436,21 @@ class TestAxisChecks:
         axis2 = SweepAxis("cost", 5, 0.5, 3.0, 3)
         with pytest.raises(ValueError, match=r"cost\[5\].*out of range"):
             regime_sweep(f3(), axis1, axis2)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, math.inf, math.nan, "3", None])
+    def test_count_that_is_not_an_integer_is_named(self, count):
+        with pytest.raises(ValueError, match=rf"^axis count must be an integer, got {re.escape(repr(count))}$"):
+            SweepAxis("cost", 1, 0.5, 3.0, count)
+
+    def test_integer_like_count_is_taken_as_an_int(self):
+        axis = SweepAxis("cost", 1, 0.5, 3.0, np.int64(3))
+        assert axis == SweepAxis("cost", 1, 0.5, 3.0, 3) and type(axis.count) is int
+
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    def test_non_finite_end_names_the_end(self, end):
+        axis = dataclasses.replace(f3_axes(3)[0], **{end: math.nan})
+        with pytest.raises(SweepAxisError, match=rf"^sweep axis cost\[1\]: {end} must be finite, got nan$"):
+            regime_sweep(f3(), axis, f3_axes(3)[1])
 
 
 class TestCsv:
