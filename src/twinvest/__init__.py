@@ -42,10 +42,8 @@ from .dynamics import (
     TimelineTrace,
     degradation_deterrent_check,
     myopic_investment,
-    principal_period1_contract,
     rehire_cycle_length,
     sample_outcomes,
-    shirk_check,
     simulate_cycles,
     simulate_two_period,
 )

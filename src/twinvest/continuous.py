@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import Contract, employed_agent_payoff, employed_principal_payoff
+from .contracts import Contract, employed_principal_payoff
 from .families import ParametricFamily
 from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, Violation, check_grid_points
 from .optimize import refine_max
@@ -156,14 +156,6 @@ def foc_residual(cmodel: ContinuousEffortModel, e: float, contract: Contract) ->
     """Stationarity residual ``p'(e)*(t_high - t_low) - c0`` of the agent's choice."""
     e = cmodel.check_domain(e)
     return float(cmodel.p.derivative(e)) * contract.spread - cmodel.c0
-
-
-def agent_expected_utility(
-    cmodel: ContinuousEffortModel, e: float, contract: Contract
-) -> float:
-    e = cmodel.check_domain(e)
-    p = float(cmodel.p.value(e))
-    return employed_agent_payoff(p, contract.t_high, contract.t_low, cmodel.c0 * e)
 
 
 def principal_surplus_at(cmodel: ContinuousEffortModel, e: float) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import io
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -82,6 +83,11 @@ class TimelineTrace:
     cycle_length: int | None = None
     discount: float | None = None
 
+    def __post_init__(self):
+        d = self.discount
+        if d is not None and not (isinstance(d, numbers.Real) and 0.0 < d < 1.0):
+            raise DomainError(f"discount must be None or lie in (0, 1), got {d!r}")
+
     def summary(self) -> str:
         parts = [
             f"periods={len(self.records)}",
@@ -129,11 +135,6 @@ class TimelineTrace:
 # ---------------------------------------------------------------------------
 
 
-def _success_probability(model: ModelPrimitives, ability: float, effort: EffortLevel) -> float:
-    fam = model.pi1 if effort is EffortLevel.HIGH else model.pi0
-    return float(fam.value(ability))
-
-
 def _employed_record(
     model: ModelPrimitives,
     period: int,
@@ -142,10 +143,7 @@ def _employed_record(
     effort: EffortLevel,
 ) -> PeriodRecord:
     """An employed period at the investment ``p.v``, whose primitives ``p`` holds."""
-    if effort is EffortLevel.HIGH:
-        prob, cost = p.pi1, p.cost
-    else:
-        prob, cost = p.pi0, 0.0
+    prob, cost = (p.pi1, p.cost) if effort is EffortLevel.HIGH else (p.pi0, 0.0)
     agent = employed_agent_payoff(prob, contract.t_high, contract.t_low, cost)
     principal = employed_principal_payoff(model, prob, contract.t_high, contract.t_low)
     return PeriodRecord(period, contract, p.v, p.v, effort, True, agent, principal)
@@ -157,9 +155,7 @@ def _twin_surplus(model: ModelPrimitives, ability):
     return twin_alone_payoff(model, model.pi0.value(ability))
 
 
-def _twin_record(
-    model: ModelPrimitives, period: int, v: float, ability: float
-) -> PeriodRecord:
+def _twin_record(model: ModelPrimitives, period: int, v: float, ability: float) -> PeriodRecord:
     principal = float(_twin_surplus(model, ability))
     return PeriodRecord(period, ZERO_CONTRACT, v, ability, EffortLevel.LOW, False, 0.0, principal)
 
@@ -176,16 +172,6 @@ def myopic_investment(model: ModelPrimitives) -> float:
     in the investment, so the offer (fixed before training) cannot steer it.
     """
     return model.v_max
-
-
-def _shirks(offered_contract: Contract, wage: float) -> bool:
-    return offered_contract.spread < wage - DEFAULT_TOL
-
-
-def shirk_check(model: ModelPrimitives, offered_contract: Contract) -> bool:
-    """True when the offered spread falls strictly below the incentive wage
-    at ``v_max``, making low effort the myopic best response."""
-    return _shirks(offered_contract, incentive_wage(_full_training(model).point))
 
 
 class _FullTraining(NamedTuple):
@@ -216,21 +202,9 @@ def _full_training(model: ModelPrimitives) -> _FullTraining:
     wage = incentive_wage(p)
     retained = retention_holds(model, p)
     offer = Contract(wage, 0.0) if retained else ZERO_CONTRACT
-    effort = EffortLevel.LOW if _shirks(offer, wage) else EffortLevel.HIGH
+    # the agent shirks when the offered spread falls strictly below the wage
+    effort = EffortLevel.LOW if offer.spread < wage - DEFAULT_TOL else EffortLevel.HIGH
     return _FullTraining(p, retained, offer, effort)
-
-
-def principal_period1_contract(model: ModelPrimitives) -> Contract:
-    """The principal's committed period-1 offer.
-
-    When the agent would be displaced at ``v_max`` (retention fails there),
-    inducing period-1 effort cannot pay either, so the offer is zero;
-    otherwise the incentive wage at ``v_max`` is offered.  Retention at
-    ``v_max`` is the operative test; it coincides with "the displacement
-    threshold exists below ``v_max``" whenever the retention margin crosses
-    zero only once.
-    """
-    return _full_training(model).offer
 
 
 def simulate_two_period(
@@ -247,7 +221,7 @@ def simulate_two_period(
     :class:`~twinvest.model.InvalidModelError` on a model that fails
     validation (the strategic one in its solve), and
     :class:`~twinvest.model.DomainError` on an ``agent`` that is not an
-    :class:`AgentKind`.
+    :class:`AgentKind` or a ``discount`` that is neither None nor in ``(0, 1)``.
     """
     if not isinstance(agent, AgentKind):
         raise DomainError(f"agent must be an AgentKind, got {agent!r}")
@@ -279,12 +253,16 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_horizon(horizon: int) -> int:
-    """``horizon`` as an int; a float, even a whole one, raises DomainError."""
+def _check_integer(name: str, value: int, least: int) -> int:
+    """``value`` as an int of at least ``least``; a float, even a whole
+    one, raises DomainError naming the argument."""
     try:
-        return operator.index(horizon)
+        value = operator.index(value)
     except TypeError:
-        raise DomainError(f"horizon must be an integer, got {horizon!r}") from None
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _rehire_surplus(model: ModelPrimitives, p: GridEval) -> float:
@@ -322,13 +300,12 @@ def rehire_cycle_length(
     The abilities are scanned in chunks of 16, 64, 256, 1024 and then 4096
     periods (the last one cut at ``horizon``), each evaluated in one array
     call; the cap keeps the memory of a chunk bounded whatever the
-    horizon.  A chunk's abilities come from ``np.multiply.accumulate``, a
-    left fold with the bits of ``ability *= alpha`` repeated, so the result
-    is the same as testing each ``n`` in turn with scalar arithmetic.
+    horizon.  A chunk's abilities are a left fold (``np.multiply.accumulate``),
+    so they keep the bits of a scalar scan that repeats ``ability *= alpha``.
     Raises :class:`~twinvest.model.DomainError` on ``alpha`` outside
-    ``(0, 1)`` or a ``horizon`` that is not an integer.
+    ``(0, 1)`` or a ``horizon`` that is not an integer of at least 0.
     """
-    alpha, horizon = _check_alpha(alpha), _check_horizon(horizon)
+    alpha, horizon = _check_alpha(alpha), _check_integer("horizon", horizon, 0)
     return _rehire_after(model, alpha, _full_training(model), horizon)
 
 
@@ -363,38 +340,26 @@ def simulate_cycles(
     still retrains the twin.  Without displacement the agent is simply
     employed every period.  Raises :class:`~twinvest.model.InvalidModelError`
     on a model that fails validation, and :class:`~twinvest.model.DomainError`
-    on ``alpha`` outside ``(0, 1)`` or a ``horizon`` that is not an integer
-    of at least 1.
+    on ``alpha`` outside ``(0, 1)``, a ``horizon`` that is not an integer
+    of at least 1 or a ``discount`` that is neither None nor in ``(0, 1)``.
     """
     _check_valid(model)
-    alpha, horizon = _check_alpha(alpha), _check_horizon(horizon)
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    alpha, horizon = _check_alpha(alpha), _check_integer("horizon", horizon, 1)
 
     play = _full_training(model)
     v = model.v_max
-
     # every employed period of a trace is the same record but for its period
     employed = _employed_record(model, 1, play.offer, play.point, play.effort)
-    if play.retained:
-        records = tuple(replace(employed, period=t) for t in range(1, horizon + 1))
-        return TimelineTrace(records, None, None, discount)
-
-    n = _rehire_after(model, alpha, play, _REHIRE_HORIZON)
-    records: list[PeriodRecord] = []
-    period = 1
-    displaced_at: int | None = None
-    while period <= horizon:
-        records.append(replace(employed, period=period))
-        period += 1
-        k = 0
-        while period <= horizon and (n is None or k < n):
-            k += 1
-            records.append(_twin_record(model, period, v, alpha**k * v))
-            if displaced_at is None:
-                displaced_at = period
-            period += 1
-    return TimelineTrace(tuple(records), displaced_at, n, discount)
+    # period t sits k = (t - 1) % cycle periods into its cycle, and k == 0
+    # retrains; a retained agent's cycle is that one period
+    n = _rehire_after(model, alpha, play, _REHIRE_HORIZON)  # None when retained
+    cycle = 1 if play.retained else 1 + (horizon if n is None else n)
+    records = []
+    for t in range(1, horizon + 1):
+        k = (t - 1) % cycle
+        records.append(_twin_record(model, t, v, alpha**k * v) if k else replace(employed, period=t))
+    displaced = horizon > 1 and not play.retained
+    return TimelineTrace(tuple(records), 2 if displaced else None, n, discount)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +378,16 @@ class RealizedOutcome:
 def sample_outcomes(
     model: ModelPrimitives, trace: TimelineTrace, seed: int
 ) -> tuple[RealizedOutcome, ...]:
-    """Realize each period's Bernoulli outcome with a seeded generator."""
-    rng = np.random.default_rng(seed)
+    """Realize each period's Bernoulli outcome with a seeded generator.
+
+    Raises :class:`~twinvest.model.DomainError` unless ``seed`` is an
+    integer of at least 0.
+    """
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     realized = []
     for r in trace.records:
-        prob = _success_probability(model, r.twin_ability, r.effort)
-        high = bool(rng.random() < prob)
+        fam = model.pi1 if r.effort is EffortLevel.HIGH else model.pi0
+        high = bool(rng.random() < float(fam.value(r.twin_ability)))
         benefit = model.s_high if high else model.s_low
         if r.employed:
             payment = r.contract.t_high if high else r.contract.t_low

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,10 +128,12 @@ class SweepAxisError(ValueError):
 
 
 def _check_axis(base: ModelPrimitives, axis: SweepAxis) -> None:
-    """Raise :class:`SweepAxisError` naming the axis unless its ends and the
-    width of its range are finite and every one of its values makes a legal
-    family out of the base model's."""
+    """Raise :class:`SweepAxisError` naming the axis unless its ends are
+    finite real numbers, the width of its range is finite and every one of
+    its values makes a legal family out of the base model's."""
     for end, x in (("start", axis.start), ("stop", axis.stop)):
+        if not isinstance(x, numbers.Real):
+            raise SweepAxisError(f"sweep axis {axis.label()}: {end} must be a real number, got {x!r}")
         if not math.isfinite(x):
             raise SweepAxisError(f"sweep axis {axis.label()}: {end} must be finite, got {x!r}")
     if not math.isfinite(float(axis.stop) - float(axis.start)):  # else the values would be NaN
@@ -155,10 +158,10 @@ def regime_sweep(
     Raises :class:`SweepAxisError` (a ``ValueError``) naming the axis when
     a value does not make a legal family (say a negative exponential-decay
     rate, or a coefficient index the family does not have), an end is not
-    finite or its range is wider than the largest float, and naming both
-    when the two axes vary one coefficient.  The checks run before any
-    cell is solved, since the batch takes the axis values as coefficient
-    arrays without building a family per cell.
+    a finite real number or its range is wider than the largest float, and
+    naming both when the two axes vary one coefficient.  The checks run
+    before any cell is solved, since the batch takes the axis values as
+    coefficient arrays without building a family per cell.
     """
     _check_axis(base, axis1)
     _check_axis(base, axis2)

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from twinvest.continuous import (
     ContinuousEffortModel,
-    agent_expected_utility,
     contract_for_effort,
     foc_residual,
     limited_liability_binding,
@@ -16,7 +15,7 @@ from twinvest.continuous import (
     principal_surplus_grid,
     validate_continuous,
 )
-from twinvest.contracts import Contract
+from twinvest.contracts import Contract, employed_agent_payoff
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f5
 from twinvest.model import DomainError
@@ -45,6 +44,11 @@ def effort_between(model, t):
     clamped to that range: the interpolation can round one ulp past
     ``e_max``, an effort the model rightly refuses."""
     return min(max(model.e_min + t * (model.e_max - model.e_min), model.e_min), model.e_max)
+
+
+def agent_utility(model, e, contract):
+    """The agent's expected payment less the effort cost ``c0 * e``."""
+    return employed_agent_payoff(float(model.p.value(e)), contract.t_high, contract.t_low, model.c0 * e)
 
 
 #: A range whose interpolation at t = 1 rounds one ulp above its e_max.
@@ -81,7 +85,7 @@ class TestContractForEffort:
         slope = float(model.p.derivative(e))
         assert c.t_low == pytest.approx(0.3 * e - p / slope * 0.3)
         # participation holds with equality when the floor is slack
-        assert agent_expected_utility(model, e, c) == pytest.approx(0.0, abs=1e-12)
+        assert agent_utility(model, e, c) == pytest.approx(0.0, abs=1e-12)
         # general form equals the max of the two closed-form branches
         assert c.t_high == pytest.approx(
             max(0.3 / slope, 0.3 * e + (1.0 - p) / slope * 0.3)
@@ -116,7 +120,7 @@ class TestFocResidual:
     def test_participation_holds_everywhere(self, model, t):
         e = effort_between(model, t)
         contract = contract_for_effort(model, e)
-        assert agent_expected_utility(model, e, contract) >= -1e-12
+        assert agent_utility(model, e, contract) >= -1e-12
 
 
 class TestPrincipalOptimalEffort:

@@ -15,14 +15,16 @@ from twinvest.contracts import (
 from twinvest.dynamics import (
     AgentKind,
     EffortLevel,
+    _employed_record,
+    _full_training,
+    _rehire_after,
     _rehire_surplus,
+    _twin_record,
     _twin_surplus,
     degradation_deterrent_check,
     myopic_investment,
-    principal_period1_contract,
     rehire_cycle_length,
     sample_outcomes,
-    shirk_check,
     simulate_cycles,
     simulate_two_period,
 )
@@ -56,37 +58,39 @@ class TestMyopicChoices:
             assert myopic_investment(model) == model.v_max == 1.0
 
     def test_shirks_below_full_training_wage(self):
-        # 0 < 1/3
-        assert shirk_check(f2(), Contract(0.0, 0.0))
+        # f2 is offered 0 < 1/3, the wage at v_max
+        first = simulate_two_period(f2(), AgentKind.MYOPIC).records[0]
+        assert first.contract.spread < incentive_wage(evaluate(f2(), 1.0))
+        assert first.effort is EffortLevel.LOW
 
     def test_exact_wage_does_not_shirk(self):
-        # tie resolves to high effort
-        assert not shirk_check(f1(), optimal_contract(f1(), 1.0))
-
-    def test_dominating_payment_never_shirks(self):
-        assert not shirk_check(f1(), Contract(10.0, 0.0))
+        # f1 is offered exactly the wage at v_max; the tie resolves to high effort
+        first = simulate_two_period(f1(), AgentKind.MYOPIC).records[0]
+        assert first.contract == optimal_contract(f1(), 1.0)
+        assert first.effort is EffortLevel.HIGH
 
 
 class TestPeriod1Contract:
     def test_f1_offers_full_training_wage(self):
-        assert principal_period1_contract(f1()).t_high == pytest.approx(1.0 / 3.0)
+        first = simulate_two_period(f1(), AgentKind.MYOPIC).records[0]
+        assert first.contract.t_high == pytest.approx(1.0 / 3.0)
 
     def test_f2_offers_nothing(self):
-        assert principal_period1_contract(f2()) == Contract(0.0, 0.0)
+        assert simulate_two_period(f2(), AgentKind.MYOPIC).records[0].contract == Contract(0.0, 0.0)
 
-    def test_zero_quality_importance_offers_nothing(self):
+    def test_zero_quality_importance_is_invalid(self):
+        # equal stakes fail validation before any offer is made
         flat = dataclasses.replace(f1(), s_high=1.0, s_low=1.0)
-        assert principal_period1_contract(flat) == Contract(0.0, 0.0)
+        with pytest.raises(InvalidModelError, match="stakes-ordering"):
+            simulate_two_period(flat, AgentKind.MYOPIC)
 
 
 class TestInvalidAtFullTraining:
-    """The four calls that evaluate only ``v_max`` raise the model's
+    """The two calls that evaluate only ``v_max`` raise the model's
     validation report where the wage or the margin would divide by zero,
     and call ``validate`` only to build that error."""
 
     CALLS = {
-        "principal_period1_contract": principal_period1_contract,
-        "shirk_check": lambda m: shirk_check(m, Contract(0.1, 0.0)),
         "degradation_deterrent_check": lambda m: degradation_deterrent_check(m, 0.5),
         "rehire_cycle_length": lambda m: rehire_cycle_length(m, 0.5),
     }
@@ -206,6 +210,18 @@ class TestTwoPeriod:
         trace = simulate_two_period(f1(), AgentKind.MYOPIC, discount=0.95)
         assert trace.discount == 0.95
 
+    @pytest.mark.parametrize("discount", [5, 1.0, 0.0, -0.5, float("nan"), float("inf"), "0.5"])
+    @pytest.mark.parametrize("simulate", [
+        lambda m, d: simulate_two_period(m, AgentKind.MYOPIC, discount=d),
+        lambda m, d: simulate_two_period(m, AgentKind.STRATEGIC, discount=d),
+        lambda m, d: simulate_cycles(m, 0.9, 4, discount=d),
+    ], ids=["myopic", "strategic", "cycles"])
+    def test_discount_outside_the_unit_interval_is_named(self, simulate, discount):
+        # the range of the CLI's --delta check; the trace would record it as is
+        for model in (f1(), f2()):
+            with pytest.raises(DomainError, match=rf"^discount must be None or lie in \(0, 1\), got {re.escape(repr(discount))}$"):
+                simulate(model, discount)
+
     @pytest.mark.parametrize("model", [f1, f2])
     def test_myopic_evaluates_primitives_once(self, count_calls, model):
         # retained (f1) or displaced (f2): one evaluation at v_max serves
@@ -312,6 +328,14 @@ class TestRehireCycles:
     def test_horizon_below_one_is_named(self, horizon):
         with pytest.raises(DomainError, match=f"horizon must be >= 1, got {horizon}"):
             simulate_cycles(f2(), 0.9, horizon)
+
+    @pytest.mark.parametrize("horizon", [-1, -10_000])
+    def test_negative_rehire_horizon_is_named(self, horizon):
+        # horizon 0 scans nothing and is legal; a negative one is a mistake
+        for model in (f1(), f2()):
+            with pytest.raises(DomainError, match=f"^horizon must be >= 0, got {horizon}$"):
+                rehire_cycle_length(model, 0.5, horizon)
+        assert rehire_cycle_length(f2(), 0.5, 0) is None
 
     @pytest.mark.parametrize("horizon", [2.5, float("nan"), float("inf")])
     @pytest.mark.parametrize("entry", [simulate_cycles, rehire_cycle_length])
@@ -421,6 +445,64 @@ class TestChunkedRehireScan:
         assert rehire_cycle_length(model, alpha) is None
 
 
+def loop_cycles(model, alpha, horizon):
+    """Reference for ``simulate_cycles``: its earlier nested loops, which
+    count the periods and the twin run of each cycle one by one.  Returns
+    the records, the displacement period and the cycle length."""
+    play = _full_training(model)
+    v = model.v_max
+    employed = _employed_record(model, 1, play.offer, play.point, play.effort)
+    if play.retained:
+        return tuple(dataclasses.replace(employed, period=t) for t in range(1, horizon + 1)), None, None
+    n = _rehire_after(model, alpha, play, 10_000)
+    records = []
+    period = 1
+    displaced_at = None
+    while period <= horizon:
+        records.append(dataclasses.replace(employed, period=period))
+        period += 1
+        k = 0
+        while period <= horizon and (n is None or k < n):
+            k += 1
+            records.append(_twin_record(model, period, v, alpha**k * v))
+            if displaced_at is None:
+                displaced_at = period
+            period += 1
+    return tuple(records), displaced_at, n
+
+
+def never_rehired_model() -> ModelPrimitives:
+    # valid, displaced at v_max, and the wage there is above the stake, so
+    # even a twin degraded to v = 0 beats rehiring: no cycle length
+    return ModelPrimitives(F.affine(0.3, 0.44), F.affine(0.8, 0.01),
+                           F.affine(0.2, -0.1), 1.0, 1.0, 0.0)
+
+
+class TestCyclesMatchTheLoop:
+    MODELS = [
+        f1(), f2(), f3(), f4(), never_rehired_model(),
+        *random_models(40, 3),
+        *(m for m in restaked_models(40, 5) if validate(m).passed),
+    ]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+    def test_records_match_record_by_record(self, alpha):
+        # repr tells floats apart by their bits; the models are retained (f1,
+        # f4 with its constant pi0, the random ones), displaced and rehired
+        # (f2, the restaked ones) or displaced for good (no cycle length)
+        lengths = set()
+        for model in self.MODELS:
+            for horizon in range(1, 41):
+                trace = simulate_cycles(model, alpha, horizon)
+                records, displaced_at, n = loop_cycles(model, alpha, horizon)
+                assert repr(trace.records) == repr(records), (model, horizon)
+                assert (trace.displacement_period, trace.cycle_length) == (displaced_at, n)
+                lengths.add(n)
+        assert None in lengths and len(lengths) > 1
+        assert rehire_cycle_length(never_rehired_model(), alpha) is None
+        assert simulate_cycles(never_rehired_model(), alpha, 3).displacement_period == 2
+
+
 class TestSampling:
     def test_same_seed_same_outcomes(self):
         trace = simulate_cycles(f2(), 0.9, 10)
@@ -435,6 +517,22 @@ class TestSampling:
         header = csv.splitlines()[0].split(",")
         assert "realized_outcome" in header
         assert len(csv.splitlines()) == 3
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (3.0, "seed must be an integer, got 3.0"),
+        ("3", "seed must be an integer, got '3'"),
+        (None, "seed must be an integer, got None"),
+    ])
+    def test_seed_that_is_not_a_non_negative_integer_is_named(self, seed, message):
+        trace = simulate_cycles(f2(), 0.9, 4)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sample_outcomes(f2(), trace, seed)
+
+    def test_integer_like_seed_is_the_same_seed(self):
+        trace = simulate_cycles(f2(), 0.9, 10)
+        assert sample_outcomes(f2(), trace, np.int64(7)) == sample_outcomes(f2(), trace, 7)
 
     def test_expected_payoffs_untouched_by_sampling(self):
         trace = simulate_two_period(f1(), AgentKind.MYOPIC)

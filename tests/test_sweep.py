@@ -452,6 +452,17 @@ class TestAxisChecks:
         with pytest.raises(SweepAxisError, match=rf"^sweep axis cost\[1\]: {end} must be finite, got nan$"):
             regime_sweep(f3(), axis, f3_axes(3)[1])
 
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    @pytest.mark.parametrize("value", ["0.5", None, 1 + 2j])
+    def test_end_that_is_not_a_real_number_is_named(self, end, value):
+        # checked before the finiteness test, which would raise a bare TypeError
+        axis = dataclasses.replace(f3_axes(3)[0], **{end: value})
+        message = rf"^sweep axis cost\[1\]: {end} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(SweepAxisError, match=message):
+            regime_sweep(f3(), axis, f3_axes(3)[1])
+        with pytest.raises(SweepAxisError, match=message):
+            regime_sweep(f3(), f3_axes(3)[1], axis)
+
 
 class TestCsv:
     def test_header_and_shape(self):
