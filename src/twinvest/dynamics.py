@@ -247,10 +247,11 @@ def simulate_two_period(
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"time persistence must lie in (0, 1), got {alpha}")
-    return alpha
+    """``alpha`` as a float; anything but a real number in (0, 1), a
+    string or an array too, raises DomainError naming the argument."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha (time persistence) must be a real number in (0, 1), got {alpha!r}")
+    return float(alpha)
 
 
 def _check_integer(name: str, value: int, least: int) -> int:

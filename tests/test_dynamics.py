@@ -247,10 +247,17 @@ class TestDegradation:
         for alpha in (0.1, 0.5, 0.9):
             assert degradation_deterrent_check(f1(), alpha)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
-    def test_alpha_domain(self, alpha):
-        with pytest.raises(DomainError):
-            degradation_deterrent_check(f2(), alpha)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, float("nan"), "0.99", np.array([0.99]), None])
+    @pytest.mark.parametrize("entry", [
+        degradation_deterrent_check, rehire_cycle_length, lambda model, alpha: simulate_cycles(model, alpha, 12),
+    ])
+    def test_alpha_that_is_not_a_real_number_in_the_unit_interval_is_named(self, entry, alpha):
+        message = f"alpha (time persistence) must be a real number in (0, 1), got {alpha!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            entry(f2(), alpha)
+
+    def test_numpy_float_alpha_is_the_same_alpha(self):
+        assert simulate_cycles(f2(), np.float64(0.99), 12) == simulate_cycles(f2(), 0.99, 12)
 
     def test_degraded_threshold_exceeds_plain_threshold(self):
         # the degraded retention margin crosses zero later than the plain
