@@ -150,16 +150,12 @@ def cmd_validate(args) -> int:
     mf = _load(args)
     grid = _grid_size(args)
     status = EXIT_OK
-    if mf.model is not None:
-        report = validate(mf.model, grid)
-        print(f"model: {report.describe()}")
-        if not report.passed:
-            status = EXIT_INVALID_MODEL
-    if mf.continuous is not None:
-        report = validate_continuous(mf.continuous, grid)
-        print(f"continuous: {report.describe()}")
-        if not report.passed:
-            status = EXIT_INVALID_MODEL
+    for name, section, check in (("model", mf.model, validate), ("continuous", mf.continuous, validate_continuous)):
+        if section is not None:
+            report = check(section, grid)
+            print(f"{name}: {report.describe()}")
+            if not report.passed:
+                status = EXIT_INVALID_MODEL
     return status
 
 

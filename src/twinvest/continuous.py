@@ -23,7 +23,7 @@ import numpy as np
 
 from .contracts import Contract, employed_principal_payoff
 from .families import ParametricFamily
-from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, Violation, check_grid_points
+from .model import DEFAULT_GRID_POINTS, DEFAULT_TOL, DomainError, ValidationReport, check_grid_points, first_violation
 from .optimize import refine_max
 
 
@@ -64,36 +64,23 @@ class ContinuousEffortModel:
 def validate_continuous(
     cmodel: ContinuousEffortModel, grid_points: int = DEFAULT_GRID_POINTS
 ) -> ValidationReport:
-    """Grid-check the success family: strictly inside (0,1), increasing,
-    concave (curvature at most ``DEFAULT_TOL``)."""
+    """Grid-check the success family, after the stakes: finite, strictly
+    inside (0,1), increasing, concave (curvature at most ``DEFAULT_TOL``)."""
 
-    def report(condition, e, detail):
-        return ValidationReport(False, Violation(condition, e, detail), (), grid_points)
+    def checks():
+        es = cmodel.grid(grid_points)
+        vals = np.asarray(cmodel.p.value(es), dtype=float)
+        slopes = np.asarray(cmodel.p.derivative(es), dtype=float)
+        curv = np.asarray(cmodel.p.second_derivative(es), dtype=float)
+        bad = ~np.isfinite(vals) | ~np.isfinite(slopes) | ~np.isfinite(curv)
+        yield "finite-evaluation", es, bad, "p not finite/differentiable here"
+        # p may touch 1 exactly at the top of the range (certain success at
+        # maximum effort); only the lower bound is strict.
+        yield "p-in-unit-interval", es, (vals <= 0.0) | (vals > 1.0), "p must stay within (0, 1]"
+        yield "p-increasing", es, slopes <= 0.0, "p slope must be strictly positive"
+        yield "p-concave", es, curv > DEFAULT_TOL, "p must be concave"
 
-    if not cmodel.s_high > cmodel.s_low:
-        return report(
-            "stakes-ordering", None,
-            f"s_high={cmodel.s_high:.6g} must exceed s_low={cmodel.s_low:.6g}",
-        )
-    es = cmodel.grid(grid_points)
-    vals = np.asarray(cmodel.p.value(es), dtype=float)
-    slopes = np.asarray(cmodel.p.derivative(es), dtype=float)
-    curv = np.asarray(cmodel.p.second_derivative(es), dtype=float)
-    bad = ~np.isfinite(vals) | ~np.isfinite(slopes) | ~np.isfinite(curv)
-    if bad.any():
-        i = int(np.argmax(bad))
-        return report("finite-evaluation", float(es[i]), "p not finite/differentiable here")
-    # p may touch 1 exactly at the top of the range (certain success at
-    # maximum effort); only the lower bound is strict.
-    for condition, mask, detail in (
-        ("p-in-unit-interval", (vals <= 0.0) | (vals > 1.0), "p must stay within (0, 1]"),
-        ("p-increasing", slopes <= 0.0, "p slope must be strictly positive"),
-        ("p-concave", curv > DEFAULT_TOL, "p must be concave"),
-    ):
-        if mask.any():
-            i = int(np.argmax(mask))
-            return report(condition, float(es[i]), detail)
-    return ValidationReport(True, None, (), grid_points)
+    return first_violation(cmodel, grid_points, checks())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ includes 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -166,7 +167,12 @@ class ParametricFamily:
         return _FORMULAS[self.kind][2](self.coefficients, v)
 
     def with_coefficient(self, index: int, value: float) -> "ParametricFamily":
-        """Return a copy with one coefficient replaced (used by sweeps)."""
+        """Return a copy with one coefficient replaced (used by sweeps); an
+        ``index`` that is not an integer is a ``ValueError`` naming it."""
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise ValueError(f"coefficient index must be an integer, got {index!r}") from None
         if not 0 <= index < len(self.coefficients):
             raise ValueError(
                 f"coefficient index {index} out of range for {self.kind} family"

@@ -401,6 +401,23 @@ def row_passes(g: GridEval, ordering=None) -> dict[str, np.ndarray]:
     return {table: ~fails for table, fails in failed.items()}
 
 
+def first_violation(model, grid_points: int, checks, warnings=()) -> ValidationReport:
+    """The report on ``model``, a game with stakes ``s_high`` and ``s_low``,
+    checked on ``grid_points`` points: ``s_high > s_low`` first, then each
+    ``(condition, points, bad, detail)`` of ``checks`` in order, a violation
+    at the first of ``points`` where ``bad`` holds.  ``checks`` is iterated
+    only once the stakes pass and up to the first violation, so a generator
+    evaluates each check only when it is reached; a pass carries the
+    ``warnings`` found by then."""
+    if not model.s_high > model.s_low:
+        detail = f"s_high={model.s_high:.6g} must exceed s_low={model.s_low:.6g}"
+        return ValidationReport(False, Violation("stakes-ordering", None, detail), (), grid_points)
+    for condition, points, bad, detail in checks:
+        if bad.any():
+            return ValidationReport(False, Violation(condition, float(points[bad.argmax()]), detail), (), grid_points)
+    return ValidationReport(True, None, tuple(warnings), grid_points)
+
+
 def validate(
     model: ModelPrimitives,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -432,34 +449,22 @@ def validate(
     failure: several downstream slope results assume a strictly positive
     slope while the base assumptions only require a weak one.
     """
+    warnings = []
 
-    def report(condition: str, v: float | None, detail: str) -> ValidationReport:
-        return ValidationReport(False, Violation(condition, v, detail), (), grid_points)
+    def checks():
+        g = evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
+        for condition, _, bad, detail in _assumption_checks(g, g.pi1 <= g.pi0):
+            yield condition, g.v, bad, detail
+        p = GridEval(g.v[0], g.pi0[0], g.pi1[0], g.cost[0])
+        if not retention_holds(model, p):  # formatting the message costs about 5 us: only on failure
+            gap = p.pi1 - p.pi0
+            lhs, rhs = gap * model.quality_importance, p.pi1 * p.cost / gap
+            detail = f"effort gain {lhs:.6g} below expected wage {rhs:.6g} at zero investment"
+            yield "baseline-contracting-viability", g.v[:1], np.ones(1, bool), detail
+        if np.any(np.abs(g.dpi1) <= DEFAULT_TOL):
+            warnings.append(
+                "pi1 slope vanishes on part of the range; slope-based results "
+                "that assume a strictly increasing pi1 degenerate there"
+            )
 
-    if not model.s_high > model.s_low:
-        return report(
-            "stakes-ordering", None,
-            f"s_high={model.s_high:.6g} must exceed s_low={model.s_low:.6g}",
-        )
-
-    g = evaluate_grid(model, model.grid(grid_points)) if grid is None else grid
-    for condition, _, bad, detail in _assumption_checks(g, g.pi1 <= g.pi0):
-        if bad.any():
-            return report(condition, float(g.v[np.argmax(bad)]), detail)
-
-    p = GridEval(g.v[0], g.pi0[0], g.pi1[0], g.cost[0])
-    if not retention_holds(model, p):
-        gap = p.pi1 - p.pi0
-        lhs, rhs = gap * model.quality_importance, p.pi1 * p.cost / gap
-        return report(
-            "baseline-contracting-viability", 0.0,
-            f"effort gain {lhs:.6g} below expected wage {rhs:.6g} at zero investment",
-        )
-
-    warnings = ()
-    if np.any(np.abs(g.dpi1) <= DEFAULT_TOL):
-        warnings = (
-            "pi1 slope vanishes on part of the range; slope-based results "
-            "that assume a strictly increasing pi1 degenerate there",
-        )
-    return ValidationReport(True, None, warnings, grid_points)
+    return first_violation(model, grid_points, checks(), warnings)

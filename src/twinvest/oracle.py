@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -390,35 +390,32 @@ class OracleReport:
         return line
 
     def to_dict(self) -> dict:
-        return {
-            "target_op": self.target_op,
-            "checks": self.checks,
-            "max_v_error": format_number(self.max_v_error),
-            "max_value_error": format_number(self.max_value_error),
-            "v_tolerance": format_number(self.v_tolerance),
-            "value_tolerance": format_number(self.value_tolerance),
-            "disagreements": [
-                {"inputs": d.inputs, "analytic": d.analytic, "oracle": d.oracle}
-                for d in self.disagreements
-            ],
-        }
+        """One key per field, each float written by :func:`format_number`
+        and each tuple a list; ``checks`` stays an int."""
+
+        def value(x):
+            return format_number(x) if isinstance(x, float) else list(x) if isinstance(x, tuple) else x
+
+        return asdict(self, dict_factory=lambda items: {k: value(x) for k, x in items})
 
 
 class _Certifier:
-    def __init__(self, target_op, v_tol, value_tol):
+    """An :class:`OracleReport` being accumulated, under its field names."""
+
+    def __init__(self, target_op, v_tolerance, value_tolerance):
         self.target_op = target_op
-        self.v_tol = v_tol
-        self.value_tol = value_tol
         self.checks = 0
-        self.max_v = 0.0
-        self.max_value = 0.0
+        self.max_v_error = 0.0
+        self.max_value_error = 0.0
+        self.v_tolerance = v_tolerance
+        self.value_tolerance = value_tolerance
         self.disagreements: list[OracleDisagreement] = []
 
     def record(self, inputs: str, v_err: float, value_err: float, analytic: str, oracle: str):
         self.checks += 1
-        self.max_v = max(self.max_v, v_err)
-        self.max_value = max(self.max_value, value_err)
-        if v_err > self.v_tol or value_err > self.value_tol:
+        self.max_v_error = max(self.max_v_error, v_err)
+        self.max_value_error = max(self.max_value_error, value_err)
+        if v_err > self.v_tolerance or value_err > self.value_tolerance:
             self.disagreements.append(OracleDisagreement(inputs, analytic, oracle))
 
     def mismatch(self, inputs: str, analytic: str, oracle: str):
@@ -429,15 +426,7 @@ class _Certifier:
         self.checks += 1
 
     def report(self) -> OracleReport:
-        return OracleReport(
-            self.target_op,
-            self.checks,
-            self.max_v,
-            self.max_value,
-            self.v_tol,
-            self.value_tol,
-            tuple(self.disagreements),
-        )
+        return OracleReport(**{**vars(self), "disagreements": tuple(self.disagreements)})
 
 
 def certify_contract(cases: list[tuple[str, ModelPrimitives, float]]) -> OracleReport:
@@ -579,7 +568,7 @@ def certify_two_period(cases: list[tuple[str, ModelPrimitives]]) -> OracleReport
         for kind in (AgentKind.MYOPIC, AgentKind.STRATEGIC):
             analytic = simulate_two_period(model, kind)
             oracle = brute_force_two_period(model, kind, 1e-3, 1e-3)
-            ok, why = _traces_agree(analytic, oracle, cert.v_tol, cert.value_tol)
+            ok, why = _traces_agree(analytic, oracle, cert.v_tolerance, cert.value_tolerance)
             if ok:
                 cert.match()
             else:

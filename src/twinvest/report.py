@@ -38,6 +38,8 @@ warning.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # The one number format; ``"%.12g" % x`` and ``f"{x:.12g}"`` give the same text.
@@ -51,6 +53,7 @@ def format_number(x: float) -> str:
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact doubles
 
 
+@functools.cache
 def _word_table() -> np.ndarray:
     """The 4-byte words of :func:`format_rows`, one section of 10,000 per
     variant, indexed by ``section * 10_000 + group``: full digits; integer
@@ -60,7 +63,8 @@ def _word_table() -> np.ndarray:
     full (``_POINT``) and without trailing zeros or, when 0, without the
     point (``_POINT_TRAIL``); and the separator before a value and its
     sign (``_MARKS``: rows 0-5 are no separator, ``,`` and newline, each
-    unsigned then signed)."""
+    unsigned then signed).  Built on the first call, so that a run that
+    writes no table never builds it."""
     g = np.arange(10_000, dtype=np.uint16)
     digits = (48 + np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)).astype(np.uint8)
     nonzero = digits != ord("0")
@@ -78,7 +82,6 @@ def _word_table() -> np.ndarray:
     return np.concatenate([s.view(np.uint32).ravel() for s in sections])
 
 
-_WORDS = _word_table()
 _LEAD, _UNITS, _TRAIL, _POINT, _POINT_TRAIL, _MARKS = (k * 10_000.0 for k in range(1, 7))
 
 
@@ -104,7 +107,7 @@ def format_rows(columns) -> str:
     sep = np.ones(len(x))  # 0 none, 1 comma, 2 newline
     sep[:: len(columns)] = 2
     sep[0] = 0
-    # each value's 8 words in _WORDS: separator and sign, the 12 integer
+    # each value's 8 words in _word_table(): separator and sign, the 12 integer
     # digits in three groups, the point and 15 fraction digits in four
     w = np.empty((len(x), 8), np.intp)
     w[:, 0] = _MARKS + 2 * sep + (np.signbit(x) & (kernel | (x == 0)))
@@ -124,7 +127,7 @@ def format_rows(columns) -> str:
     r -= q * 1e4
     w[:, 6] = q + _TRAIL * (r == 0)
     w[:, 7] = _TRAIL + r
-    words = _WORDS[w]
+    words = _word_table()[w]
     if len(fallback):
         text = np.array([NUMBER_FORMAT % v for v in x[fallback].tolist()], dtype="S28")
         words[fallback, 1:] = text.view(np.uint32).reshape(-1, 7)

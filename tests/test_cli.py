@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import twinvest.dynamics
 from twinvest.cli import main
 from twinvest.config import section_to_dict
+from twinvest.continuous import validate_continuous
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4, f5
 from twinvest.model import validate
@@ -59,6 +61,25 @@ class TestValidate:
 
     def test_missing_model_flag(self, capsys):
         assert main(["validate"]) == 1
+
+    def test_invalid_continuous_section_exits_2(self, capsys):
+        # f5 with a convex success curve: the model section is still printed, first
+        path = Path(__file__).with_name("f5_convex_continuous.json")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "model: valid (checked on 1001-point grid)\n"
+            "continuous: invalid: p-concave at 0.04: p must be concave\n"
+        )
+
+    @pytest.mark.parametrize("model", [f1(), dataclasses.replace(f1(), s_high=0.5)], ids=["valid", "invalid"])
+    @pytest.mark.parametrize(
+        "continuous", [f5(), dataclasses.replace(f5(), p=F.power(0.0, 0.5, 1.5))], ids=["valid", "invalid"]
+    )
+    def test_both_sections_printed_and_either_fails(self, model_file, capsys, model, continuous):
+        path = model_file(model, continuous=section_to_dict(continuous))
+        reports = validate(model, 101), validate_continuous(continuous, 101)
+        assert main(["validate", "--model", path, "--grid", "101"]) == (0 if all(r.passed for r in reports) else 2)
+        assert capsys.readouterr().out == f"model: {reports[0].describe()}\ncontinuous: {reports[1].describe()}\n"
 
 
 class TestOverflowingModel:
@@ -354,6 +375,28 @@ class TestVerify:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["seed"] == 3
         assert len(payload["reports"]) == 5
+
+    def test_disagreement_exits_3_and_is_written(self, tmp_path, capsys, monkeypatch):
+        import twinvest.oracle as oracle_module
+        from twinvest.contracts import Contract
+
+        real = oracle_module.optimal_contract
+        monkeypatch.setattr(
+            oracle_module, "optimal_contract",
+            lambda model, v: Contract(real(model, v).t_high + 0.5, 0.0) if v == 0.0 else real(model, v),
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--models", "0", "--out", str(out)]) == 3
+        printed = capsys.readouterr().out
+        assert "optimal_contract: FAIL checks=12 " in printed
+        assert printed.endswith("oracle certification: FAIL (5 reports)\n")
+        reports = json.loads(out.read_text(encoding="utf-8"))["reports"]
+        assert [r["target_op"] for r in reports if r["disagreements"]] == ["optimal_contract"]
+        contract = reports[0]
+        assert (contract["checks"], contract["max_value_error"], contract["value_tolerance"]) == (12, "0.5", "0.001000001")
+        assert [d["inputs"] for d in contract["disagreements"]] == ["f1 v=0", "f2 v=0", "f3 v=0", "f4 v=0"]
+        assert [d["oracle"] for d in contract["disagreements"]] == ["(0.4, 0)", "(0.4, 0)", "(0.334, 0)", "(0.4, 0)"]
+        assert [d["analytic"] for d in contract["disagreements"]] == ["(0.9, 0)", "(0.9, 0)", "(0.833333, 0)", "(0.9, 0)"]
 
 
 class TestUnwritableOutput:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -18,7 +19,7 @@ from twinvest.continuous import (
 from twinvest.contracts import Contract, employed_agent_payoff
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f5
-from twinvest.model import DomainError
+from twinvest.model import DomainError, ValidationReport, Violation
 from twinvest.sampling import random_continuous_models
 
 
@@ -180,23 +181,41 @@ class TestValidateContinuous:
     def test_f5_passes_including_certain_success_at_top(self):
         assert validate_continuous(f5()).passed
 
-    def test_convex_success_curve_rejected(self):
-        model = dataclasses.replace(f5(), p=F.power(0.1, 0.5, 2.0))
-        report = validate_continuous(model)
-        assert not report.passed
-        assert report.violation.condition == "p-concave"
+    @pytest.mark.parametrize(
+        "p,condition,e,detail",
+        [
+            (F.affine(-0.1, 1.0), "p-in-unit-interval", 0.04, "p must stay within (0, 1]"),
+            (F.affine(0.5, 0.8), "p-in-unit-interval", 0.6255999999999999, "p must stay within (0, 1]"),
+            (F.constant(0.5), "p-increasing", 0.04, "p slope must be strictly positive"),
+            (F.exponential_decay(0.5, 1.0), "p-increasing", 0.04, "p slope must be strictly positive"),
+            (F.power(0.0, 0.5, 1.5), "p-concave", 0.04, "p must be concave"),
+            (F.power(0.1, 0.5, 2.0), "p-concave", 0.04, "p must be concave"),
+        ],
+    )
+    def test_rejected_success_curve_named_at_its_first_point(self, p, condition, e, detail):
+        report = validate_continuous(dataclasses.replace(f5(), p=p), 101)
+        assert report == ValidationReport(False, Violation(condition, e, detail), (), 101)
+        assert report.describe() == f"invalid: {condition} at {e:.6g}: {detail}"
 
-    def test_decreasing_success_curve_rejected(self):
-        model = dataclasses.replace(f5(), p=F.exponential_decay(0.5, 1.0))
-        report = validate_continuous(model)
-        assert not report.passed
-        assert report.violation.condition in ("p-increasing", "p-concave")
+    def test_stakes_ordering_reported_before_the_grid_is_evaluated(self):
+        # evaluating this p would overflow, a warning that this suite raises
+        model = dataclasses.replace(f5(), s_high=0.5, s_low=0.5, p=F.affine(1e308, 1e308))
+        report = validate_continuous(model, 11)
+        assert report == ValidationReport(False, Violation("stakes-ordering", None, "s_high=0.5 must exceed s_low=0.5"), (), 11)
+        assert report.describe() == "invalid: stakes-ordering: s_high=0.5 must exceed s_low=0.5"
 
-    def test_probability_above_one_rejected(self):
-        model = dataclasses.replace(f5(), p=F.affine(0.5, 0.8))
-        report = validate_continuous(model)
-        assert not report.passed
-        assert report.violation.condition == "p-in-unit-interval"
+    def test_non_finite_success_curve_named_at_its_first_point(self):
+        # p = 1e308 + 1e308*e overflows to inf from e = 0.8 on; that comes
+        # before p > 1, which holds everywhere
+        model = dataclasses.replace(f5(), p=F.affine(1e308, 1e308))
+        es = model.grid(101)
+        with np.errstate(over="ignore"):
+            report = validate_continuous(model, 101)
+            first = float(es[np.argmax(~np.isfinite(1e308 + 1e308 * es))])
+        assert 0.79 < first < 0.81
+        assert report == ValidationReport(
+            False, Violation("finite-evaluation", first, "p not finite/differentiable here"), (), 101
+        )
 
     def test_effort_bounds(self):
         with pytest.raises(ValueError, match="e_min"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,14 @@ class TestConstruction:
         assert fam.coefficients == (0.2, 0.9)
         with pytest.raises(ValueError, match="out of range"):
             fam.with_coefficient(2, 1.0)
+
+    @pytest.mark.parametrize("index", [1.0, "1", None, 1.5, np.float64(1.0)])
+    def test_with_coefficient_names_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(ValueError, match=rf"^coefficient index must be an integer, got {re.escape(repr(index))}$"):
+            F.affine(0.2, 0.3).with_coefficient(index, 0.9)
+
+    def test_with_coefficient_takes_an_integer_like_index(self):
+        assert F.affine(0.2, 0.3).with_coefficient(np.int64(1), 0.9) == F.affine(0.2, 0.9)
 
 
 def test_analytic_derivatives_match_central_differences():

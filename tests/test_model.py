@@ -20,6 +20,8 @@ from twinvest.model import (
     evaluate,
     evaluate_batch_grid,
     evaluate_grid,
+    ValidationReport,
+    Violation,
     row_passes,
     validate,
 )
@@ -117,6 +119,26 @@ class TestValidate:
         report = validate(broken)
         assert not report.passed
         assert report.violation.condition == "stakes-ordering"
+
+    def test_stakes_ordering_reported_before_the_grid_is_built(self):
+        # a one-point grid raises DomainError, were it built
+        report = validate(dataclasses.replace(f1(), s_high=0.0, s_low=0.0), 1)
+        assert report == ValidationReport(False, Violation("stakes-ordering", None, "s_high=0 must exceed s_low=0"), (), 1)
+
+    def test_reports_word_for_word(self):
+        # hand check: 0.5 * 0.5 = 0.25 < 0.7 * 0.2 / 0.5 = 0.28
+        assert validate(dataclasses.replace(f1(), s_high=0.5)).describe() == (
+            "invalid: baseline-contracting-viability at 0: "
+            "effort gain 0.25 below expected wage 0.28 at zero investment"
+        )
+        assert validate(f3(), 11).describe() == (
+            "valid (checked on 11-point grid)\n"
+            "warning: pi1 slope vanishes on part of the range; slope-based results "
+            "that assume a strictly increasing pi1 degenerate there"
+        )
+        assert validate(dataclasses.replace(f1(), cost=F.affine(0.2, -0.3)), 4).describe() == (
+            "invalid: cost-positive at 1: effort cost must stay strictly positive"
+        )
 
     def test_describe_mentions_condition(self):
         broken = dataclasses.replace(f1(), s_high=0.5)
@@ -432,3 +454,8 @@ def test_with_coefficient_roundtrip():
     assert f1().cost.coefficients == (0.2, -0.1)
     with pytest.raises(ValueError, match="unknown primitive"):
         f1().with_coefficient("wage", 0, 0.3)
+
+
+def test_with_coefficient_names_an_index_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"^coefficient index must be an integer, got 1\.0$"):
+        f1().with_coefficient("cost", 1.0, 0.3)

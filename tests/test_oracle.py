@@ -23,6 +23,7 @@ from twinvest.oracle import (
     run_certification,
 )
 from twinvest.families import ParametricFamily as F
+from twinvest.investment import RegimeLabel
 from twinvest.model import DomainError, ModelPrimitives, evaluate, evaluate_grid
 from twinvest.sampling import random_continuous_models, random_models
 
@@ -398,8 +399,18 @@ class TestCertification:
 
         monkeypatch.setattr(oracle_module, "optimal_investment", corrupted)
         report = certify_investment([("f1", f1())])
-        assert not report.passed
-        assert report.disagreements
+        ov, ou = brute_force_investment(f1(), 1e-4)
+        assert ov == 1.0
+        TestDisagreementReports.assert_report(
+            report,
+            f"optimal_investment: FAIL checks=1 max_v_error=0.5 max_value_error={ou:.12g}\n"
+            f"  disagreement f1: analytic=v=0.5 U=0 oracle=v=1 U={ou:.8g}",
+            {
+                "target_op": "optimal_investment", "checks": 1, "max_v_error": "0.5",
+                "max_value_error": "%.12g" % ou, "v_tolerance": "0.001", "value_tolerance": "1e-09",
+                "disagreements": [{"inputs": "f1", "analytic": "v=0.5 U=0", "oracle": f"v=1 U={ou:.8g}"}],
+            },
+        )
 
     def test_report_serialization(self):
         report = certify_contract([("f1", f1(), 0.0)])
@@ -446,3 +457,167 @@ def test_run_certification_enumerates_each_contract_once(monkeypatch):
     for _ in range(2):
         brute_force_two_period(f2(), AgentKind.MYOPIC)
     assert len(keys) == 2 * len(set(keys))
+
+
+class TestDisagreementReports:
+    """Every certifier's disagreement branch, forced by replacing the
+    analytic function that ``oracle`` imports (or, where the oracle must
+    find nothing, by a case it cannot solve); each report is pinned through
+    ``passed``, ``describe()`` and ``to_dict()``."""
+
+    @staticmethod
+    def assert_report(report, describe, payload):
+        assert not report.passed
+        assert report.describe() == describe
+        assert report.to_dict() == payload
+
+    def test_contract_off_by_a_cent(self, monkeypatch):
+        real = oracle_module.optimal_contract
+        monkeypatch.setattr(
+            oracle_module, "optimal_contract",
+            lambda model, v: dataclasses.replace(real(model, v), t_high=real(model, v).t_high + 0.01),
+        )
+        report = certify_contract([("f1", f1(), 0.0), ("f1", f1(), 1.0)])
+        err = real(f1(), 0.0).t_high + 0.01 - 0.4
+        self.assert_report(
+            report,
+            "optimal_contract: FAIL checks=2 max_v_error=0 max_value_error=0.01\n"
+            "  disagreement f1 v=0: analytic=(0.41, 0) oracle=(0.4, 0)\n"
+            "  disagreement f1 v=1: analytic=(0.343333, 0) oracle=(0.334, 0)",
+            {
+                "target_op": "optimal_contract", "checks": 2, "max_v_error": "0",
+                "max_value_error": "%.12g" % err, "v_tolerance": "0", "value_tolerance": "0.001000001",
+                "disagreements": [
+                    {"inputs": "f1 v=0", "analytic": "(0.41, 0)", "oracle": "(0.4, 0)"},
+                    {"inputs": "f1 v=1", "analytic": "(0.343333, 0)", "oracle": "(0.334, 0)"},
+                ],
+            },
+        )
+        assert report.max_value_error == max(err, abs(real(f1(), 1.0).t_high + 0.01 - 0.334))
+
+    def test_contract_without_a_feasible_pair(self):
+        # the wage at v = 0 is 0.4, above every payment on [0, 0.3]
+        model = dataclasses.replace(f1(), s_high=0.3)
+        report = certify_contract([("f1-low", model, 0.0)])
+        analytic = "Contract(t_high=0.4000000000000001, t_low=0.0)"
+        self.assert_report(
+            report,
+            f"optimal_contract: FAIL checks=1 max_v_error=0 max_value_error=0\n"
+            f"  disagreement f1-low v=0: analytic={analytic} oracle=no feasible pair",
+            {
+                "target_op": "optimal_contract", "checks": 1, "max_v_error": "0", "max_value_error": "0",
+                "v_tolerance": "0", "value_tolerance": "0.001000001",
+                "disagreements": [{"inputs": "f1-low v=0", "analytic": analytic, "oracle": "no feasible pair"}],
+            },
+        )
+
+    def test_investment_without_a_feasible_point(self, monkeypatch):
+        # retention fails on the whole grid; the solver (which would refuse
+        # the model) answers with f1's solution
+        solution = oracle_module.optimal_investment(f1())
+        monkeypatch.setattr(oracle_module, "optimal_investment", lambda model: solution)
+        report = certify_investment([("f1", f1()), ("f1-low", dataclasses.replace(f1(), s_high=0.5))])
+        self.assert_report(
+            report,
+            "optimal_investment: FAIL checks=2 max_v_error=0 max_value_error=0\n"
+            "  disagreement f1-low: analytic=v=1 oracle=no feasible point",
+            {
+                "target_op": "optimal_investment", "checks": 2, "max_v_error": "0", "max_value_error": "0",
+                "v_tolerance": "0.001", "value_tolerance": "1e-09",
+                "disagreements": [{"inputs": "f1-low", "analytic": "v=1", "oracle": "no feasible point"}],
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "name,make,label,argmax",
+        [
+            ("f1", f1, RegimeLabel.NO_INVESTMENT, "1"),  # MaxInvestment, called NoInvestment
+            ("f4", f4, RegimeLabel.MAX_INVESTMENT, "0"),  # NoInvestment, called MaxInvestment
+            ("f4", f4, RegimeLabel.INTERIOR, "0"),  # the zoom finds no interior peak
+        ],
+    )
+    def test_regime_label_against_the_argmax(self, name, make, label, argmax, monkeypatch):
+        monkeypatch.setattr(oracle_module, "classify_regime", lambda model: label)
+        report = certify_regimes([(name, make())])
+        self.assert_report(
+            report,
+            f"classify_regime: FAIL checks=1 max_v_error=0 max_value_error=0\n"
+            f"  disagreement {name}: analytic={label.value} oracle=argmax={argmax}",
+            {
+                "target_op": "classify_regime", "checks": 1, "max_v_error": "0", "max_value_error": "0",
+                "v_tolerance": "0", "value_tolerance": "0",
+                "disagreements": [{"inputs": name, "analytic": label.value, "oracle": f"argmax={argmax}"}],
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt,brief,why",
+        [
+            (lambda t: dataclasses.replace(t, displacement_period=2), "[HH]", "displacement_period"),
+            (lambda t: _with_record(t, 0, effort=EffortLevel.LOW), "[LH]", "period 1 structure"),
+            (lambda t: _with_record(t, 1, employed=False), "[Hx]", "period 2 structure"),
+            (lambda t: _with_record(t, 1, investment=t.records[1].investment + 0.01), "[HH]", "period 2 investment"),
+            (lambda t: _with_record(t, 0, contract=Contract(t.records[0].contract.t_high + 0.01, 0.0)), "[HH]",
+             "period 1 contract"),
+            (lambda t: _with_record(t, 0, contract=Contract(t.records[0].contract.t_high, 0.01)), "[HH]",
+             "period 1 contract"),
+            (lambda t: _with_record(t, 1, agent_expected_payoff=t.records[1].agent_expected_payoff + 0.01), "[HH]",
+             "period 2 payoff"),
+            (lambda t: _with_record(t, 1, principal_expected_payoff=0.0), "[HH]", "period 2 payoff"),
+        ],
+    )
+    def test_two_period_trace_reasons(self, corrupt, brief, why, monkeypatch):
+        # the strategic f2 trace, corrupted in one field; the myopic one agrees
+        real = oracle_module.simulate_two_period
+
+        def simulate(model, kind):
+            trace = real(model, kind)
+            return corrupt(trace) if kind is AgentKind.STRATEGIC else trace
+
+        monkeypatch.setattr(oracle_module, "simulate_two_period", simulate)
+        report = certify_two_period([("f2", f2())])
+        analytic = f"{brief} v=0.9034"
+        self.assert_report(
+            report,
+            "simulate_two_period: FAIL checks=2 max_v_error=0 max_value_error=0\n"
+            f"  disagreement f2 strategic: analytic={analytic} oracle=[HH] v=0.9034 ({why})",
+            {
+                "target_op": "simulate_two_period", "checks": 2, "max_v_error": "0", "max_value_error": "0",
+                "v_tolerance": "0.002", "value_tolerance": "0.005",
+                "disagreements": [
+                    {"inputs": "f2 strategic", "analytic": analytic, "oracle": f"[HH] v=0.9034 ({why})"}
+                ],
+            },
+        )
+
+    def test_continuous_residual_and_optimum(self, monkeypatch):
+        real = oracle_module.principal_optimal_effort
+        monkeypatch.setattr(oracle_module, "foc_residual", lambda cmodel, e, contract: 1.0)
+        monkeypatch.setattr(
+            oracle_module, "principal_optimal_effort",
+            lambda cmodel: dataclasses.replace(real(cmodel), e_opt=0.5),
+        )
+        report = certify_continuous([("f5", f5())], seed=0)
+        es = np.random.default_rng(0).uniform(f5().e_min, f5().e_max, size=3)
+        residuals = [
+            {"inputs": f"f5 e={e:.6g}", "analytic": "residual=1.000e+00", "oracle": "0"} for e in es
+        ]
+        self.assert_report(
+            report,
+            "principal_optimal_effort: FAIL checks=4 max_v_error=0.5 max_value_error=0\n"
+            + "".join(f"  disagreement {d['inputs']}: analytic={d['analytic']} oracle=0\n" for d in residuals)
+            + "  disagreement f5: analytic=e=0.5 oracle=e=1",
+            {
+                "target_op": "principal_optimal_effort", "checks": 4, "max_v_error": "0.5",
+                "max_value_error": "0", "v_tolerance": "0.0001", "value_tolerance": "1e-06",
+                "disagreements": residuals + [{"inputs": "f5", "analytic": "e=0.5", "oracle": "e=1"}],
+            },
+        )
+        assert [d["inputs"] for d in residuals] == ["f5 e=0.651483", "f5 e=0.298995", "f5 e=0.0793346"]
+
+
+def _with_record(trace, i, **changes):
+    """``trace`` with record ``i`` changed."""
+    records = list(trace.records)
+    records[i] = dataclasses.replace(records[i], **changes)
+    return dataclasses.replace(trace, records=tuple(records))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
@@ -92,3 +97,17 @@ def test_maps_whose_columns_are_empty(monkeypatch):
         "-0.1,0.3,MaxInvestment,1,0.166666666667,false,",
     ]
     assert lengths == [0, 2, 1, 2]
+
+
+def test_importing_the_package_builds_no_word_table():
+    # the table is built by the first format_rows call; validate and
+    # simulate write no table, so they never pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import twinvest, twinvest.cli, twinvest.report as r\n"
+        "assert r._word_table.cache_info().currsize == 0\n"
+        "r.format_rows([[0.5]])\n"
+        "assert r._word_table.cache_info().currsize == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -437,6 +437,21 @@ class TestAxisChecks:
         with pytest.raises(ValueError, match=r"cost\[5\].*out of range"):
             regime_sweep(f3(), axis1, axis2)
 
+    @pytest.mark.parametrize("coefficient", [1.0, "1", None, np.float64(1.0)])
+    def test_coefficient_that_is_not_an_integer_is_named(self, coefficient):
+        # on either axis
+        axis = SweepAxis("cost", coefficient, 0.5, 3.0, 3)
+        label = re.escape(f"cost[{coefficient}]")
+        message = rf"^sweep axis {label}: coefficient index must be an integer, got {re.escape(repr(coefficient))}$"
+        with pytest.raises(SweepAxisError, match=message):
+            regime_sweep(f3(), axis, SweepAxis("pi0", 1, 0.1, 0.4, 3))
+        with pytest.raises(SweepAxisError, match=message):
+            regime_sweep(f3(), SweepAxis("pi0", 1, 0.1, 0.4, 3), axis)
+
+    def test_integer_like_coefficient_solves_as_an_int(self):
+        axes = SweepAxis("cost", np.int64(1), 0.5, 3.0, 3), SweepAxis("pi0", np.int64(1), 0.1, 0.4, 3)
+        assert regime_sweep(f3(), *axes).to_csv() == regime_sweep(f3(), *f3_axes(3)).to_csv()
+
     @pytest.mark.parametrize("count", [2.5, 3.0, math.inf, math.nan, "3", None])
     def test_count_that_is_not_an_integer_is_named(self, count):
         with pytest.raises(ValueError, match=rf"^axis count must be an integer, got {re.escape(repr(count))}$"):
