@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ModelFile, load_model_file
-from .contracts import checked_information_rent, incentive_wage, retention_margin, surpluses
+from .contracts import incentive_wage, information_rent, retention_margin
 from .continuous import validate_continuous
 from .dynamics import AgentKind, sample_outcomes, simulate_cycles, simulate_two_period
 from .investment import optimal_investment
@@ -163,8 +163,7 @@ def _solve_grid_csv(model: ModelPrimitives, grid_points: int) -> str:
     """Per-grid-point table on the solve's grid, same values as the scalar
     ``surpluses``, ``optimal_contract`` and retention margin."""
     g = evaluate_grid(model, model.grid(grid_points))
-    u_gap = checked_information_rent(g)
-    columns = (g.v, u_gap, incentive_wage(g), g.pi1 / g.pi0, retention_margin(model, g))
+    columns = (g.v, information_rent(g), incentive_wage(g), g.pi1 / g.pi0, retention_margin(model, g))
     return "v,agent_surplus,t_bar,outcome_separability,deterrent_margin\n" + format_rows(columns)
 
 
@@ -175,7 +174,6 @@ def cmd_solve(args) -> int:
     sol = optimal_investment(model, grid_points)
     print(f"regime={sol.regime.value}")
     print("feasible=true")  # a valid model is retained at v = 0
-    breakdown = surpluses(model, sol.v_opt)
     roots = [format_number(r) for r in sol.deterrent_roots]
     print(f"v_opt={format_number(sol.v_opt)}")
     print(f"v_star={roots[0] if roots else 'none'}")
@@ -183,7 +181,7 @@ def cmd_solve(args) -> int:
     print(f"v_star_unconstrained={format_number(sol.v_star_unconstrained)}")
     print(f"u_opt={format_number(sol.u_at_opt)}")
     print(f"principal_surplus={format_number(sol.principal_surplus_at_opt)}")
-    print(f"total_surplus={format_number(breakdown.total_surplus)}")
+    print(f"total_surplus={format_number(sol.u_at_opt + sol.principal_surplus_at_opt)}")
     print(f"deterrent_binding={format_bool(sol.deterrent_binding)}")
     if args.out:
         _write(args.out, _solve_grid_csv(model, grid_points))

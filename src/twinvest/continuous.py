@@ -69,9 +69,10 @@ def validate_continuous(
 
     def checks():
         es = cmodel.grid(grid_points)
-        vals = np.asarray(cmodel.p.value(es), dtype=float)
-        slopes = np.asarray(cmodel.p.derivative(es), dtype=float)
-        curv = np.asarray(cmodel.p.second_derivative(es), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            vals = np.asarray(cmodel.p.value(es), dtype=float)
+            slopes = np.asarray(cmodel.p.derivative(es), dtype=float)
+            curv = np.asarray(cmodel.p.second_derivative(es), dtype=float)
         bad = ~np.isfinite(vals) | ~np.isfinite(slopes) | ~np.isfinite(curv)
         yield "finite-evaluation", es, bad, "p not finite/differentiable here"
         # p may touch 1 exactly at the top of the range (certain success at

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import DEFAULT_TOL, ModelPrimitives, evaluate, incentive_wage, retention_holds, retention_margin
 
 
@@ -71,32 +69,12 @@ def information_rent(p, pair=None):
     return p.pi0 * p.cost / (p.pi1 - p.pi0 if pair is None else pair[0])
 
 
-def checked_information_rent(p):
-    """:func:`information_rent` of evaluated primitives, a point or a grid,
-    checked against its second algebraic route ``cost/(Q-1)``.
-
-    The two routes are the same quantity, so a mismatch beyond 1e-10
-    (relative, floored at 1) signals corrupted primitives rather than a
-    model property: it raises ``ArithmeticError`` naming the first failing
-    ``v``.
-    """
-    u_gap = information_rent(p)
-    u_sep = p.cost / (p.pi1 / p.pi0 - 1.0)
-    bad = np.abs(u_gap - u_sep) > 1e-10 * np.maximum(1.0, np.abs(u_gap))
-    if bad.any():
-        i = int(np.argmax(bad))
-        v, a, b = (np.ravel(x)[i] for x in (p.v, u_gap, u_sep))
-        raise ArithmeticError(
-            f"agent-surplus identity violated at v={v}: {float(a)!r} vs {float(b)!r}"
-        )
-    return u_gap
-
-
 def principal_payoff(model: ModelPrimitives, p):
-    """``pi1*s_high + (1-pi1)*s_low - pi1*cost/(pi1-pi0)``: the principal's
-    expected payoff under the optimal contract, of evaluated primitives, a
-    point or a grid."""
-    return p.pi1 * model.s_high + (1.0 - p.pi1) * model.s_low - p.pi1 * p.cost / (p.pi1 - p.pi0)
+    """The principal's expected payoff under the optimal contract, of
+    evaluated primitives, a point or a grid: the per-period
+    :func:`employed_principal_payoff` at the :func:`incentive_wage`, paid on
+    success only, ``pi1*(s_high - t_high) + (1-pi1)*s_low``."""
+    return employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)
 
 
 # The three per-period payoffs below take numbers (or arrays), not a
@@ -150,16 +128,16 @@ class SurplusBreakdown:
 
 
 def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
-    """Full surplus breakdown at ``v``; the agent's rent is
-    :func:`checked_information_rent`, so it raises ``ArithmeticError`` on
-    corrupted primitives."""
+    """Full surplus breakdown at ``v``: the agent's rent is
+    :func:`information_rent` and the principal's payoff
+    :func:`principal_payoff`, the same formulas the solver reads."""
     p = evaluate(model, v)
-    u_gap = checked_information_rent(p)
+    rent = information_rent(p)
     principal = principal_payoff(model, p)
     return SurplusBreakdown(
-        agent_surplus=u_gap,
+        agent_surplus=rent,
         principal_surplus=principal,
-        total_surplus=u_gap + principal,
+        total_surplus=rent + principal,
         outcome_separability=p.pi1 / p.pi0,
         delta_pi=p.pi1 - p.pi0,
         quality_importance=model.quality_importance,
@@ -191,15 +169,16 @@ def displacement_deterrent_margin(model: ModelPrimitives, v: float) -> float:
 
 
 def displacement_deterrent_margin_raw(model: ModelPrimitives, v: float) -> float:
-    """Retention margin in its unreduced form: contracted surplus minus twin surplus.
+    """Retention margin in its unreduced form: the principal's payoff from
+    employing the human under the optimal contract minus that from running
+    the twin alone.
 
-    Algebraically ``pi1(v)`` times :func:`displacement_deterrent_margin`;
-    kept separate because brute-force checks and the backward-induction
-    oracle compare the two principal options directly.
+    Algebraically ``pi1(v)`` times :func:`displacement_deterrent_margin`,
+    but rounded as the two payoffs are; :mod:`twinvest.sampling` filters
+    random models on it.
     """
     p = evaluate(model, v)
-    with_human = employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)
-    return with_human - twin_alone_payoff(model, p.pi0)
+    return principal_payoff(model, p) - twin_alone_payoff(model, p.pi0)
 
 
 def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:

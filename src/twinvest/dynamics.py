@@ -40,6 +40,7 @@ from .contracts import (
     employed_agent_payoff,
     employed_principal_payoff,
     incentive_wage,
+    principal_payoff,
     retention_holds,
     twin_alone_payoff,
 )
@@ -266,12 +267,6 @@ def _check_integer(name: str, value: int, least: int) -> int:
     return value
 
 
-def _rehire_surplus(model: ModelPrimitives, p: GridEval) -> float:
-    """Principal surplus from employing the agent at full training, whose
-    primitives ``p`` holds, under the optimal contract."""
-    return employed_principal_payoff(model, p.pi1, incentive_wage(p), 0.0)
-
-
 #: How many twin-only periods :func:`rehire_cycle_length` scans by default.
 _REHIRE_HORIZON = 10_000
 
@@ -280,7 +275,7 @@ def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     """Retention test when one untrained period degrades the twin to
     ``alpha * v_max``; ties retain the agent."""
     alpha = _check_alpha(alpha)
-    rehire = _rehire_surplus(model, _full_training(model).point)
+    rehire = principal_payoff(model, _full_training(model).point)
     return bool(rehire - _twin_surplus(model, alpha * model.v_max) >= 0.0)
 
 
@@ -314,7 +309,7 @@ def _rehire_after(model: ModelPrimitives, alpha: float, play: _FullTraining, hor
     """:func:`rehire_cycle_length` from the model's full-training ``play``."""
     if play.retained:
         return None
-    rehire = _rehire_surplus(model, play.point)
+    rehire = principal_payoff(model, play.point)
     ability, done, size = model.v_max, 0, 16
     while done < horizon:
         size = min(size, horizon - done)

@@ -7,11 +7,12 @@ import pytest
 
 import twinvest.dynamics
 from twinvest.cli import main
-from twinvest.config import section_to_dict
+from twinvest.config import load_model_file, section_to_dict
 from twinvest.continuous import validate_continuous
 from twinvest.families import ParametricFamily as F
 from twinvest.fixtures import f1, f2, f3, f4, f5
 from twinvest.model import validate
+from twinvest.oracle import brute_force_investment
 
 
 @pytest.fixture
@@ -62,13 +63,18 @@ class TestValidate:
     def test_missing_model_flag(self, capsys):
         assert main(["validate"]) == 1
 
-    def test_invalid_continuous_section_exits_2(self, capsys):
-        # f5 with a convex success curve: the model section is still printed, first
-        path = Path(__file__).with_name("f5_convex_continuous.json")
+    @pytest.mark.parametrize("name, violation", [
+        # f5 with a convex success curve
+        ("f5_convex_continuous.json", "p-concave at 0.04: p must be concave"),
+        # f5 with p = 1e308 + 1e308*e, which overflows: named without a numpy warning
+        ("f5_overflow_continuous.json", "finite-evaluation at 0.7984: p not finite/differentiable here"),
+    ])
+    def test_invalid_continuous_section_exits_2(self, capsys, name, violation):
+        # the model section is still printed, first
+        path = Path(__file__).with_name(name)
         assert main(["validate", "--model", str(path)]) == 2
         assert capsys.readouterr().out == (
-            "model: valid (checked on 1001-point grid)\n"
-            "continuous: invalid: p-concave at 0.04: p must be concave\n"
+            f"model: valid (checked on 1001-point grid)\ncontinuous: invalid: {violation}\n"
         )
 
     @pytest.mark.parametrize("model", [f1(), dataclasses.replace(f1(), s_high=0.5)], ids=["valid", "invalid"])
@@ -147,6 +153,18 @@ class TestSolve:
     def test_invalid_model_exit_code(self, model_file, capsys):
         path = model_file(dataclasses.replace(f1(), s_high=0.5))
         assert main(["solve", "--model", path]) == 2
+
+    def test_near_tie_separability_solves(self, tmp_path, capsys):
+        # Q - 1 is 3.3e-12 here, so cost/(Q-1) loses most of its digits;
+        # the rent pi0*cost/(pi1-pi0) keeps them, and the model solves
+        path = Path(__file__).with_name("near_tie_separability.json")
+        model = load_model_file(path).model
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path / "grid.csv")]) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        ov, ou = brute_force_investment(model, 1e-4)
+        # certify_investment's rule: v within 1e-3, the rent at most 1e-9 below the grid's
+        assert abs(float(printed["v_opt"]) - ov) <= 1e-3
+        assert ou - float(printed["u_opt"]) <= 1e-9
 
 
 class TestSimulate:
@@ -423,6 +441,24 @@ class TestArgumentErrors:
 
     def test_unreadable_model_path(self, capsys):
         assert main(["solve", "--model", "/nonexistent/nowhere.json"]) == 1
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("solve", [], "model file has no discrete model section"),
+        ("solve", ["--grid", "1"], "--grid must be at least 2, got 1"),
+        ("sweep", ["--grid", "0"], "--grid must be at least 1, got 0"),
+        ("verify", ["--models", "-1"], "--models must be >= 0, got -1"),
+    ])
+    def test_input_error_named_on_stderr(self, command, extra, message, tmp_path, model_file, capsys):
+        if command == "verify":
+            argv = ["verify"]
+        elif extra:
+            argv = [command, "--model", model_file(f3(), sweep=sweep_section())]
+        else:
+            path = tmp_path / "continuous_only.json"
+            path.write_text(json.dumps({"continuous": section_to_dict(f5())}), encoding="utf-8")
+            argv = [command, "--model", str(path)]
+        assert main(argv + extra) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestParserReuse:

@@ -8,19 +8,29 @@ from conftest import affine_models, investments
 from twinvest.contracts import (
     Contract,
     agent_surplus,
+    delta_pi,
     displacement_deterrent_check,
     displacement_deterrent_margin,
     displacement_deterrent_margin_raw,
     effort_inducement_check,
+    employed_principal_payoff,
+    incentive_wage,
     optimal_contract,
+    outcome_separability,
+    principal_payoff,
     principal_surplus,
     should_offer_twin,
     social_total_surplus,
     surpluses,
 )
 from twinvest.families import ParametricFamily as F
-from twinvest.fixtures import f1, f2, f4
-from twinvest.model import ModelPrimitives
+from twinvest.fixtures import DISCRETE_FIXTURES, f1, f2, f4
+from twinvest.model import ModelPrimitives, evaluate_grid
+from twinvest.sampling import random_models
+
+
+def fixture_models():
+    return [make() for make in DISCRETE_FIXTURES.values()]
 
 
 class TestOptimalContract:
@@ -50,6 +60,12 @@ class TestOptimalContract:
 
 
 class TestSurpluses:
+    def test_gap_and_separability_are_the_breakdowns(self):
+        for model in fixture_models():
+            for v in model.grid(101):
+                s = surpluses(model, v)
+                assert (delta_pi(model, v), outcome_separability(model, v)) == (s.delta_pi, s.outcome_separability)
+
     def test_f1_at_zero(self):
         s = surpluses(f1(), 0.0)
         assert s.agent_surplus == pytest.approx(0.08)
@@ -72,7 +88,7 @@ class TestSurpluses:
     @given(model=affine_models(), v=investments())
     @settings(max_examples=100, deadline=None)
     def test_rent_identity_two_forms(self, model, v):
-        # pi0*c/(pi1-pi0) == c/(Q-1), exercised through the double computation
+        # pi0*c/(pi1-pi0) == c/(Q-1) up to rounding
         s = surpluses(model, v)
         q = s.outcome_separability
         cost = float(model.cost.value(v))
@@ -94,6 +110,15 @@ class TestSurpluses:
         c = optimal_contract(model, v)
         gap = float(model.pi1.value(v)) - float(model.pi0.value(v))
         assert c.spread * gap == pytest.approx(float(model.cost.value(v)), abs=1e-12)
+
+
+class TestPrincipalPayoff:
+    def test_is_the_per_period_payoff_at_the_optimal_contract(self):
+        # one formula: the one the strategic simulate records and rehire read
+        for model in fixture_models() + random_models(200, 3):
+            g = evaluate_grid(model, model.grid(1001))
+            per_period = employed_principal_payoff(model, g.pi1, incentive_wage(g), 0.0)
+            assert np.array_equal(principal_payoff(model, g), per_period)
 
 
 class TestEffortInducement:

@@ -11,6 +11,7 @@ from twinvest.contracts import (
     displacement_deterrent_check,
     incentive_wage,
     optimal_contract,
+    principal_payoff,
 )
 from twinvest.dynamics import (
     AgentKind,
@@ -18,7 +19,6 @@ from twinvest.dynamics import (
     _employed_record,
     _full_training,
     _rehire_after,
-    _rehire_surplus,
     _twin_record,
     _twin_surplus,
     degradation_deterrent_check,
@@ -386,7 +386,7 @@ def scalar_cycle_length(model, alpha, horizon=10_000):
     period, the ability decayed by ``ability *= alpha``."""
     if displacement_deterrent_check(model, model.v_max):
         return None
-    rehire = _rehire_surplus(model, evaluate(model, model.v_max))
+    rehire = principal_payoff(model, evaluate(model, model.v_max))
     ability = model.v_max
     for n in range(1, horizon + 1):
         ability *= alpha

@@ -607,6 +607,18 @@ class TestRefinementObjectives:
             assert scalar == [surpluses(model, v).principal_surplus for v in vs]
             assert principal_payoff(model, evaluate_grid(model, vs)).tolist() == scalar
 
+    def test_solve_and_strategic_simulate_share_the_principal_payoff(self):
+        for model in [make() for make in DISCRETE_FIXTURES.values()] + random_models(200, 3):
+            record = simulate_two_period(model, AgentKind.STRATEGIC).records[0]
+            assert optimal_investment(model).principal_surplus_at_opt == record.principal_expected_payoff
+
+    @pytest.mark.parametrize("grid_points", [2, 51, 1001])
+    def test_solve_total_is_the_breakdowns(self, grid_points):
+        # solve prints the sum of its solution's two payoffs as total_surplus
+        for model in exactness_models():
+            sol = optimal_investment(model, grid_points)
+            assert sol.u_at_opt + sol.principal_surplus_at_opt == surpluses(model, sol.v_opt).total_surplus
+
     @pytest.mark.parametrize("v", [-1e-9, 1.0 + 1e-9, math.nan])
     def test_agent_surplus_rejects_outside_domain(self, v):
         with pytest.raises(DomainError):
