@@ -60,16 +60,22 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str):
         raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    value = obj[key]
+def _float(value, path: str) -> float:
+    """``value`` as a float; a :class:`ConfigError` at ``path`` when it is
+    not a JSON number (a bool is not one) or is an integer no float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(
-            f"{path}.{key}" if path else key,
-            f"expected a number, got {type(value).__name__}",
-        )
-    return float(value)
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, "expected a number a float can hold") from None
+
+
+def _number(obj: dict, key: str, path: str) -> float:
+    path = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise ConfigError(path, "missing required field")
+    return _float(obj[key], path)
 
 
 def _family(obj: dict, key: str, path: str) -> ParametricFamily:
@@ -91,13 +97,9 @@ def parse_family(obj, path: str) -> ParametricFamily:
     coeffs = obj.get("coefficients")
     if not isinstance(coeffs, list) or not coeffs:
         raise ConfigError(f"{path}.coefficients", "expected a non-empty array of numbers")
-    for i, c in enumerate(coeffs):
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ConfigError(
-                f"{path}.coefficients[{i}]", f"expected a number, got {type(c).__name__}"
-            )
+    coeffs = tuple(_float(c, f"{path}.coefficients[{i}]") for i, c in enumerate(coeffs))
     try:
-        return ParametricFamily(kind, tuple(float(c) for c in coeffs))
+        return ParametricFamily(kind, coeffs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 

@@ -17,6 +17,7 @@ optimization and the principal's problem is a bounded scalar search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,11 @@ class ContinuousEffortModel:
     def __post_init__(self):
         for name in ("c0", "e_min", "e_max", "s_high", "s_low"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not np.isfinite(self.c0) or self.c0 <= 0.0:
+        if not math.isfinite(self.c0) or self.c0 <= 0.0:
             raise ValueError(f"cost slope c0 must be > 0, got {self.c0}")
-        if not (np.isfinite(self.s_high) and np.isfinite(self.s_low)):
+        if not (math.isfinite(self.s_high) and math.isfinite(self.s_low)):
             raise ValueError("s_high and s_low must be finite")
-        if not (np.isfinite(self.e_max) and 0.0 < self.e_min < self.e_max):
+        if not (math.isfinite(self.e_max) and 0.0 < self.e_min < self.e_max):
             raise ValueError(
                 f"effort bounds must be finite with 0 < e_min < e_max, got "
                 f"[{self.e_min}, {self.e_max}]"
@@ -53,7 +54,7 @@ class ContinuousEffortModel:
 
     def check_domain(self, e: float) -> float:
         e = float(e)
-        if not np.isfinite(e) or e < self.e_min or e > self.e_max:
+        if not math.isfinite(e) or e < self.e_min or e > self.e_max:
             raise DomainError(f"effort {e} outside [{self.e_min}, {self.e_max}]")
         return e
 
@@ -91,7 +92,15 @@ def validate_continuous(
 
 def _slope(cmodel: ContinuousEffortModel, e):
     """``p'(e)`` at a point or over an array; ``ValueError`` at the first
-    effort where it is not strictly positive."""
+    effort where it is not strictly positive.
+
+    At a Python float it is ``float(p'(e))``, tested as a float: the same
+    formula, and the same bits as that point of an array."""
+    if type(e) is float:
+        slope = float(cmodel.p.derivative(e))
+        if not slope > 0.0:
+            raise ValueError(f"p'({e}) = {slope} must be strictly positive")
+        return slope
     slope = np.asarray(cmodel.p.derivative(e), dtype=float)
     bad = ~(slope > 0.0)
     if bad.any():
@@ -121,8 +130,13 @@ def _participation_low_payment(cmodel: ContinuousEffortModel, e, p, slope):
 
 
 def _induced_payments(cmodel: ContinuousEffortModel, e, p, slope):
-    """``(t_high, t_low)`` of the cheapest contract inducing effort ``e``."""
-    t_low = np.maximum(0.0, _participation_low_payment(cmodel, e, p, slope))
+    """``(t_high, t_low)`` of the cheapest contract inducing effort ``e``.
+
+    At one point of Python floats the liability floor is ``0.0 if x < 0.0
+    else x``, which is ``np.maximum(0.0, x)`` bit for bit: ``-0.0`` and NaN
+    are kept, as numpy keeps them."""
+    t_low = _participation_low_payment(cmodel, e, p, slope)
+    t_low = (0.0 if t_low < 0.0 else t_low) if type(t_low) is float else np.maximum(0.0, t_low)
     return t_low + cmodel.c0 / slope, t_low
 
 

@@ -24,6 +24,7 @@ includes 0.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -126,7 +127,7 @@ class ParametricFamily:
             raise ValueError(
                 f"{self.kind} family takes {expected} coefficients, got {len(coeffs)}"
             )
-        if not all(np.isfinite(coeffs)):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"family coefficients must be finite, got {coeffs}")
         if self.kind == EXPONENTIAL_DECAY:
             a, kappa = coeffs

@@ -64,9 +64,9 @@ class ModelPrimitives:
         object.__setattr__(self, "v_max", float(self.v_max))
         object.__setattr__(self, "s_high", float(self.s_high))
         object.__setattr__(self, "s_low", float(self.s_low))
-        if not np.isfinite(self.v_max) or self.v_max <= 0.0:
+        if not math.isfinite(self.v_max) or self.v_max <= 0.0:
             raise ValueError(f"v_max must be a positive finite number, got {self.v_max}")
-        if not (np.isfinite(self.s_high) and np.isfinite(self.s_low)):
+        if not (math.isfinite(self.s_high) and math.isfinite(self.s_low)):
             raise ValueError("s_high and s_low must be finite")
 
     @property

@@ -3,15 +3,19 @@
 The bounds guarantee the structural invariants (probability ordering and
 range, positive decreasing cost) without rejection sampling, so algebraic
 identity properties can run over them directly.  The ``count_calls``
-fixture counts calls of twinvest functions.
+fixture counts calls of twinvest functions, and ``oversized_file`` writes
+a model file with one number too large for a float.
 """
 
+import json
 import sys
 
 import hypothesis.strategies as st
 import pytest
 
+from twinvest.config import section_to_dict
 from twinvest.families import ParametricFamily as F
+from twinvest.fixtures import f1, f5
 from twinvest.model import ModelPrimitives
 
 
@@ -42,6 +46,36 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+#: One number of each kind of section a model file has, as the keys that
+#: reach it: a model number, a family coefficient, a continuous number and
+#: a sweep axis end.
+OVERSIZED_KEYS = [("v_max",), ("pi0", "coefficients", 1), ("continuous", "c0"), ("sweep", "axes", 0, "start")]
+
+
+@pytest.fixture
+def oversized_file(tmp_path):
+    """``oversized_file(*keys)`` writes f1 with f5 as its continuous section
+    and a sweep, the number at ``keys`` replaced by a 401-digit integer
+    (JSON reads it as an int that no float can hold), and returns the file
+    and the field path a :class:`~twinvest.config.ConfigError` names."""
+
+    def write(*keys):
+        obj = section_to_dict(f1())
+        obj["continuous"] = section_to_dict(f5())
+        axis = {"target": "cost", "coefficient": 1, "start": 0.5, "stop": 3.0, "count": 3}
+        obj["sweep"] = {"axes": [axis, dict(axis, target="pi0", start=0.1, stop=0.4)]}
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = 10**400
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+        return str(path), field
+
+    return write
 
 
 @st.composite

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+from conftest import OVERSIZED_KEYS
 
 import twinvest.dynamics
 from twinvest.cli import main
@@ -53,6 +54,12 @@ class TestValidate:
         path.write_text('{"pi0": 3}', encoding="utf-8")
         assert main(["validate", "--model", str(path)]) == 1
         assert "pi0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", OVERSIZED_KEYS, ids=lambda keys: keys[0])
+    def test_integer_too_large_for_a_float_exits_1(self, oversized_file, capsys, keys):
+        path, field = oversized_file(*keys)
+        assert main(["validate", "--model", path]) == 1
+        assert capsys.readouterr().err == f"error: {field}: expected a number a float can hold\n"
 
     def test_continuous_section_checked(self, model_file, capsys):
         path = model_file(f1(), continuous=section_to_dict(f5()))

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
+from conftest import OVERSIZED_KEYS
 
 from twinvest import fixtures
 from twinvest.config import (
@@ -164,6 +165,14 @@ class TestErrors:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_model_file(path)
+
+    @pytest.mark.parametrize("keys", OVERSIZED_KEYS, ids=lambda keys: keys[0])
+    def test_integer_too_large_for_a_float_named(self, oversized_file, keys):
+        # float() of a 401-digit int raises OverflowError, named with its field
+        path, field = oversized_file(*keys)
+        with pytest.raises(ConfigError) as info:
+            load_model_file(path)
+        assert str(info.value) == f"{field}: expected a number a float can hold"
 
     def test_structural_family_error_carries_path(self):
         obj = section_to_dict(f1())

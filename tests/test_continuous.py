@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 
 from twinvest.continuous import (
     ContinuousEffortModel,
+    _induced_payments,
+    _slope,
     contract_for_effort,
     foc_residual,
     limited_liability_binding,
@@ -230,3 +232,23 @@ class TestValidateContinuous:
         # infinite e_max to a grid of NaN
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(f5(), **{field: value})
+
+
+@pytest.mark.parametrize("x", [-0.0, 0.0, math.nan, 5e-324, -5e-324, 1.0, -1.0])
+def test_liability_floor_on_a_float_keeps_numpys_bits(x):
+    # with c0 = 1, p = 0 and p' = 1 the participation payment is e itself;
+    # compared as bytes, so the floor keeps -0.0 (and NaN) as np.maximum does
+    cm = dataclasses.replace(f5(), c0=1.0)
+    got = _induced_payments(cm, x, 0.0, 1.0)
+    want = _induced_payments(cm, np.array([x]), np.array([0.0]), np.array([1.0]))
+    assert [type(t) for t in got] == [float, float]
+    assert [np.float64(t).tobytes() for t in got] == [t.tobytes() for t in want]
+
+
+def test_contract_for_effort_has_the_grid_routes_bits():
+    for cm in [f5(), *random_continuous_models(100, 3), *random_continuous_models(100, 8)]:
+        es = cm.grid()
+        t_high, t_low = _induced_payments(cm, es, np.asarray(cm.p.value(es), dtype=float), _slope(cm, es))
+        contracts = [contract_for_effort(cm, e) for e in es.tolist()]
+        assert np.array([c.t_high for c in contracts]).tobytes() == t_high.tobytes()
+        assert np.array([c.t_low for c in contracts]).tobytes() == t_low.tobytes()

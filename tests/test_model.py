@@ -20,11 +20,16 @@ from twinvest.model import (
     evaluate,
     evaluate_batch_grid,
     evaluate_grid,
+    retention_holds,
+    retention_margin,
     ValidationReport,
     Violation,
     row_passes,
     validate,
 )
+from twinvest.contracts import principal_payoff
+from twinvest.optimize import golden_section_max
+from twinvest.sampling import random_models
 from twinvest.continuous import principal_optimal_effort, validate_continuous
 from twinvest.fixtures import f5
 from twinvest.investment import optimal_investment, solve_batch_columns
@@ -329,6 +334,51 @@ def test_every_evaluation_route_gives_the_same_bits(model):
     for route, fields in routes.items():
         for field, got in zip(GridEval._fields, fields):
             assert np.asarray(got).tobytes() == getattr(want, field).tobytes(), (route, field)
+
+
+SEARCH_OBJECTIVES = {
+    "rent": twinvest.investment._rent,
+    "retention_margin": retention_margin,
+    "retention_holds": retention_holds,
+    "principal_payoff": principal_payoff,
+}
+
+
+def probed_points(model: ModelPrimitives) -> list[float]:
+    """Floats in ``[0, v_max]``: a grid with both ends, and the probes of two
+    golden-section searches of the rent, over the range and one grid cell."""
+    rent = batch_formula(ModelBatch.single(model), twinvest.investment._rent)
+    vs = model.grid(101).tolist()
+    probes = []
+
+    def recording(v):
+        probes.append(v)
+        return rent(v)
+
+    golden_section_max(recording, 0.0, model.v_max)
+    golden_section_max(recording, vs[1], vs[2])
+    return vs + probes
+
+
+@pytest.mark.parametrize("name", SEARCH_OBJECTIVES)
+def test_search_objectives_float_route_gives_the_array_bits(name):
+    # a float point, compared as bytes with the same point of an array, so
+    # the sign of zero counts
+    for model in [*ROUTE_MODELS.values(), *random_models(50, 3), *random_models(50, 11)]:
+        at = batch_formula(ModelBatch.single(model), SEARCH_OBJECTIVES[name])
+        vs = probed_points(model)
+        assert all(type(v) is float for v in vs)
+        got, want = np.array([at(v) for v in vs]), np.asarray(at(np.array(vs)))
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), model
+
+
+@pytest.mark.parametrize("model", ROUTE_MODELS.values(), ids=ROUTE_MODELS)
+def test_search_objective_outside_the_domain_raises_check_domains_error(model):
+    at = batch_formula(ModelBatch.single(model), twinvest.investment._rent)
+    for v in (-0.01, model.v_max + 0.01, math.nan):
+        with pytest.raises(DomainError) as raised:
+            at(v)
+        assert str(raised.value) == f"investment {v} outside [0, {model.v_max}]"
 
 
 class TestBatchValidity:
