@@ -53,7 +53,10 @@ class ContinuousEffortModel:
             )
 
     def check_domain(self, e: float) -> float:
-        e = float(e)
+        try:
+            e = float(e)
+        except OverflowError:
+            raise DomainError(f"effort too large for a float, outside [{self.e_min}, {self.e_max}]") from None
         if not math.isfinite(e) or e < self.e_min or e > self.e_max:
             raise DomainError(f"effort {e} outside [{self.e_min}, {self.e_max}]")
         return e

@@ -88,7 +88,10 @@ class ModelPrimitives:
         checking that it lies in ``[0, v_max]``; the :class:`DomainError`
         names the first value that does not."""
         if not isinstance(v, np.ndarray):
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:
+                raise DomainError(f"investment too large for a float, outside [0, {self.v_max}]") from None
             if not 0.0 <= v <= self.v_max:
                 raise DomainError(f"investment {v} outside [0, {self.v_max}]")
             return v

@@ -10,19 +10,23 @@ The payment enumeration is still exhaustive: every pair on the grid is
 checked for participation and incentive compatibility with the raw
 two-sided expressions.  It is streamed through small row blocks, with the
 one-dimensional factors computed once per call and every two-dimensional
-step written in place, so that the temporaries stay in cache.  Each
-row-plus-column sum ``high[j] + low[i]`` of a block is one matrix product
-of ``[1, low]`` and ``[high; 1]`` (:func:`_outer_sum_factors`), which BLAS
-writes faster than numpy's broadcast add.  Both of its products are exact
-and the sum starts from an exact zero, so it is rounded once, to the
-broadcast add's value, however BLAS orders or fuses the terms; only the
-sign of an exact-zero sum may differ, and no comparison tells ``+0.0``
-from ``-0.0``.  The principal's surplus matters only where a pair passes
-both checks: a block in which no pair does holds no candidate, so it skips
-the surplus, and any other block takes its best feasible surplus with one
-masked maximum, locating it only when it beats the earlier blocks' best.
-So each pair's values, the feasibility mask and the tie rule are those of
-one broadcast over the whole grid.
+step written in place, so that the temporaries stay in cache.  Each of the
+agent's row-plus-column sums ``high[j] + low[i]`` in a block is one matrix
+product of ``[1, low]`` and ``[high; 1]`` (:func:`_outer_sum_factors`),
+which BLAS writes faster than numpy's broadcast add.  Both of its products
+are exact and the sum starts from an exact zero, so it is rounded once, to
+the broadcast add's value, however BLAS orders or fuses the terms; only
+the sign of an exact-zero sum may differ, and no comparison tells ``+0.0``
+from ``-0.0``.  The principal's surplus ``keep_high[j] + keep_low[i]`` is
+never formed pair by pair: each row's best feasible surplus is the masked
+maximum of the one-dimensional ``keep_high`` plus that row's
+``keep_low[i]``, ``-inf`` where the row has no feasible pair.  Rounding is
+monotone, so, with ``j`` over the row's feasible pairs,
+``fl(max_j keep_high[j] + keep_low[i])`` equals
+``max_j fl(keep_high[j] + keep_low[i])`` exactly: the row maximum of the
+full surplus matrix.  So each pair's values, the feasibility mask, the
+best surplus and the tie rule are those of one broadcast over the whole
+grid.
 
 Ties break deterministically: smaller investment, smaller payments, and
 the effort-inducing/human-retaining option on exact payoff ties.
@@ -58,8 +62,8 @@ from .sampling import random_continuous_models, random_models
 
 _TIE_TOL = 1e-12
 # Rows of t_low per block of the payment enumeration.  16 rows of a
-# 1e-3 grid on [0, 2] keep each float temporary near 256 KB; with the six
-# rank-2 factors (32 KB each) the working set stays near 1 MB, inside a
+# 1e-3 grid on [0, 2] keep each float temporary near 256 KB; with the four
+# rank-2 factors (32 KB each) the working set stays under 1 MB, inside a
 # 2 MB per-core L2 cache.  The block size changes speed only, never a result.
 _CHUNK_ROWS = 16
 # Points of the zoom next to an endpoint (:func:`_zoom_confirms_interior`),
@@ -134,18 +138,20 @@ def brute_force_contract(
     incentive compatibility in their raw two-sided form.
 
     The enumeration is exhaustive: every pair on the grid is checked.
-    Each of the three sums below, a term in ``t_high`` plus a term in
+    Each of the agent's two sums, a term in ``t_high`` plus a term in
     ``t_low``, is formed per block of rows as a rank-2 matrix product
     (:func:`_outer_sum_factors`); its two products are exact, so the sum is
     rounded once and equals the broadcast add ``high[None, :] +
     low[:, None]`` up to the sign of an exact zero, which no comparison
-    sees.  Only a feasible pair can be the answer, so a block with none
-    skips the surplus: that leaves out no candidate, only values that one
-    masked ``argmax`` over the whole grid would discard.  Otherwise the
-    block's best feasible surplus is one masked ``max``, and its first
-    position in row-major order is looked up only when it beats, by a
-    strict ``>``, the best of the earlier blocks; so ties go to the first
-    pair in row-major order (smaller ``t_low``, then smaller ``t_high``).
+    sees.  The surplus ``keep_high[j] + keep_low[i]`` is taken per row:
+    the masked maximum of ``keep_high`` over the row's feasible pairs, plus
+    ``keep_low[i]``.  Addition rounds monotonically, so that is exactly the
+    largest rounded sum of the row, and ``-inf`` for a row with no feasible
+    pair.  A block's best is its first largest row, and it is located, at
+    the first feasible ``t_high`` whose sum equals it, only when it beats
+    the best of the earlier blocks by a strict ``>``; so ties go to the
+    first pair in row-major order (smaller ``t_low``, then smaller
+    ``t_high``), as one masked ``argmax`` over the whole grid would.
 
     ``None`` when no pair on the grid induces effort (wage above the grid).
     """
@@ -155,26 +161,25 @@ def brute_force_contract(
     num = max(int(math.ceil(top / payment_step)), 1) + 1
     payments = np.linspace(0.0, top, num)
 
-    # Factors of the raw expressions' sums; pair (i, j) has
-    # t_low = payments[i] and t_high = payments[j].
+    # Factors of the agent's sums; pair (i, j) has t_low = payments[i] and
+    # t_high = payments[j].  The principal keeps keep_high[j] + keep_low[i].
     left1, right1 = _outer_sum_factors(p.pi1 * payments, (1.0 - p.pi1) * payments)
     left0, right0 = _outer_sum_factors(p.pi0 * payments, (1.0 - p.pi0) * payments)
-    left_keep, right_keep = _outer_sum_factors(
-        p.pi1 * (model.s_high - payments), (1.0 - p.pi1) * (model.s_low - payments)
-    )
+    keep_high = p.pi1 * (model.s_high - payments)
+    keep_low = (1.0 - p.pi1) * (model.s_low - payments)
 
     rows = min(_CHUNK_ROWS, num)
     agent_high = np.empty((rows, num))
     agent_low = np.empty((rows, num))
-    surplus = np.empty((rows, num))
     feasible = np.empty((rows, num), dtype=bool)
     incentive_ok = np.empty((rows, num), dtype=bool)
+    keep_rows = np.broadcast_to(keep_high, (rows, num))
 
     best: tuple[float, float, float] | None = None  # (surplus, t_low, t_high)
     for start in range(0, num, rows):
         stop = min(start + rows, num)
         n = stop - start
-        ah, al, s = agent_high[:n], agent_low[:n], surplus[:n]
+        ah, al = agent_high[:n], agent_low[:n]
         ok, ic = feasible[:n], incentive_ok[:n]
         # agent_high = pi1*t_high + (1-pi1)*t_low - cost
         np.matmul(left1[start:stop], right1, out=ah)
@@ -186,17 +191,15 @@ def brute_force_contract(
         np.greater_equal(ah, -_TIE_TOL, out=ok)
         np.greater_equal(al, -_TIE_TOL, out=ic)
         np.logical_and(ok, ic, out=ok)
-        if not ok.any():
-            continue  # no candidate in this block
-        # surplus = pi1*(s_high - t_high) + (1-pi1)*(s_low - t_low)
-        np.matmul(left_keep[start:stop], right_keep, out=s)
-        value = float(s.max(where=ok, initial=-np.inf))
+        # each row's best feasible surplus, -inf in a row with none
+        row = np.maximum.reduce(keep_rows[:n], axis=1, where=ok, initial=-np.inf)
+        np.add(row, keep_low[start:stop], out=row)
+        i = int(row.argmax())
+        value = float(row[i])
         # strict > keeps the first maximum in row-major order
         if value == -np.inf or (best is not None and value <= best[0]):
             continue
-        np.equal(s, value, out=ic)
-        np.logical_and(ic, ok, out=ic)
-        i, j = divmod(int(np.argmax(ic)), num)
+        j = int(np.argmax(ok[i] & (keep_high + keep_low[start + i] == value)))
         best = (value, float(payments[start + i]), float(payments[j]))
     if best is None:
         return None

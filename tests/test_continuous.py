@@ -98,6 +98,15 @@ class TestContractForEffort:
         with pytest.raises(DomainError):
             contract_for_effort(f5(), 0.01)
 
+    @pytest.mark.parametrize("e", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_integer_too_large_for_a_float_is_named(self, e):
+        model = f5()
+        want = f"effort too large for a float, outside [{model.e_min}, {model.e_max}]"
+        for call in (principal_surplus_at, contract_for_effort):
+            with pytest.raises(DomainError) as raised:
+                call(model, e)
+            assert str(raised.value) == want
+
 
 class TestFocResidual:
     def test_induced_contract_is_stationary(self):

@@ -61,6 +61,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(f1(), v)
 
+    @pytest.mark.parametrize("v", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_integer_too_large_for_a_float_is_named(self, v):
+        # float() of a 401-digit int raises OverflowError; the message names
+        # the range and leaves the digits out
+        with pytest.raises(DomainError) as raised:
+            evaluate(f1(), v)
+        assert str(raised.value) == "investment too large for a float, outside [0, 1.0]"
+
     def test_v_max_must_be_positive(self):
         with pytest.raises(ValueError, match="v_max"):
             ModelPrimitives(F.constant(0.2), F.constant(0.7), F.constant(0.1),

@@ -189,6 +189,29 @@ def raw_model(cost):
     return ModelPrimitives(F.constant(-0.5), F.constant(0.5), F.constant(cost), 1.0, 2.0, 0.0)
 
 
+def dyadic(low, high, denominator):
+    """Multiples of ``1/denominator`` in ``[low, high]``: exact floats whose
+    products with dyadic payments stay exact."""
+    return st.integers(math.ceil(low * denominator), math.floor(high * denominator)).map(
+        lambda k: k / denominator
+    )
+
+
+@st.composite
+def tie_prone_contracts(draw):
+    """Constant primitives with dyadic values, stakes and payment steps, so
+    that every surplus is exact and tied best pairs, and infeasible pairs
+    tying the best, come up often.  ``pi0 < 0`` is allowed, as in
+    :func:`raw_model`; ``pi0 < pi1`` keeps every incentive-compatible pair
+    at ``t_high > t_low``, which a :class:`Contract` needs."""
+    pi1 = draw(dyadic(0.0, 0.95, 16))
+    pi0 = draw(dyadic(-0.5, min(0.9, pi1 - 1 / 16), 16))
+    cost = draw(dyadic(1 / 16, 1.0, 16))
+    s_high, s_low = draw(dyadic(1 / 8, 2.0, 8)), draw(dyadic(-1.0, 1.0, 8))
+    model = ModelPrimitives(F.constant(pi0), F.constant(pi1), F.constant(cost), 1.0, s_high, s_low)
+    return model, draw(st.sampled_from([1 / 8, 1 / 16, 1 / 32, 1 / 64]))
+
+
 class TestBlockKernel:
     """Blocks with no feasible pair, and exact surplus ties, give the
     one-shot result at every block size."""
@@ -236,6 +259,16 @@ class TestBlockKernel:
             for v in (0.0, model.v_max):
                 found = brute_force_contract(model, v, payment_step=1e-2)
                 assert found == one_shot_contract(model, v, payment_step=1e-2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_prone_contracts())
+    def test_tie_prone_models_at_every_block_size(self, case):
+        model, step = case
+        want = one_shot_contract(model, 0.5, payment_step=step)
+        for rows in BLOCK_ROWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle_module, "_CHUNK_ROWS", rows)
+                assert brute_force_contract(model, 0.5, payment_step=step) == want
 
 
 class TestZoomSlices:
@@ -324,6 +357,25 @@ class TestRankTwoOuterSum:
         block = buffer[: b - a]
         np.matmul(left[a:b], right, out=block)
         assert np.array_equal(block, high[None, :] + low[a:b, None])
+
+
+class TestRowMaximum:
+    """The enumeration's best feasible surplus per row, the masked maximum
+    of the column term plus the row term, equals the masked maximum of the
+    row-plus-column sums: rounding is monotone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(outer_sum_operands(), st.data())
+    def test_maximum_then_add_equals_add_then_maximum(self, operands, data):
+        high, low = operands
+        n = len(high)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        mask = mask.reshape(n, n)
+        mask[data.draw(st.integers(0, n - 1))] = False  # a row with no feasible pair
+        rows = np.broadcast_to(high, (n, n))
+        found = np.maximum.reduce(rows, axis=1, where=mask, initial=-np.inf) + low
+        want = np.max(np.where(mask, high[None, :] + low[:, None], -np.inf), axis=1)
+        assert np.array_equal(found, want)
 
 
 class TestBruteForceEffort:
