@@ -9,15 +9,17 @@ leaving the agent an information rent of
 ``U(v) = pi0*cost/(pi1-pi0) = cost/(Q-1)`` where ``Q = pi1/pi0`` is the
 outcome separability of the task.  Everything here is a pure function of
 ``(model, v)``.  Retention and effort inducement are one test,
-:func:`~twinvest.model.retention_holds` (``retention_margin >= 0``), so an
-exact tie employs the human and induces effort.
+:func:`~twinvest.model.retention_holds`, and every decision here takes
+:func:`~twinvest.model.margin_holds`' rule: an exact tie holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DEFAULT_TOL, ModelPrimitives, evaluate, incentive_wage, retention_holds, retention_margin
+from .model import (
+    DomainError, ModelPrimitives, evaluate, incentive_wage, margin_holds, retention_holds, retention_margin
+)
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,20 @@ def twin_alone_payoff(model, pi0):
     return pi0 * model.s_high + (1.0 - pi0) * model.s_low
 
 
+def evaluate_ordered(model: ModelPrimitives, v: float):
+    """:func:`~twinvest.model.evaluate` at ``v``, where ``pi1 > pi0`` must
+    hold for any contract to induce effort; else a
+    :class:`~twinvest.model.DomainError` names ``v``, pi0 and pi1."""
+    p = evaluate(model, v)
+    if not p.pi1 > p.pi0:
+        raise DomainError(f"pi1 = {p.pi1!r} must exceed pi0 = {p.pi0!r} at v = {p.v!r} for effort to be induced")
+    return p
+
+
 def optimal_contract(model: ModelPrimitives, v: float) -> Contract:
-    """Cheapest effort-inducing contract: wage ``cost/(pi1-pi0)`` on success only."""
-    return Contract(incentive_wage(evaluate(model, v)), 0.0)
+    """Cheapest effort-inducing contract: wage ``cost/(pi1-pi0)`` on success
+    only; a :class:`~twinvest.model.DomainError` unless ``pi1 > pi0`` at ``v``."""
+    return Contract(incentive_wage(evaluate_ordered(model, v)), 0.0)
 
 
 def agent_surplus(model: ModelPrimitives, v: float) -> float:
@@ -144,14 +157,6 @@ def surpluses(model: ModelPrimitives, v: float) -> SurplusBreakdown:
     )
 
 
-def effort_inducement_check(model: ModelPrimitives, v: float) -> bool:
-    """True when inducing high effort pays at ``v``: the effort gain
-    ``(pi1-pi0)*(s_high-s_low)`` covers the expected wage.  That is
-    :func:`~twinvest.model.retention_holds`, the test of
-    :func:`displacement_deterrent_check`; a tie induces effort."""
-    return retention_holds(model, evaluate(model, v))
-
-
 def social_total_surplus(model: ModelPrimitives, v: float) -> float:
     """First-best total surplus under high effort: expected benefit minus cost."""
     p = evaluate(model, v)
@@ -187,8 +192,13 @@ def displacement_deterrent_check(model: ModelPrimitives, v: float) -> bool:
     return retention_holds(model, evaluate(model, v))
 
 
+#: True when the effort gain ``(pi1-pi0)*(s_high-s_low)`` at ``v`` covers
+#: the expected wage: the retention test itself.
+effort_inducement_check = displacement_deterrent_check
+
+
 def should_offer_twin(model: ModelPrimitives, anticipated_v: float) -> bool:
     """True when offering the twin (anticipating investment ``anticipated_v``)
     leaves the principal at least as well off as the baseline without a
-    twin, zero investment."""
-    return principal_surplus(model, anticipated_v) - principal_surplus(model, 0.0) >= -DEFAULT_TOL
+    twin, zero investment; a tie offers it."""
+    return bool(margin_holds(principal_surplus(model, anticipated_v) - principal_surplus(model, 0.0)))

@@ -3,11 +3,11 @@
 In the two-period game the principal commits to the period-1 contract
 before the agent trains the twin.  A myopic agent then always trains to
 ``v_max`` (both the high- and low-effort period-1 objectives increase in
-the investment), shirks whenever the offered success payment is strictly
-below the incentive wage at ``v_max``, and is displaced in period 2
-exactly when retention fails there.  Anticipating that, the principal's
-period-1 offer collapses to one of two values: the incentive wage at
-``v_max`` when the agent will be retained, and zero otherwise.
+the investment), and everything follows from the one retention decision
+at ``v_max`` (:func:`~twinvest.model.retention_holds`, a tie retains).
+When it holds, the principal offers the incentive wage at ``v_max``, the
+agent works for it and is kept in period 2.  Otherwise the offer is
+zero, the agent shirks and is displaced in period 2.
 
 A strategic agent instead plays the single-period solution in both
 periods: deterrent-respecting investment, high effort, never displaced.
@@ -45,7 +45,7 @@ from .contracts import (
     twin_alone_payoff,
 )
 from .model import (
-    DEFAULT_TOL, DomainError, GridEval, InvalidModelError, ModelPrimitives, evaluate, validate
+    DomainError, GridEval, InvalidModelError, ModelPrimitives, evaluate, margin_holds, validate
 )
 from .investment import optimal_investment
 from .report import format_bool, format_number
@@ -181,7 +181,7 @@ class _FullTraining(NamedTuple):
     point: GridEval
     retained: bool
     offer: Contract
-    effort: EffortLevel  # the myopic agent's period-1 effort against ``offer``
+    effort: EffortLevel  # the myopic agent's period-1 effort: high exactly when retained
 
 
 def _check_valid(model: ModelPrimitives) -> None:
@@ -192,20 +192,18 @@ def _check_valid(model: ModelPrimitives) -> None:
 
 
 def _full_training(model: ModelPrimitives) -> _FullTraining:
-    """Evaluate the primitives at ``v_max`` once and decide retention, the
-    committed offer and the myopic effort from that one evaluation.  Unless
-    ``pi1 > pi0 > 0`` and ``cost > 0`` there (the wage divides by the gap,
-    the margin by ``pi0``) it raises :class:`~twinvest.model.InvalidModelError`
-    with the model's :func:`~twinvest.model.validate` report."""
+    """Evaluate the primitives at ``v_max`` once and decide retention from
+    that one evaluation; the committed offer and the myopic effort follow
+    from retention alone.  Unless ``pi1 > pi0 > 0`` and ``cost > 0`` there
+    (the wage divides by the gap, the margin by ``pi0``) it raises
+    :class:`~twinvest.model.InvalidModelError` with the model's
+    :func:`~twinvest.model.validate` report."""
     p = evaluate(model, model.v_max)
     if not (p.pi1 > p.pi0 > 0.0 and p.cost > 0.0):
         raise InvalidModelError(validate(model))
-    wage = incentive_wage(p)
-    retained = retention_holds(model, p)
-    offer = Contract(wage, 0.0) if retained else ZERO_CONTRACT
-    # the agent shirks when the offered spread falls strictly below the wage
-    effort = EffortLevel.LOW if offer.spread < wage - DEFAULT_TOL else EffortLevel.HIGH
-    return _FullTraining(p, retained, offer, effort)
+    if retention_holds(model, p):  # the incentive wage, which high effort earns
+        return _FullTraining(p, True, Contract(incentive_wage(p), 0.0), EffortLevel.HIGH)
+    return _FullTraining(p, False, ZERO_CONTRACT, EffortLevel.LOW)  # offered nothing, the agent shirks
 
 
 def simulate_two_period(
@@ -215,8 +213,8 @@ def simulate_two_period(
 ) -> TimelineTrace:
     """Play the two-period game to completion and record both periods.
 
-    The myopic path composes the committed offer, maximum training, the
-    shirk test, and the period-2 retention decision at ``v_max``.  The
+    The myopic path plays maximum training and the retention decision at
+    ``v_max``, which fixes the committed offer, the effort and period 2.  The
     strategic path freezes the single-period deterrent-respecting optimum
     and repeats it; that agent is never displaced.  Both paths raise
     :class:`~twinvest.model.InvalidModelError` on a model that fails
@@ -276,7 +274,7 @@ def degradation_deterrent_check(model: ModelPrimitives, alpha: float) -> bool:
     ``alpha * v_max``; ties retain the agent."""
     alpha = _check_alpha(alpha)
     rehire = principal_payoff(model, _full_training(model).point)
-    return bool(rehire - _twin_surplus(model, alpha * model.v_max) >= 0.0)
+    return bool(margin_holds(rehire - _twin_surplus(model, alpha * model.v_max)))
 
 
 def rehire_cycle_length(
@@ -314,7 +312,7 @@ def _rehire_after(model: ModelPrimitives, alpha: float, play: _FullTraining, hor
     while done < horizon:
         size = min(size, horizon - done)
         abilities = np.multiply.accumulate(np.r_[ability, np.full(size, alpha)])[1:]
-        hits = np.flatnonzero(rehire - _twin_surplus(model, abilities) >= 0.0)
+        hits = np.flatnonzero(margin_holds(rehire - _twin_surplus(model, abilities)))
         if hits.size:
             return done + int(hits[0]) + 1
         ability, done, size = abilities[-1], done + size, min(4 * size, 4096)

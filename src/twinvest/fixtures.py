@@ -64,6 +64,3 @@ def f5() -> ContinuousEffortModel:
         s_high=2.0,
         s_low=0.0,
     )
-
-
-DISCRETE_FIXTURES = {"f1": f1, "f2": f2, "f3": f3, "f4": f4}

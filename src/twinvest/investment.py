@@ -35,6 +35,7 @@ from .model import (
     ModelPrimitives,
     batch_formula,
     evaluate_batch_grid,
+    margin_holds,
     pair_terms,
     row_passes,
     validate,
@@ -151,9 +152,9 @@ def _margin_roots(model: ModelPrimitives, grid_points: int) -> tuple[bool, list[
     """Whether the retention margin is negative at ``v = 0``, and its roots:
     the solve's retention mask, flips and bisection, without the rent."""
     g = _single_grid(model, grid_points)
-    terms = pair_terms(model, g)
-    nonneg = retention_holds(model, g, terms)
-    roots = _bisect_flips(ModelBatch.single(model), g.v, _flips(model, g, terms, nonneg, np.zeros(1, np.intp)))[2]
+    margin = retention_margin(model, g)
+    nonneg = margin_holds(margin)
+    roots = _bisect_flips(ModelBatch.single(model), g.v, _flips(margin, nonneg, np.zeros(1, np.intp)))[2]
     return not nonneg[0, 0], roots.tolist()
 
 
@@ -292,45 +293,32 @@ class _Flips(NamedTuple):
     hi: np.ndarray
 
 
-def _flips(model: ModelPrimitives, p: GridEval, pair: tuple, nonneg: np.ndarray, rows: np.ndarray) -> _Flips:
-    """The sign flips of the retention margin in the rows ``rows`` of the
-    cells of an axis-1 value of ``model``, the points where their retention
-    mask ``nonneg`` (where :func:`~twinvest.model.retention_holds`; a row
-    per listed row) changes, from those cells' costs ``p.cost`` and
-    :func:`~twinvest.model.pair_terms` ``pair``."""
+def _flips(margin: np.ndarray, nonneg: np.ndarray, rows: np.ndarray) -> _Flips:
+    """The sign flips of the retention ``margin`` of the cells ``rows`` (a
+    row of it each), the points where its mask ``nonneg``
+    (:func:`~twinvest.model.margin_holds` of it) changes."""
     cell, i = np.nonzero(nonneg[:, :-1] != nonneg[:, 1:])
-    cell = rows[cell]
-
-    def margin(k):  # at the flips' points only, with the grid's bits
-        def at(x):  # a one-row table's row serves every cell
-            return x[cell if len(x) > 1 else 0, k]
-
-        return retention_margin(model, GridEval(p.v[k], None, None, at(p.cost)), tuple(map(at, pair)))
-
-    return _Flips(cell, i, margin(i), margin(i + 1))
+    return _Flips(rows[cell], i, margin[cell, i], margin[cell, i + 1])
 
 
 _NO_FLIPS = _Flips(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0))
 
 
-def _grid_pass(model: ModelPrimitives, p: GridEval, pair: tuple, opened, nonneg, regime) -> tuple[_GridPass, _Flips]:
-    """Everything the solve needs from the valid cells of an axis-1 value
-    (rows are cells), from their pi0 and cost on the grid ``p``, their
-    :func:`~twinvest.model.pair_terms` ``pair`` and regime codes; of
-    ``model``, the batch's base, only the stakes are read.  ``nonneg`` is
-    the retention mask of the rows ``opened`` (positions, ascending); every
-    other row is retained at every grid point, so its argmax is feasible
-    and it has no flip.  Only the opened rows are searched for flips and
-    their best feasible points."""
+def _grid_pass(p: GridEval, pair: tuple, opened, nonneg, regime) -> _GridPass:
+    """What the solve keeps of the valid cells of an axis-1 value (rows are
+    cells), from their pi0 and cost on the grid ``p``, their
+    :func:`~twinvest.model.pair_terms` ``pair`` and regime codes.
+    ``nonneg`` is the retention mask of the rows ``opened`` (positions,
+    ascending); every other row is retained at every grid point, so its
+    argmax is feasible.  Only the opened rows are searched for their best
+    feasible points."""
     us = information_rent(p, pair)
     rows = np.arange(len(us))
     i_star = np.argmax(us, axis=1)
-    u_star = us[rows, i_star]
-    if not len(opened):
-        return _GridPass(regime, u_star, i_star, i_star, u_star), _NO_FLIPS
     j = i_star.copy()
-    j[opened] = np.argmax(np.where(nonneg, us[opened], -np.inf), axis=1)
-    return _GridPass(regime, u_star, i_star, j, us[rows, j]), _flips(model, p, pair, nonneg, opened)
+    if len(opened):
+        j[opened] = np.argmax(np.where(nonneg, us[opened], -np.inf), axis=1)
+    return _GridPass(regime, us[rows, i_star], i_star, j, us[rows, j])
 
 
 def solve_batch_columns(batch: ModelBatch, grid_points: int = DEFAULT_GRID_POINTS) -> BatchSolution:
@@ -557,15 +545,18 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray):
                 return x[k if len(x) > 1 else 0]
 
             value, gap, stake = at(cost["value"]), at(pair["gap"]), at(pair["stake"])
-            opened, nonneg = np.flatnonzero(~retained[k, rows]), None
+            opened, nonneg, row_flips = np.flatnonzero(~retained[k, rows]), None, _NO_FLIPS
             if len(opened):  # the rows the bounds leave open
                 cells = rows[opened]
-                nonneg = retention_holds(
+                margin = retention_margin(
                     base, GridEval(vs, None, None, take(value, cells)), (take(gap, cells), take(stake, cells))
                 )
+                nonneg = margin_holds(margin)
                 held = nonneg.all(axis=1)  # retained at every point after all
                 if held.any():
-                    opened, nonneg = opened[~held], nonneg[~held]
+                    opened, nonneg, margin = opened[~held], nonneg[~held], margin[~held]
+                row_flips = _flips(margin, nonneg, opened)
+                del margin  # not held through the rent pass
             p = GridEval(vs, take(at(pair["pi0"]), rows), None, take(value, rows))
             regime = codes[k, rows]
             open_codes = np.flatnonzero(regime < 0)
@@ -574,8 +565,7 @@ def _grid_passes(batch: ModelBatch, vs: np.ndarray):
                 rates = take(at(cost["rate"]), cells), take(at(pair["rate"]), cells)
                 dq = take(at(pair["dq_low"]), cells), take(at(pair["dq_high"]), cells)
                 regime[open_codes] = _regime_codes(*rates, *dq)
-            grid_pass, row_flips = _grid_pass(base, p, (take(gap, rows), take(stake, rows)), opened, nonneg, regime)
-            passes.append(grid_pass)
+            passes.append(_grid_pass(p, (take(gap, rows), take(stake, rows)), opened, nonneg, regime))
             flips.append(row_flips._replace(cell=row_flips.cell + count))
             solved.append(i * n2 + rows)
             count += len(rows)

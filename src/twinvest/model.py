@@ -326,11 +326,17 @@ def retention_margin(model: ModelPrimitives, p, pair: tuple | None = None):
     return stake - p.cost / gap
 
 
+def margin_holds(margin):
+    """True where ``margin >= 0`` (a number or an array): a tie holds, NaN
+    fails.  The one tie rule of retention, effort, rehire and offer."""
+    return margin >= 0.0
+
+
 def retention_holds(model: ModelPrimitives, p, pair: tuple | None = None):
-    """True where ``retention_margin >= 0`` (NaN fails): the principal weakly
-    prefers the human, and inducing effort pays.  The one tie rule of the
-    solvers; the displacement thresholds are bisected roots of it."""
-    return retention_margin(model, p, pair) >= 0.0
+    """:func:`margin_holds` of the :func:`retention_margin`: the principal
+    weakly prefers the human, and inducing effort pays.  The displacement
+    thresholds are bisected roots of it."""
+    return margin_holds(retention_margin(model, p, pair))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .contracts import Contract, ZERO_CONTRACT, optimal_contract
+from .contracts import Contract, ZERO_CONTRACT, evaluate_ordered, optimal_contract
 from .continuous import (
     ContinuousEffortModel,
     contract_for_effort,
@@ -153,10 +153,11 @@ def brute_force_contract(
     first pair in row-major order (smaller ``t_low``, then smaller
     ``t_high``), as one masked ``argmax`` over the whole grid would.
 
-    ``None`` when no pair on the grid induces effort (wage above the grid).
+    ``None`` when no pair on the grid induces effort (wage above the grid);
+    a :class:`~twinvest.model.DomainError` unless ``pi1 > pi0`` at ``v``.
     """
     _check_step("payment_step", payment_step)
-    p = evaluate(model, v)
+    p = evaluate_ordered(model, v)
     top = max(model.s_high, 0.0)
     num = max(int(math.ceil(top / payment_step)), 1) + 1
     payments = np.linspace(0.0, top, num)

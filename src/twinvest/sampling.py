@@ -22,7 +22,7 @@ import numpy as np
 from .contracts import displacement_deterrent_margin_raw
 from .continuous import ContinuousEffortModel, validate_continuous
 from .families import ParametricFamily as F
-from .model import GridEval, ModelPrimitives, evaluate_grid, retention_holds, validate
+from .model import ModelPrimitives, evaluate_grid, retention_holds, validate
 
 _GENERATION_LIMIT = 10_000
 
@@ -60,10 +60,6 @@ def _cost_family(rng: np.random.Generator) -> F:
     return F.power(c0, -drop, rng.uniform(1.0, 3.0))
 
 
-def _inducement_everywhere(model: ModelPrimitives, g: GridEval) -> bool:
-    return bool(retention_holds(model, g).all())
-
-
 def random_model(
     rng: np.random.Generator, min_retention_margin: float = 0.0
 ) -> ModelPrimitives:
@@ -82,7 +78,7 @@ def random_model(
         grid = evaluate_grid(candidate, candidate.grid(_GRID_POINTS))
         if not validate(candidate, _GRID_POINTS, grid=grid).passed:
             continue
-        if not _inducement_everywhere(candidate, grid):
+        if not retention_holds(candidate, grid).all():  # effort inducement everywhere
             continue
         if min_retention_margin > 0.0:
             margin = displacement_deterrent_margin_raw(candidate, candidate.v_max)

@@ -37,7 +37,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from twinvest.contracts import agent_surplus
 from twinvest.dynamics import AgentKind, simulate_two_period
 from twinvest.families import ParametricFamily as F
-from twinvest.fixtures import DISCRETE_FIXTURES
+from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import optimal_investment
 from twinvest.model import DEFAULT_TOL, evaluate_grid, validate
 from twinvest.sampling import random_models
@@ -89,9 +89,9 @@ def check_probability_channel(model, sign):
     return v == end
 
 
-@pytest.mark.parametrize("name", DISCRETE_FIXTURES)
-def test_fixtures(name):
-    model = DISCRETE_FIXTURES[name]()
+@pytest.mark.parametrize("make", (f1, f2, f3, f4), ids=lambda make: make.__name__)
+def test_fixtures(make):
+    model = make()
     check_cost_channel(cost_only(model))
     assert check_probability_channel(*probability_only(model))
 

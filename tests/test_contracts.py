@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ from twinvest.contracts import (
     surpluses,
 )
 from twinvest.families import ParametricFamily as F
-from twinvest.fixtures import DISCRETE_FIXTURES, f1, f2, f4
-from twinvest.model import ModelPrimitives, evaluate_grid
+from twinvest.fixtures import f1, f2, f3, f4
+from twinvest.model import DomainError, ModelPrimitives, evaluate_grid
 from twinvest.sampling import random_models
 
 
 def fixture_models():
-    return [make() for make in DISCRETE_FIXTURES.values()]
+    return [f1(), f2(), f3(), f4()]
 
 
 class TestOptimalContract:
@@ -51,6 +52,19 @@ class TestOptimalContract:
         c = optimal_contract(model, 0.5)
         assert c.t_high == pytest.approx(0.0, abs=1e-12)
         assert c.t_low == 0.0
+
+    @pytest.mark.parametrize(
+        "pi0, pi1",
+        [(F.constant(0.5), F.constant(0.5)), (F.constant(0.0625), F.constant(0.0))],
+        ids=["equal", "reversed"],
+    )
+    def test_unordered_probabilities_raise_a_domain_error(self, pi0, pi1):
+        # no wage induces effort: a zero gap divided by, or a negative wage
+        model = ModelPrimitives(pi0, pi1, F.constant(0.0625), 1.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"pi1 = .* must exceed pi0 = .* at v = 0\.5"):
+                optimal_contract(model, 0.5)
 
     def test_limited_liability_enforced(self):
         with pytest.raises(ValueError, match="t_high >= t_low >= 0"):
@@ -129,6 +143,9 @@ class TestEffortInducement:
         broken = dataclasses.replace(f1(), s_high=0.5)
         assert not effort_inducement_check(broken, 0.0)
 
+    def test_is_the_retention_check(self):
+        assert effort_inducement_check is displacement_deterrent_check
+
     def test_zero_quality_importance_never_induces(self):
         flat = dataclasses.replace(f1(), s_high=1.0, s_low=1.0)
         assert not effort_inducement_check(flat, 0.0)
@@ -197,6 +214,12 @@ class TestShouldOfferTwin:
     def test_anticipating_zero_is_reflexive(self):
         for fixture in (f1, f2, f4):
             assert should_offer_twin(fixture(), 0.0)
+
+    def test_near_tie_loss_is_not_offered(self):
+        # the twin lowers the principal's surplus by 6.4e-14: a loss, not a tie
+        model = ModelPrimitives(F.affine(0.3, 1e-13), F.constant(0.8), F.constant(0.2), 1.0, 2.0, 0.0)
+        assert -1e-13 < principal_surplus(model, 1.0) - principal_surplus(model, 0.0) < 0.0
+        assert not should_offer_twin(model, 1.0)
 
     def test_f4_zero_investment_equality(self):
         model = f4()

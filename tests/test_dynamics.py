@@ -1,11 +1,13 @@
 import dataclasses
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twinvest.model
+from twinvest.config import load_model_file
 from twinvest.contracts import (
     Contract,
     displacement_deterrent_check,
@@ -39,6 +41,11 @@ from twinvest.oracle import brute_force_two_period
 from twinvest.sampling import random_models
 
 
+def zero_wage_displaced_model() -> ModelPrimitives:
+    # valid, displaced at v_max, with an incentive wage of 1e-12 there
+    return load_model_file(Path(__file__).with_name("zero_wage_displaced.json")).model
+
+
 def displaced_constant_pi0_model() -> ModelPrimitives:
     # high constant standalone performance: displacement without degradation relief
     return ModelPrimitives(F.constant(0.55), F.affine(0.7, 0.1),
@@ -58,10 +65,14 @@ class TestMyopicChoices:
             assert myopic_investment(model) == model.v_max == 1.0
 
     def test_shirks_below_full_training_wage(self):
-        # f2 is offered 0 < 1/3, the wage at v_max
-        first = simulate_two_period(f2(), AgentKind.MYOPIC).records[0]
-        assert first.contract.spread < incentive_wage(evaluate(f2(), 1.0))
-        assert first.effort is EffortLevel.LOW
+        # f2 is offered 0 < 1/3, the wage at v_max; the zero-wage model 0 < 1e-12,
+        # and working for nothing would cost it 1e-13
+        for model in (f2(), zero_wage_displaced_model()):
+            first = simulate_two_period(model, AgentKind.MYOPIC).records[0]
+            assert first.contract == Contract(0.0, 0.0)
+            assert first.contract.spread < incentive_wage(evaluate(model, 1.0))
+            assert first.effort is EffortLevel.LOW
+            assert first.agent_expected_payoff == 0.0
 
     def test_exact_wage_does_not_shirk(self):
         # f1 is offered exactly the wage at v_max; the tie resolves to high effort

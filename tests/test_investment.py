@@ -23,7 +23,7 @@ from twinvest.contracts import (
 )
 from twinvest.dynamics import AgentKind, simulate_two_period
 from twinvest.families import ParametricFamily as F
-from twinvest.fixtures import DISCRETE_FIXTURES, f1, f2, f3, f4
+from twinvest.fixtures import f1, f2, f3, f4
 from twinvest.investment import (
     RegimeLabel,
     classify_regime,
@@ -49,7 +49,7 @@ from twinvest.sampling import random_models
 
 def exactness_models() -> list[ModelPrimitives]:
     """The discrete fixtures plus seeded random models of every family kind."""
-    return [make() for make in DISCRETE_FIXTURES.values()] + random_models(50, seed=12345)
+    return [f1(), f2(), f3(), f4()] + random_models(50, seed=12345)
 
 
 def f2_threshold_closed_form() -> float:
@@ -311,7 +311,7 @@ class TestFeasibleRun:
             nonneg = retention_holds(model, g, pair)
             # a row retained at every point is not opened, as the bounds leave it
             opened = np.flatnonzero(~nonneg.all(axis=1))
-            found, _ = twinvest.investment._grid_pass(model, g, pair, opened, nonneg[opened], None)
+            found = twinvest.investment._grid_pass(g, pair, opened, nonneg[opened], None)
         # every row searched: the best feasible point with its rent
         n = len(us)
         feasible = 0.5 - g.cost >= 0.0
@@ -608,7 +608,7 @@ class TestRefinementObjectives:
             assert principal_payoff(model, evaluate_grid(model, vs)).tolist() == scalar
 
     def test_solve_and_strategic_simulate_share_the_principal_payoff(self):
-        for model in [make() for make in DISCRETE_FIXTURES.values()] + random_models(200, 3):
+        for model in [f1(), f2(), f3(), f4()] + random_models(200, 3):
             record = simulate_two_period(model, AgentKind.STRATEGIC).records[0]
             assert optimal_investment(model).principal_surplus_at_opt == record.principal_expected_payoff
 

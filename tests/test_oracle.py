@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -127,6 +128,19 @@ class TestBruteForceContract:
         c = brute_force_contract(cheap, 0.5)
         assert c.t_high == 0.0
         assert c.t_low == 0.0
+
+    @pytest.mark.parametrize(
+        "pi0, pi1",
+        [(F.constant(0.5), F.constant(0.5)), (F.constant(0.0625), F.constant(0.0))],
+        ids=["equal", "reversed"],
+    )
+    def test_unordered_probabilities_raise_a_domain_error(self, pi0, pi1):
+        # incentive compatibility would ask t_low > t_high, or hold nowhere
+        model = ModelPrimitives(pi0, pi1, F.constant(0.0625), 1.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"pi1 = .* must exceed pi0 = .* at v = 0\.5"):
+                brute_force_contract(model, 0.5, payment_step=1 / 8)
 
     def test_infeasible_when_wage_exceeds_grid(self):
         model = dataclasses.replace(f1(), s_high=0.3)

@@ -339,10 +339,10 @@ class TestF3Traffic:
 
     def test_only_open_cells_reach_the_per_point_tests(self, monkeypatch):
         margin_rows, regime_codes = [], []
-        real_holds, real_codes = twinvest.investment.retention_holds, twinvest.investment._regime_codes
+        real_margin, real_codes = twinvest.investment.retention_margin, twinvest.investment._regime_codes
 
-        def holds(model, p, pair=None):
-            out = real_holds(model, p, pair)
+        def margin(model, p, pair=None):
+            out = real_margin(model, p, pair)
             if np.ndim(p.v) == 1 and np.ndim(out) == 2:  # a margin over the whole grid
                 margin_rows.append(len(out))
             return out
@@ -352,7 +352,7 @@ class TestF3Traffic:
             regime_codes.extend(out.tolist())
             return out
 
-        monkeypatch.setattr(twinvest.investment, "retention_holds", holds)
+        monkeypatch.setattr(twinvest.investment, "retention_margin", margin)
         monkeypatch.setattr(twinvest.investment, "_regime_codes", codes)
         mf = load_model_file(map_file("f3.json"))
         regime_map = regime_sweep(mf.model, *mf.sweep)
