@@ -30,12 +30,28 @@ grid.
 
 Ties break deterministically: smaller investment, smaller payments, and
 the effort-inducing/human-retaining option on exact payoff ties.
+
+:func:`run_certification` runs on every usable CPU.  After the random
+models are drawn it forks one worker per usable CPU beyond its own (none
+where ``os.fork`` is missing or only one CPU is usable).  The workers take
+the two-period cases, from the first one on, from a counter they share
+with the parent; the parent computes the other four reports and then takes
+the cases left from the same counter.  Each case returns its certifier
+calls, and the parent replays them into one report in case order, so the
+checks, the maxima and the order of the disagreements are those of one
+sequential loop, bit for bit.  Each process keeps its own ``_ENUMERATED``
+cache, so the f1 and f2 enumerations that the contract report shares with
+the two-period cases may run twice, once in the parent and once in a
+worker.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,6 +68,7 @@ from .dynamics import (
     EffortLevel,
     PeriodRecord,
     TimelineTrace,
+    _check_integer,
     simulate_two_period,
 )
 from .fixtures import f1, f2, f3, f4, f5
@@ -429,6 +446,11 @@ class _Certifier:
     def match(self):
         self.checks += 1
 
+    def replay(self, calls: list[tuple]):
+        """Make each ``(method, *arguments)`` call of ``calls``, in order."""
+        for method, *arguments in calls:
+            getattr(self, method)(*arguments)
+
     def report(self) -> OracleReport:
         return OracleReport(**{**vars(self), "disagreements": tuple(self.disagreements)})
 
@@ -565,23 +587,38 @@ def _traces_agree(analytic: TimelineTrace, oracle: TimelineTrace, v_tol, pay_tol
     return True, ""
 
 
+#: Investment and payment/payoff tolerances of the two-period report.
+_TWO_PERIOD_TOLERANCES = (2e-3, 5e-3)
+
+
+def _two_period_checks(name: str, model: ModelPrimitives) -> list[tuple]:
+    """The certifier calls of one two-period case, one per agent kind, as
+    :meth:`_Certifier.replay` takes them."""
+    calls = []
+    for kind in (AgentKind.MYOPIC, AgentKind.STRATEGIC):
+        analytic = simulate_two_period(model, kind)
+        oracle = brute_force_two_period(model, kind, 1e-3, 1e-3)
+        ok, why = _traces_agree(analytic, oracle, *_TWO_PERIOD_TOLERANCES)
+        if ok:
+            calls.append(("match",))
+        else:
+            calls.append(
+                ("mismatch", f"{name} {kind.value}", _trace_brief(analytic), f"{_trace_brief(oracle)} ({why})")
+            )
+    return calls
+
+
+def _two_period_report(case_calls) -> OracleReport:
+    """The two-period report of the cases' certifier calls, in case order."""
+    cert = _Certifier("simulate_two_period", *_TWO_PERIOD_TOLERANCES)
+    for calls in case_calls:
+        cert.replay(calls)
+    return cert.report()
+
+
 def certify_two_period(cases: list[tuple[str, ModelPrimitives]]) -> OracleReport:
     """Game simulation vs. backward-induction enumeration, both agent kinds."""
-    cert = _Certifier("simulate_two_period", 2e-3, 5e-3)
-    for name, model in cases:
-        for kind in (AgentKind.MYOPIC, AgentKind.STRATEGIC):
-            analytic = simulate_two_period(model, kind)
-            oracle = brute_force_two_period(model, kind, 1e-3, 1e-3)
-            ok, why = _traces_agree(analytic, oracle, cert.v_tolerance, cert.value_tolerance)
-            if ok:
-                cert.match()
-            else:
-                cert.mismatch(
-                    f"{name} {kind.value}",
-                    _trace_brief(analytic),
-                    f"{_trace_brief(oracle)} ({why})",
-                )
-    return cert.report()
+    return _two_period_report(_two_period_checks(name, model) for name, model in cases)
 
 
 def _trace_brief(trace: TimelineTrace) -> str:
@@ -624,6 +661,104 @@ def certify_continuous(
 # ---------------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, so that ``taskset`` is respected, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _shared_cases(run, cases: list[tuple]):
+    """Run ``run(*case)`` for every case on every usable CPU.
+
+    On entry one worker is forked per usable CPU beyond the parent's, at
+    most one per case (none where ``os.fork`` is missing), and it starts
+    taking cases at once.  The parent does its own work in the ``with``
+    block, then calls the function this yields: it takes the remaining
+    cases from the same counter, collects the workers' results and returns
+    all of them in case order.  ``run`` must be a pure function of its
+    case whose result pickles.
+
+    The counter is a baton: one 8-byte count in a pipe.  A process takes
+    case ``i`` by reading ``i`` and writing back ``i + 1``; while it holds
+    the count the pipe is empty, so no other process takes the same case.
+    A process stops taking cases after one that raises.  The parent runs,
+    in case order, every case whose result it did not get (the case raised,
+    or its worker died), so the first case that fails raises in the parent
+    as it would in one sequential loop.  Every exit from the ``with`` block
+    reaps the workers, killing them first when the block raised.
+    """
+    baton_read, baton_write = os.pipe()
+    os.write(baton_write, (0).to_bytes(8, "little"))
+
+    def take() -> int:
+        i = int.from_bytes(os.read(baton_read, 8), "little")
+        os.write(baton_write, (i + 1).to_bytes(8, "little"))
+        return i
+
+    def run_taken() -> dict:
+        done = {}
+        try:
+            while (i := take()) < len(cases):
+                done[i] = run(*cases[i])
+        except Exception:
+            pass  # results() runs this case again, in case order, and raises there
+        return done
+
+    def results() -> list:
+        done = run_taken()
+        for _, read_end in workers:
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if data:
+                done.update(pickle.loads(data))
+        return [done[i] if i in done else run(*case) for i, case in enumerate(cases)]
+
+    workers = []  # (pid, read end of its results pipe)
+    extra = min(_usable_cpus() - 1, len(cases)) if hasattr(os, "fork") else 0
+    try:
+        for _ in range(extra):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the parent takes the cases left
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _work(run_taken, write_end)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        yield results
+    except BaseException:
+        import signal  # only on this path: the import is not free
+
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end in workers:
+            os.waitpid(pid, 0)
+            os.close(read_end)
+        os.close(baton_read)
+        os.close(baton_write)
+
+
+def _work(run_taken, write_end: int):
+    """A forked worker's whole life: take cases, send the results of those
+    it finished to the parent, and leave by ``os._exit``, so that nothing
+    of the parent's (exit handlers, buffered output) runs twice."""
+    status = 1
+    try:
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(run_taken()))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_certification(
     seed: int = 12345,
     n_models: int = 200,
@@ -635,15 +770,25 @@ def run_certification(
     ``oracle_step`` overrides the grid step of the investment, regime and
     effort oracles (their defaults are 1e-4, 1e-3 and 1e-4); the payment
     enumeration stays at its own resolution because the contract tolerance
-    is tied to it.  A run enumerates the payments of each ``(model, v)``
-    once: the contract report and both two-period traces of a model share
-    an enumeration at the same investment.  A step that is not positive
-    and finite, or a negative ``n_models``, raises :class:`DomainError`.
+    is tied to it.  A step that is not positive and finite, or an
+    ``n_models`` or ``seed`` that is not an integer >= 0, raises
+    :class:`DomainError` naming it.
+
+    It runs on every usable CPU (see the module docstring): forked workers
+    take the two-period cases from a counter shared with this process,
+    which computes the other four reports first and then takes the cases
+    left.  Each case's certifier calls are folded in case order, so the
+    reports equal those of the five ``certify_*`` functions called in
+    order.  Each process keeps its own enumeration cache, in which the
+    payments of each ``(model, v)`` are enumerated once: in one process the
+    contract report and both two-period traces of a model share an
+    enumeration at the same investment, and the f1 and f2 ones may run
+    twice, once here and once in a worker.
     """
     if oracle_step is not None:
         _check_step("oracle_step", oracle_step)
-    if n_models < 0:
-        raise DomainError(f"n_models must be >= 0, got {n_models}")
+    n_models = _check_integer("n_models", n_models, 0)
+    seed = _check_integer("seed", seed, 0)
     steps = (1e-4, 1e-3, 1e-4) if oracle_step is None else (oracle_step,) * 3
     fixtures = [("f1", f1()), ("f2", f2()), ("f3", f3()), ("f4", f4())]
 
@@ -656,7 +801,7 @@ def run_certification(
     randoms = [
         (f"random-{i}", m) for i, m in enumerate(random_models(n_models, seed))
     ]
-    two_period_random = [
+    two_period_cases = [("f1", f1()), ("f2", f2())] + [
         (f"random2p-{i}", m)
         for i, m in enumerate(
             random_models(min(n_models, 50), seed + 1, min_retention_margin=5e-3)
@@ -669,12 +814,12 @@ def run_certification(
 
     enumerated = _ENUMERATED.set({})
     try:
-        return [
-            certify_contract(contract_cases),
-            certify_investment(fixtures + randoms, step=steps[0]),
-            certify_regimes(randoms, step=steps[1]),
-            certify_two_period([("f1", f1()), ("f2", f2())] + two_period_random),
-            certify_continuous(continuous_cases, step=steps[2], seed=seed + 3),
-        ]
+        with _shared_cases(_two_period_checks, two_period_cases) as two_period_results:
+            contract = certify_contract(contract_cases)
+            investment = certify_investment(fixtures + randoms, step=steps[0])
+            regimes = certify_regimes(randoms, step=steps[1])
+            continuous = certify_continuous(continuous_cases, step=steps[2], seed=seed + 3)
+            two_period = _two_period_report(two_period_results())
+        return [contract, investment, regimes, two_period, continuous]
     finally:
         _ENUMERATED.reset(enumerated)

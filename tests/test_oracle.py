@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import re
 import warnings
 
 import hypothesis.strategies as st
@@ -505,7 +507,9 @@ def test_run_certification_rejects_negative_model_count():
 
 def test_run_certification_enumerates_each_contract_once(monkeypatch):
     # the contract report and both two-period traces of f1 and f2 meet
-    # again at v_max; a run enumerates each (model, v, payment_step) once
+    # again at v_max; in one process a run enumerates each (model, v,
+    # payment_step) once (a forked worker keeps a cache of its own)
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
     real, keys = oracle_module.brute_force_contract, []
 
     def counting(model, v, payment_step=1e-3):
@@ -523,6 +527,152 @@ def test_run_certification_enumerates_each_contract_once(monkeypatch):
     for _ in range(2):
         brute_force_two_period(f2(), AgentKind.MYOPIC)
     assert len(keys) == 2 * len(set(keys))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_models": 2.5}, "n_models must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ],
+)
+def test_run_certification_names_a_bad_count_or_seed(kwargs, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_certification(**{"seed": 5, "n_models": 0, **kwargs})
+
+
+def sequential_certification(seed, n_models):
+    """The five ``certify_*`` reports of ``run_certification(seed,
+    n_models)``, each called directly, in order, on the same inputs."""
+    fixtures = [("f1", f1()), ("f2", f2()), ("f3", f3()), ("f4", f4())]
+    randoms = [(f"random-{i}", m) for i, m in enumerate(random_models(n_models, seed))]
+    two_period = [("f1", f1()), ("f2", f2())] + [
+        (f"random2p-{i}", m)
+        for i, m in enumerate(random_models(min(n_models, 50), seed + 1, min_retention_margin=5e-3))
+    ]
+    continuous = [("f5", f5())] + [
+        (f"randomc-{i}", m) for i, m in enumerate(random_continuous_models(min(n_models, 100), seed + 2))
+    ]
+    return [
+        certify_contract([(name, m, v) for name, m in fixtures for v in (0.0, m.v_max / 2.0, m.v_max)]),
+        certify_investment(fixtures + randoms),
+        certify_regimes(randoms),
+        certify_two_period(two_period),
+        certify_continuous(continuous, seed=seed + 3),
+    ]
+
+
+#: The unpatched CPU count (``TestWorkers`` patches it).
+USABLE_CPUS = oracle_module._usable_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """``run_certification`` shares the two-period cases with forked
+    workers (``_usable_cpus`` is patched to fork some on any machine) and
+    folds their certifier calls back in case order."""
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        # more workers than the cores of a small machine
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+
+    def test_the_fold_equals_the_sequential_loop(self):
+        assert run_certification(seed=9, n_models=30) == sequential_certification(9, 30)
+        assert_no_child_left()
+
+    def test_disagreements_spread_over_the_queue_keep_case_order(self, monkeypatch):
+        two_period = random_models(30, 10, min_retention_margin=5e-3)
+        wrong = {f1(), two_period[5], two_period[14], two_period[15], two_period[29]}
+        real = oracle_module.brute_force_two_period
+
+        def oracle(model, kind, *args):
+            trace = real(model, kind, *args)
+            return dataclasses.replace(trace, displacement_period=7) if model in wrong else trace
+
+        monkeypatch.setattr(oracle_module, "brute_force_two_period", oracle)
+        reports = run_certification(seed=9, n_models=30)
+        assert reports == sequential_certification(9, 30)
+        assert [d.inputs for d in reports[3].disagreements] == [
+            f"{name} {kind}"
+            for name in ("f1", "random2p-5", "random2p-14", "random2p-15", "random2p-29")
+            for kind in ("myopic", "strategic")
+        ]
+        assert_no_child_left()
+
+    def test_a_nan_error_folds_as_in_the_sequential_loop(self):
+        # a NaN error: max() and the tolerance test both pass over it
+        errors = [0.25, math.nan, 0.5, 3.0, math.nan, 1.0] * 4
+        cases = [(i, err) for i, err in enumerate(errors)]
+
+        def case(i, err):
+            np.linalg.inv(np.eye(200))  # about a millisecond, so that the workers take cases too
+            return os.getpid(), [("record", f"c{i}", err, 2.0 - err, "a", "o"), ("match",)]
+
+        with oracle_module._shared_cases(case, cases) as results:
+            pids, calls = zip(*results())
+        assert len(set(pids)) > 1
+        folded = oracle_module._Certifier("t", 0.75, 0.75)
+        sequential = oracle_module._Certifier("t", 0.75, 0.75)
+        for one, args in zip(calls, cases):
+            folded.replay(one)
+            sequential.replay(case(*args)[1])
+        assert repr(folded.report()) == repr(sequential.report())
+        assert_no_child_left()
+
+    def test_a_case_that_raises_in_a_worker_raises_in_the_parent(self, monkeypatch, tmp_path):
+        # f1 is case 0, which a worker takes first; the parent runs it again
+        raisers, real = tmp_path / "raisers", oracle_module.brute_force_two_period
+
+        def oracle(model, kind, *args):
+            if model == f1():
+                with raisers.open("a") as f:
+                    f.write(f"{os.getpid()}\n")
+                raise ValueError("no outcome for f1")
+            return real(model, kind, *args)
+
+        monkeypatch.setattr(oracle_module, "brute_force_two_period", oracle)
+        with pytest.raises(ValueError, match="^no outcome for f1$"):
+            run_certification(seed=5, n_models=3)
+        pids = set(raisers.read_text().split())
+        assert str(os.getpid()) in pids and len(pids) > 1
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_loses_no_case(self, monkeypatch):
+        parent, real = os.getpid(), oracle_module._two_period_checks
+
+        def checks(name, model):
+            if os.getpid() != parent and name == "random2p-1":
+                os._exit(1)
+            return real(name, model)
+
+        monkeypatch.setattr(oracle_module, "_two_period_checks", checks)
+        assert run_certification(seed=9, n_models=20) == sequential_certification(9, 20)
+        assert_no_child_left()
+
+    def test_an_error_in_the_parent_reaps_the_workers(self, monkeypatch):
+        def contract_report(cases):
+            raise RuntimeError("contract report failed")
+
+        monkeypatch.setattr(oracle_module, "certify_contract", contract_report)
+        with pytest.raises(RuntimeError, match="contract report failed"):
+            run_certification(seed=9, n_models=50)
+        assert_no_child_left()
+
+    def test_one_cpu_in_the_affinity_set_starts_no_worker(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_usable_cpus", USABLE_CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        assert run_certification(seed=9, n_models=5) == sequential_certification(9, 5)
+
+    def test_no_fork_starts_no_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert run_certification(seed=9, n_models=5) == sequential_certification(9, 5)
 
 
 class TestDisagreementReports:
